@@ -11,6 +11,7 @@
 
 #include "bench_common.h"
 
+#include "analysis/provenance.h"
 #include "core/tester_spec.h"
 #include "stats/summary.h"
 
@@ -36,15 +37,20 @@ runSetup(const char *name, unsigned clients)
         params.collector.measurementSamples =
             bench::paperScale() ? 20000 : 3000;
         params.deadline = seconds(10);
+        // Every request's span: the three components group its
+        // critical path (tracing cannot perturb the run).
+        params.trace.enabled = true;
         const auto result = core::runExperiment(params);
+        const analysis::Fig3Samples fig3 =
+            analysis::fig3Samples(result.spans);
 
         double maxCpu = 0.0;
         for (const auto &inst : result.instances)
             maxCpu = std::max(maxCpu, inst.cpuUtilization);
         std::printf("  %.2f   %10.1f  %11.1f  %10.1f      %.2f\n",
-                    util, stats::mean(result.serverComponentUs),
-                    stats::mean(result.networkComponentUs),
-                    stats::mean(result.clientComponentUs), maxCpu);
+                    util, stats::mean(fig3.serverUs),
+                    stats::mean(fig3.networkUs),
+                    stats::mean(fig3.clientUs), maxCpu);
     }
     std::printf("\n");
 }

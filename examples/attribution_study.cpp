@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "analysis/attribution.h"
+#include "analysis/provenance.h"
 #include "analysis/recommend.h"
 #include "analysis/report.h"
 #include "analysis/screening.h"
@@ -128,9 +129,9 @@ main()
                 100.0 * result.variabilityReduction());
 
     // 6. Measured attribution: re-run the recommended configuration
-    //    with request tracing on and decompose the traced timelines
-    //    into per-component latencies -- the measured counterpart of
-    //    the regression attribution in step 2.
+    //    with request tracing on and decompose the traced spans'
+    //    critical paths into per-component latencies -- the measured
+    //    counterpart of the regression attribution in step 2.
     auto traced = improve.base;
     traced.config = result.recommended;
     traced.trace.enabled = true;
@@ -140,7 +141,7 @@ main()
     const auto tracedRun = core::runExperiment(traced);
     std::printf("%s\n",
                 analysis::renderDecompositionTable(
-                    analysis::decomposeTraces(tracedRun.traces))
+                    analysis::decomposeRows(tracedRun.spans))
                     .c_str());
     return 0;
 }

@@ -30,8 +30,9 @@
  *
  * Run: ./build/examples/cluster_study [output-dir]
  * Writes treadmill_cluster_study.json plus the provenance cell's
- * exports (spans, provenance report, telemetry CSV, Chrome traces)
- * into output-dir (default ".").
+ * exports (spans, provenance report, telemetry CSV, and one Chrome
+ * trace of span lanes, fault windows and telemetry counters) into
+ * output-dir (default ".").
  */
 
 #include <cmath>
@@ -355,16 +356,12 @@ main(int argc, char **argv)
                    obs::telemetryCsv(provRun.telemetry)))
         return 1;
     if (!writeFile(dir + "/treadmill_cluster_trace.json",
-                   obs::chromeTraceJson(provRun.traces,
-                                        provRun.faultWindows,
-                                        &provRun.telemetry)))
-        return 1;
-    if (!writeFile(dir + "/treadmill_cluster_span_lanes.json",
                    obs::chromeSpanJson(provRun.spans,
-                                       provRun.faultWindows)))
+                                       provRun.faultWindows,
+                                       &provRun.telemetry)))
         return 1;
     std::printf("Wrote %s/treadmill_cluster_{spans,provenance,"
-                "trace,span_lanes}.json and telemetry.csv\n",
+                "trace}.json and telemetry.csv\n",
                 dir.c_str());
     return 0;
 }

@@ -9,7 +9,9 @@
  *   3. run one experiment (8 Treadmill instances, open loop,
  *      warm-up / calibration / measurement phases),
  *   4. read per-instance quantiles, the correctly aggregated metric,
- *      and the tcpdump-equivalent ground truth.
+ *      and the tcpdump-equivalent ground truth,
+ *   5. export a JSON summary, including the server / network / client
+ *      latency split of every traced request.
  *
  * Build and run:
  *   cmake -B build -G Ninja && cmake --build build
@@ -46,6 +48,10 @@ main()
     params.collector.calibrationSamples = 500;
     params.collector.measurementSamples = 10000;
     params.seed = 2026;
+    // Trace every request: the JSON summary's server / network /
+    // client components group each span's critical path. Tracing is
+    // Rng-free, so it moves no measured nanosecond.
+    params.trace.enabled = true;
 
     std::printf("Running one Treadmill experiment: %u instances, "
                 "open-loop, %.0f%% utilization...\n",

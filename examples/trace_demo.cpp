@@ -1,27 +1,31 @@
 /**
  * @file
- * Request-tracing demo: run one traced experiment, export the
- * Chrome trace-event JSON (open in Perfetto / chrome://tracing), the
- * per-request decomposition CSV, and the metrics-registry snapshot,
- * then print the per-component latency-decomposition table.
+ * Request-tracing demo: run one traced experiment, export the span
+ * lanes as Chrome trace-event JSON (open in Perfetto /
+ * chrome://tracing), the per-request decomposition CSV, and the
+ * metrics-registry snapshot, then print the eight-row latency
+ * decomposition table read from the spans' critical paths.
  *
  * Run: ./build/examples/trace_demo [output-dir]
  * Writes treadmill_trace.json, treadmill_decomposition.csv, and
  * treadmill_metrics.json into output-dir (default ".").
  *
- * Exits nonzero if any exported trace fails validation (timeline not
- * monotone, or component sums off from end-to-end by >= 0.1 us), so CI
- * can use it as a smoke test.
+ * Exits nonzero if any span fails validation (no complete critical
+ * path, or row sums off from end-to-end by >= 0.1 us), so CI can use
+ * it as a smoke test.
  */
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "analysis/export.h"
+#include "analysis/provenance.h"
 #include "analysis/report.h"
 #include "core/experiment.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 using namespace treadmill;
 
@@ -62,24 +66,33 @@ main(int argc, char **argv)
     std::printf("  achieved %.0f RPS at %.0f%% server utilization, "
                 "%zu requests traced\n",
                 result.achievedRps, 100.0 * result.serverUtilization,
-                result.traces.size());
+                result.spans.size());
 
-    if (result.traces.empty()) {
-        std::fprintf(stderr, "no traces recorded\n");
+    if (result.spans.empty()) {
+        std::fprintf(stderr, "no spans recorded\n");
         return 1;
     }
 
-    // Self-validate before exporting: the stamps must be monotone and
-    // the seven components must telescope to the end-to-end latency.
-    for (const obs::RequestTrace &t : result.traces) {
-        if (!obs::timelineMonotonic(t)) {
+    // Self-validate before exporting: every span must yield a complete
+    // critical path, and its eight rows, summed as doubles the way the
+    // CSV's component_sum_us is, must match the end-to-end latency.
+    double worstUs = 0.0;
+    obs::CriticalPath path;
+    for (std::size_t k = 0; k < result.spans.size(); ++k) {
+        const obs::SpanView span = result.spans[k];
+        if (!obs::extractCriticalPath(span, path)) {
             std::fprintf(stderr,
-                         "trace seq %llu is not monotone\n",
-                         static_cast<unsigned long long>(t.seqId));
+                         "span %llu has no complete critical path\n",
+                         static_cast<unsigned long long>(
+                             span.trace.logicalSeqId));
             return 1;
         }
+        double sumUs = 0.0;
+        for (SimDuration ns : obs::pathRowsNs(path, span.trace.winner))
+            sumUs += toMicros(ns);
+        worstUs = std::max(worstUs,
+                           std::fabs(sumUs - span.trace.endToEndUs()));
     }
-    const double worstUs = obs::maxDecompositionErrorUs(result.traces);
     if (worstUs >= 0.1) {
         std::fprintf(stderr,
                      "decomposition error %.6f us exceeds 0.1 us\n",
@@ -88,13 +101,13 @@ main(int argc, char **argv)
     }
     std::printf("  validated %zu timelines (max decomposition error "
                 "%.3g us)\n",
-                result.traces.size(), worstUs);
+                result.spans.size(), worstUs);
 
     const std::string tracePath = dir + "/treadmill_trace.json";
     const std::string csvPath = dir + "/treadmill_decomposition.csv";
     const std::string metricsPath = dir + "/treadmill_metrics.json";
-    if (!writeFile(tracePath, obs::chromeTraceJson(result.traces)) ||
-        !writeFile(csvPath, obs::decompositionCsv(result.traces)) ||
+    if (!writeFile(tracePath, obs::chromeSpanJson(result.spans)) ||
+        !writeFile(csvPath, obs::decompositionCsv(result.spans)) ||
         !writeFile(metricsPath, result.metrics.dumpPretty() + "\n"))
         return 1;
     std::printf("\nWrote %s (load it in https://ui.perfetto.dev or"
@@ -103,7 +116,7 @@ main(int argc, char **argv)
                 metricsPath.c_str());
 
     // The measured attribution: which component owns the tail.
-    const auto report = analysis::decomposeTraces(result.traces);
+    const auto report = analysis::decomposeRows(result.spans);
     std::printf("%s\n",
                 analysis::renderDecompositionTable(report).c_str());
 

@@ -1,5 +1,6 @@
 #include "analysis/export.h"
 
+#include "analysis/provenance.h"
 #include "stats/summary.h"
 
 namespace treadmill {
@@ -64,11 +65,13 @@ toJson(const core::ExperimentResult &result)
     doc["capture"] = json::Value(std::move(capture));
     doc["deadline_hit"] = json::Value(result.deadlineHit);
 
-    // Measured per-component decomposition samples (Fig 3).
+    // Measured per-component decomposition samples (Fig 3), grouped
+    // from the critical path of every retained span.
+    const Fig3Samples fig3 = fig3Samples(result.spans);
     json::Object components;
-    components["server"] = quantileSummary(result.serverComponentUs);
-    components["network"] = quantileSummary(result.networkComponentUs);
-    components["client"] = quantileSummary(result.clientComponentUs);
+    components["server"] = quantileSummary(fig3.serverUs);
+    components["network"] = quantileSummary(fig3.networkUs);
+    components["client"] = quantileSummary(fig3.clientUs);
     doc["components"] = json::Value(std::move(components));
 
     // The run's full metrics-registry snapshot (counters, gauges,

@@ -23,9 +23,11 @@ namespace analysis {
 
 /**
  * Serialize one experiment result: throughput, utilization,
- * per-instance quantiles, aggregated quantiles, and ground-truth
- * quantiles. Raw sample vectors are summarized (counts + quantiles),
- * not dumped.
+ * per-instance quantiles, aggregated quantiles, ground-truth
+ * quantiles, and the Fig 3 server / network / client components of
+ * the retained spans (fig3Samples(); run with trace.enabled and
+ * sampleEvery 1 to cover every request). Raw sample vectors are
+ * summarized (counts + quantiles), not dumped.
  */
 json::Value toJson(const core::ExperimentResult &result);
 

@@ -178,6 +178,75 @@ tailProvenance(const obs::SpanLog &spans,
     return report;
 }
 
+namespace {
+
+/** The report over per-component samples and end-to-end samples, each
+ *  in the order the means sum them. */
+DecompositionReport
+buildReport(const std::vector<std::string> &names,
+            const std::vector<std::vector<double>> &perComponent,
+            const std::vector<double> &endToEnd,
+            const std::vector<double> &quantiles)
+{
+    DecompositionReport report;
+    report.quantiles = quantiles;
+    report.requestCount = endToEnd.size();
+    report.endToEndMeanUs = stats::mean(endToEnd);
+    for (double tau : quantiles)
+        report.endToEndQuantileUs.push_back(
+            stats::quantile(endToEnd, tau));
+    for (std::size_t c = 0; c < names.size(); ++c) {
+        DecompositionReport::Component component;
+        component.name = names[c];
+        component.meanUs = stats::mean(perComponent[c]);
+        component.meanShare =
+            report.endToEndMeanUs > 0.0
+                ? component.meanUs / report.endToEndMeanUs
+                : 0.0;
+        for (double tau : quantiles)
+            component.quantileUs.push_back(
+                stats::quantile(perComponent[c], tau));
+        report.components.push_back(std::move(component));
+    }
+    return report;
+}
+
+/** Call @p visit(span, rows) with the eight rows of every span of
+ *  @p spans that has a critical path, in completion order. */
+template <typename Visit>
+void
+forEachRows(const obs::SpanLog &spans, Visit &&visit)
+{
+    obs::CriticalPath path;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const obs::SpanView span = spans[i];
+        if (obs::extractCriticalPath(span, path))
+            visit(span.trace, obs::pathRowsNs(path, span.trace.winner));
+    }
+}
+
+} // namespace
+
+DecompositionReport
+decomposeRows(const obs::SpanLog &spans,
+              const std::vector<double> &quantiles)
+{
+    if (quantiles.empty())
+        throw ConfigError("decomposition needs at least one quantile");
+    std::vector<std::vector<double>> perRow(obs::kPathRowCount);
+    std::vector<double> endToEnd;
+    forEachRows(spans, [&](const obs::SpanTrace &span,
+                           const auto &rows) {
+        for (std::size_t r = 0; r < rows.size(); ++r)
+            perRow[r].push_back(toMicros(rows[r]));
+        endToEnd.push_back(span.endToEndUs());
+    });
+    if (endToEnd.empty())
+        throw NumericalError(
+            "no span yielded a complete critical path");
+    return buildReport(obs::pathRowNames(), perRow, endToEnd, quantiles);
+}
+
 DecompositionReport
 decomposeSpans(const obs::SpanLog &spans,
                const std::vector<double> &quantiles)
@@ -188,7 +257,6 @@ decomposeSpans(const obs::SpanLog &spans,
     const std::vector<RankKey> ranked = rankSpans(spans, &decomps);
 
     // Samples go in rank order: the means are summed in that order.
-    const auto &names = obs::segmentKindNames();
     std::vector<std::vector<double>> perKind(obs::kSegmentKindCount);
     std::vector<double> endToEnd;
     endToEnd.reserve(ranked.size());
@@ -200,28 +268,20 @@ decomposeSpans(const obs::SpanLog &spans,
             perKind[k].push_back(d.us(static_cast<obs::SegmentKind>(k)));
         endToEnd.push_back(key.endToEndUs);
     }
+    return buildReport(obs::segmentKindNames(), perKind, endToEnd,
+                       quantiles);
+}
 
-    DecompositionReport report;
-    report.quantiles = quantiles;
-    report.requestCount = ranked.size();
-    report.endToEndMeanUs = stats::mean(endToEnd);
-    for (double tau : quantiles)
-        report.endToEndQuantileUs.push_back(
-            stats::quantile(endToEnd, tau));
-    for (std::size_t k = 0; k < obs::kSegmentKindCount; ++k) {
-        DecompositionReport::Component component;
-        component.name = names[k];
-        component.meanUs = stats::mean(perKind[k]);
-        component.meanShare =
-            report.endToEndMeanUs > 0.0
-                ? component.meanUs / report.endToEndMeanUs
-                : 0.0;
-        for (double tau : quantiles)
-            component.quantileUs.push_back(
-                stats::quantile(perKind[k], tau));
-        report.components.push_back(std::move(component));
-    }
-    return report;
+Fig3Samples
+fig3Samples(const obs::SpanLog &spans)
+{
+    Fig3Samples out;
+    forEachRows(spans, [&out](const obs::SpanTrace &, const auto &r) {
+        out.serverUs.push_back(toMicros(r[3] + r[4] + r[5]));
+        out.networkUs.push_back(toMicros(r[2] + r[6]));
+        out.clientUs.push_back(toMicros(r[0] + r[1] + r[7]));
+    });
+    return out;
 }
 
 std::string

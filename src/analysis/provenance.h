@@ -3,13 +3,13 @@
  * Tail provenance: which critical-path segment owns each latency
  * quantile.
  *
- * decomposeTraces() answers "where does the time go on average and at
- * the quantiles, component by component" for the flat eight-component
- * path. This module asks the sharper question the span model makes
- * answerable: for the requests that *are* the P99, which segment of
- * their critical path -- balancer queueing, a backend's worker queue,
- * a retry backoff -- put them there, and which backend is it
- * attributable to?
+ * decomposeRows() answers "where does the time go on average and at
+ * the quantiles, component by component" over the eight rows of every
+ * span's critical path. This module also asks the sharper question the
+ * span model makes answerable: for the requests that *are* the P99,
+ * which segment of their critical path -- balancer queueing, a
+ * backend's worker queue, a retry backoff -- put them there, and which
+ * backend is it attributable to?
  *
  * Method: every span's critical path is extracted
  * (obs::extractCriticalPath) and aggregated per obs::SegmentKind
@@ -96,8 +96,20 @@ tailProvenance(const obs::SpanLog &spans,
                const std::vector<double> &quantiles = {0.5, 0.99});
 
 /**
- * The span-based, cluster-aware analogue of decomposeTraces(): one
- * component per obs::SegmentKind over *all* decomposable spans, with
+ * The eight-row decomposition of @p spans: one component per
+ * obs::pathRowNames() row over every span with a critical path, in
+ * completion order, with per-quantile component values (defaults to
+ * P50/P99/P99.9). Throws ConfigError when @p quantiles is empty and
+ * NumericalError when no span decomposes.
+ */
+DecompositionReport
+decomposeRows(const obs::SpanLog &spans,
+              const std::vector<double> &quantiles = {0.5, 0.99,
+                                                      0.999});
+
+/**
+ * The cluster-aware analogue of decomposeRows(): one component per
+ * obs::SegmentKind over *all* decomposable spans, in rank order, with
  * per-quantile component values. Because each span's segments
  * telescope exactly, the component means sum to the end-to-end mean.
  */
@@ -105,6 +117,22 @@ DecompositionReport
 decomposeSpans(const obs::SpanLog &spans,
                const std::vector<double> &quantiles = {0.5, 0.99,
                                                        0.999});
+
+/**
+ * Fig 3's server / network / client latency split: one sample per
+ * span with a critical path, in completion order, microseconds. Each
+ * groups the eight rows in integer ns: server = server queue + service
+ * + server nic, network = net request + net response, client =
+ * pre-win wait + client queue + client deliver.
+ */
+struct Fig3Samples {
+    std::vector<double> serverUs;
+    std::vector<double> networkUs;
+    std::vector<double> clientUs;
+};
+
+/** The Fig 3 split of every decomposable span of @p spans. */
+Fig3Samples fig3Samples(const obs::SpanLog &spans);
 
 /** Render a ProvenanceReport as aligned text tables (one block per
  *  quantile: ranked segments, then backend attribution). */

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "stats/summary.h"
 #include "util/error.h"
 #include "util/logging.h"
 #include "util/strings.h"
@@ -122,55 +121,6 @@ renderCoefficientTable(const AttributionResult &attribution,
                        double significance)
 {
     return renderCoefficientTable(attribution.models, significance);
-}
-
-DecompositionReport
-decomposeTraces(const std::vector<obs::RequestTrace> &traces,
-                const std::vector<double> &quantiles)
-{
-    if (traces.empty())
-        throw NumericalError("cannot decompose zero traces");
-    if (quantiles.empty())
-        throw ConfigError("decomposition needs at least one quantile");
-
-    const auto &names = obs::decompositionComponentNames();
-    std::vector<std::vector<double>> perComponent(names.size());
-    for (auto &samples : perComponent)
-        samples.reserve(traces.size());
-    std::vector<double> endToEnd;
-    endToEnd.reserve(traces.size());
-
-    for (const obs::RequestTrace &t : traces) {
-        const auto d = obs::Decomposition::of(t);
-        const std::vector<double> parts =
-            obs::decompositionComponents(d);
-        for (std::size_t c = 0; c < parts.size(); ++c)
-            perComponent[c].push_back(parts[c]);
-        endToEnd.push_back(d.endToEndUs);
-    }
-
-    DecompositionReport report;
-    report.quantiles = quantiles;
-    report.requestCount = traces.size();
-    report.endToEndMeanUs = stats::mean(endToEnd);
-    for (double q : quantiles)
-        report.endToEndQuantileUs.push_back(
-            stats::quantile(endToEnd, q));
-
-    for (std::size_t c = 0; c < names.size(); ++c) {
-        DecompositionReport::Component component;
-        component.name = names[c];
-        component.meanUs = stats::mean(perComponent[c]);
-        component.meanShare =
-            report.endToEndMeanUs > 0.0
-                ? component.meanUs / report.endToEndMeanUs
-                : 0.0;
-        for (double q : quantiles)
-            component.quantileUs.push_back(
-                stats::quantile(perComponent[c], q));
-        report.components.push_back(std::move(component));
-    }
-    return report;
 }
 
 std::string

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "analysis/attribution.h"
-#include "obs/trace.h"
 
 namespace treadmill {
 namespace analysis {
@@ -69,7 +68,8 @@ std::string renderCdf(std::vector<double> samples,
  * component (client queueing, network, server NIC queue, worker queue,
  * service) owns each quantile of the distribution. This is the
  * measured attribution table that sits alongside the
- * quantile-regression attribution of renderCoefficientTable().
+ * quantile-regression attribution of renderCoefficientTable(); the
+ * span decompositions of provenance.h build it.
  */
 struct DecompositionReport {
     /** One row per path component, in path order. */
@@ -88,15 +88,6 @@ struct DecompositionReport {
     std::vector<double> quantiles; ///< The taus the columns report.
     std::size_t requestCount = 0;
 };
-
-/**
- * Decompose @p traces into per-component quantiles at @p quantiles
- * (defaults to P50/P99/P99.9). Throws NumericalError when empty.
- */
-DecompositionReport
-decomposeTraces(const std::vector<obs::RequestTrace> &traces,
-                const std::vector<double> &quantiles = {0.5, 0.99,
-                                                        0.999});
 
 /** Render a DecompositionReport as an aligned text table. */
 std::string renderDecompositionTable(const DecompositionReport &report);

@@ -122,17 +122,11 @@ struct Harness {
     std::unique_ptr<server::ServiceFaultShim> faultShim;
     std::unique_ptr<fault::FaultInjector> injector;
     std::vector<std::unique_ptr<LoadTesterInstance>> instances;
-    obs::TraceRecorder recorder;
     obs::SpanRecorder spanRecorder;
     obs::TelemetrySampler sampler;
     bool deadlineHit = false;
 
     std::uint64_t responsesCompleted = 0;
-    std::vector<double> serverComponentUs;
-    std::vector<double> networkComponentUs;
-    std::vector<double> clientComponentUs;
-    std::vector<double> getLatencyUs;
-    std::vector<double> setLatencyUs;
 
     server::Service &
     rawService()
@@ -282,7 +276,6 @@ runExperiment(const ExperimentParams &params)
 
     auto h = std::make_unique<Harness>();
     h->params = params;
-    h->recorder = obs::TraceRecorder(params.trace);
     h->spanRecorder = obs::SpanRecorder(params.trace);
     h->sampler = obs::TelemetrySampler(params.telemetry);
 
@@ -434,68 +427,22 @@ runExperiment(const ExperimentParams &params)
         h->instances.push_back(std::move(instance));
     }
 
-    // Size the per-request component vectors up front (headroom for
-    // retried/cloned attempts) so the completion hook never reallocates.
-    const std::size_t expectedResponses =
+    // Size span retention up front (headroom for retried/cloned
+    // attempts) so recording never grows the record vector.
+    h->spanRecorder.reserveFor(
         static_cast<std::size_t>(params.tester.clientMachines) *
             (params.collector.warmUpSamples +
              params.collector.calibrationSamples +
              params.collector.measurementSamples) * 5 / 4 +
-        1024;
-    h->serverComponentUs.reserve(expectedResponses);
-    h->networkComponentUs.reserve(expectedResponses);
-    h->clientComponentUs.reserve(expectedResponses);
-    h->getLatencyUs.reserve(expectedResponses);
-    h->setLatencyUs.reserve(expectedResponses);
-    h->spanRecorder.reserveFor(expectedResponses);
+        1024);
 
-    // Completion hook: decompose latency, stop load at per-instance
-    // targets, stop the simulation when every instance is done.
+    // Completion hook: stop load at per-instance targets, stop the
+    // simulation when every instance is done.
     for (auto &instance : h->instances) {
         auto *harness = h.get();
         instance->setCompletionHook(
-            [harness](const server::RequestPtr &req) {
+            [harness](const server::RequestPtr &) {
                 ++harness->responsesCompleted;
-                harness->serverComponentUs.push_back(
-                    req->serverLatencyUs());
-                harness->networkComponentUs.push_back(
-                    toMicros((req->nicArrival - req->clientSend) +
-                             (req->clientNicArrival -
-                              req->nicDeparture)));
-                harness->clientComponentUs.push_back(
-                    toMicros((req->clientSend - req->intendedSend) +
-                             (req->clientReceive -
-                              req->clientNicArrival)));
-                (req->op == server::OpType::Get
-                     ? harness->getLatencyUs
-                     : harness->setLatencyUs)
-                    .push_back(req->clientLatencyUs());
-
-                if (harness->params.trace.enabled) {
-                    obs::RequestTrace trace;
-                    trace.seqId = req->seqId;
-                    trace.connectionId = req->connectionId;
-                    trace.clientIndex = req->clientIndex;
-                    trace.isGet = req->op == server::OpType::Get;
-                    trace.hit = req->hit;
-                    trace.backendId = req->backendId;
-                    trace.intendedSend = req->intendedSend;
-                    trace.clientSend = req->clientSend;
-                    trace.nicArrival = req->nicArrival;
-                    trace.workerStart = req->workerStart;
-                    trace.workerEnd = req->workerEnd;
-                    trace.nicDeparture = req->nicDeparture;
-                    trace.clientNicArrival = req->clientNicArrival;
-                    trace.clientReceive = req->clientReceive;
-                    // Satellite of the span model: the flat trace
-                    // learns when the *winning* attempt was triggered,
-                    // so its decomposition accounts the pre-win gap
-                    // explicitly instead of smearing it over client
-                    // queueing.
-                    trace.winnerTrigger = req->triggerAt;
-                    harness->recorder.record(trace);
-                }
-
                 bool allDone = true;
                 for (auto &inst : harness->instances) {
                     if (inst->done())
@@ -599,16 +546,10 @@ runExperiment(const ExperimentParams &params)
             inform("capture", msg);
     }
 
-    result.traces = h->recorder.takeTraces();
     result.spans = h->spanRecorder.takeSpans();
     result.telemetry = h->sampler.takeSeries();
     if (h->injector)
         result.faultWindows = h->injector->annotations();
-    result.serverComponentUs = std::move(h->serverComponentUs);
-    result.networkComponentUs = std::move(h->networkComponentUs);
-    result.clientComponentUs = std::move(h->clientComponentUs);
-    result.getLatencyUs = std::move(h->getLatencyUs);
-    result.setLatencyUs = std::move(h->setLatencyUs);
 
     for (std::size_t i = 0; i < h->instances.size(); ++i) {
         const LoadTesterInstance &inst = *h->instances[i];

@@ -8,7 +8,8 @@
  * tcpdump-equivalent ground-truth capture at the server NIC. The
  * result exposes per-instance statistics (extract-then-aggregate, the
  * correct procedure) alongside the holistic merge (the biased one),
- * plus the ground truth and a full latency decomposition.
+ * plus the ground truth and, when tracing is on, the per-request spans
+ * every latency decomposition is read from.
  *
  * repeatedProcedure() implements the hysteresis-aware outer loop: the
  * same experiment is re-run with fresh run seeds (new placements)
@@ -32,7 +33,6 @@
 #include "lb/policy.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "server/mcrouter.h"
 #include "server/memcached.h"
 #include "server/sqlish.h"
@@ -136,8 +136,8 @@ struct ExperimentParams {
     /**
      * Request-lifecycle tracing (off by default). Sampling is by
      * completion order, deterministic and Rng-free, so enabling it
-     * cannot perturb the run. The one knob drives both the flat
-     * RequestTrace export and the per-attempt span export.
+     * cannot perturb the run. It records the per-attempt spans that
+     * every latency decomposition and trace export reads.
      */
     obs::TraceConfig trace;
 
@@ -188,11 +188,8 @@ struct ExperimentResult {
     std::size_t captureOutstanding = 0;
     /** @} */
 
-    /** Sampled request timelines (empty unless params.trace.enabled). */
-    std::vector<obs::RequestTrace> traces;
-
-    /** Sampled per-attempt span trees (empty unless
-     *  params.trace.enabled; same completion-order sampling). */
+    /** Sampled per-attempt span trees in completion order (empty
+     *  unless params.trace.enabled). */
     obs::SpanLog spans;
 
     /** Telemetry time series (empty unless params.telemetry.enabled). */
@@ -200,7 +197,7 @@ struct ExperimentResult {
 
     /** Concrete fault windows the injector applied (one annotation per
      *  window; empty when the run had no fault plan). Pass these to
-     *  chromeTraceJson() to overlay fault lanes on exported traces. */
+     *  chromeSpanJson() to overlay fault lanes on exported traces. */
     std::vector<obs::TraceAnnotation> faultWindows;
 
     /** Snapshot of the simulation's metrics registry at run end. */
@@ -216,22 +213,6 @@ struct ExperimentResult {
     std::uint64_t lbQueued = 0;     ///< Parked in the dispatch queue.
     std::uint64_t lbUnroutable = 0; ///< Dropped: all replicas down.
     std::uint64_t lbFailovers = 0;  ///< Routed past a down primary.
-    /** @} */
-
-    /** @name Latency decomposition samples (Fig 3), microseconds
-     * @{
-     */
-    std::vector<double> serverComponentUs;
-    std::vector<double> networkComponentUs;
-    std::vector<double> clientComponentUs;
-    /** @} */
-
-    /** @name Per-operation-type latencies (S II-B notes that request
-     * types with distinct characteristics must not be merged blindly)
-     * @{
-     */
-    std::vector<double> getLatencyUs;
-    std::vector<double> setLatencyUs;
     /** @} */
 
     /**

@@ -376,6 +376,69 @@ ClusterDecomposition::of(const SpanView &view, const CriticalPath &path)
     return d;
 }
 
+const std::vector<std::string> &
+pathRowNames()
+{
+    static const std::vector<std::string> names = {
+        "pre-win wait",  "client queue", "net request",
+        "server queue",  "service",      "server nic",
+        "net response",  "client deliver"};
+    return names;
+}
+
+namespace {
+
+/** The row a segment of the winning attempt falls in. */
+std::size_t
+winnerRowOf(SegmentKind kind)
+{
+    switch (kind) {
+      case SegmentKind::ClientQueue:
+        return 1;
+      case SegmentKind::NetRequest:
+        return 2;
+      case SegmentKind::RouterQueue:
+      case SegmentKind::ServerQueue:
+        return 3;
+      case SegmentKind::RouterService:
+      case SegmentKind::LbQueue:
+      case SegmentKind::FabricRequest:
+      case SegmentKind::BackendQueue:
+      case SegmentKind::BackendService:
+      case SegmentKind::BackendNic:
+      case SegmentKind::FabricResponse:
+      case SegmentKind::RouterEgress:
+      case SegmentKind::Service:
+        return 4;
+      case SegmentKind::ServerNic:
+        return 5;
+      case SegmentKind::NetResponse:
+        return 6;
+      case SegmentKind::ClientDeliver:
+        return 7;
+      case SegmentKind::TimeoutWait:
+      case SegmentKind::FailoverWait:
+      case SegmentKind::RetryBackoff:
+      case SegmentKind::HedgeWait:
+        break;
+    }
+    return 0;
+}
+
+} // namespace
+
+std::array<SimDuration, kPathRowCount>
+pathRowsNs(const CriticalPath &path, std::int32_t winner)
+{
+    std::array<SimDuration, kPathRowCount> rows{};
+    for (std::size_t i = 0; i < path.count; ++i) {
+        const PathSegment &seg = path.segments[i];
+        rows[seg.attempt == winner ? winnerRowOf(seg.kind) : 0] +=
+            seg.ns();
+    }
+    return rows;
+}
+
 SpanRecorder::SpanRecorder(const TraceConfig &config) : cfg(config)
 {
     if (cfg.sampleEvery == 0)
@@ -584,10 +647,17 @@ appendAttemptLane(json::Array &events, const SpanTrace &s,
 
 std::string
 chromeSpanJson(const SpanLog &spans,
-               const std::vector<TraceAnnotation> &annotations)
+               const std::vector<TraceAnnotation> &annotations,
+               const TelemetrySeries *telemetry)
 {
     json::Array events;
 
+    // Telemetry gauges render as counter tracks on their own process.
+    if (telemetry != nullptr)
+        appendChromeCounterEvents(events, *telemetry);
+
+    // Fault windows (and other annotations) live on their own process
+    // so they render as a separate swim-lane above the attempt lanes.
     if (!annotations.empty()) {
         const std::int64_t faultPid = -1;
         json::Object meta;
@@ -659,6 +729,35 @@ chromeSpanJson(const SpanLog &spans,
     other["schema"] = json::Value("span-lanes/1");
     doc["otherData"] = json::Value(std::move(other));
     return json::Value(std::move(doc)).dump();
+}
+
+std::string
+decompositionCsv(const SpanLog &spans)
+{
+    std::string out =
+        "seq_id,client,op,hit,pre_win_us,client_queue_us,"
+        "net_request_us,server_queue_us,service_us,server_nic_us,"
+        "net_response_us,client_deliver_us,component_sum_us,"
+        "end_to_end_us\n";
+    CriticalPath path;
+    for (std::size_t k = 0; k < spans.size(); ++k) {
+        const SpanView view = spans[k];
+        if (!extractCriticalPath(view, path))
+            continue;
+        const SpanTrace &s = view.trace;
+        out += strprintf(
+            "%llu,%llu,%s,%d",
+            static_cast<unsigned long long>(s.winning.seqId),
+            static_cast<unsigned long long>(s.clientIndex),
+            s.isGet ? "get" : "set", s.hit ? 1 : 0);
+        double sumUs = 0.0;
+        for (SimDuration ns : pathRowsNs(path, s.winner)) {
+            sumUs += toMicros(ns);
+            out += strprintf(",%.3f", toMicros(ns));
+        }
+        out += strprintf(",%.3f,%.3f\n", sumUs, s.endToEndUs());
+    }
+    return out;
 }
 
 } // namespace obs

@@ -1,7 +1,8 @@
 /**
  * @file
- * Attempt-span tracing: the multi-attempt, multi-hop successor of the
- * flat RequestTrace timeline.
+ * Attempt-span tracing: the one trace model of a request's life,
+ * exported as span JSON, Chrome trace-event JSON (loadable in
+ * Perfetto / chrome://tracing) and a per-request decomposition CSV.
  *
  * A span covers the whole life of one *logical* request: one
  * AttemptSpan per wire attempt (original / retry-k / hedge), each
@@ -21,7 +22,9 @@
  * backoffs, and hedge waits on the losing side, then the winning
  * attempt's wire path hop by hop. Segments share endpoints, so the
  * integer-nanosecond sum telescopes *exactly* to end-to-end latency;
- * ClusterDecomposition aggregates the chain per segment kind.
+ * ClusterDecomposition aggregates the chain per segment kind, and
+ * pathRowsNs() groups it into the eight rows of the paper-level
+ * decomposition (pre-win wait ... client deliver).
  *
  * Everything here is plain data over util only (obs sits at the bottom
  * of the layering DAG); producers in core copy Request stamps in.
@@ -35,11 +38,31 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/telemetry.h"
 #include "util/types.h"
 
 namespace treadmill {
 namespace obs {
+
+/** Tracing knobs; disabled recording costs one branch per request. */
+struct TraceConfig {
+    bool enabled = false;
+    /** Record every Nth completed request (1 = all). */
+    std::uint64_t sampleEvery = 1;
+    /** Hard cap on retained spans (newest dropped once full). */
+    std::size_t maxTraces = 1u << 20;
+};
+
+/**
+ * A named wall-of-time annotation overlaid on the trace, e.g. an
+ * injected fault window. Kept as a plain struct so producers (the
+ * fault injector) need no dependency on obs beyond this header.
+ */
+struct TraceAnnotation {
+    std::string name;     ///< Display label ("server_stall").
+    SimTime start = 0;    ///< Window start (simulated ns).
+    SimTime end = 0;      ///< Window end (simulated ns).
+};
 
 /** Why an attempt was sent. */
 enum class AttemptCause : std::uint8_t {
@@ -332,12 +355,34 @@ struct ClusterDecomposition {
                                    const CriticalPath &path);
 };
 
+/** Rows of the eight-row path decomposition. */
+constexpr std::size_t kPathRowCount = 8;
+
+/** Row display names in path order: "pre-win wait", "client queue",
+ *  "net request", "server queue", "service", "server nic",
+ *  "net response", "client deliver". */
+const std::vector<std::string> &pathRowNames();
+
+/**
+ * The eight-row decomposition of a critical path: a fixed grouping of
+ * its segments, integer nanoseconds per row. A segment of any attempt
+ * but @p winner is pre-win wait (retry/hedge policy delay, not client
+ * queueing); the winner's segments map by kind, the router queue into
+ * server queue and the router service, balancer, fabric and backend
+ * hops -- the cluster split of the worker interval -- into service.
+ * The rows sum to path.totalNs() exactly, and each equals the winning
+ * attempt's stamp difference (pre-win = triggerAt - intendedSend, ...,
+ * client deliver = clientReceive - clientNicArrival).
+ */
+std::array<SimDuration, kPathRowCount>
+pathRowsNs(const CriticalPath &path, std::int32_t winner);
+
 /**
  * Collects sampled spans during a run. Sampling is by completion
- * order modulo TraceConfig::sampleEvery -- deterministic and Rng-free,
- * exactly like TraceRecorder -- and shares the same TraceConfig, so
- * one knob drives both the flat and the span exports. A span the
- * sampler or the maxTraces cap drops leaves no losers behind either.
+ * order modulo TraceConfig::sampleEvery -- deterministic given the
+ * simulation's event order, and independent of any Rng stream, so
+ * enabling tracing cannot perturb a run. A span the sampler or the
+ * maxTraces cap drops leaves no losers behind either.
  */
 class SpanRecorder
 {
@@ -390,12 +435,24 @@ std::string spanJson(const SpanLog &spans);
 /**
  * Render spans into Chrome trace-event JSON: one "process" per
  * client, one lane per wire attempt (labelled original/retry-k/
- * hedge), each lane tiled with its critical-path or hop segments.
- * Complements chromeTraceJson()'s flat per-request lanes.
+ * hedge), each lane tiled with its hop segments. Optional
+ * @p annotations (fault windows) render as spans on a dedicated
+ * "faults" process so they line up against the attempt lanes, and an
+ * optional @p telemetry series renders as "ph":"C" counter tracks on
+ * a dedicated "telemetry" process.
  */
 std::string chromeSpanJson(
     const SpanLog &spans,
-    const std::vector<TraceAnnotation> &annotations = {});
+    const std::vector<TraceAnnotation> &annotations = {},
+    const TelemetrySeries *telemetry = nullptr);
+
+/**
+ * Render spans as a per-request decomposition CSV: one row per span
+ * with a critical path, in log (completion) order, carrying the
+ * winning attempt's seq id, the eight pathRowsNs() rows, their sum,
+ * and the end-to-end latency (all microseconds).
+ */
+std::string decompositionCsv(const SpanLog &spans);
 
 } // namespace obs
 } // namespace treadmill

@@ -1,5 +1,6 @@
 #include "obs/telemetry.h"
 
+#include <cmath>
 #include <utility>
 
 #include "util/error.h"
@@ -11,8 +12,14 @@ namespace obs {
 TelemetrySampler::TelemetrySampler(const TelemetryConfig &config)
     : cfg(config)
 {
-    if (cfg.enabled && cfg.periodUs <= 0.0)
-        throw ConfigError("telemetry period must be positive");
+    // A NaN slips past any ordered comparison, and a sub-nanosecond
+    // period truncates to a zero tick, so test the period in ns.
+    if (cfg.enabled && !(std::isfinite(cfg.periodUs) &&
+                         cfg.periodUs * 1e3 >= 1.0))
+        throw ConfigError(strprintf(
+            "telemetry.periodUs must be finite and at least 1 ns "
+            "(0.001 us), got %g",
+            cfg.periodUs));
 }
 
 void
@@ -96,21 +103,6 @@ appendChromeCounterEvents(json::Array &events,
             events.push_back(json::Value(std::move(ev)));
         }
     }
-}
-
-std::string
-chromeCounterJson(const TelemetrySeries &series)
-{
-    json::Array events;
-    appendChromeCounterEvents(events, series);
-    json::Object doc;
-    doc["traceEvents"] = json::Value(std::move(events));
-    doc["displayTimeUnit"] = json::Value("ms");
-    json::Object other;
-    other["tool"] = json::Value("treadmill");
-    other["schema"] = json::Value("telemetry/1");
-    doc["otherData"] = json::Value(std::move(other));
-    return json::Value(std::move(doc)).dump();
 }
 
 } // namespace obs

@@ -34,7 +34,7 @@ namespace obs {
 /** Telemetry knobs; disabled sampling costs nothing at all. */
 struct TelemetryConfig {
     bool enabled = false;
-    /** Snapshot period in simulated microseconds. */
+    /** Snapshot period in simulated microseconds (finite, >= 1 ns). */
     double periodUs = 1000.0;
     /** Hard cap on retained ticks (sampling stops once full). */
     std::size_t maxSamples = 1u << 16;
@@ -100,17 +100,11 @@ class TelemetrySampler
 std::string telemetryCsv(const TelemetrySeries &series);
 
 /**
- * Render a series as Chrome trace counter events: one "ph":"C" event
- * per probe per tick on a dedicated "telemetry" process (pid -2), so
- * the gauges plot as stacked counter tracks above the request lanes.
- * Append the result to a trace's event list via chromeTraceJson()'s
- * @p telemetry parameter or merge it into a custom document.
+ * Append @p series to a trace-event array as Chrome counter events:
+ * one "ph":"C" event per probe per tick on a dedicated "telemetry"
+ * process (pid -2), so the gauges plot as stacked counter tracks
+ * above the attempt lanes (chromeSpanJson()'s @p telemetry).
  */
-std::string chromeCounterJson(const TelemetrySeries &series);
-
-/** Append the raw "ph":"C" counter events of @p series to an existing
- *  trace-event array (used by chromeTraceJson() to merge gauges into
- *  the request-lane document). */
 void appendChromeCounterEvents(json::Array &events,
                                const TelemetrySeries &series);
 

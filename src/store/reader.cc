@@ -188,6 +188,8 @@ RunReader::bytesData(ColumnId id, std::size_t &size) const
 RunRecord
 RunReader::record() const
 {
+    // tmlint:cold: reads an archived run back after the study; no
+    // simulation's request path ever calls it
     RunRecord rec;
     rec.seed = u64s(ColumnId::Seed)[0];
     rec.configDigest = u64s(ColumnId::ConfigDigest)[0];

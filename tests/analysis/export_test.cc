@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/provenance.h"
+#include "stats/summary.h"
 #include "util/random_variates.h"
 
 namespace treadmill {
@@ -11,7 +13,7 @@ namespace analysis {
 namespace {
 
 core::ExperimentResult
-runSmall()
+runSmall(bool traced = false)
 {
     core::ExperimentParams params;
     params.targetUtilization = 0.3;
@@ -19,6 +21,7 @@ runSmall()
     params.collector.calibrationSamples = 50;
     params.collector.measurementSamples = 600;
     params.seed = 4;
+    params.trace.enabled = traced;
     return core::runExperiment(params);
 }
 
@@ -38,6 +41,26 @@ TEST(ExportTest, ExperimentResultSerializes)
 
     // The document is valid JSON text end to end.
     EXPECT_EQ(json::parse(doc.dump()), doc);
+}
+
+TEST(ExportTest, ComponentsSummarizeTheSpans)
+{
+    // Fig 3's components group every retained span's critical path;
+    // an untraced run has none to summarize.
+    const auto traced = runSmall(true);
+    const json::Value doc = toJson(traced);
+    const json::Value &components = doc.at("components");
+    const auto spans = static_cast<std::int64_t>(traced.spans.size());
+    ASSERT_GT(spans, 0);
+    for (const char *part : {"server", "network", "client"})
+        EXPECT_EQ(components.at(part).at("count").asInt(), spans) << part;
+    const Fig3Samples fig3 = fig3Samples(traced.spans);
+    EXPECT_DOUBLE_EQ(components.at("server").at("mean_us").asNumber(),
+                     stats::mean(fig3.serverUs));
+
+    const json::Value untraced = toJson(runSmall());
+    EXPECT_EQ(untraced.at("components").at("server").at("count").asInt(),
+              0);
 }
 
 TEST(ExportTest, InstanceFieldsPresent)

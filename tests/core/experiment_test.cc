@@ -6,6 +6,7 @@
 
 #include <algorithm>
 
+#include "analysis/provenance.h"
 #include "stats/summary.h"
 
 namespace treadmill {
@@ -133,6 +134,7 @@ TEST(ExperimentTest, SingleClientSuffersClientSideQueueing)
     multi.config.dvfs = hw::DvfsGovernor::Performance;
     multi.clientSendCostUs = 2.0;
     multi.clientReceiveCostUs = 2.0;
+    multi.trace.enabled = true;
 
     auto single = multi;
     single.tester = cloudSuiteSpec();
@@ -149,9 +151,11 @@ TEST(ExperimentTest, SingleClientSuffersClientSideQueueing)
     EXPECT_LT(multiMaxCpu, 0.3);
     EXPECT_GT(singleR.instances[0].cpuUtilization, 0.85);
 
-    // And the single client's measured latency is inflated.
-    EXPECT_GT(stats::mean(singleR.clientComponentUs),
-              stats::mean(multiR.clientComponentUs) * 2.0);
+    // And the single client's measured latency is inflated: Fig 3's
+    // client component of every span's critical path.
+    EXPECT_GT(
+        stats::mean(analysis::fig3Samples(singleR.spans).clientUs),
+        stats::mean(analysis::fig3Samples(multiR.spans).clientUs) * 2.0);
 }
 
 TEST(ExperimentTest, RemoteRackClientDominatesMergedTail)
@@ -245,13 +249,15 @@ TEST(ExperimentTest, LatencyDecompositionIsConsistent)
 {
     auto p = quickParams(0.5);
     p.config.dvfs = hw::DvfsGovernor::Performance;
+    p.trace.enabled = true;
     const auto result = runExperiment(p);
-    ASSERT_FALSE(result.serverComponentUs.empty());
+    const analysis::Fig3Samples fig3 = analysis::fig3Samples(result.spans);
+    ASSERT_FALSE(fig3.serverUs.empty());
     // Components are non-negative and the server is the largest chunk
     // beyond the fixed kernel delay at moderate load.
-    EXPECT_GT(stats::mean(result.serverComponentUs), 0.0);
-    EXPECT_GT(stats::mean(result.networkComponentUs), 0.0);
-    EXPECT_GE(stats::mean(result.clientComponentUs), 0.0);
+    EXPECT_GT(stats::mean(fig3.serverUs), 0.0);
+    EXPECT_GT(stats::mean(fig3.networkUs), 0.0);
+    EXPECT_GE(stats::mean(fig3.clientUs), 0.0);
 }
 
 } // namespace

@@ -1,17 +1,16 @@
 /**
  * @file
  * Integration tests for request tracing through a full experiment:
- * timeline monotonicity, exact decomposition, capture diagnostics, and
- * determinism of the metrics snapshot under parallel execution.
+ * complete span timelines, exact eight-row decomposition, capture
+ * diagnostics, and determinism of the metrics snapshot under parallel
+ * execution.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "analysis/report.h"
+#include "analysis/provenance.h"
 #include "core/experiment.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "util/json.h"
 
 namespace treadmill {
@@ -31,32 +30,40 @@ tracedParams(std::uint64_t seed = 17)
     return p;
 }
 
-TEST(TimelineTest, EveryTraceIsMonotonic)
+TEST(TimelineTest, EverySpanIsComplete)
 {
     const auto result = runExperiment(tracedParams());
-    ASSERT_FALSE(result.traces.empty());
-    // intendedSend <= clientSend <= nicArrival <= workerStart <=
-    // workerEnd <= nicDeparture <= clientNicArrival <= clientReceive
-    // for every completed request the recorder sampled.
-    for (const obs::RequestTrace &t : result.traces)
-        ASSERT_TRUE(obs::timelineMonotonic(t)) << "seq " << t.seqId;
+    ASSERT_FALSE(result.spans.empty());
+    // intendedSend <= triggerAt <= clientSend <= nicArrival <=
+    // workerStart <= workerEnd <= nicDeparture <= clientNicArrival <=
+    // clientReceive for every completed request the recorder sampled.
+    for (std::size_t k = 0; k < result.spans.size(); ++k)
+        ASSERT_TRUE(obs::spanComplete(result.spans[k]))
+            << "logical " << result.spans[k].trace.logicalSeqId;
 }
 
 TEST(TimelineTest, DecompositionSumsMatchEndToEnd)
 {
     const auto result = runExperiment(tracedParams());
-    ASSERT_FALSE(result.traces.empty());
-    // Integer-ns stamps telescope exactly; the acceptance bound is
-    // 0.1 us, the implementation delivers ~0.
-    EXPECT_LT(obs::maxDecompositionErrorUs(result.traces), 0.1);
+    ASSERT_FALSE(result.spans.empty());
+    // Integer-ns rows telescope exactly: no epsilon.
+    obs::CriticalPath path;
+    for (std::size_t k = 0; k < result.spans.size(); ++k) {
+        const obs::SpanView span = result.spans[k];
+        ASSERT_TRUE(obs::extractCriticalPath(span, path));
+        SimDuration sum = 0;
+        for (SimDuration ns : obs::pathRowsNs(path, span.trace.winner))
+            sum += ns;
+        EXPECT_EQ(sum, span.trace.clientReceive - span.trace.intendedSend);
+    }
 }
 
 TEST(TimelineTest, DecompositionReportCoversFullPath)
 {
     const auto result = runExperiment(tracedParams());
-    const auto report = analysis::decomposeTraces(result.traces);
-    ASSERT_EQ(report.components.size(), 8u);
-    EXPECT_EQ(report.requestCount, result.traces.size());
+    const auto report = analysis::decomposeRows(result.spans);
+    ASSERT_EQ(report.components.size(), obs::kPathRowCount);
+    EXPECT_EQ(report.requestCount, result.spans.size());
     double meanSum = 0.0;
     for (const auto &component : report.components)
         meanSum += component.meanUs;
@@ -74,22 +81,18 @@ TEST(TimelineTest, SamplingThinsDeterministically)
     fourth.trace.sampleEvery = 4;
     const auto all = runExperiment(every);
     const auto sampled = runExperiment(fourth);
-    ASSERT_FALSE(sampled.traces.empty());
-    // Sampling is by completion order: ~1/4 of the traces, and every
-    // sampled trace appears in the full set with identical stamps.
-    EXPECT_NEAR(static_cast<double>(sampled.traces.size()),
-                static_cast<double>(all.traces.size()) / 4.0,
-                static_cast<double>(all.traces.size()) * 0.05);
-    const obs::RequestTrace &probe = sampled.traces.front();
-    const auto match = std::find_if(
-        all.traces.begin(), all.traces.end(),
-        [&probe](const obs::RequestTrace &t) {
-            return t.seqId == probe.seqId &&
-                   t.clientIndex == probe.clientIndex;
-        });
-    ASSERT_NE(match, all.traces.end());
-    EXPECT_EQ(match->clientReceive, probe.clientReceive);
-    EXPECT_EQ(match->workerStart, probe.workerStart);
+    ASSERT_FALSE(sampled.spans.empty());
+    // Sampling is by completion order: exactly every fourth span of
+    // the full set, with identical stamps.
+    ASSERT_EQ(sampled.spans.size(), (all.spans.size() + 3) / 4);
+    for (std::size_t k = 0; k < sampled.spans.size(); ++k) {
+        const obs::SpanTrace &probe = sampled.spans[k].trace;
+        const obs::SpanTrace &match = all.spans[4 * k].trace;
+        EXPECT_EQ(match.logicalSeqId, probe.logicalSeqId);
+        EXPECT_EQ(match.clientIndex, probe.clientIndex);
+        EXPECT_EQ(match.clientReceive, probe.clientReceive);
+        EXPECT_EQ(match.winning.workerStart, probe.winning.workerStart);
+    }
 }
 
 TEST(TimelineTest, TracingDoesNotPerturbTheRun)
@@ -98,7 +101,7 @@ TEST(TimelineTest, TracingDoesNotPerturbTheRun)
     off.trace.enabled = false;
     const auto traced = runExperiment(tracedParams());
     const auto plain = runExperiment(off);
-    EXPECT_TRUE(plain.traces.empty());
+    EXPECT_TRUE(plain.spans.empty());
     EXPECT_EQ(traced.groundTruthUs, plain.groundTruthUs);
     EXPECT_EQ(
         traced.aggregatedQuantile(0.99, AggregationKind::PerInstance),
@@ -146,10 +149,10 @@ TEST(TimelineTest, MetricsAreBitExactAcrossThreadCounts)
         // identical regardless of the thread count.
         EXPECT_EQ(serial[i].metrics.dump(),
                   parallel[i].metrics.dump());
-        ASSERT_EQ(serial[i].traces.size(), parallel[i].traces.size());
-        for (std::size_t t = 0; t < serial[i].traces.size(); ++t)
-            EXPECT_EQ(serial[i].traces[t].clientReceive,
-                      parallel[i].traces[t].clientReceive);
+        ASSERT_EQ(serial[i].spans.size(), parallel[i].spans.size());
+        for (std::size_t t = 0; t < serial[i].spans.size(); ++t)
+            EXPECT_EQ(serial[i].spans[t].trace.clientReceive,
+                      parallel[i].spans[t].trace.clientReceive);
     }
 }
 

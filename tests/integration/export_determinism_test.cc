@@ -1,7 +1,8 @@
 /** @file Byte-identical export determinism: every serialized
- *  observability artifact -- span JSON, Chrome traces, telemetry CSV,
- *  decomposition CSV, and the metrics snapshot -- must be identical
- *  whether the runs executed serially or fanned across threads. */
+ *  observability artifact -- span JSON, the Chrome trace, telemetry
+ *  CSV, decomposition CSV, and the metrics snapshot -- must be
+ *  identical whether the runs executed serially or fanned across
+ *  threads. */
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,6 @@
 #include "exec/parallel_runner.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 
 namespace treadmill {
 namespace core {
@@ -48,11 +48,9 @@ exportsOf(const ExperimentResult &r)
 {
     std::string all;
     all += obs::spanJson(r.spans);
-    all += obs::chromeSpanJson(r.spans, r.faultWindows);
-    all += obs::chromeTraceJson(r.traces, r.faultWindows,
-                                &r.telemetry);
+    all += obs::chromeSpanJson(r.spans, r.faultWindows, &r.telemetry);
     all += obs::telemetryCsv(r.telemetry);
-    all += obs::decompositionCsv(r.traces);
+    all += obs::decompositionCsv(r.spans);
     all += r.metrics.dump();
     return all;
 }

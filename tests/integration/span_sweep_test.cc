@@ -1,10 +1,13 @@
 /** @file Property sweep over fault plans x resilience policies x
- *  balancer policies: every exported span must be structurally
- *  complete and monotone, and its critical path must telescope to the
- *  end-to-end latency at integer-nanosecond exactness. */
+ *  balancer policies, plus a classic-path cell: every exported span
+ *  must be structurally complete and monotone, its critical path must
+ *  telescope to the end-to-end latency at integer-nanosecond
+ *  exactness, and its eight grouped rows must equal the winning
+ *  attempt's stamp differences. */
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,20 @@ backendStallPlan()
     ev.duration = milliseconds(2);
     ev.period = milliseconds(15);
     ev.repeatCount = 10;
+    plan.events.push_back(ev);
+    return plan;
+}
+
+/** Every link drops 5% of its packets from 5 ms to 45 ms. */
+fault::FaultPlan
+linkLossPlan()
+{
+    fault::FaultPlan plan;
+    fault::FaultEvent ev;
+    ev.kind = fault::FaultKind::LinkLoss;
+    ev.start = milliseconds(5);
+    ev.duration = milliseconds(40);
+    ev.lossProbability = 0.05;
     plan.events.push_back(ev);
     return plan;
 }
@@ -72,6 +89,28 @@ sweepParams(const fault::FaultPlan &plan, const ResiliencePolicy &res,
     return p;
 }
 
+/** The classic cell: Memcached, no backend tier, lossy links, and
+ *  retries, so retry winners cross the classic wire path. */
+ExperimentParams
+classicLossParams(std::uint64_t seed)
+{
+    ExperimentParams p =
+        sweepParams(linkLossPlan(), timeoutRetry(), lb::PolicyKind::Fcfs,
+                    seed);
+    p.kind = WorkloadKind::Memcached;
+    p.cluster.backends = 0;
+    return p;
+}
+
+std::size_t
+multiAttemptSpans(const ExperimentResult &result)
+{
+    std::size_t multi = 0;
+    for (std::size_t k = 0; k < result.spans.size(); ++k)
+        multi += result.spans[k].trace.stored > 1 ? 1 : 0;
+    return multi;
+}
+
 /** The property every cell must satisfy. */
 void
 checkSpans(const ExperimentResult &result, const std::string &label)
@@ -97,6 +136,21 @@ checkSpans(const ExperimentResult &result, const std::string &label)
         const auto d = obs::ClusterDecomposition::of(span);
         ASSERT_TRUE(d.valid) << label;
         EXPECT_EQ(d.totalNs(), d.endToEndNs) << label;
+
+        // The eight rows are the winning attempt's stamp differences,
+        // so a mis-grouped SegmentKind moves time between rows.
+        const obs::AttemptSpan &w = span.trace.winning;
+        const std::array<SimDuration, obs::kPathRowCount> want = {
+            w.triggerAt - span.trace.intendedSend,
+            w.clientSend - w.triggerAt,
+            w.nicArrival - w.clientSend,
+            w.workerStart - w.nicArrival,
+            w.workerEnd - w.workerStart,
+            w.nicDeparture - w.workerEnd,
+            w.clientNicArrival - w.nicDeparture,
+            w.clientReceive - w.clientNicArrival};
+        EXPECT_EQ(obs::pathRowsNs(path, span.trace.winner), want)
+            << label << " logical " << span.trace.logicalSeqId;
     }
 }
 
@@ -124,10 +178,15 @@ TEST(SpanSweepTest, EverySpanCompleteMonotoneAndExact)
                 labels.push_back(planName + "/" + resName + "/" +
                                  lbName);
             }
+    runs.push_back(classicLossParams(seed));
+    labels.push_back("classic/linkloss/retry");
 
     const auto results = runExperiments(runs);
     for (std::size_t i = 0; i < results.size(); ++i)
         checkSpans(results[i], labels[i]);
+    // The classic cell must exercise retry winners, or its rows prove
+    // nothing about the pre-win grouping.
+    EXPECT_GT(multiAttemptSpans(results.back()), 0u);
 }
 
 TEST(SpanSweepTest, FaultySweepProducesMultiAttemptSpans)
@@ -137,9 +196,7 @@ TEST(SpanSweepTest, FaultySweepProducesMultiAttemptSpans)
     const auto result = runExperiment(sweepParams(
         backendStallPlan(), hedgeAndRetry(), lb::PolicyKind::Fcfs,
         4242));
-    std::size_t multi = 0;
-    for (std::size_t k = 0; k < result.spans.size(); ++k)
-        multi += result.spans[k].trace.stored > 1 ? 1 : 0;
+    const std::size_t multi = multiAttemptSpans(result);
     EXPECT_GT(multi, 0u);
     EXPECT_GE(result.spans.loserCount(), multi);
 }

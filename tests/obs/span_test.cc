@@ -1,9 +1,12 @@
 /** @file Unit tests for attempt spans, their lean storage layout,
- *  critical-path extraction, and the cluster-aware decomposition. */
+ *  critical-path extraction, the cluster-aware decomposition, the
+ *  eight-row grouping, and the exports. */
 
 #include "obs/span.h"
 
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "util/json.h"
 
@@ -371,6 +374,91 @@ TEST(SpanTest, SegmentNamesAlignWithKinds)
     EXPECT_EQ(names.back(), "client deliver");
 }
 
+/** The eight rows of @p span's critical path. */
+std::array<SimDuration, kPathRowCount>
+rowsOf(const SpanView &span)
+{
+    CriticalPath path;
+    EXPECT_TRUE(extractCriticalPath(span, path));
+    return pathRowsNs(path, span.trace.winner);
+}
+
+TEST(PathRowsTest, ClassicRowsAreTheWinnerStampGaps)
+{
+    const SpanLog log = logOf({singleAttemptSpan(classicAttempt())});
+    const std::array<SimDuration, kPathRowCount> want = {
+        0, 500, 2'000, 700, 5'000, 300, 2'000, 250};
+    const auto rows = rowsOf(log[0]);
+    EXPECT_EQ(rows, want);
+    SimDuration sum = 0;
+    for (SimDuration ns : rows)
+        sum += ns;
+    EXPECT_EQ(sum, 10'750u); // Exact, not approximate.
+}
+
+TEST(PathRowsTest, ClusterHopsFoldIntoServerQueueAndService)
+{
+    // The router queue is the server queue; router service, balancer,
+    // fabric and backend hops tile the worker interval, i.e. service.
+    const SpanLog log = logOf({singleAttemptSpan(clusterAttempt())});
+    const std::array<SimDuration, kPathRowCount> want = {
+        0, 500, 2'000, 700, 5'000, 300, 2'000, 250};
+    EXPECT_EQ(rowsOf(log[0]), want);
+}
+
+TEST(PathRowsTest, LosingAttemptsArePreWinWait)
+{
+    // Retry: primary queue + timeout wait + backoff up to the retry's
+    // trigger at 5'600. Hedge: primary queue + hedge wait up to 4'000.
+    // Evicted primary: one catch-all segment over the same gap.
+    HeldSpan evicted = retrySpan();
+    evicted.attempts = {evicted.attempts[1]};
+    evicted.trace.stored = 1;
+    evicted.trace.winner = 0;
+    const SpanLog log = logOf({retrySpan(), hedgeSpan(), evicted});
+    EXPECT_EQ(rowsOf(log[0])[0], 4'600u);
+    EXPECT_EQ(rowsOf(log[1])[0], 3'000u);
+    EXPECT_EQ(rowsOf(log[2])[0], 4'600u);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        const auto rows = rowsOf(log[i]);
+        EXPECT_EQ(rows[1], 500u) << "winner's own client queue";
+        EXPECT_EQ(rows[7], 250u);
+    }
+}
+
+TEST(PathRowsTest, RowNamesAlign)
+{
+    const auto &names = pathRowNames();
+    ASSERT_EQ(names.size(), kPathRowCount);
+    EXPECT_EQ(names.front(), "pre-win wait");
+    EXPECT_EQ(names[1], "client queue");
+    EXPECT_EQ(names[4], "service");
+    EXPECT_EQ(names.back(), "client deliver");
+}
+
+TEST(SpanTest, DecompositionCsvShape)
+{
+    HeldSpan incomplete = singleAttemptSpan(classicAttempt());
+    incomplete.attempts[0].workerEnd = kNoTime;
+    const std::string csv = decompositionCsv(logOf(
+        {singleAttemptSpan(classicAttempt()), incomplete, retrySpan()}));
+    // Header + one row per span with a critical path.
+    std::size_t lines = 0;
+    for (char c : csv)
+        lines += c == '\n' ? 1 : 0;
+    EXPECT_EQ(lines, 3u);
+    EXPECT_EQ(csv.rfind("seq_id,client,op,hit,pre_win_us,", 0), 0u);
+    EXPECT_NE(csv.find("component_sum_us,end_to_end_us"),
+              std::string::npos);
+    EXPECT_NE(csv.find("\n7,0,get,0,0.000,0.500,2.000,0.700,5.000,"
+                       "0.300,2.000,0.250,10.750,10.750\n"),
+              std::string::npos);
+    // The retry's row carries the winning attempt's seq and its
+    // pre-win wait.
+    EXPECT_NE(csv.find("\n11,0,get,0,4.600,0.500,"), std::string::npos);
+    EXPECT_NE(csv.find(",15.350,15.350\n"), std::string::npos);
+}
+
 TEST(SpanTest, RecorderSamplesByCompletionOrder)
 {
     TraceConfig cfg;
@@ -388,6 +476,7 @@ TEST(SpanTest, RecorderSamplesByCompletionOrder)
     const auto taken = recorder.takeSpans();
     EXPECT_EQ(taken.size(), 4u);
     EXPECT_TRUE(recorder.spans().empty());
+    EXPECT_EQ(recorder.seen(), 10u); // Counting survives the take.
 }
 
 TEST(SpanTest, RecorderDisabledRetainsNothing)
@@ -531,8 +620,11 @@ TEST(SpanTest, ChromeSpanJsonLanesPerAttempt)
         if (ph == "M" &&
             ev.at("name").asString() == "thread_name")
             ++lanes;
-        else if (ph == "X")
+        else if (ph == "X") {
             ++hops;
+            EXPECT_GE(ev.at("dur").asNumber(), 0.0);
+            EXPECT_EQ(ev.at("cat").asString(), "attempt");
+        }
     }
     EXPECT_EQ(lanes, 2u); // One lane per stored attempt.
     EXPECT_GT(hops, 0u);

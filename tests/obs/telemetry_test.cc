@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "obs/span.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -37,6 +41,38 @@ TEST(TelemetryTest, RejectsNonPositivePeriod)
 {
     TelemetryConfig cfg = enabledConfig(0.0);
     EXPECT_THROW(TelemetrySampler{cfg}, ConfigError);
+}
+
+/** The ConfigError message of a sampler built on @p periodUs. */
+std::string
+periodError(double periodUs)
+{
+    try {
+        TelemetrySampler sampler(enabledConfig(periodUs));
+    } catch (const ConfigError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(TelemetryTest, RejectsNonFinitePeriod)
+{
+    // NaN fails every ordered comparison, so `<= 0.0` lets it by.
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+        EXPECT_NE(periodError(bad).find("telemetry.periodUs"),
+                  std::string::npos)
+            << bad;
+    }
+}
+
+TEST(TelemetryTest, RejectsSubNanosecondPeriod)
+{
+    // 0.0004 us truncates to a 0 ns tick: every sample at t = 0.
+    EXPECT_NE(periodError(0.0004).find("telemetry.periodUs"),
+              std::string::npos);
+    EXPECT_EQ(periodError(0.001), ""); // Exactly 1 ns is fine.
+    EXPECT_EQ(TelemetrySampler(enabledConfig(0.001)).period(), 1u);
 }
 
 TEST(TelemetryTest, SamplesAlignedColumns)
@@ -123,10 +159,11 @@ TEST(TelemetryTest, ChromeCounterEventsShape)
     sampler.sample(microseconds(100));
     sampler.sample(microseconds(200));
 
+    // The counters ride in the span-lane document.
     const json::Value doc =
-        json::parse(chromeCounterJson(sampler.series()));
+        json::parse(chromeSpanJson(SpanLog{}, {}, &sampler.series()));
     EXPECT_EQ(doc.at("otherData").at("schema").asString(),
-              "telemetry/1");
+              "span-lanes/1");
     const json::Array &events = doc.at("traceEvents").asArray();
     // One process_name record + one counter event per probe per tick.
     ASSERT_EQ(events.size(), 1u + 2u);
