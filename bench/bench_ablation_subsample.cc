@@ -33,7 +33,7 @@ main()
         params.quantiles = {0.99};
         params.repsPerConfig = 4;
         params.bootstrapReplicates = 10;
-        const auto result = analysis::runAttribution(params);
+        const auto result = drive::runAttribution(params);
         const auto &m = result.model(0.99);
         std::printf("  %13llu   %7.1f   %+6.1f   %+6.1f    %.3f\n",
                     static_cast<unsigned long long>(samples),

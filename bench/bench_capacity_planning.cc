@@ -5,12 +5,14 @@
  * Connects the attribution result to the paper's provisioning
  * motivation: the configuration tuned for tail latency (Fig 12's
  * recommendation) also sustains a higher request rate under the same
- * P99 SLO -- capacity bought purely by configuration.
+ * P99 SLO -- capacity bought purely by configuration. Each cell runs
+ * the fixed bisection: the capacity controller with maxRunsPerProbe ==
+ * runsPerPoint (no re-probes, no early exit).
  */
 
 #include "bench_common.h"
 
-#include "analysis/capacity.h"
+#include "drive/capacity_controller.h"
 
 using namespace treadmill;
 
@@ -39,7 +41,8 @@ main()
     };
 
     for (const Case &c : cases) {
-        analysis::CapacityParams params;
+        drive::CapacityControllerParams controls;
+        analysis::CapacityParams &params = controls.search;
         params.base = bench::defaultExperiment(0.5);
         params.base.collector.measurementSamples =
             bench::paperScale() ? 10000 : 2500;
@@ -49,8 +52,10 @@ main()
         params.maxIterations = bench::paperScale() ? 8 : 5;
         params.runsPerPoint = bench::paperScale() ? 4 : 2;
         params.seed = 21;
+        controls.maxRunsPerProbe = params.runsPerPoint;
 
-        const auto result = analysis::planCapacity(params);
+        const auto result =
+            drive::CapacityController(controls).search();
         if (result.infeasible) {
             std::printf("  %-32s  infeasible at any probed load\n",
                         c.label);

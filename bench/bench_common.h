@@ -16,8 +16,8 @@
 #include <cstdlib>
 #include <string>
 
-#include "analysis/attribution.h"
 #include "core/experiment.h"
+#include "drive/study_driver.h"
 #include "exec/parallel_runner.h"
 
 namespace treadmill {
@@ -57,7 +57,8 @@ defaultExperiment(double utilization)
     return params;
 }
 
-/** Standard attribution template used by the Table IV family. */
+/** Standard attribution template used by the Table IV family (run
+ *  with drive::runAttribution). */
 inline analysis::AttributionParams
 defaultAttribution(double utilization)
 {

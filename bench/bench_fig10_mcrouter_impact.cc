@@ -25,7 +25,7 @@ sweep(double utilization)
     params.quantiles = {0.5, 0.9, 0.95, 0.99};
     params.repsPerConfig = bench::paperScale() ? 30 : 6;
     params.bootstrapReplicates = 10;
-    return analysis::runAttribution(params);
+    return drive::runAttribution(params);
 }
 
 } // namespace

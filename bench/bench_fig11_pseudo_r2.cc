@@ -28,7 +28,7 @@ sweep(const char *label, core::WorkloadKind kind, double utilization)
     params.quantiles = {0.5, 0.9, 0.95, 0.99};
     params.repsPerConfig = bench::paperScale() ? 30 : 5;
     params.bootstrapReplicates = 10;
-    const auto result = analysis::runAttribution(params);
+    const auto result = drive::runAttribution(params);
 
     std::printf("%s\n", label);
     std::printf("  percentile   pseudo-R2 (quantile regression)\n");

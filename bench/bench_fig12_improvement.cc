@@ -30,7 +30,7 @@ main()
     attrParams.bootstrapReplicates = 10;
     std::printf("Fitting the attribution model (%u experiments)...\n",
                 16u * attrParams.repsPerConfig);
-    const auto attribution = analysis::runAttribution(attrParams);
+    const auto attribution = drive::runAttribution(attrParams);
 
     analysis::ImprovementParams params;
     params.base = attrParams.base;

@@ -24,7 +24,7 @@ sweep(const char *label, double utilization)
     params.quantiles = {0.5, 0.9, 0.95, 0.99};
     params.repsPerConfig = bench::paperScale() ? 30 : 6;
     params.bootstrapReplicates = 10; // estimates only; no Table IV SEs
-    const auto result = analysis::runAttribution(params);
+    const auto result = drive::runAttribution(params);
 
     std::printf("%s\n", label);
     std::printf("  config (numa,turbo,dvfs,nic)    P50     P90     "

@@ -36,7 +36,7 @@ main()
                 " %u threads)...\n\n",
                 16u * params.repsPerConfig, params.repsPerConfig,
                 params.parallelism.resolve());
-    const auto result = analysis::runAttribution(params);
+    const auto result = drive::runAttribution(params);
 
     std::printf("%s\n", analysis::renderCoefficientTable(result).c_str());
 

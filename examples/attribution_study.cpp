@@ -12,11 +12,11 @@
 #include <chrono>
 #include <cstdio>
 
-#include "analysis/attribution.h"
 #include "analysis/provenance.h"
 #include "analysis/recommend.h"
 #include "analysis/report.h"
 #include "analysis/screening.h"
+#include "drive/study_driver.h"
 
 using namespace treadmill;
 
@@ -25,11 +25,12 @@ main()
 {
     std::printf("Tail-latency attribution study on simulated Memcached\n\n");
 
-    // 1. Factorial sweep: every permutation of
+    // 1. Factorial sweep and fit: every permutation of
     //    {numa, turbo, dvfs, nic}, several repetitions each, in a
-    //    randomized order, all at the same request rate. The runs are
-    //    seed-isolated, so they fan out across hardware threads with
-    //    bit-exact results (Parallelism{1} is the serial path).
+    //    randomized order, all at the same request rate, run through
+    //    the StudyDriver. The runs are seed-isolated, so they fan out
+    //    across hardware threads with bit-exact results
+    //    (Parallelism{1} is the serial path).
     analysis::AttributionParams params;
     params.base.targetUtilization = 0.65;
     params.base.collector.warmUpSamples = 300;
@@ -57,7 +58,7 @@ main()
                 16 * params.repsPerConfig, params.repsPerConfig,
                 params.parallelism.resolve());
     const auto wallStart = std::chrono::steady_clock::now();
-    auto observations = analysis::collectObservations(params);
+    const auto attribution = drive::runAttribution(params);
     const double parallelWall =
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - wallStart)
@@ -66,14 +67,14 @@ main()
                 params.parallelism.resolve());
 
     // 1b. Screen candidate factors by null-hypothesis testing
-    //     (paper S IV-B) before fitting the full model.
+    //     (paper S IV-B) before reading the full model.
     std::printf("\nStep 1b: factor screening (permutation tests on"
                 " P99)\n");
     analysis::ScreeningParams screening;
     screening.tau = 0.99;
     screening.seed = params.seed;
     for (const auto &screen :
-         analysis::screenFactors(observations, screening)) {
+         analysis::screenFactors(attribution.observations, screening)) {
         std::printf("  %-6s effect %+7.1f us   p=%.3f   %s\n",
                     screen.name.c_str(), screen.effectUs,
                     screen.pValue,
@@ -81,9 +82,6 @@ main()
                                                   " interactions may"
                                                   " still matter)");
     }
-
-    const auto attribution =
-        analysis::fitAttribution(params, std::move(observations));
 
     // 2. The Table IV-style coefficient report.
     std::printf("\nStep 2: quantile-regression attribution\n\n%s\n",

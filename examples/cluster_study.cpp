@@ -13,13 +13,13 @@
  *  - p2c: the balancer's scheduling policy, FCFS vs
  *    power-of-two-choices over each key's replica set.
  *
- * Each run's aggregated per-instance quantile is the response and
- * quantile regression fits all interaction terms at P50/P95/P99. The
- * demo asserts the recovery the tentpole promises: shard 2's stall is
- * the dominant, significant P99 term, the per-backend fault counters
- * place every stalled request on shard 2 (the other shards read
- * exactly zero), and the policy term stays small -- "backend 2 got
- * slow", not "the balancer queued".
+ * The StudyDriver runs the plan: each run's aggregated per-instance
+ * quantile is the response and quantile regression fits all
+ * interaction terms at P50/P95/P99. The demo asserts the recovery the
+ * tentpole promises: shard 2's stall is the dominant, significant P99
+ * term, the per-backend fault counters place every stalled request on
+ * shard 2 (the other shards read exactly zero), and the policy term
+ * stays small -- "backend 2 got slow", not "the balancer queued".
  *
  * A second, single-run "provenance cell" then re-creates the worst
  * case (shard-2 stall, FCFS) with hedging, span tracing, and telemetry
@@ -38,20 +38,20 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "analysis/attribution.h"
 #include "analysis/export.h"
 #include "analysis/provenance.h"
 #include "analysis/report.h"
 #include "core/experiment.h"
+#include "drive/study_driver.h"
 #include "fault/plan.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 #include "regress/design.h"
 #include "util/json.h"
+#include "util/strings.h"
 
 using namespace treadmill;
 
@@ -96,10 +96,13 @@ main(int argc, char **argv)
 {
     const std::string dir = argc > 1 ? argv[1] : ".";
     constexpr unsigned kRepsPerCell = 6;
-    const std::vector<double> kQuantiles{0.5, 0.95, 0.99};
 
-    regress::FactorialDesign design(
-        std::vector<std::string>{"backend2_stall", "p2c"});
+    drive::StudyDriverParams study;
+    study.factors = {"backend2_stall", "p2c"};
+    study.fit.quantiles = {0.5, 0.95, 0.99};
+    study.fit.bootstrapReplicates = 200;
+    study.fit.seed = 99;
+    const regress::FactorialDesign design(study.factors);
 
     core::ExperimentParams base;
     base.kind = core::WorkloadKind::Mcrouter;
@@ -114,40 +117,35 @@ main(int argc, char **argv)
     // Safety cap well above the ~0.3 s a healthy run needs.
     base.deadline = seconds(2);
 
-    std::vector<core::ExperimentParams> runs;
-    std::vector<std::vector<double>> levels;
+    std::vector<drive::StudyRun> plan;
     for (unsigned cell = 0; cell < 4; ++cell) {
         const bool stallHigh = (cell & 1u) != 0;
         const bool p2cHigh = (cell & 2u) != 0;
         for (unsigned rep = 0; rep < kRepsPerCell; ++rep) {
-            core::ExperimentParams p = base;
-            p.faultPlan = makePlan(stallHigh);
-            p.cluster.policy = p2cHigh ? lb::PolicyKind::PowerOfTwo
-                                       : lb::PolicyKind::Fcfs;
-            p.seed = 23 + 7919 * runs.size();
-            runs.push_back(std::move(p));
-            levels.push_back(
-                {stallHigh ? 1.0 : 0.0, p2cHigh ? 1.0 : 0.0});
+            drive::StudyRun run{
+                base, {stallHigh ? 1.0 : 0.0, p2cHigh ? 1.0 : 0.0}};
+            run.params.faultPlan = makePlan(stallHigh);
+            run.params.cluster.policy = p2cHigh ? lb::PolicyKind::PowerOfTwo
+                                                : lb::PolicyKind::Fcfs;
+            run.params.seed = 23 + 7919 * plan.size();
+            plan.push_back(std::move(run));
         }
     }
 
     std::printf("Running %zu experiments (2^2 cluster cells x %u "
                 "reps, 4 shards, %.0f RPS each)...\n",
-                runs.size(), kRepsPerCell, base.requestsPerSecond);
-    const auto results = core::runExperiments(runs);
+                plan.size(), kRepsPerCell, base.requestsPerSecond);
+    const drive::StudyOutcome outcome = drive::StudyDriver(study).run(plan);
 
     // Per-backend fault accounting across the whole sweep: the stall
     // must land on shard 2 and nowhere else.
-    std::map<double, std::vector<double>> responses;
+    std::vector<json::Value> counters;
     std::uint64_t stalledOn2 = 0;
     std::uint64_t stalledElsewhere = 0;
     std::uint64_t dispatched = 0;
-    for (const auto &r : results) {
-        for (double q : kQuantiles)
-            responses[q].push_back(r.aggregatedQuantile(
-                q, core::AggregationKind::PerInstance));
-        for (const auto &[name, value] :
-             r.metrics.at("counters").asObject()) {
+    for (const std::string &snapshot : outcome.metrics) {
+        counters.push_back(json::parse(snapshot).at("counters"));
+        for (const auto &[name, value] : counters.back().asObject()) {
             const auto n = static_cast<std::uint64_t>(value.asInt());
             if (name == "backend2.fault.stalled")
                 stalledOn2 += n;
@@ -171,13 +169,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    analysis::FactorialFitParams fit;
-    fit.quantiles = kQuantiles;
-    fit.bootstrapReplicates = 200;
-    fit.seed = 99;
-    const auto models =
-        analysis::fitFactorialModels(design, levels, responses, fit);
-
+    const std::vector<analysis::QuantileModel> &models = outcome.models;
     std::printf("\n%s\n",
                 analysis::renderCoefficientTable(models).c_str());
 
@@ -216,21 +208,21 @@ main(int argc, char **argv)
                 stall.name.c_str(), stall.estimate, stall.pValue);
 
     json::Array obs;
-    for (std::size_t i = 0; i < results.size(); ++i) {
+    for (std::size_t i = 0; i < plan.size(); ++i) {
         json::Object row;
-        row["backend2_stall"] = json::Value(levels[i][0]);
-        row["p2c"] = json::Value(levels[i][1]);
+        row["backend2_stall"] = json::Value(plan[i].levels[0]);
+        row["p2c"] = json::Value(plan[i].levels[1]);
         row["seed"] = json::Value(
-            static_cast<std::int64_t>(runs[i].seed));
+            static_cast<std::int64_t>(plan[i].params.seed));
         json::Array served;
-        for (std::uint64_t s : results[i].backendServed)
-            served.push_back(
-                json::Value(static_cast<std::int64_t>(s)));
+        for (std::uint32_t b = 0; b < base.cluster.backends; ++b)
+            served.push_back(json::Value(
+                counters[i].at(strprintf("backend%u.served", b)).asInt()));
         row["backend_served"] = json::Value(std::move(served));
-        for (double q : kQuantiles) {
+        for (const auto &[q, response] : outcome.responses) {
             char key[16];
             std::snprintf(key, sizeof key, "p%.0f_us", q * 100.0);
-            row[key] = json::Value(responses[q][i]);
+            row[key] = json::Value(response[i]);
         }
         obs.push_back(json::Value(std::move(row)));
     }

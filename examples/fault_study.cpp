@@ -5,14 +5,15 @@
  *
  * The study runs a 2^2 factorial sweep over two injected fault
  * factors -- periodic server stalls (GC-style freezes) and NIC
- * interrupt storms -- with several replicates per cell, exactly the
- * treatment the paper applies to hardware factors: take each run's
- * aggregated per-instance quantile as the response, perturb the dummy
- * variables by 0.01 sd, and fit quantile regression with all
- * interaction terms at P50/P95/P99. Every cell additionally carries
- * the same brief packet-loss window so the client resilience policy
- * (timeout + retry) has something to absorb; being identical across
- * cells, it lands in the intercept, not in any factor estimate.
+ * interrupt storms -- with several replicates per cell through the
+ * StudyDriver, exactly the treatment the paper applies to hardware
+ * factors: take each run's aggregated per-instance quantile as the
+ * response, perturb the dummy variables by 0.01 sd, and fit quantile
+ * regression with all interaction terms at P50/P95/P99. Every cell
+ * additionally carries the same brief packet-loss window so the
+ * client resilience policy (timeout + retry) has something to absorb;
+ * being identical across cells, it lands in the intercept, not in any
+ * factor estimate.
  *
  * A multi-millisecond freeze delays every request that arrives during
  * the pause, so the stall factor should dominate the P99 model while
@@ -27,14 +28,13 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "analysis/attribution.h"
 #include "analysis/export.h"
 #include "analysis/report.h"
 #include "core/experiment.h"
+#include "drive/study_driver.h"
 #include "fault/plan.h"
 #include "regress/design.h"
 #include "util/json.h"
@@ -118,10 +118,13 @@ main(int argc, char **argv)
 {
     const std::string dir = argc > 1 ? argv[1] : ".";
     constexpr unsigned kRepsPerCell = 8;
-    const std::vector<double> kQuantiles{0.5, 0.95, 0.99};
 
-    regress::FactorialDesign design(
-        std::vector<std::string>{"stall", "nic_storm"});
+    drive::StudyDriverParams study;
+    study.factors = {"stall", "nic_storm"};
+    study.fit.quantiles = {0.5, 0.95, 0.99};
+    study.fit.bootstrapReplicates = 200;
+    study.fit.seed = 99;
+    const regress::FactorialDesign design(study.factors);
 
     core::ExperimentParams base;
     base.targetUtilization = 0.6;
@@ -146,37 +149,32 @@ main(int argc, char **argv)
 
     // One run per (cell, replicate); seeds depend only on the index so
     // the sweep is reproducible under any parallelism.
-    std::vector<core::ExperimentParams> runs;
-    std::vector<std::vector<double>> levels;
+    std::vector<drive::StudyRun> plan;
     for (unsigned cell = 0; cell < 4; ++cell) {
         const bool stallHigh = (cell & 1u) != 0;
         const bool stormHigh = (cell & 2u) != 0;
         for (unsigned rep = 0; rep < kRepsPerCell; ++rep) {
-            core::ExperimentParams p = base;
-            p.faultPlan = makePlan(stallHigh, stormHigh);
-            p.seed = 17 + 7919 * runs.size();
-            runs.push_back(std::move(p));
-            levels.push_back({stallHigh ? 1.0 : 0.0,
-                              stormHigh ? 1.0 : 0.0});
+            drive::StudyRun run{
+                base, {stallHigh ? 1.0 : 0.0, stormHigh ? 1.0 : 0.0}};
+            run.params.faultPlan = makePlan(stallHigh, stormHigh);
+            run.params.seed = 17 + 7919 * plan.size();
+            plan.push_back(std::move(run));
         }
     }
 
     std::printf("Running %zu experiments (2^2 fault cells x %u reps, "
                 "%.0f RPS each)...\n",
-                runs.size(), kRepsPerCell, base.requestsPerSecond);
-    const auto results = core::runExperiments(runs);
+                plan.size(), kRepsPerCell, base.requestsPerSecond);
+    const drive::StudyOutcome outcome = drive::StudyDriver(study).run(plan);
 
-    std::map<double, std::vector<double>> responses;
     std::uint64_t retries = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t drops = 0;
     std::uint64_t windows = 0;
-    for (const auto &r : results) {
-        for (double q : kQuantiles)
-            responses[q].push_back(r.aggregatedQuantile(
-                q, core::AggregationKind::PerInstance));
+    for (const std::string &snapshot : outcome.metrics) {
+        const json::Value metrics = json::parse(snapshot);
         for (const auto &[name, value] :
-             r.metrics.at("counters").asObject()) {
+             metrics.at("counters").asObject()) {
             const auto n = static_cast<std::uint64_t>(value.asInt());
             if (name.find(".retries") != std::string::npos)
                 retries += n;
@@ -205,13 +203,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    analysis::FactorialFitParams fit;
-    fit.quantiles = kQuantiles;
-    fit.bootstrapReplicates = 200;
-    fit.seed = 99;
-    const auto models =
-        analysis::fitFactorialModels(design, levels, responses, fit);
-
+    const std::vector<analysis::QuantileModel> &models = outcome.models;
     std::printf("\n%s\n",
                 analysis::renderCoefficientTable(models).c_str());
 
@@ -250,16 +242,16 @@ main(int argc, char **argv)
                 stall.name.c_str(), stall.estimate, stall.pValue);
 
     json::Array obs;
-    for (std::size_t i = 0; i < results.size(); ++i) {
+    for (std::size_t i = 0; i < plan.size(); ++i) {
         json::Object row;
-        row["stall"] = json::Value(levels[i][0]);
-        row["nic_storm"] = json::Value(levels[i][1]);
+        row["stall"] = json::Value(plan[i].levels[0]);
+        row["nic_storm"] = json::Value(plan[i].levels[1]);
         row["seed"] = json::Value(
-            static_cast<std::int64_t>(runs[i].seed));
-        for (double q : kQuantiles) {
+            static_cast<std::int64_t>(plan[i].params.seed));
+        for (const auto &[q, response] : outcome.responses) {
             char key[16];
             std::snprintf(key, sizeof key, "p%.0f_us", q * 100.0);
-            row[key] = json::Value(responses[q][i]);
+            row[key] = json::Value(response[i]);
         }
         obs.push_back(json::Value(std::move(row)));
     }

@@ -1,7 +1,5 @@
 #include "analysis/attribution.h"
 
-#include <algorithm>
-
 #include "regress/pseudo_r2.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -78,69 +76,6 @@ AttributionResult::averageFactorImpactGiven(double tau,
         ++count;
     }
     return total / static_cast<double>(count);
-}
-
-std::vector<Observation>
-collectObservations(const AttributionParams &params)
-{
-    if (params.repsPerConfig == 0)
-        throw ConfigError("attribution needs at least one rep per cell");
-
-    // Build the experiment list: repsPerConfig copies of each of the
-    // 16 cells, then shuffle so consecutive runs exercise random
-    // permutations of the configurations (preserving independence,
-    // paper S V-A).
-    std::vector<unsigned> cells;
-    cells.reserve(16u * params.repsPerConfig);
-    for (unsigned rep = 0; rep < params.repsPerConfig; ++rep)
-        for (unsigned cfg = 0; cfg < 16; ++cfg)
-            cells.push_back(cfg);
-
-    Rng rng = Rng(0xa77b1b071017ull).substream(params.seed);
-    for (std::size_t i = cells.size() - 1; i > 0; --i) {
-        const auto j = static_cast<std::size_t>(rng.nextBelow(i + 1));
-        std::swap(cells[i], cells[j]);
-    }
-
-    // The paper drives every configuration at the same request rate
-    // (100k/800k RPS): derive the rate once from the base config and
-    // hold it constant, so utilization differences between configs are
-    // part of the measured effect.
-    core::ExperimentParams reference = params.base;
-    reference.seed = params.seed;
-    const double fixedRps = core::deriveRequestRate(reference);
-
-    // Every run's params (and seed) depend only on its index, so the
-    // whole sweep can fan out across threads; results come back in
-    // index-addressed slots and the Observation set is identical for
-    // any Parallelism setting.
-    std::vector<core::ExperimentParams> runs;
-    runs.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        core::ExperimentParams run = params.base;
-        run.requestsPerSecond = fixedRps;
-        run.config = hw::HardwareConfig::fromIndex(cells[i]);
-        run.seed = params.seed * 2654435761ull + i * 97 + 1;
-        runs.push_back(std::move(run));
-    }
-    const std::vector<core::ExperimentResult> outcomes =
-        core::runExperiments(runs, params.parallelism,
-                             params.progress);
-
-    std::vector<Observation> observations;
-    observations.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        Observation obs;
-        obs.config = runs[i].config;
-        obs.runSeed = runs[i].seed;
-        obs.serverUtilization = outcomes[i].serverUtilization;
-        for (double tau : params.quantiles) {
-            obs.quantileUs[tau] =
-                outcomes[i].aggregatedQuantile(tau, params.aggregation);
-        }
-        observations.push_back(std::move(obs));
-    }
-    return observations;
 }
 
 std::vector<QuantileModel>
@@ -234,12 +169,6 @@ fitAttribution(const AttributionParams &params,
     result.models =
         fitFactorialModels(result.design, levels, responses, fit);
     return result;
-}
-
-AttributionResult
-runAttribution(const AttributionParams &params)
-{
-    return fitAttribution(params, collectObservations(params));
 }
 
 } // namespace analysis

@@ -9,6 +9,9 @@
  * regression with all interaction terms at each requested tau, and
  * report Table IV-style estimates with bootstrap standard errors,
  * p-values, and the pseudo-R^2 goodness-of-fit.
+ *
+ * This header holds the data model and the fit; the sweep runs in
+ * drive::StudyDriver (drive::hardwarePlan, drive::runAttribution).
  */
 
 #ifndef TREADMILL_ANALYSIS_ATTRIBUTION_H_
@@ -27,10 +30,12 @@
 namespace treadmill {
 namespace analysis {
 
-/** Controls for one attribution study. */
+/** Controls for one hardware attribution study (drive::hardwarePlan
+ *  builds its plan, drive::runAttribution runs and fits it). */
 struct AttributionParams {
-    /** Template experiment; its `config` and `seed` are overridden
-     *  per run. */
+    /** Template experiment; its `config`, `seed` and
+     *  `requestsPerSecond` are overridden per run (the rate is derived
+     *  once from it). */
     core::ExperimentParams base;
     /** Quantiles to model (the paper reports P50/P95/P99 in Table IV
      *  and adds P90 in Figs 7-10). */
@@ -43,13 +48,14 @@ struct AttributionParams {
     double perturbSd = 0.01;
     core::AggregationKind aggregation =
         core::AggregationKind::PerInstance;
+    /** Seeds the run order, every run seed, and the fit. */
     std::uint64_t seed = 1;
-    /** Fan the independent experiments across threads; the collected
-     *  Observation set is bit-exact for every setting (each run's
-     *  seed depends only on its index; see core::runExperiments). */
+    /** StudyDriver's simulation fan-out; the Observation set and the
+     *  models are bit-exact for every setting (each run's seed depends
+     *  only on its plan index). */
     exec::Parallelism parallelism{};
-    /** Optional sweep observer (runs done / total, wall-clock,
-     *  achieved sim-time throughput). */
+    /** Optional sweep observer, forwarded to StudyDriver (runs done /
+     *  total, wall-clock, achieved sim-time throughput). */
     exec::ProgressFn progress{};
 };
 
@@ -124,9 +130,10 @@ struct FactorialFitParams {
 
 /**
  * Fit one QuantileModel per requested tau to a generic 2-level
- * factorial data set. This is the engine behind fitAttribution(),
- * exposed so studies with factor sets other than the hardware one --
- * e.g. injected-fault toggles -- reuse the identical treatment:
+ * factorial data set. This is the engine behind fitAttribution() and
+ * drive::StudyDriver, so studies with factor sets other than the
+ * hardware one -- e.g. injected-fault toggles -- get the identical
+ * treatment:
  * 0.01-sd dummy perturbation, quantile regression with all
  * interactions, bootstrap standard errors, pseudo-R^2.
  *
@@ -142,21 +149,10 @@ std::vector<QuantileModel> fitFactorialModels(
     const FactorialFitParams &params);
 
 /**
- * Collect the experiment data set for an attribution study: runs
- * repsPerConfig experiments for each of the 16 configurations in a
- * randomized order with fresh run seeds.
- */
-std::vector<Observation> collectObservations(
-    const AttributionParams &params);
-
-/**
  * Fit the quantile-regression models to an observation set.
  */
 AttributionResult fitAttribution(const AttributionParams &params,
                                  std::vector<Observation> observations);
-
-/** collectObservations + fitAttribution. */
-AttributionResult runAttribution(const AttributionParams &params);
 
 } // namespace analysis
 } // namespace treadmill

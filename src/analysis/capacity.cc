@@ -12,39 +12,6 @@ namespace analysis {
 
 namespace {
 
-/** Measure the mean tau-quantile at one utilization across seeds. */
-CapacityProbe
-probe(const CapacityParams &params, double utilization)
-{
-    // The runs at one probe point are seed-independent, so they fan
-    // out across threads; metrics are reduced in run-index order.
-    std::vector<core::ExperimentParams> runs;
-    runs.reserve(params.runsPerPoint);
-    for (unsigned run = 0; run < params.runsPerPoint; ++run) {
-        core::ExperimentParams p = params.base;
-        p.targetUtilization = utilization;
-        p.requestsPerSecond = 0.0; // derive from utilization
-        p.seed = params.seed * 6151 + run * 131 + 7;
-        runs.push_back(std::move(p));
-    }
-    const auto results = core::runExperiments(runs, params.parallelism);
-
-    std::vector<double> perRun;
-    perRun.reserve(results.size());
-    double rps = 0.0;
-    for (const core::ExperimentResult &result : results) {
-        perRun.push_back(result.aggregatedQuantile(
-            params.tau, core::AggregationKind::PerInstance));
-        rps = result.targetRps;
-    }
-    CapacityProbe point;
-    point.utilization = utilization;
-    point.requestsPerSecond = rps;
-    point.latencyUs = stats::mean(perRun);
-    point.meetsSlo = point.latencyUs <= params.sloUs;
-    return point;
-}
-
 /**
  * Two-sided Student-t critical value at 95% confidence, by degrees of
  * freedom. Beyond the table the normal limit applies.
@@ -142,51 +109,6 @@ compareToSlo(const std::vector<double> &perRunQuantileUs, double sloUs,
     else
         cmp.verdict = SloVerdict::Uncertain;
     return cmp;
-}
-
-CapacityResult
-planCapacity(const CapacityParams &params)
-{
-    validateCapacityParams(params);
-
-    CapacityResult result;
-
-    // Establish the bracket.
-    CapacityProbe low = probe(params, params.utilizationLow);
-    result.probes.push_back(low);
-    if (!low.meetsSlo) {
-        result.infeasible = true;
-        return result;
-    }
-    CapacityProbe high = probe(params, params.utilizationHigh);
-    result.probes.push_back(high);
-    if (high.meetsSlo) {
-        result.maxUtilization = high.utilization;
-        result.maxRequestsPerSecond = high.requestsPerSecond;
-        result.latencyAtMaxUs = high.latencyUs;
-        return result;
-    }
-
-    // Bisect: invariant low meets the SLO, high does not.
-    CapacityProbe best = low;
-    double lo = params.utilizationLow;
-    double hi = params.utilizationHigh;
-    for (unsigned it = 0; it < params.maxIterations; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        const CapacityProbe point = probe(params, mid);
-        result.probes.push_back(point);
-        if (point.meetsSlo) {
-            best = point;
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-
-    result.maxUtilization = best.utilization;
-    result.maxRequestsPerSecond = best.requestsPerSecond;
-    result.latencyAtMaxUs = best.latencyUs;
-    return result;
 }
 
 } // namespace analysis

@@ -1,17 +1,17 @@
 /**
  * @file
- * Capacity planning against a tail-latency SLO.
+ * Capacity planning against a tail-latency SLO: the search controls
+ * and the CI-aware SLO comparison.
  *
  * The paper motivates precise tail measurement with provisioning:
  * "servers are typically acquired in large quantities ... so it is
  * important to choose the best design possible and carefully
- * provision resources" (S I). CapacityPlanner answers the operator's
- * question directly: given a configuration and a P-quantile SLO, what
- * is the highest utilization (and request rate) the machine sustains?
- *
- * The search is a bisection on utilization; each probe runs the full
- * Treadmill procedure over several seeds (hysteresis-aware) and uses
- * the mean of the per-run quantiles.
+ * provision resources" (S I). The capacity search answers the
+ * operator's question directly: given a configuration and a
+ * P-quantile SLO, what is the highest utilization (and request rate)
+ * the machine sustains? drive::CapacityController runs it: a
+ * bisection on utilization whose probes each run the full Treadmill
+ * procedure over several seeds (hysteresis-aware).
  */
 
 #ifndef TREADMILL_ANALYSIS_CAPACITY_H_
@@ -44,45 +44,16 @@ struct CapacityParams {
     exec::Parallelism parallelism{};
 };
 
-/** One probed operating point. */
-struct CapacityProbe {
-    double utilization = 0.0;
-    double requestsPerSecond = 0.0;
-    double latencyUs = 0.0; ///< Mean of per-run tau-quantiles.
-    bool meetsSlo = false;
-};
-
-/** Outcome of the capacity search. */
-struct CapacityResult {
-    /** Highest utilization meeting the SLO (0 if none does). */
-    double maxUtilization = 0.0;
-    /** Request rate at that utilization. */
-    double maxRequestsPerSecond = 0.0;
-    /** Measured tau-quantile latency at the operating point. */
-    double latencyAtMaxUs = 0.0;
-    /** True when even the low end of the bracket violates the SLO. */
-    bool infeasible = false;
-    /** Every probed point, in probe order. */
-    std::vector<CapacityProbe> probes;
-};
-
 /**
  * Validate a capacity search configuration up front, naming the
  * offending field: tau must lie in (0, 1), sloUs must be positive,
  * 0 < utilizationLow < utilizationHigh < 1, and runsPerPoint /
- * maxIterations must be nonzero. Shared by planCapacity() and the
- * drive layer's closed-loop controller so both reject degenerate
- * searches identically.
+ * maxIterations must be nonzero. drive::CapacityController calls it
+ * from its constructor.
  *
  * @throws ConfigError naming the invalid field.
  */
 void validateCapacityParams(const CapacityParams &params);
-
-/**
- * Bisect for the highest utilization whose tau-quantile latency meets
- * the SLO under the given configuration.
- */
-CapacityResult planCapacity(const CapacityParams &params);
 
 /** How a probe point's confidence interval relates to an SLO bound. */
 enum class SloVerdict {

@@ -44,7 +44,7 @@ struct ScreeningParams {
 
 /**
  * Screen all four factors against a set of observations collected
- * under random factor permutations (collectObservations() output).
+ * under random factor permutations (drive::runAttribution output).
  *
  * @throws NumericalError when a factor never varies in the data.
  */

@@ -77,15 +77,11 @@ deriveRequestRate(const ExperimentParams &params)
                                       params.seed);
         serviceSeconds =
             probe.expectedServiceSeconds(params.workload.valueBytesMean);
-    } else if (params.kind == WorkloadKind::Mcrouter) {
+    } else {
         server::McrouterServer probe(machine, params.mcrouterParams,
                                      params.seed);
         serviceSeconds =
             probe.expectedServiceSeconds(params.workload.valueBytesMean);
-    } else {
-        server::SqlishServer probe(machine, params.sqlishParams,
-                                   params.seed);
-        serviceSeconds = probe.expectedServiceSeconds();
     }
     TM_ASSERT(serviceSeconds > 0.0, "service time must be positive");
     const double capacity =
@@ -106,7 +102,6 @@ struct Harness {
     std::unique_ptr<hw::Machine> machine;
     std::unique_ptr<server::MemcachedServer> memcached;
     std::unique_ptr<server::McrouterServer> mcrouter;
-    std::unique_ptr<server::SqlishServer> sqlish;
     std::unique_ptr<net::Cluster> cluster;
     net::PacketCapture capture;
     /** Sharded backend tier; all empty/null when
@@ -133,9 +128,7 @@ struct Harness {
     {
         if (memcached)
             return *memcached;
-        if (mcrouter)
-            return *mcrouter;
-        return *sqlish;
+        return *mcrouter;
     }
 
     /** The request sink: the fault shim when one is wired, else the
@@ -284,12 +277,9 @@ runExperiment(const ExperimentParams &params)
     if (params.kind == WorkloadKind::Memcached) {
         h->memcached = std::make_unique<server::MemcachedServer>(
             *h->machine, params.memcachedParams, params.seed);
-    } else if (params.kind == WorkloadKind::Mcrouter) {
+    } else {
         h->mcrouter = std::make_unique<server::McrouterServer>(
             *h->machine, params.mcrouterParams, params.seed);
-    } else {
-        h->sqlish = std::make_unique<server::SqlishServer>(
-            *h->machine, params.sqlishParams, params.seed);
     }
 
     std::vector<net::Cluster::ClientSpec> clientSpecs(
@@ -337,20 +327,11 @@ runExperiment(const ExperimentParams &params)
 
     // Estimate the mean response time for closed-loop slot sizing:
     // expected service + network round trip + client costs.
-    double estServiceSeconds = 0.0;
-    switch (params.kind) {
-      case WorkloadKind::Memcached:
-        estServiceSeconds = h->memcached->expectedServiceSeconds(
-            params.workload.valueBytesMean);
-        break;
-      case WorkloadKind::Mcrouter:
-        estServiceSeconds = h->mcrouter->expectedServiceSeconds(
-            params.workload.valueBytesMean);
-        break;
-      case WorkloadKind::Sqlish:
-        estServiceSeconds = h->sqlish->expectedServiceSeconds();
-        break;
-    }
+    const double estServiceSeconds =
+        h->memcached ? h->memcached->expectedServiceSeconds(
+                           params.workload.valueBytesMean)
+                     : h->mcrouter->expectedServiceSeconds(
+                           params.workload.valueBytesMean);
     const double estMeanResponseSeconds = estServiceSeconds + 20e-6;
 
     for (std::size_t i = 0; i < params.tester.clientMachines; ++i) {

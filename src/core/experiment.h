@@ -35,7 +35,6 @@
 #include "obs/telemetry.h"
 #include "server/mcrouter.h"
 #include "server/memcached.h"
-#include "server/sqlish.h"
 #include "stats/convergence.h"
 #include "util/json.h"
 #include "util/types.h"
@@ -43,8 +42,9 @@
 namespace treadmill {
 namespace core {
 
-/** Which server the experiment drives. */
-enum class WorkloadKind { Memcached, Mcrouter, Sqlish };
+/** Which server the experiment drives. The values (0, 1) are hashed
+ *  into configDigest, so archived digests depend on them. */
+enum class WorkloadKind { Memcached, Mcrouter };
 
 /**
  * Sharded multi-backend cluster behind the router (Mcrouter runs
@@ -89,7 +89,6 @@ struct ExperimentParams {
     hw::HardwareConfig config;
     server::MemcachedParams memcachedParams;
     server::McrouterParams mcrouterParams;
-    server::SqlishParams sqlishParams;
     TesterSpec tester; ///< Defaults to treadmillSpec().
 
     /**

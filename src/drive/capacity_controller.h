@@ -2,12 +2,11 @@
  * @file
  * Closed-loop SLO capacity search over live runs.
  *
- * analysis::planCapacity walks a fixed-bracket bisection with a fixed
- * number of runs per probe: 8 iterations x 3 runs burns 30 runs no
- * matter how obvious each probe's answer is. CapacityController keeps
- * the bisection skeleton but makes each probe adaptive, per the
- * paper's repeated-experiment procedure and DiPerF's closed-loop
- * envelope extraction (PAPERS.md):
+ * A fixed-bracket bisection with a fixed number of runs per probe
+ * burns (2 + 8) x 3 = 30 runs no matter how obvious each probe's
+ * answer is. CapacityController keeps the bisection skeleton but makes
+ * each probe adaptive, per the paper's repeated-experiment procedure
+ * and DiPerF's closed-loop envelope extraction (PAPERS.md):
  *
  *  - every probe starts with minRunsPerProbe fresh-seeded runs and
  *    compares the per-run tau-quantiles against the SLO with a
@@ -21,6 +20,12 @@
  *    probe, and the search stops once the bracket is narrower than
  *    utilizationTolerance -- tight SLOs resolve in fewer probes than
  *    a fixed iteration count would spend.
+ *
+ * The fixed bisection is a setting of the same search:
+ * maxRunsPerProbe == runsPerPoint gives every probe exactly
+ * runsPerPoint runs, no early exit and no re-probe, and its verdict is
+ * exactly mean <= sloUs; with a tolerance the bracket never narrows
+ * below, it probes 2 + maxIterations points.
  *
  * Every run can be persisted to a run store archive as it completes,
  * so the whole search is re-analyzable from disk afterwards.
@@ -41,13 +46,13 @@ namespace drive {
 
 /** Controls for the adaptive search. */
 struct CapacityControllerParams {
-    /** Bracket, SLO, tau, base experiment, seed, and parallelism are
-     *  shared with the fixed planner (and validated identically via
-     *  analysis::validateCapacityParams). runsPerPoint is the *floor*
-     *  runs per probe here; maxIterations caps bracket-narrowing
-     *  steps. */
+    /** Bracket, SLO, tau, base experiment, seed, and parallelism
+     *  (validated by analysis::validateCapacityParams). runsPerPoint
+     *  is the *floor* runs per probe; maxIterations caps
+     *  bracket-narrowing steps. */
     analysis::CapacityParams search;
-    /** Ceiling on fresh-seed re-probes of an uncertain point. */
+    /** Ceiling on fresh-seed re-probes of an uncertain point; equal to
+     *  search.runsPerPoint it is the fixed bisection. */
     unsigned maxRunsPerProbe = 6;
     /** Confidence level of the probe CI. */
     double confidence = 0.95;
@@ -79,8 +84,9 @@ struct CapacitySearchResult {
     bool converged = false;
     /** Total experiments simulated across all probes. */
     unsigned totalRuns = 0;
-    /** Runs the fixed planner would have spent on the same search:
-     *  (2 bracket probes + maxIterations) * runsPerPoint. */
+    /** Runs the fixed bisection (maxRunsPerProbe == runsPerPoint)
+     *  spends when it runs every iteration: (2 bracket probes +
+     *  maxIterations) * runsPerPoint. */
     unsigned fixedPlannerRuns = 0;
     std::vector<ProbeOutcome> probes;
 };

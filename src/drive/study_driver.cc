@@ -9,9 +9,11 @@
 #include <utility>
 
 #include "analysis/provenance.h"
-#include "exec/parallel_for.h"
-#include "regress/design.h"
+#include "exec/parallel_runner.h"
+#include "hw/hardware_config.h"
 #include "util/error.h"
+#include "util/json.h"
+#include "util/rng.h"
 #include "util/strings.h"
 
 namespace treadmill {
@@ -24,16 +26,17 @@ struct Completion {
     std::size_t index = 0;
     /** tau -> snapshotted response (the exact archived doubles). */
     std::map<double, double> quantileUs;
+    /** The run record's metrics JSON, moved out after archiving. */
+    std::string metrics;
 };
 
 } // namespace
 
 StudyDriver::StudyDriver(StudyDriverParams params)
-    : controls(std::move(params))
+    : controls(std::move(params)), design(controls.factors)
 {
-    if (controls.factors.empty())
-        throw ConfigError("study driver: factors must be nonempty");
-    // Quantile lists fail here, before any run simulates.
+    // The design (factor count) and quantile lists fail here, before
+    // any run simulates.
     const auto checkTaus = [](const std::vector<double> &taus,
                               const char *field) {
         if (taus.empty())
@@ -82,12 +85,18 @@ StudyDriver::run(const std::vector<StudyRun> &plan,
     std::exception_ptr failure;   // tm:guarded_by(mutex)
 
     // Producer: simulate + persist on the pool; the caller's thread
-    // stays free to fit. parallelFor stops remaining indices on the
-    // first exception and rethrows it here.
-    std::thread producer([&] {
+    // stays free to fit. The runner stops remaining indices on the
+    // first exception and rethrows it here. A jthread joins on every
+    // path out of run(), so an exception in the consumer cannot
+    // destroy a joinable thread; the producer never waits on the
+    // consumer.
+    exec::ParallelRunner runner(controls.parallelism);
+    runner.onProgress(controls.progress);
+    std::jthread producer([&] {
         try {
-            exec::parallelFor(
-                controls.parallelism, plan.size(), [&](std::size_t i) {
+            runner.run(
+                plan.size(),
+                [&](std::size_t i) {
                     const core::ExperimentResult result =
                         core::runExperiment(plan[i].params);
                     store::RunRecord rec = core::toRunRecord(
@@ -118,12 +127,15 @@ StudyDriver::run(const std::vector<StudyRun> &plan,
                          t < rec.quantileTaus.size(); ++t)
                         done.quantileUs[rec.quantileTaus[t]] =
                             rec.quantileUs[t];
+                    done.metrics = std::move(rec.metricsJson);
                     {
                         std::lock_guard<std::mutex> lock(mutex);
                         queue.push_back(std::move(done));
                     }
                     ready.notify_one();
-                });
+                    return toSeconds(result.simulatedTime);
+                },
+                [](double simSeconds) { return simSeconds; });
         } catch (...) {
             std::lock_guard<std::mutex> lock(mutex);
             failure = std::current_exception();
@@ -139,7 +151,7 @@ StudyDriver::run(const std::vector<StudyRun> &plan,
     // flight. Incremental models are progress signals and discarded;
     // only the final plan-order fit is returned.
     StudyOutcome out;
-    const regress::FactorialDesign design(controls.factors);
+    out.metrics.resize(plan.size());
     std::vector<std::map<double, double>> perRun(plan.size());
     std::vector<bool> have(plan.size(), false);
     std::size_t completed = 0;
@@ -172,6 +184,11 @@ StudyDriver::run(const std::vector<StudyRun> &plan,
             queue.pop_front();
         }
         perRun[done.index] = std::move(done.quantileUs);
+        // Copied, not moved: the outcome outlives the pool, and a
+        // worker-allocated string kept for the whole study fragments
+        // the malloc arena later runs allocate from (about 6% of the
+        // study benchmark's hw_factorial study_s).
+        out.metrics[done.index] = done.metrics;
         have[done.index] = true;
         ++completed;
         ++sinceFit;
@@ -207,6 +224,84 @@ StudyDriver::run(const std::vector<StudyRun> &plan,
                                               out.responses,
                                               controls.fit);
     return out;
+}
+
+std::vector<StudyRun>
+hardwarePlan(const analysis::AttributionParams &params)
+{
+    if (params.repsPerConfig == 0)
+        throw ConfigError("attribution needs at least one rep per cell");
+
+    // repsPerConfig copies of each of the 16 cells, shuffled so
+    // consecutive runs exercise random permutations of the
+    // configurations (preserving independence, paper S V-A).
+    std::vector<unsigned> cells;
+    cells.reserve(16u * params.repsPerConfig);
+    for (unsigned rep = 0; rep < params.repsPerConfig; ++rep)
+        for (unsigned cfg = 0; cfg < 16; ++cfg)
+            cells.push_back(cfg);
+
+    Rng rng = Rng(0xa77b1b071017ull).substream(params.seed);
+    for (std::size_t i = cells.size() - 1; i > 0; --i) {
+        const auto j = static_cast<std::size_t>(rng.nextBelow(i + 1));
+        std::swap(cells[i], cells[j]);
+    }
+
+    // The paper drives every configuration at the same request rate
+    // (100k/800k RPS): derive the rate once from the base config and
+    // hold it constant, so utilization differences between configs are
+    // part of the measured effect.
+    core::ExperimentParams reference = params.base;
+    reference.seed = params.seed;
+    const double fixedRps = core::deriveRequestRate(reference);
+
+    std::vector<StudyRun> plan;
+    plan.reserve(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        StudyRun run;
+        run.params = params.base;
+        run.params.requestsPerSecond = fixedRps;
+        run.params.config = hw::HardwareConfig::fromIndex(cells[i]);
+        run.params.seed = params.seed * 2654435761ull + i * 97 + 1;
+        const auto levels = run.params.config.levels();
+        run.levels.assign(levels.begin(), levels.end());
+        plan.push_back(std::move(run));
+    }
+    return plan;
+}
+
+analysis::AttributionResult
+runAttribution(const analysis::AttributionParams &params)
+{
+    const std::vector<StudyRun> plan = hardwarePlan(params);
+
+    StudyDriverParams controls;
+    controls.factors = hw::factorNames();
+    controls.fit.quantiles = params.quantiles;
+    controls.fit.bootstrapReplicates = params.bootstrapReplicates;
+    controls.fit.perturbSd = params.perturbSd;
+    controls.fit.seed = params.seed;
+    controls.aggregation = params.aggregation;
+    controls.parallelism = params.parallelism;
+    controls.progress = params.progress;
+    StudyOutcome outcome = StudyDriver(std::move(controls)).run(plan);
+
+    analysis::AttributionResult result;
+    result.models = std::move(outcome.models);
+    result.observations.reserve(plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        analysis::Observation obs;
+        obs.config = plan[i].params.config;
+        obs.runSeed = plan[i].params.seed;
+        for (double tau : params.quantiles)
+            obs.quantileUs[tau] = outcome.responses.at(tau)[i];
+        obs.serverUtilization = json::parse(outcome.metrics[i])
+                                    .at("gauges")
+                                    .at("server.worker_utilization")
+                                    .asNumber();
+        result.observations.push_back(std::move(obs));
+    }
+    return result;
 }
 
 } // namespace drive

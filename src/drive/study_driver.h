@@ -7,9 +7,9 @@
  * everything measured so far. Running them strictly in sequence
  * leaves the analysis idle while simulations run and the simulator
  * idle while models fit. StudyDriver overlaps them: simulations fan
- * out on a background thread (exec::parallelFor, seed-isolated), each
- * completed run is archived immediately under its plan index, and the
- * caller's thread drains a completion queue performing incremental
+ * out on a background thread (exec::ParallelRunner, seed-isolated),
+ * each completed run is archived immediately under its plan index, and
+ * the caller's thread drains a completion queue performing incremental
  * refits while later runs are still simulating -- fitting run k
  * overlaps simulating run k+1.
  *
@@ -17,17 +17,23 @@
  * pure function of its plan entry, and the final fit consumes
  * responses in plan order, so the archive and the final models are
  * bit-identical for every Parallelism setting and completion order.
+ *
+ * StudyDriver is the only factorial sweep-and-fit engine: the paper's
+ * 2^4 hardware study is a plan (hardwarePlan) run through it
+ * (runAttribution), and the fault and cluster studies are plans too.
  */
 
 #ifndef TREADMILL_DRIVE_STUDY_DRIVER_H_
 #define TREADMILL_DRIVE_STUDY_DRIVER_H_
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "analysis/attribution.h"
 #include "core/experiment.h"
 #include "core/run_record.h"
+#include "regress/design.h"
 #include "store/writer.h"
 
 namespace treadmill {
@@ -63,6 +69,9 @@ struct StudyDriverParams {
     unsigned refitEvery = 0;
     /** Worker knob for the simulation fan-out. */
     exec::Parallelism parallelism{};
+    /** Optional observer, called once per completed run with the
+     *  run's simulated seconds as work units (exec::ParallelRunner). */
+    exec::ProgressFn progress{};
 };
 
 /** Outcome of one driven study. */
@@ -72,6 +81,9 @@ struct StudyOutcome {
     /** tau -> one response per run, plan order (what the fit saw). */
     std::map<double, std::vector<double>> responses;
     std::vector<std::vector<double>> levels;
+    /** Each run's metrics-registry snapshot (the JSON the run record
+     *  archives: counters, gauges, histograms), plan order. */
+    std::vector<std::string> metrics;
     /** Incremental refits that completed while at least one run was
      *  still simulating -- the pipeline's overlap evidence. */
     unsigned refitsOverlapped = 0;
@@ -81,7 +93,8 @@ struct StudyOutcome {
 class StudyDriver
 {
   public:
-    /** @throws ConfigError on empty factors or quantiles. */
+    /** @throws ConfigError on an invalid factor list (empty or more
+     *  than regress::FactorialDesign accepts) or quantiles. */
     explicit StudyDriver(StudyDriverParams params);
 
     /**
@@ -99,7 +112,30 @@ class StudyDriver
 
   private:
     StudyDriverParams controls;
+    regress::FactorialDesign design;
 };
+
+/**
+ * The paper's 2^4 hardware study as a plan (S IV-V): repsPerConfig
+ * copies of each of the 16 {numa, turbo, dvfs, nic} cells in a
+ * seeded random order, every run at the request rate derived once
+ * from `base`, with run seeds depending only on the plan index.
+ *
+ * @throws ConfigError when repsPerConfig is 0.
+ */
+std::vector<StudyRun> hardwarePlan(const analysis::AttributionParams &params);
+
+/**
+ * Run hardwarePlan(@p params) through a StudyDriver (no archive) and
+ * package the outcome as an attribution result: one Observation per
+ * run in plan order, and StudyDriver's final fit as the models.
+ *
+ * @throws NumericalError when the fit fails, e.g. at one rep per
+ *         cell, which saturates the 16-term model so that its
+ *         bootstrap cannot refit.
+ */
+analysis::AttributionResult
+runAttribution(const analysis::AttributionParams &params);
 
 } // namespace drive
 } // namespace treadmill

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "drive/study_driver.h"
 #include "util/error.h"
 
 namespace treadmill {
@@ -30,7 +31,7 @@ const AttributionResult &
 sharedResult()
 {
     static const AttributionResult result =
-        runAttribution(quickAttribution());
+        drive::runAttribution(quickAttribution());
     return result;
 }
 
@@ -144,7 +145,7 @@ TEST(AttributionTest, RejectsZeroReps)
 {
     AttributionParams bad = quickAttribution();
     bad.repsPerConfig = 0;
-    EXPECT_THROW(runAttribution(bad), ConfigError);
+    EXPECT_THROW(drive::runAttribution(bad), ConfigError);
 }
 
 TEST(AttributionTest, FitRejectsEmptyObservations)

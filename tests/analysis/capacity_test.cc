@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "drive/capacity_controller.h"
 #include "util/error.h"
 
 namespace treadmill {
@@ -26,24 +27,35 @@ quickCapacity(double sloUs)
     return params;
 }
 
+/** The fixed bisection: the controller with maxRunsPerProbe ==
+ *  runsPerPoint (no re-probes, no early exit). */
+drive::CapacitySearchResult
+fixedSearch(const CapacityParams &params)
+{
+    drive::CapacityControllerParams controls;
+    controls.search = params;
+    controls.maxRunsPerProbe = params.runsPerPoint;
+    return drive::CapacityController(controls).search();
+}
+
 TEST(CapacityTest, RejectsBadParameters)
 {
     CapacityParams bad = quickCapacity(100.0);
     bad.sloUs = 0.0;
-    EXPECT_THROW(planCapacity(bad), ConfigError);
+    EXPECT_THROW(fixedSearch(bad), ConfigError);
     bad = quickCapacity(100.0);
     bad.utilizationLow = 0.9;
     bad.utilizationHigh = 0.5;
-    EXPECT_THROW(planCapacity(bad), ConfigError);
+    EXPECT_THROW(fixedSearch(bad), ConfigError);
     bad = quickCapacity(100.0);
     bad.runsPerPoint = 0;
-    EXPECT_THROW(planCapacity(bad), ConfigError);
+    EXPECT_THROW(fixedSearch(bad), ConfigError);
 }
 
 TEST(CapacityTest, GenerousSloAllowsHighBracket)
 {
     // A very loose SLO is met even at the top of the bracket.
-    const auto result = planCapacity(quickCapacity(100000.0));
+    const auto result = fixedSearch(quickCapacity(100000.0));
     EXPECT_FALSE(result.infeasible);
     EXPECT_DOUBLE_EQ(result.maxUtilization, 0.90);
     EXPECT_LE(result.probes.size(), 2u);
@@ -52,7 +64,7 @@ TEST(CapacityTest, GenerousSloAllowsHighBracket)
 TEST(CapacityTest, ImpossibleSloReportsInfeasible)
 {
     // No configuration serves a 1 us P99.
-    const auto result = planCapacity(quickCapacity(1.0));
+    const auto result = fixedSearch(quickCapacity(1.0));
     EXPECT_TRUE(result.infeasible);
     EXPECT_DOUBLE_EQ(result.maxUtilization, 0.0);
 }
@@ -61,7 +73,7 @@ TEST(CapacityTest, ModerateSloBisectsToInteriorPoint)
 {
     // Pick an SLO between the low-load and high-load P99 so the
     // answer must lie strictly inside the bracket.
-    const auto result = planCapacity(quickCapacity(200.0));
+    const auto result = fixedSearch(quickCapacity(200.0));
     ASSERT_FALSE(result.infeasible);
     EXPECT_GT(result.maxUtilization, 0.05);
     EXPECT_LT(result.maxUtilization, 0.90);
@@ -73,10 +85,11 @@ TEST(CapacityTest, ModerateSloBisectsToInteriorPoint)
 
 TEST(CapacityTest, ProbeLatencyIncreasesWithUtilization)
 {
-    const auto result = planCapacity(quickCapacity(200.0));
+    const auto result = fixedSearch(quickCapacity(200.0));
     // The two bracket probes: low util must be faster than high util.
     ASSERT_GE(result.probes.size(), 2u);
-    EXPECT_LT(result.probes[0].latencyUs, result.probes[1].latencyUs);
+    EXPECT_LT(result.probes[0].comparison.mean,
+              result.probes[1].comparison.mean);
 }
 
 TEST(CompareToSloTest, TooFewRunsIsAlwaysUncertain)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "drive/study_driver.h"
 #include "util/error.h"
 
 namespace treadmill {
@@ -29,7 +30,7 @@ const AttributionResult &
 sharedResult()
 {
     static const AttributionResult result =
-        runAttribution(quickAttribution());
+        drive::runAttribution(quickAttribution());
     return result;
 }
 

@@ -1,8 +1,10 @@
 /**
  * @file
  * Tests for the drive layer: adaptive capacity search (it must beat
- * the fixed planner's run budget), parameter validation, and the
- * pipelined study driver's determinism across parallelism settings.
+ * the fixed bisection's run budget) and the fixed bisection as one of
+ * its settings, parameter validation, and the pipelined StudyDriver's
+ * determinism, per-run metrics and progress across parallelism
+ * settings.
  */
 
 #include "drive/capacity_controller.h"
@@ -18,6 +20,7 @@
 #include "analysis/export.h"
 #include "store/reader.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace treadmill {
 namespace drive {
@@ -44,7 +47,7 @@ quickSearch(double sloUs)
 
 TEST(CapacityControllerTest, ValidatesEveryField)
 {
-    // Shared validation with the fixed planner names the base field...
+    // analysis::validateCapacityParams names the base field...
     CapacityControllerParams bad = quickSearch(100.0);
     bad.search.sloUs = 0.0;
     EXPECT_THROW(CapacityController{bad}, ConfigError);
@@ -74,7 +77,7 @@ TEST(CapacityControllerTest, EasySloResolvesInFewerRunsThanFixed)
 {
     // A loose SLO lets both bracket probes clear on their first wave,
     // so the adaptive search must come in strictly under the fixed
-    // planner's (2 + maxIterations) * runsPerPoint budget.
+    // bisection's (2 + maxIterations) * runsPerPoint budget.
     CapacityController controller(quickSearch(1.0e6));
     const CapacitySearchResult result = controller.search();
     EXPECT_FALSE(result.infeasible);
@@ -88,6 +91,29 @@ TEST(CapacityControllerTest, EasySloResolvesInFewerRunsThanFixed)
         EXPECT_TRUE(probe.earlyExit);
         EXPECT_EQ(probe.comparison.verdict,
                   analysis::SloVerdict::Clears);
+    }
+}
+
+TEST(CapacityControllerTest, FixedSettingIsThePlainBisection)
+{
+    // maxRunsPerProbe == runsPerPoint: every probe runs exactly
+    // runsPerPoint runs and never exits early, its verdict is the mean
+    // against the SLO, and with a tolerance that never fires the search
+    // probes both bracket ends plus every iteration.
+    CapacityControllerParams params = quickSearch(200.0);
+    params.search.runsPerPoint = 3;
+    params.maxRunsPerProbe = 3;
+    params.utilizationTolerance = 1e-6;
+    const CapacitySearchResult result =
+        CapacityController(params).search();
+    ASSERT_FALSE(result.infeasible);
+    ASSERT_EQ(result.probes.size(), 2u + params.search.maxIterations);
+    EXPECT_EQ(result.totalRuns, result.fixedPlannerRuns);
+    for (const ProbeOutcome &probe : result.probes) {
+        EXPECT_EQ(probe.perRunQuantileUs.size(), 3u);
+        EXPECT_FALSE(probe.earlyExit);
+        EXPECT_EQ(probe.meetsSlo,
+                  probe.comparison.mean <= params.search.sloUs);
     }
 }
 
@@ -172,6 +198,13 @@ TEST(StudyDriverTest, ValidatesParamsAndPlan)
     bad = quickDriver();
     bad.reservoirCapacity = 0;
     EXPECT_THROW(StudyDriver{bad}, ConfigError);
+    // More factors than a FactorialDesign takes fail up front, not
+    // once the simulation thread is running.
+    bad = quickDriver();
+    bad.factors.clear();
+    for (int f = 0; f < 17; ++f)
+        bad.factors.push_back(strprintf("f%d", f));
+    EXPECT_THROW(StudyDriver{bad}, ConfigError);
 
     // Provenance quantiles fail in the constructor, before any run
     // simulates, and the error names the field.
@@ -255,6 +288,32 @@ TEST(StudyDriverTest, OutcomeIsIdenticalAcrossParallelism)
     }
     fs::remove_all(dirA);
     fs::remove_all(dirB);
+}
+
+TEST(StudyDriverTest, MetricsAndProgressFollowThePlan)
+{
+    // Whatever order three workers finish in, run i's metrics snapshot
+    // lands in slot i, and progress reports each run exactly once.
+    StudyDriverParams params = quickDriver();
+    params.parallelism.threads = 3;
+    std::vector<exec::Progress> reports;
+    params.progress = [&reports](const exec::Progress &p) {
+        reports.push_back(p);
+    };
+    const std::vector<StudyRun> plan = quickPlan(2);
+    const StudyOutcome out = StudyDriver(params).run(plan);
+
+    ASSERT_EQ(out.metrics.size(), plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i)
+        EXPECT_EQ(out.metrics[i],
+                  core::runExperiment(plan[i].params).metrics.dump())
+            << "run " << i;
+    ASSERT_EQ(reports.size(), plan.size());
+    for (std::size_t k = 0; k < reports.size(); ++k) {
+        EXPECT_EQ(reports[k].completed, k + 1);
+        EXPECT_EQ(reports[k].total, plan.size());
+        EXPECT_GT(reports[k].workUnits, 0.0);
+    }
 }
 
 TEST(StudyDriverTest, RefitsOverlapSimulation)

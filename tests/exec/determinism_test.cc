@@ -7,18 +7,20 @@
  * every run derives all of its state (Simulation, Rng streams,
  * collectors) from its own seed, and results land in index-addressed
  * slots. These tests pin both: the same seeds must produce identical
- * ExperimentResult quantiles and identical Observation sets under
- * Parallelism 1, 2, and 8.
+ * ExperimentResult quantiles, identical hardware-study observations and
+ * models, and identical capacity searches under Parallelism 1, 2, and
+ * 8.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "analysis/attribution.h"
-#include "analysis/capacity.h"
+#include "analysis/export.h"
 #include "analysis/screening.h"
 #include "core/experiment.h"
+#include "drive/capacity_controller.h"
+#include "drive/study_driver.h"
 #include "fault/plan.h"
 
 namespace treadmill {
@@ -164,29 +166,34 @@ TEST(DeterminismTest, SameSeedSameResultAcrossRepeatedParallelRuns)
     }
 }
 
-TEST(DeterminismTest, CollectObservationsIdenticalSerialVsParallel)
+TEST(DeterminismTest, HardwareStudyIdenticalSerialVsParallel)
 {
     analysis::AttributionParams params;
     params.base = quickParams();
     params.quantiles = {0.5, 0.99};
     params.repsPerConfig = 5; // 80 experiments (acceptance floor)
+    params.bootstrapReplicates = 20;
     params.seed = 5;
 
     params.parallelism = exec::Parallelism::serial();
-    const auto serial = analysis::collectObservations(params);
+    const auto serial = drive::runAttribution(params);
 
     for (unsigned threads : {2u, 8u}) {
         params.parallelism = exec::Parallelism{threads};
-        const auto parallel = analysis::collectObservations(params);
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(parallel[i].runSeed, serial[i].runSeed);
-            EXPECT_EQ(parallel[i].config.index(),
-                      serial[i].config.index());
-            EXPECT_EQ(parallel[i].quantileUs, serial[i].quantileUs);
-            EXPECT_DOUBLE_EQ(parallel[i].serverUtilization,
-                             serial[i].serverUtilization);
+        const auto parallel = drive::runAttribution(params);
+        ASSERT_EQ(parallel.observations.size(),
+                  serial.observations.size());
+        for (std::size_t i = 0; i < serial.observations.size(); ++i) {
+            const analysis::Observation &a = parallel.observations[i];
+            const analysis::Observation &b = serial.observations[i];
+            EXPECT_EQ(a.runSeed, b.runSeed);
+            EXPECT_EQ(a.config.index(), b.config.index());
+            EXPECT_EQ(a.quantileUs, b.quantileUs);
+            EXPECT_EQ(a.serverUtilization, b.serverUtilization);
         }
+        EXPECT_EQ(analysis::toJson(parallel.models).dump(),
+                  analysis::toJson(serial.models).dump())
+            << "threads " << threads;
     }
 }
 
@@ -217,10 +224,14 @@ TEST(DeterminismTest, ScreeningIdenticalSerialVsParallel)
     analysis::AttributionParams collect;
     collect.base = quickParams();
     collect.quantiles = {0.99};
-    collect.repsPerConfig = 1;
+    // Two reps: one rep per cell saturates the 16-term model the
+    // study fits, and its bootstrap cannot refit.
+    collect.repsPerConfig = 2;
     collect.seed = 9;
+    collect.bootstrapReplicates = 10;
     collect.parallelism = exec::Parallelism{8};
-    const auto observations = analysis::collectObservations(collect);
+    const auto observations =
+        drive::runAttribution(collect).observations;
 
     analysis::ScreeningParams params;
     params.tau = 0.99;
@@ -244,26 +255,29 @@ TEST(DeterminismTest, ScreeningIdenticalSerialVsParallel)
     }
 }
 
-TEST(DeterminismTest, CapacityProbeIdenticalSerialVsParallel)
+TEST(DeterminismTest, FixedCapacitySearchIdenticalSerialVsParallel)
 {
-    analysis::CapacityParams params;
-    params.base = quickParams();
-    params.sloUs = 400.0;
-    params.maxIterations = 2;
-    params.runsPerPoint = 3;
+    // The fixed bisection: the controller with maxRunsPerProbe ==
+    // runsPerPoint.
+    drive::CapacityControllerParams params;
+    params.search.base = quickParams();
+    params.search.sloUs = 400.0;
+    params.search.maxIterations = 2;
+    params.search.runsPerPoint = 3;
+    params.maxRunsPerProbe = 3;
 
-    params.parallelism = exec::Parallelism::serial();
-    const auto serial = analysis::planCapacity(params);
+    params.search.parallelism = exec::Parallelism::serial();
+    const auto serial = drive::CapacityController(params).search();
 
-    params.parallelism = exec::Parallelism{8};
-    const auto parallel = analysis::planCapacity(params);
+    params.search.parallelism = exec::Parallelism{8};
+    const auto parallel = drive::CapacityController(params).search();
 
     EXPECT_DOUBLE_EQ(parallel.maxUtilization, serial.maxUtilization);
     EXPECT_DOUBLE_EQ(parallel.latencyAtMaxUs, serial.latencyAtMaxUs);
     ASSERT_EQ(parallel.probes.size(), serial.probes.size());
     for (std::size_t i = 0; i < serial.probes.size(); ++i) {
-        EXPECT_DOUBLE_EQ(parallel.probes[i].latencyUs,
-                         serial.probes[i].latencyUs);
+        EXPECT_EQ(parallel.probes[i].perRunQuantileUs,
+                  serial.probes[i].perRunQuantileUs);
     }
 }
 

@@ -16,6 +16,7 @@
 
 #include "analysis/attribution.h"
 #include "core/experiment.h"
+#include "drive/study_driver.h"
 #include "stats/summary.h"
 
 namespace treadmill {
@@ -44,7 +45,7 @@ attributionAt(double utilization)
         params.repsPerConfig = 3;
         params.bootstrapReplicates = 40;
         params.seed = 31;
-        return analysis::runAttribution(params);
+        return drive::runAttribution(params);
     };
     static const analysis::AttributionResult low = build(0.15);
     static const analysis::AttributionResult high = build(0.65);

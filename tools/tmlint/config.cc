@@ -69,7 +69,7 @@ const char *const kDefaultJson = R"CFG({
         "analysis": ["util", "exec", "sim", "obs", "stats", "store",
                      "hw", "net", "server", "core", "regress", "lb"],
         "drive": ["util", "exec", "stats", "store", "regress",
-                  "core", "analysis"]
+                  "hw", "core", "analysis"]
       }
     }
   }
