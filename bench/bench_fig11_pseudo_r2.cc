@@ -12,8 +12,7 @@
 
 #include "bench_common.h"
 
-#include "regress/ols.h"
-#include "regress/pseudo_r2.h"
+#include "regress/factorial.h"
 
 using namespace treadmill;
 
@@ -44,8 +43,7 @@ sweep(const char *label, core::WorkloadKind kind, double utilization)
         levels.emplace_back(l.begin(), l.end());
         y.push_back(obs.quantileUs.at(0.99));
     }
-    const regress::Matrix x = result.design.designMatrix(levels);
-    const auto ols = regress::fitOls(x, y, 1e-9);
+    const auto ols = regress::fitFactorialOls(result.design, levels, y);
     std::printf("  (OLS/ANOVA R2 on the P99 response: %.3f -- models"
                 " the mean of the\n   quantile, not the quantile"
                 " itself)\n\n",

@@ -1,15 +1,15 @@
 /**
  * @file
- * Performance microbenchmarks for the regression layer: the quantile-
- * regression fit that the attribution pipeline runs per quantile and
- * per bootstrap replicate (480 rows x 16 terms at paper scale).
+ * Performance microbenchmarks for the regression layer: the exact
+ * factorial fit that the attribution pipeline runs per quantile, and
+ * the within-cell bootstrap behind Table IV's standard errors, at paper
+ * scale (2^4 cells x 30 runs = 480 rows, 200 replicates).
  */
 
 #include <benchmark/benchmark.h>
 
 #include "regress/design.h"
-#include "regress/ols.h"
-#include "regress/quantreg.h"
+#include "regress/factorial.h"
 #include "util/random_variates.h"
 #include "util/rng.h"
 
@@ -19,18 +19,17 @@ using namespace treadmill::regress;
 namespace {
 
 struct Dataset {
-    Matrix x;
+    FactorialDesign design{{"numa", "turbo", "dvfs", "nic"}};
+    std::vector<std::vector<double>> levels;
     Vec y;
 };
 
 Dataset
 factorialDataset(std::size_t reps)
 {
-    FactorialDesign design({"numa", "turbo", "dvfs", "nic"});
+    Dataset data;
     Rng rng(5);
     Normal noise(0.0, 15.0);
-    std::vector<std::vector<double>> obs;
-    Vec y;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         for (unsigned cell = 0; cell < 16; ++cell) {
             std::vector<double> levels{
@@ -38,59 +37,47 @@ factorialDataset(std::size_t reps)
                 static_cast<double>((cell >> 1) & 1),
                 static_cast<double>((cell >> 2) & 1),
                 static_cast<double>((cell >> 3) & 1)};
-            obs.push_back(levels);
-            y.push_back(355.0 + 56.0 * levels[0] - 29.0 * levels[1] +
-                        29.0 * levels[3] - 58.0 * levels[2] * levels[3] +
-                        noise.sample(rng));
+            data.y.push_back(355.0 + 56.0 * levels[0] -
+                             29.0 * levels[1] + 29.0 * levels[3] -
+                             58.0 * levels[2] * levels[3] +
+                             noise.sample(rng));
+            data.levels.push_back(std::move(levels));
         }
     }
-    Matrix x = design.designMatrix(obs);
-    x = FactorialDesign::perturb(x, 0.01, rng);
-    return Dataset{std::move(x), std::move(y)};
+    return data;
 }
 
 void
-BM_QuantRegFitP99(benchmark::State &state)
+BM_FactorialFitP99(benchmark::State &state)
 {
     const Dataset data =
         factorialDataset(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state)
-        benchmark::DoNotOptimize(fitQuantile(data.x, data.y, 0.99));
+        benchmark::DoNotOptimize(
+            fitFactorial(data.design, data.levels, data.y, 0.99));
 }
-BENCHMARK(BM_QuantRegFitP99)->Arg(10)->Arg(30);
+BENCHMARK(BM_FactorialFitP99)->Arg(10)->Arg(30);
 
 void
-BM_QuantRegFitMedian(benchmark::State &state)
+BM_FactorialOls(benchmark::State &state)
 {
     const Dataset data = factorialDataset(30);
     for (auto _ : state)
-        benchmark::DoNotOptimize(fitQuantile(data.x, data.y, 0.5));
+        benchmark::DoNotOptimize(
+            fitFactorialOls(data.design, data.levels, data.y));
 }
-BENCHMARK(BM_QuantRegFitMedian);
+BENCHMARK(BM_FactorialOls);
 
 void
-BM_OlsFit(benchmark::State &state)
+BM_FactorialBootstrap(benchmark::State &state)
 {
     const Dataset data = factorialDataset(30);
+    Rng rng(7);
     for (auto _ : state)
-        benchmark::DoNotOptimize(fitOls(data.x, data.y));
+        benchmark::DoNotOptimize(bootstrapFactorial(
+            data.design, data.levels, data.y, 0.99, 200, rng));
 }
-BENCHMARK(BM_OlsFit);
-
-void
-BM_DesignMatrixBuild(benchmark::State &state)
-{
-    FactorialDesign design({"numa", "turbo", "dvfs", "nic"});
-    std::vector<std::vector<double>> obs;
-    for (std::size_t i = 0; i < 480; ++i)
-        obs.push_back({static_cast<double>(i & 1),
-                       static_cast<double>((i >> 1) & 1),
-                       static_cast<double>((i >> 2) & 1),
-                       static_cast<double>((i >> 3) & 1)});
-    for (auto _ : state)
-        benchmark::DoNotOptimize(design.designMatrix(obs));
-}
-BENCHMARK(BM_DesignMatrixBuild);
+BENCHMARK(BM_FactorialBootstrap)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -15,9 +15,7 @@
 #include <cstdio>
 
 #include "regress/design.h"
-#include "regress/ols.h"
-#include "regress/pseudo_r2.h"
-#include "regress/quantreg.h"
+#include "regress/factorial.h"
 #include "util/random_variates.h"
 #include "util/rng.h"
 
@@ -58,10 +56,8 @@ main()
             }
         }
     }
-    const Matrix x = design.designMatrix(obs);
-
     // ANOVA / OLS view.
-    const OlsResult ols = fitOls(x, y);
+    const OlsResult ols = fitFactorialOls(design, obs, y);
     std::printf("OLS (models the mean):\n");
     std::printf("  term         estimate   p-value\n");
     for (std::size_t t = 0; t < 4; ++t) {
@@ -74,7 +70,7 @@ main()
     std::printf("\nQuantile regression:\n");
     std::printf("  tau    burst coeff   speed coeff\n");
     for (double tau : {0.5, 0.9, 0.99}) {
-        const QuantRegResult fit = fitQuantile(x, y, tau);
+        const QuantRegResult fit = fitFactorial(design, obs, y, tau);
         std::printf("  %.2f   %+10.2f   %+10.2f\n", tau,
                     fit.coefficients[1], fit.coefficients[2]);
     }

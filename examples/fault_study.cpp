@@ -8,12 +8,11 @@
  * interrupt storms -- with several replicates per cell through the
  * StudyDriver, exactly the treatment the paper applies to hardware
  * factors: take each run's aggregated per-instance quantile as the
- * response, perturb the dummy variables by 0.01 sd, and fit quantile
- * regression with all interaction terms at P50/P95/P99. Every cell
- * additionally carries the same brief packet-loss window so the
- * client resilience policy (timeout + retry) has something to absorb;
- * being identical across cells, it lands in the intercept, not in any
- * factor estimate.
+ * response and fit quantile regression with all interaction terms at
+ * P50/P95/P99. Every cell additionally carries the same brief
+ * packet-loss window so the client resilience policy (timeout +
+ * retry) has something to absorb; being identical across cells, it
+ * lands in the intercept, not in any factor estimate.
  *
  * A multi-millisecond freeze delays every request that arrives during
  * the pause, so the stall factor should dominate the P99 model while

@@ -87,13 +87,7 @@ fitFactorialModels(const regress::FactorialDesign &design,
     if (levels.empty())
         throw NumericalError("factorial fit needs observations");
 
-    // Assemble the design matrix once; responses differ per tau.
-    const regress::Matrix clean = design.designMatrix(levels);
-
-    Rng rng = Rng(0xbead5eedful).substream(params.seed);
-    const regress::Matrix x =
-        regress::FactorialDesign::perturb(clean, params.perturbSd, rng);
-
+    const Rng rng = Rng(0xbead5eedful).substream(params.seed);
     const auto names = design.termNames();
     std::vector<QuantileModel> models;
     for (double tau : params.quantiles) {
@@ -108,15 +102,18 @@ fitFactorialModels(const regress::FactorialDesign &design,
         Rng bootRng = rng.substream(
             static_cast<std::uint64_t>(tau * 1e6));
         const regress::QuantRegInference inference =
-            regress::bootstrapQuantReg(x, y, tau,
-                                       params.bootstrapReplicates,
-                                       bootRng);
+            regress::bootstrapFactorial(design, levels, y, tau,
+                                        params.bootstrapReplicates,
+                                        bootRng);
 
         QuantileModel model;
         model.tau = tau;
         model.fit = inference.fit;
-        model.pseudoR2 = regress::pseudoR2(
-            x, y, inference.fit.coefficients, tau);
+        regress::Vec predicted;
+        predicted.reserve(levels.size());
+        for (const std::vector<double> &l : levels)
+            predicted.push_back(model.fit.predict(design.designRow(l)));
+        model.pseudoR2 = regress::pseudoR2(y, predicted, tau);
         for (std::size_t t = 0; t < names.size(); ++t) {
             TermEstimate term;
             term.name = names[t];
@@ -164,7 +161,6 @@ fitAttribution(const AttributionParams &params,
     FactorialFitParams fit;
     fit.quantiles = params.quantiles;
     fit.bootstrapReplicates = params.bootstrapReplicates;
-    fit.perturbSd = params.perturbSd;
     fit.seed = params.seed;
     result.models =
         fitFactorialModels(result.design, levels, responses, fit);

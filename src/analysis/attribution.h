@@ -5,10 +5,10 @@
  * The pipeline: run repeated experiments over random permutations of
  * the 2^4 factorial configurations (at least `repsPerConfig` per
  * cell), take each experiment's aggregated quantile as the response
- * variable, perturb the dummy variables by 0.01 sd, fit quantile
- * regression with all interaction terms at each requested tau, and
- * report Table IV-style estimates with bootstrap standard errors,
- * p-values, and the pseudo-R^2 goodness-of-fit.
+ * variable, fit quantile regression with all interaction terms at each
+ * requested tau (exactly, in closed form: regress/factorial.h), and
+ * report Table IV-style estimates with within-cell bootstrap standard
+ * errors, p-values, and the pseudo-R^2 goodness-of-fit.
  *
  * This header holds the data model and the fit; the sweep runs in
  * drive::StudyDriver (drive::hardwarePlan, drive::runAttribution).
@@ -25,7 +25,7 @@
 #include "core/experiment.h"
 #include "hw/hardware_config.h"
 #include "regress/design.h"
-#include "regress/inference.h"
+#include "regress/factorial.h"
 
 namespace treadmill {
 namespace analysis {
@@ -44,8 +44,6 @@ struct AttributionParams {
     unsigned repsPerConfig = 30;
     /** Bootstrap replicates for standard errors. */
     std::size_t bootstrapReplicates = 200;
-    /** The paper's symmetric dummy-variable perturbation. */
-    double perturbSd = 0.01;
     core::AggregationKind aggregation =
         core::AggregationKind::PerInstance;
     /** Seeds the run order, every run seed, and the fit. */
@@ -124,7 +122,6 @@ struct AttributionResult {
 struct FactorialFitParams {
     std::vector<double> quantiles{0.5, 0.95, 0.99};
     std::size_t bootstrapReplicates = 200;
-    double perturbSd = 0.01;
     std::uint64_t seed = 1;
 };
 
@@ -133,14 +130,16 @@ struct FactorialFitParams {
  * factorial data set. This is the engine behind fitAttribution() and
  * drive::StudyDriver, so studies with factor sets other than the
  * hardware one -- e.g. injected-fault toggles -- get the identical
- * treatment:
- * 0.01-sd dummy perturbation, quantile regression with all
- * interactions, bootstrap standard errors, pseudo-R^2.
+ * treatment: the exact quantile regression with all interactions,
+ * within-cell bootstrap standard errors, pseudo-R^2.
  *
  * @param design The factor structure (any names/count).
  * @param levels One level vector (0/1 per factor) per observation.
  * @param responses tau -> one response per observation (microseconds);
  *        must contain every tau in params.quantiles.
+ * @throws ConfigError on a level other than 0 or 1, a cell with fewer
+ *         than 2 observations, or fewer than 2 bootstrap replicates;
+ *         NumericalError on missing observations or responses.
  */
 std::vector<QuantileModel> fitFactorialModels(
     const regress::FactorialDesign &design,

@@ -202,8 +202,9 @@ StudyDriver::run(const std::vector<StudyRun> &plan,
                                              responses, controls.fit);
                 ++out.refitsOverlapped;
             } catch (const Error &) {
-                // A partial data set can be rank-deficient; the next
-                // completion retries, and the final fit always runs.
+                // A partial data set can leave a cell with fewer than
+                // the 2 runs the bootstrap needs; the next completion
+                // retries, and the final fit always runs.
             }
             sinceFit = 0;
         }
@@ -279,7 +280,6 @@ runAttribution(const analysis::AttributionParams &params)
     controls.factors = hw::factorNames();
     controls.fit.quantiles = params.quantiles;
     controls.fit.bootstrapReplicates = params.bootstrapReplicates;
-    controls.fit.perturbSd = params.perturbSd;
     controls.fit.seed = params.seed;
     controls.aggregation = params.aggregation;
     controls.parallelism = params.parallelism;

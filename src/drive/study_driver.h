@@ -130,9 +130,9 @@ std::vector<StudyRun> hardwarePlan(const analysis::AttributionParams &params);
  * package the outcome as an attribution result: one Observation per
  * run in plan order, and StudyDriver's final fit as the models.
  *
- * @throws NumericalError when the fit fails, e.g. at one rep per
- *         cell, which saturates the 16-term model so that its
- *         bootstrap cannot refit.
+ * @throws ConfigError when repsPerConfig is below 2: a cell with one
+ *         run fits exactly, but its within-cell bootstrap resample
+ *         cannot vary, so its standard errors are undefined.
  */
 analysis::AttributionResult
 runAttribution(const analysis::AttributionParams &params);

@@ -2,7 +2,6 @@
 
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/random_variates.h"
 #include "util/strings.h"
 
 namespace treadmill {
@@ -65,36 +64,47 @@ FactorialDesign::designRow(const std::vector<double> &levels) const
     return row;
 }
 
-Matrix
-FactorialDesign::designMatrix(
-    const std::vector<std::vector<double>> &observations) const
+std::vector<std::vector<std::size_t>>
+FactorialDesign::cellRows(
+    const std::vector<std::vector<double>> &levels) const
 {
-    if (observations.empty())
-        throw NumericalError("design matrix needs observations");
-    Matrix x(observations.size(), termCount());
-    for (std::size_t r = 0; r < observations.size(); ++r) {
-        const Vec row = designRow(observations[r]);
-        for (std::size_t c = 0; c < row.size(); ++c)
-            x.at(r, c) = row[c];
+    std::vector<std::vector<std::size_t>> cells(termCount());
+    for (std::size_t r = 0; r < levels.size(); ++r) {
+        if (levels[r].size() != names.size())
+            throw ConfigError(strprintf(
+                "observation %zu has %zu levels for %zu factors", r,
+                levels[r].size(), names.size()));
+        std::size_t cell = 0;
+        for (std::size_t f = 0; f < names.size(); ++f) {
+            const double level = levels[r][f];
+            if (level != 0.0 && level != 1.0)
+                throw ConfigError(strprintf(
+                    "observation %zu: level %g of factor \"%s\" is not "
+                    "0 or 1",
+                    r, level, names[f].c_str()));
+            if (level == 1.0)
+                cell |= std::size_t{1} << f;
+        }
+        cells[cell].push_back(r);
     }
-    return x;
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        if (cells[c].empty())
+            throw ConfigError(strprintf(
+                "factorial cell %s has no observations",
+                cellName(c).c_str()));
+    }
+    return cells;
 }
 
-Matrix
-FactorialDesign::perturb(const Matrix &x, double sd, Rng &rng)
+std::string
+FactorialDesign::cellName(std::size_t c) const
 {
-    if (!(sd >= 0.0))
-        throw ConfigError("perturbation sd must be non-negative");
-    Matrix out = x;
-    if (sd == 0.0)
-        return out;
-    Normal noise(0.0, sd);
-    for (std::size_t r = 0; r < out.rows(); ++r) {
-        // Column 0 is the intercept; leave it exact.
-        for (std::size_t c = 1; c < out.cols(); ++c)
-            out.at(r, c) += noise.sample(rng);
-    }
-    return out;
+    TM_ASSERT(c < termCount(), "cell index out of range");
+    std::vector<std::string> parts;
+    for (std::size_t f = 0; f < names.size(); ++f)
+        parts.push_back(strprintf("%s=%d", names[f].c_str(),
+                                  (c >> f) & 1 ? 1 : 0));
+    return "{" + join(parts, ", ") + "}";
 }
 
 } // namespace regress

@@ -4,24 +4,24 @@
  *
  * Builds the model of the paper's Equation 1: an intercept, every
  * factor in isolation, and the products of every factor subset
- * ("numa:turbo", ..., "numa:turbo:dvfs:nic"). Also implements the
- * paper's pre-fit data treatment: the symmetric 0.01-sd perturbation
- * of the dummy variables that keeps the numerical optimizer out of
- * degenerate corners (S V-A).
+ * ("numa:turbo", ..., "numa:turbo:dvfs:nic"). The model is saturated
+ * -- one term per factorial cell -- and terms and cells share one
+ * encoding: bit f of an index is factor f (in the term) or factor f's
+ * level (in the cell).
  */
 
 #ifndef TREADMILL_REGRESS_DESIGN_H_
 #define TREADMILL_REGRESS_DESIGN_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <vector>
 
-#include "regress/matrix.h"
-#include "util/rng.h"
-
 namespace treadmill {
 namespace regress {
+
+/** Column vector. */
+using Vec = std::vector<double>;
 
 /** The term structure of a 2^k factorial model with interactions. */
 class FactorialDesign
@@ -36,7 +36,7 @@ class FactorialDesign
     /** Number of base factors k. */
     std::size_t factorCount() const { return names.size(); }
 
-    /** Number of model terms: 2^k (intercept + all subsets). */
+    /** Number of model terms (and of cells): 2^k. */
     std::size_t termCount() const { return std::size_t{1} << names.size(); }
 
     /**
@@ -63,18 +63,18 @@ class FactorialDesign
     Vec designRow(const std::vector<double> &levels) const;
 
     /**
-     * Full design matrix for a set of observations.
+     * Group observations by factorial cell: entry c lists, in input
+     * order, the rows whose levels put them in cell c.
      *
-     * @param observations One level vector per experiment.
+     * @param levels One level vector per observation.
+     * @throws ConfigError naming the observation when a level is not
+     *         exactly 0 or 1, or naming an empty cell by its levels.
      */
-    Matrix designMatrix(
-        const std::vector<std::vector<double>> &observations) const;
+    std::vector<std::vector<std::size_t>>
+    cellRows(const std::vector<std::vector<double>> &levels) const;
 
-    /**
-     * The paper's symmetric perturbation: add N(0, sd) noise to every
-     * non-intercept entry of the design matrix.
-     */
-    static Matrix perturb(const Matrix &x, double sd, Rng &rng);
+    /** Cell @p c by its levels: "{numa=1, turbo=0}". */
+    std::string cellName(std::size_t c) const;
 
   private:
     std::vector<std::string> names;

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "stats/summary.h"
+#include "regress/factorial.h"
 #include "util/error.h"
 
 namespace treadmill {
@@ -24,9 +24,10 @@ pseudoR2(const Vec &observed, const Vec &predicted, double tau)
     if (!(tau > 0.0 && tau < 1.0))
         throw NumericalError("tau must lie strictly in (0, 1)");
 
-    // Best constant model: the empirical tau-quantile of y
-    // (the minimizer of the weighted absolute error).
-    const double constant = stats::quantile(observed, tau);
+    // Best constant model: the minimizer of the weighted absolute
+    // error. An interpolated quantile minimizes it only when n tau is
+    // an integer, and otherwise overstates the constant model's error.
+    const double constant = lowerQuantile(observed, tau);
 
     double modelError = 0.0;
     double constError = 0.0;
@@ -41,12 +42,6 @@ pseudoR2(const Vec &observed, const Vec &predicted, double tau)
     if (constError == 0.0)
         return modelError == 0.0 ? 1.0 : 0.0;
     return 1.0 - modelError / constError;
-}
-
-double
-pseudoR2(const Matrix &x, const Vec &y, const Vec &beta, double tau)
-{
-    return pseudoR2(y, x.multiply(beta), tau);
 }
 
 } // namespace regress

@@ -4,14 +4,15 @@
  *
  * Implements Equations 2-4 exactly: the weighted absolute prediction
  * error of the fitted model, normalized by the error of the best
- * constant model (the empirical tau-quantile of y). 1 means a perfect
- * fit; 0 means the covariates explain nothing beyond a constant.
+ * constant model (lowerQuantile of y, the pinball-loss minimizer the
+ * factorial fit uses too). 1 means a perfect fit; 0 means the
+ * covariates explain nothing beyond a constant.
  */
 
 #ifndef TREADMILL_REGRESS_PSEUDO_R2_H_
 #define TREADMILL_REGRESS_PSEUDO_R2_H_
 
-#include "regress/matrix.h"
+#include "regress/design.h"
 
 namespace treadmill {
 namespace regress {
@@ -25,12 +26,6 @@ double quantileErrorWeight(double tau, double err);
  * (Equation 2). @p predicted and @p observed must be the same size.
  */
 double pseudoR2(const Vec &observed, const Vec &predicted, double tau);
-
-/**
- * Pseudo-R^2 of a fitted coefficient vector over a design matrix.
- */
-double pseudoR2(const Matrix &x, const Vec &y, const Vec &beta,
-                double tau);
 
 } // namespace regress
 } // namespace treadmill

@@ -98,7 +98,7 @@ TEST(AttributionTest, NumaInterleaveHurtsTailAtHighLoad)
 TEST(AttributionTest, PredictionMatchesCoefficientArithmetic)
 {
     // Table IV usage: the prediction for a config is the sum of its
-    // active terms (up to the perturbation's tiny wobble).
+    // active terms.
     const auto &r = sharedResult();
     hw::HardwareConfig cfg;
     cfg.numa = hw::NumaPolicy::Interleave;
@@ -122,10 +122,17 @@ TEST(AttributionTest, PseudoR2IsReportedAndPositive)
 
 TEST(AttributionTest, TailModelHasLargerUncertainty)
 {
-    // Finding 2: standard errors grow toward the tail.
+    // Finding 2: standard errors grow toward the tail. Compared over
+    // all 16 terms: any one term's SE here is the resampling spread of
+    // 2 runs per cell, too few to order a single pair reliably.
     const auto &r = sharedResult();
-    EXPECT_GT(r.model(0.99).terms[0].standardError,
-              r.model(0.5).terms[0].standardError);
+    const auto meanSe = [](const QuantileModel &m) {
+        double total = 0.0;
+        for (const TermEstimate &t : m.terms)
+            total += t.standardError;
+        return total / static_cast<double>(m.terms.size());
+    };
+    EXPECT_GT(meanSe(r.model(0.99)), meanSe(r.model(0.5)));
 }
 
 TEST(AttributionTest, UtilizationVariesAcrossConfigs)

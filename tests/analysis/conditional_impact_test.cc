@@ -22,7 +22,6 @@ syntheticAttribution()
     AttributionParams params;
     params.quantiles = {0.5};
     params.bootstrapReplicates = 20;
-    params.perturbSd = 0.0; // exact arithmetic
     params.seed = 5;
 
     std::vector<Observation> observations;

@@ -80,7 +80,6 @@ TEST(ExportTest, AttributionSerializes)
     AttributionParams params;
     params.quantiles = {0.5, 0.99};
     params.bootstrapReplicates = 20;
-    params.perturbSd = 0.0;
     std::vector<Observation> obs;
     Rng rng(3);
     Normal noise(0.0, 1.0);

@@ -80,7 +80,6 @@ TEST(CoefficientTableTest, RendersSyntheticAttribution)
     AttributionParams params;
     params.quantiles = {0.5, 0.99};
     params.bootstrapReplicates = 16;
-    params.perturbSd = 0.0;
     std::vector<Observation> obs;
     for (int rep = 0; rep < 4; ++rep) {
         for (unsigned idx = 0; idx < 16; ++idx) {

@@ -58,46 +58,25 @@ TEST(DesignTest, RowRejectsWrongLevelCount)
     EXPECT_THROW(d.designRow({1.0}), NumericalError);
 }
 
-TEST(DesignTest, FullFactorialMatrixHasFullRank)
-{
-    FactorialDesign d({"a", "b", "c", "d"});
-    std::vector<std::vector<double>> obs;
-    for (unsigned cell = 0; cell < 16; ++cell) {
-        obs.push_back({static_cast<double>(cell & 1),
-                       static_cast<double>((cell >> 1) & 1),
-                       static_cast<double>((cell >> 2) & 1),
-                       static_cast<double>((cell >> 3) & 1)});
-    }
-    const Matrix x = d.designMatrix(obs);
-    EXPECT_EQ(x.rows(), 16u);
-    EXPECT_EQ(x.cols(), 16u);
-    // Gram matrix must be invertible: full rank.
-    EXPECT_NO_THROW(invertSpd(x.gram()));
-}
-
-TEST(DesignTest, PerturbationIsSmallAndSparesIntercept)
+TEST(DesignTest, CellRowsGroupByLevelsInInputOrder)
 {
     FactorialDesign d({"a", "b"});
-    std::vector<std::vector<double>> obs{{0, 0}, {1, 0}, {0, 1}, {1, 1}};
-    const Matrix x = d.designMatrix(obs);
-    Rng rng(1);
-    const Matrix noisy = FactorialDesign::perturb(x, 0.01, rng);
-    for (std::size_t r = 0; r < 4; ++r) {
-        EXPECT_DOUBLE_EQ(noisy.at(r, 0), 1.0); // intercept exact
-        for (std::size_t c = 1; c < 4; ++c)
-            EXPECT_NEAR(noisy.at(r, c), x.at(r, c), 0.06);
-    }
+    const std::vector<std::vector<double>> obs{
+        {1, 1}, {0, 0}, {1, 0}, {0, 1}, {0, 0}, {1, 1}};
+    const auto cells = d.cellRows(obs);
+    ASSERT_EQ(cells.size(), 4u);
+    // Cell index bit f is factor f's level, as in the term index.
+    EXPECT_EQ(cells[0], (std::vector<std::size_t>{1, 4}));
+    EXPECT_EQ(cells[1], (std::vector<std::size_t>{2}));
+    EXPECT_EQ(cells[2], (std::vector<std::size_t>{3}));
+    EXPECT_EQ(cells[3], (std::vector<std::size_t>{0, 5}));
 }
 
-TEST(DesignTest, ZeroSdPerturbationIsIdentity)
+TEST(DesignTest, CellRowsRejectsWrongLevelCount)
 {
-    FactorialDesign d({"a"});
-    const Matrix x = d.designMatrix({{0.0}, {1.0}});
-    Rng rng(2);
-    const Matrix same = FactorialDesign::perturb(x, 0.0, rng);
-    for (std::size_t r = 0; r < 2; ++r)
-        for (std::size_t c = 0; c < 2; ++c)
-            EXPECT_DOUBLE_EQ(same.at(r, c), x.at(r, c));
+    // Empty cells and non-0/1 levels: FactorialFitTest.
+    FactorialDesign d({"numa", "turbo"});
+    EXPECT_THROW(d.cellRows({{0, 0}, {1, 0}, {0, 1}, {1}}), ConfigError);
 }
 
 } // namespace

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "regress/quantreg.h"
+#include "regress/factorial.h"
 #include "stats/summary.h"
 #include "util/error.h"
 #include "util/random_variates.h"
@@ -42,39 +42,60 @@ TEST(PseudoR2Test, ConstantQuantilePredictionIsZero)
     EXPECT_NEAR(pseudoR2(y, constant, 0.9), 0.0, 1e-9);
 }
 
+TEST(PseudoR2Test, BestConstantScoresZeroWhenNTauIsNotAnInteger)
+{
+    // The best constant is x_(ceil(n tau)); an interpolated quantile
+    // would overstate the constant model's loss and score these above
+    // 0 (0.495 and 0.231).
+    EXPECT_NEAR(pseudoR2(Vec{0.0, 10.0}, Vec(2, 10.0), 0.99), 0.0,
+                1e-12);
+    EXPECT_NEAR(pseudoR2(Vec{1.0, 2.0, 3.0, 4.0}, Vec(4, 4.0), 0.9),
+                0.0, 1e-12);
+}
+
+/** Pseudo-R2 of the exact fit of y on one 0/1 factor. */
+double
+groupFitPseudoR2(const std::vector<double> &group, const Vec &y,
+                 double tau)
+{
+    const FactorialDesign design({"group"});
+    std::vector<std::vector<double>> levels;
+    for (double g : group)
+        levels.push_back({g});
+    const QuantRegResult fit = fitFactorial(design, levels, y, tau);
+    Vec predicted;
+    for (const auto &l : levels)
+        predicted.push_back(fit.predict(design.designRow(l)));
+    return pseudoR2(y, predicted, tau);
+}
+
 TEST(PseudoR2Test, InformativeModelScoresHigh)
 {
     // Strong covariate signal: QR fit explains most tail variation.
     Rng rng(2);
     Normal noise(0.0, 1.0);
-    const std::size_t n = 2000;
-    Matrix x(n, 2);
-    Vec y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const double group = static_cast<double>(i % 2);
-        x.at(i, 0) = 1.0;
-        x.at(i, 1) = group;
-        y[i] = 10.0 + 100.0 * group + noise.sample(rng);
+    std::vector<double> group;
+    Vec y;
+    for (std::size_t i = 0; i < 2000; ++i) {
+        group.push_back(static_cast<double>(i % 2));
+        y.push_back(10.0 + 100.0 * group.back() + noise.sample(rng));
     }
-    const QuantRegResult fit = fitQuantile(x, y, 0.95);
-    EXPECT_GT(pseudoR2(x, y, fit.coefficients, 0.95), 0.9);
+    EXPECT_GT(groupFitPseudoR2(group, y, 0.95), 0.9);
 }
 
 TEST(PseudoR2Test, UninformativeModelScoresNearZero)
 {
     Rng rng(3);
     Normal noise(0.0, 1.0);
-    const std::size_t n = 2000;
-    Matrix x(n, 2);
-    Vec y(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        x.at(i, 0) = 1.0;
-        x.at(i, 1) = static_cast<double>(i % 2); // unrelated to y
-        y[i] = 10.0 + noise.sample(rng);
+    std::vector<double> group;
+    Vec y;
+    for (std::size_t i = 0; i < 2000; ++i) {
+        group.push_back(static_cast<double>(i % 2)); // unrelated to y
+        y.push_back(10.0 + noise.sample(rng));
     }
-    const QuantRegResult fit = fitQuantile(x, y, 0.95);
-    const double r2 = pseudoR2(x, y, fit.coefficients, 0.95);
-    EXPECT_GE(r2, -0.05);
+    const double r2 = groupFitPseudoR2(group, y, 0.95);
+    // The fit can only beat the best constant: never below 0.
+    EXPECT_GE(r2, 0.0);
     EXPECT_LT(r2, 0.1);
 }
 
