@@ -1,9 +1,7 @@
 #include "core/workload.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
-#include <cstring>
 
 #include "util/error.h"
 
@@ -106,19 +104,13 @@ WorkloadGenerator::fill(server::Request &request)
     const Drawn &d = batch[batchPos++];
 
     request.op = d.isGet ? server::OpType::Get : server::OpType::Set;
-    // Format "key:<n>" into a stack buffer: same bytes strprintf
-    // produced, without the vsnprintf pass or its temporary string.
-    // Keys for any key space up to ~10^11 fit std::string's inline
-    // buffer, so the assignment does not allocate either.
-    char buf[4 + 20];
-    std::memcpy(buf, "key:", 4);
-    const auto end =
-        std::to_chars(buf + 4, buf + sizeof(buf), d.keyIdx);
-    request.key.assign(buf, end.ptr);
+    request.keyId = d.keyIdx;
+    char key[server::kWireKeyCapacity];
+    request.keyBytes =
+        static_cast<std::uint32_t>(server::wireKey(d.keyIdx, key).size());
     request.valueBytes = d.valueBytes;
     request.requestBytes =
-        cfg.requestOverheadBytes +
-        static_cast<std::uint32_t>(request.key.size()) +
+        cfg.requestOverheadBytes + request.keyBytes +
         (request.op == server::OpType::Set ? request.valueBytes : 0);
 }
 

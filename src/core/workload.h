@@ -12,7 +12,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "server/request.h"
 #include "util/json.h"
@@ -70,8 +69,8 @@ class WorkloadGenerator
     WorkloadGenerator(const WorkloadConfig &config, const Rng &rng);
 
     /**
-     * Populate @p request with op, key, sizes (everything except ids,
-     * timestamps, and connection assignment).
+     * Populate @p request with op, key id, sizes (everything except
+     * sequence ids, timestamps, and connection assignment).
      *
      * Draws are served from a precomputed batch (see refill()): the
      * per-request sequence of variates is identical to drawing them

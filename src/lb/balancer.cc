@@ -84,7 +84,7 @@ LoadBalancer::receive(server::RequestPtr request,
     TM_ASSERT(hooks.size() == params.backends,
               "balancer used before all backends attached");
     request->lbArrival = sim.now();
-    ring.replicas(HashRing::hashKey(request->key), params.replication,
+    ring.replicas(HashRing::hashKeyId(request->keyId), params.replication,
                   scratchReplicas);
     scratchHealthy.clear();
     for (std::uint32_t b : scratchReplicas) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "server/request.h"
 #include "util/error.h"
 #include "util/logging.h"
 
@@ -45,6 +46,13 @@ HashRing::hashKey(std::string_view key)
     // FNV mixes low bits weakly; finalize so ring positions and key
     // hashes occupy the full 64-bit circle uniformly.
     return mix64(h);
+}
+
+std::uint64_t
+HashRing::hashKeyId(std::uint64_t keyId)
+{
+    char key[server::kWireKeyCapacity];
+    return hashKey(server::wireKey(keyId, key));
 }
 
 std::uint64_t

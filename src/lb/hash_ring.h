@@ -42,6 +42,10 @@ class HashRing
     /** Stable 64-bit key hash (FNV-1a over the bytes). */
     static std::uint64_t hashKey(std::string_view key);
 
+    /** hashKey() of key id @p keyId's wire key (server::wireKey),
+     *  formatted on the stack: the request path builds no string. */
+    static std::uint64_t hashKeyId(std::uint64_t keyId);
+
     /** Backend owning @p keyHash. */
     std::uint32_t lookup(std::uint64_t keyHash) const;
 

@@ -1,8 +1,8 @@
 // tmlint:hot-path -- every server request lands in one of these LRU
-// operations; only the sink-parameter copy below may touch strings.
+// operations.
 #include "server/kvstore.h"
 
-#include <utility>
+#include "util/logging.h"
 
 namespace treadmill {
 namespace server {
@@ -10,62 +10,84 @@ namespace server {
 KvStore::KvStore(std::uint64_t capacityBytes) : capacity(capacityBytes) {}
 
 void
-// tmlint:allow-next-line(hot-path-no-string): sink parameter, moved into the store
-KvStore::set(const std::string &key, std::string value)
+KvStore::set(std::uint64_t keyId, std::uint32_t valueBytes)
 {
     ++setCount;
-    const auto it = table.find(key);
-    if (it != table.end()) {
-        storedBytes -= it->second->value.size();
-        storedBytes += value.size();
-        it->second->value = std::move(value);
-        lru.splice(lru.begin(), lru, it->second);
+    if (const std::uint32_t *found = index.find(keyId)) {
+        Entry &e = entries[*found];
+        storedBytes -= e.valueBytes;
+        storedBytes += valueBytes;
+        e.valueBytes = valueBytes;
+        unlink(*found);
+        pushFront(*found);
     } else {
-        storedBytes += value.size();
-        lru.push_front(Entry{key, std::move(value)});
-        table[key] = lru.begin();
+        std::uint32_t i = freeHead;
+        if (i != kNil) {
+            freeHead = entries[i].next;
+        } else {
+            TM_ASSERT(entries.size() < kNil, "KV store entry index overflow");
+            i = static_cast<std::uint32_t>(entries.size());
+            entries.emplace_back();
+        }
+        entries[i].keyId = keyId;
+        entries[i].valueBytes = valueBytes;
+        storedBytes += valueBytes;
+        pushFront(i);
+        index.insertOrAssign(keyId, i);
     }
     enforceCapacity();
 }
 
-bool
-KvStore::get(const std::string &key, std::string *value)
+std::optional<std::uint32_t>
+KvStore::find(std::uint64_t keyId)
 {
-    const auto it = table.find(key);
-    if (it == table.end()) {
+    const std::uint32_t *found = index.find(keyId);
+    if (found == nullptr) {
         ++missCount;
-        return false;
+        return std::nullopt;
     }
     ++hitCount;
-    lru.splice(lru.begin(), lru, it->second);
-    if (value != nullptr)
-        *value = it->second->value;
-    return true;
+    const std::uint32_t i = *found;
+    unlink(i);
+    pushFront(i);
+    return entries[i].valueBytes;
 }
 
-const std::string *
-KvStore::find(const std::string &key)
+std::vector<std::uint64_t>
+KvStore::keysByRecency() const
 {
-    const auto it = table.find(key);
-    if (it == table.end()) {
-        ++missCount;
-        return nullptr;
-    }
-    ++hitCount;
-    lru.splice(lru.begin(), lru, it->second);
-    return &it->second->value;
+    std::vector<std::uint64_t> keys;
+    keys.reserve(size());
+    for (std::uint32_t i = head; i != kNil; i = entries[i].next)
+        keys.push_back(entries[i].keyId);
+    return keys;
 }
 
-bool
-KvStore::erase(const std::string &key)
+void
+KvStore::unlink(std::uint32_t i)
 {
-    const auto it = table.find(key);
-    if (it == table.end())
-        return false;
-    storedBytes -= it->second->value.size();
-    lru.erase(it->second);
-    table.erase(it);
-    return true;
+    Entry &e = entries[i];
+    if (e.prev != kNil)
+        entries[e.prev].next = e.next;
+    else
+        head = e.next;
+    if (e.next != kNil)
+        entries[e.next].prev = e.prev;
+    else
+        tail = e.prev;
+}
+
+void
+KvStore::pushFront(std::uint32_t i)
+{
+    Entry &e = entries[i];
+    e.prev = kNil;
+    e.next = head;
+    if (head != kNil)
+        entries[head].prev = i;
+    else
+        tail = i;
+    head = i;
 }
 
 void
@@ -73,11 +95,14 @@ KvStore::enforceCapacity()
 {
     if (capacity == 0)
         return;
-    while (storedBytes > capacity && !lru.empty()) {
-        const Entry &victim = lru.back();
-        storedBytes -= victim.value.size();
-        table.erase(victim.key);
-        lru.pop_back();
+    while (storedBytes > capacity && tail != kNil) {
+        const std::uint32_t victim = tail;
+        Entry &e = entries[victim];
+        storedBytes -= e.valueBytes;
+        index.erase(e.keyId);
+        unlink(victim);
+        e.next = freeHead;
+        freeHead = victim;
         ++evictionCount;
     }
 }

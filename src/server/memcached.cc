@@ -1,6 +1,7 @@
 #include "server/memcached.h"
 
 #include <cmath>
+#include <optional>
 #include <utility>
 
 #include "util/logging.h"
@@ -91,20 +92,18 @@ MemcachedServer::executeOnWorker(RequestPtr request, RespondFn respond,
             request->workerEnd = end;
         }
 
-        // Perform the real hash-table operation.
+        // Perform the hash-table operation. The store keeps value
+        // sizes, so a GET hit answers with the size the last SET of
+        // its key stored.
         if (request->op == OpType::Set) {
-            kv.set(request->key,
-                   std::string(request->valueBytes, 'v'));
+            kv.set(request->keyId, request->valueBytes);
             request->hit = true;
             request->responseBytes = 48; // STORED + headers
         } else {
-            // find() ticks the same counters and refreshes LRU order
-            // like get(), without copying the value per GET.
-            const std::string *value = kv.find(request->key);
-            request->hit = value != nullptr;
-            request->responseBytes =
-                48 + static_cast<std::uint32_t>(
-                         value != nullptr ? value->size() : 0);
+            const std::optional<std::uint32_t> stored =
+                kv.find(request->keyId);
+            request->hit = stored.has_value();
+            request->responseBytes = 48 + stored.value_or(0);
         }
 
         ++servedCount;

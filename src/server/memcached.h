@@ -9,8 +9,10 @@
  *   protocol parsing + hash-table operation, paying NUMA memory stalls
  *   on the connection buffer -> response leaves through the NIC.
  *
- * The hash-table operation is performed against a real KvStore, so
- * hits, misses, and response sizes are genuine.
+ * The hash-table operation is performed against a KvStore that keeps
+ * each key's value size, not its bytes: hits, misses, LRU order,
+ * evictions and response sizes are those of a store holding the real
+ * values, and a warm server handles requests without heap allocation.
  */
 
 #ifndef TREADMILL_SERVER_MEMCACHED_H_

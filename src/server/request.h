@@ -11,10 +11,13 @@
 #ifndef TREADMILL_SERVER_REQUEST_H_
 #define TREADMILL_SERVER_REQUEST_H_
 
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
-#include <string>
+#include <string_view>
 
 #include "util/pool.h"
 #include "util/types.h"
@@ -46,7 +49,8 @@ struct Request {
     /** @} */
 
     OpType op = OpType::Get;
-    std::string key;
+    std::uint64_t keyId = 0;    ///< Key n; see wireKey().
+    std::uint32_t keyBytes = 0; ///< Wire size of the key.
     /** Backend shard that served the request (-1 = direct path,
      *  no balancer tier involved). Stamped by the load balancer at
      *  dispatch so attribution can split "backend N got slow" from
@@ -119,6 +123,23 @@ struct Request {
         return toMicros(nicDeparture - nicArrival);
     }
 };
+
+/** Room for the longest wire key: "key:" plus UINT64_MAX's 20 digits. */
+constexpr std::size_t kWireKeyCapacity = 4 + 20;
+
+/**
+ * Format key id @p keyId's wire key -- "key:<n>", the bytes memcached
+ * would see -- into @p buf, so no string is built per request.
+ *
+ * @return The key's bytes, a view into @p buf.
+ */
+inline std::string_view
+wireKey(std::uint64_t keyId, char (&buf)[kWireKeyCapacity])
+{
+    std::memcpy(buf, "key:", 4);
+    const auto end = std::to_chars(buf + 4, buf + sizeof(buf), keyId);
+    return std::string_view(buf, static_cast<std::size_t>(end.ptr - buf));
+}
 
 using RequestPtr = std::shared_ptr<Request>;
 

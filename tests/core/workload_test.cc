@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "util/error.h"
 #include "util/json.h"
 
@@ -89,9 +93,8 @@ TEST(WorkloadGeneratorTest, KeysStayInKeySpace)
     server::Request req;
     for (int i = 0; i < 1000; ++i) {
         gen.fill(req);
-        EXPECT_EQ(req.key.rfind("key:", 0), 0u);
-        const auto idx = std::stoull(req.key.substr(4));
-        EXPECT_LT(idx, 100u);
+        EXPECT_LT(req.keyId, 100u);
+        EXPECT_EQ(req.keyBytes, 4 + std::to_string(req.keyId).size());
     }
 }
 
@@ -106,7 +109,7 @@ TEST(WorkloadGeneratorTest, ZipfConcentratesOnHotKeys)
     server::Request req;
     for (int i = 0; i < n; ++i) {
         gen.fill(req);
-        if (std::stoull(req.key.substr(4)) < 10)
+        if (req.keyId < 10)
             ++hot;
     }
     // Under Zipf(0.99), the top 1% of keys get a large share.
@@ -124,7 +127,7 @@ TEST(WorkloadGeneratorTest, UniformWhenSkewIsZero)
     server::Request req;
     for (int i = 0; i < n; ++i) {
         gen.fill(req);
-        if (std::stoull(req.key.substr(4)) < 10)
+        if (req.keyId < 10)
             ++hot;
     }
     EXPECT_NEAR(static_cast<double>(hot) / n, 0.01, 0.005);
@@ -158,6 +161,32 @@ TEST(WorkloadGeneratorTest, SetRequestsCarryPayloadBytes)
     EXPECT_EQ(req.op, server::OpType::Set);
     EXPECT_GT(req.requestBytes,
               cfg.requestOverheadBytes + req.valueBytes);
+    EXPECT_EQ(req.requestBytes,
+              cfg.requestOverheadBytes + req.keyBytes + req.valueBytes);
+}
+
+TEST(WorkloadGeneratorTest, KeyBytesCountTheWireKey)
+{
+    // The wire key is "key:<n>" at every digit count, one to
+    // UINT64_MAX's twenty; requestBytes depends on its length.
+    const std::uint64_t ids[] = {0, 9, 10, 99999, std::uint64_t{1} << 32,
+                                 std::numeric_limits<std::uint64_t>::max()};
+    for (const std::uint64_t n : ids) {
+        char key[server::kWireKeyCapacity];
+        EXPECT_EQ(server::wireKey(n, key), "key:" + std::to_string(n))
+            << "key id " << n;
+    }
+
+    // And on generated requests, over a 2^40-key space.
+    WorkloadConfig cfg;
+    cfg.keySpace = std::uint64_t{1} << 40;
+    cfg.zipfSkew = 0.0;
+    WorkloadGenerator gen(cfg, Rng(8));
+    server::Request req;
+    for (int i = 0; i < 1000; ++i) {
+        gen.fill(req);
+        EXPECT_EQ(req.keyBytes, 4 + std::to_string(req.keyId).size());
+    }
 }
 
 TEST(WorkloadGeneratorTest, DeterministicForSameSeed)
@@ -170,7 +199,8 @@ TEST(WorkloadGeneratorTest, DeterministicForSameSeed)
     for (int i = 0; i < 100; ++i) {
         a.fill(ra);
         b.fill(rb);
-        EXPECT_EQ(ra.key, rb.key);
+        EXPECT_EQ(ra.keyId, rb.keyId);
+        EXPECT_EQ(ra.keyBytes, rb.keyBytes);
         EXPECT_EQ(ra.valueBytes, rb.valueBytes);
         EXPECT_EQ(ra.op, rb.op);
     }

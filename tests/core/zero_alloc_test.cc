@@ -1,14 +1,16 @@
 /**
  * @file
- * Steady-state allocation assertions for the client request loop.
+ * Steady-state allocation assertions for the client request loop and
+ * the server data path.
  *
  * Built only under -DTM_COUNT_ALLOCS=ON: the binary links the global
  * operator new/delete interposer (util/alloc_hook.cc) and asserts that
- * once the request pool, event-queue slots, and collector buffers are
- * warm, driving tens of thousands of requests through a load-tester
- * instance performs zero heap allocations. This pins the PR's central
- * claim -- the hot path is allocation-free in steady state -- as a
- * test rather than a benchmark observation.
+ * once the request pool, event-queue slots, collector buffers and KV
+ * store are warm, driving tens of thousands of requests through a
+ * load-tester instance or a Memcached server performs zero heap
+ * allocations. This pins the central claim -- the hot path is
+ * allocation-free in steady state -- as a test rather than a
+ * benchmark observation.
  */
 
 #include "core/client.h"
@@ -17,8 +19,11 @@
 
 #include <vector>
 
+#include "hw/machine.h"
+#include "server/memcached.h"
 #include "sim/simulation.h"
 #include "util/alloc_counter.h"
+#include "util/rng.h"
 
 namespace treadmill {
 namespace core {
@@ -79,6 +84,71 @@ TEST(ZeroAllocTest, WarmClientLoopRunsWithoutHeapAllocations)
     EXPECT_EQ(allocDelta, 0u)
         << "steady-state client loop performed " << allocDelta
         << " heap allocations (and " << freeDelta << " frees)";
+}
+
+/** Open-loop request source for a Memcached server: one pooled
+ *  request every 20 us, half of them SETs, over a fixed key set with
+ *  1 B - 2 KiB values. */
+struct ServerLoad {
+    static constexpr std::uint64_t kKeys = 512;
+
+    ServerLoad(sim::Simulation &sim_, server::MemcachedServer &server_)
+        : sim(sim_), server(server_)
+    {
+    }
+
+    sim::Simulation &sim;
+    server::MemcachedServer &server;
+    server::RequestPool pool;
+    Rng rng{17};
+    std::uint64_t issued = 0;
+    std::uint64_t answered = 0;
+
+    void
+    issue()
+    {
+        auto req = pool.make();
+        req->seqId = issued++;
+        req->connectionId = req->seqId % 16;
+        const bool isSet = rng.nextDouble() < 0.5;
+        req->op = isSet ? server::OpType::Set : server::OpType::Get;
+        req->keyId = rng.nextBelow(kKeys);
+        req->valueBytes =
+            isSet ? 1 + static_cast<std::uint32_t>(rng.nextBelow(2048)) : 0;
+        req->nicArrival = sim.now();
+        server.receive(std::move(req),
+                       [this](const server::RequestPtr &) { ++answered; });
+        sim.schedule(microseconds(20), [this] { issue(); });
+    }
+};
+
+TEST(ZeroAllocTest, WarmMemcachedServerRunsWithoutHeapAllocations)
+{
+    util::forceLinkAllocHook();
+    ASSERT_TRUE(util::allocCountingActive());
+
+    sim::Simulation sim;
+    hw::HardwareConfig hwCfg;
+    hwCfg.dvfs = hw::DvfsGovernor::Performance;
+    hw::Machine machine(sim, hw::MachineSpec{}, hwCfg, 1);
+    server::MemcachedServer server(machine, server::MemcachedParams{}, 1);
+    ServerLoad load(sim, server);
+    load.issue();
+
+    // Warm-up: every key stored, every arena at its footprint.
+    sim.runUntil(milliseconds(200)); // ~10k requests
+    ASSERT_EQ(server.store().size(), ServerLoad::kKeys);
+
+    const std::uint64_t allocsBefore = util::allocCount();
+    const std::uint64_t answeredBefore = load.answered;
+    sim.runUntil(milliseconds(1000)); // ~40k more requests
+    const std::uint64_t allocDelta = util::allocCount() - allocsBefore;
+
+    EXPECT_GT(load.answered - answeredBefore, 39000u);
+    EXPECT_GT(server.store().sets(), 20000u);
+    EXPECT_EQ(allocDelta, 0u)
+        << "warm Memcached server performed " << allocDelta
+        << " heap allocations";
 }
 
 TEST(ZeroAllocTest, RequestPoolRecyclesInsteadOfAllocating)

@@ -12,7 +12,6 @@
 #include "server/request.h"
 #include "sim/simulation.h"
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace treadmill {
 namespace lb {
@@ -60,11 +59,11 @@ struct Cluster {
     }
 
     server::RequestPtr
-    makeRequest(std::uint64_t seq, const std::string &key)
+    makeRequest(std::uint64_t seq, std::uint64_t keyId)
     {
         auto req = pool.make();
         req->seqId = seq;
-        req->key = key;
+        req->keyId = keyId;
         return req;
     }
 
@@ -72,14 +71,17 @@ struct Cluster {
     std::vector<std::uint64_t> completedSeqIds;
 
     void
-    send(std::uint64_t seq, const std::string &key)
+    send(std::uint64_t seq, std::uint64_t keyId)
     {
-        balancer->receive(makeRequest(seq, key),
+        balancer->receive(makeRequest(seq, keyId),
                           [this](const server::RequestPtr &resp) {
                               completedSeqIds.push_back(resp->seqId);
                           });
     }
 };
+
+/** The one key every request of the routing-consistency test uses. */
+constexpr std::uint64_t kHotKey = 424242;
 
 BalancerParams
 smallCluster(std::uint32_t backends)
@@ -134,7 +136,7 @@ TEST(BalancerTest, SameKeyAlwaysRoutesToTheSameBackend)
 {
     Cluster cluster(smallCluster(4));
     for (std::uint64_t i = 0; i < 64; ++i)
-        cluster.send(i, "hot:key");
+        cluster.send(i, kHotKey);
     cluster.sim.run();
 
     std::size_t nonEmpty = 0;
@@ -149,7 +151,7 @@ TEST(BalancerTest, SameKeyAlwaysRoutesToTheSameBackend)
     // The stamp the trace exporter and attribution read.
     EXPECT_EQ(cluster.balancer->dispatchedTo(
                   cluster.balancer->hashRing().lookup(
-                      HashRing::hashKey("hot:key"))),
+                      HashRing::hashKeyId(kHotKey))),
               64u);
 }
 
@@ -157,8 +159,7 @@ TEST(BalancerTest, SpreadsDistinctKeysAcrossBackends)
 {
     Cluster cluster(smallCluster(4));
     for (std::uint64_t i = 0; i < 400; ++i)
-        cluster.send(i, strprintf("key:%llu",
-                                  static_cast<unsigned long long>(i)));
+        cluster.send(i, i);
     cluster.sim.run();
     for (std::uint32_t b = 0; b < 4; ++b)
         EXPECT_GT(cluster.balancer->dispatchedTo(b), 0u);
@@ -171,11 +172,11 @@ TEST(BalancerTest, FailsOverPastADeadPrimary)
     Cluster cluster(params);
 
     const std::uint32_t primary =
-        cluster.balancer->hashRing().lookup(HashRing::hashKey("k1"));
+        cluster.balancer->hashRing().lookup(HashRing::hashKeyId(1));
     cluster.backends[primary]->alive = false;
 
     for (std::uint64_t i = 0; i < 16; ++i)
-        cluster.send(i, "k1");
+        cluster.send(i, 1);
     cluster.sim.run();
 
     EXPECT_TRUE(cluster.backends[primary]->servedSeqIds.empty());
@@ -191,11 +192,11 @@ TEST(BalancerTest, DropsWhenEveryReplicaIsDown)
     Cluster cluster(params);
 
     const std::uint32_t primary =
-        cluster.balancer->hashRing().lookup(HashRing::hashKey("k1"));
+        cluster.balancer->hashRing().lookup(HashRing::hashKeyId(1));
     cluster.backends[primary]->alive = false;
 
     for (std::uint64_t i = 0; i < 8; ++i)
-        cluster.send(i, "k1");
+        cluster.send(i, 1);
     cluster.sim.run();
 
     // No replica, no answer: the drop is counted, never responded.
@@ -209,9 +210,9 @@ TEST(BalancerTest, SaturatedBackendsQueueAndDrainInOrder)
     params.maxInflightPerBackend = 1;
     Cluster cluster(params, microseconds(100));
 
-    cluster.send(0, "a");
-    cluster.send(1, "b");
-    cluster.send(2, "c");
+    cluster.send(0, 10);
+    cluster.send(1, 11);
+    cluster.send(2, 12);
     EXPECT_EQ(cluster.balancer->queueDepth(), 2u);
     EXPECT_EQ(cluster.balancer->queued(), 2u);
     cluster.sim.run();
@@ -232,8 +233,7 @@ TEST(BalancerTest, EdfDispatchesTheTightestDeadlineFirst)
     Cluster cluster(params, microseconds(100));
 
     auto sendWithIntended = [&](std::uint64_t seq, SimTime intended) {
-        auto req = cluster.makeRequest(seq, strprintf(
-            "k%llu", static_cast<unsigned long long>(seq)));
+        auto req = cluster.makeRequest(seq, seq);
         req->intendedSend = intended;
         cluster.balancer->receive(
             std::move(req), [&](const server::RequestPtr &resp) {

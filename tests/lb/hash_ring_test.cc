@@ -7,26 +7,41 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
-#include "util/strings.h"
 
 namespace treadmill {
 namespace lb {
 namespace {
 
-/** Owners of `keys` synthetic keys under @p ring. */
+/** Owners of key ids 0..keys-1 under @p ring. */
 std::vector<std::uint32_t>
 ownerMap(const HashRing &ring, std::size_t keys)
 {
     std::vector<std::uint32_t> owners;
     owners.reserve(keys);
     for (std::size_t k = 0; k < keys; ++k)
-        owners.push_back(
-            ring.lookup(HashRing::hashKey(strprintf("key:%zu", k))));
+        owners.push_back(ring.lookup(HashRing::hashKeyId(k)));
     return owners;
+}
+
+TEST(HashRingTest, HashKeyIdHashesTheWireKeyBytes)
+{
+    // Ring placement must not move when requests carry key ids: the
+    // id hash is the byte hash of the "key:<n>" string at every digit
+    // count, from one digit to UINT64_MAX's twenty.
+    const std::uint64_t ids[] = {0, 9, 10, 99999, std::uint64_t{1} << 32,
+                                 std::numeric_limits<std::uint64_t>::max()};
+    for (const std::uint64_t n : ids) {
+        EXPECT_EQ(HashRing::hashKeyId(n),
+                  HashRing::hashKey("key:" + std::to_string(n)))
+            << "key id " << n;
+    }
 }
 
 TEST(HashRingTest, RejectsDegenerateShapes)
@@ -119,8 +134,7 @@ TEST(HashRingTest, ReplicaWalkYieldsDistinctBackendsPrimaryFirst)
     HashRing ring(backends, 64);
     std::vector<std::uint32_t> reps;
     for (std::size_t k = 0; k < 2000; ++k) {
-        const std::uint64_t h =
-            HashRing::hashKey(strprintf("key:%zu", k));
+        const std::uint64_t h = HashRing::hashKeyId(k);
         ring.replicas(h, 3, reps);
         ASSERT_EQ(reps.size(), 3u);
         EXPECT_EQ(reps.front(), ring.lookup(h));
@@ -129,7 +143,7 @@ TEST(HashRingTest, ReplicaWalkYieldsDistinctBackendsPrimaryFirst)
                   reps.size());
     }
     // Asking for more replicas than live backends caps at live count.
-    ring.replicas(HashRing::hashKey("any"), backends + 3, reps);
+    ring.replicas(HashRing::hashKeyId(7), backends + 3, reps);
     EXPECT_EQ(reps.size(), backends);
 }
 
@@ -139,8 +153,7 @@ TEST(HashRingTest, ReplicasSkipRemovedBackends)
     ring.removeBackend(1);
     std::vector<std::uint32_t> reps;
     for (std::size_t k = 0; k < 2000; ++k) {
-        ring.replicas(HashRing::hashKey(strprintf("key:%zu", k)), 3,
-                      reps);
+        ring.replicas(HashRing::hashKeyId(k), 3, reps);
         EXPECT_EQ(std::find(reps.begin(), reps.end(), 1u), reps.end());
     }
 }

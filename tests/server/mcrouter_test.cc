@@ -27,7 +27,7 @@ makeRequest(std::uint64_t seq, SimTime nicArrival)
     req->seqId = seq;
     req->connectionId = seq % 8;
     req->op = OpType::Get;
-    req->key = "key:" + std::to_string(seq);
+    req->keyId = seq;
     req->valueBytes = 64;
     req->nicArrival = nicArrival;
     return req;

@@ -21,14 +21,14 @@ perfConfig()
 }
 
 RequestPtr
-makeRequest(std::uint64_t seq, OpType op, const std::string &key,
+makeRequest(std::uint64_t seq, OpType op, std::uint64_t keyId,
             std::uint32_t valueBytes, SimTime nicArrival)
 {
     auto req = std::make_shared<Request>();
     req->seqId = seq;
     req->connectionId = seq % 16;
     req->op = op;
-    req->key = key;
+    req->keyId = keyId;
     req->valueBytes = valueBytes;
     req->requestBytes = 80 + (op == OpType::Set ? valueBytes : 0);
     req->nicArrival = nicArrival;
@@ -56,10 +56,9 @@ TEST_F(MemcachedTest, SetThenGetHits)
         responses.push_back(r);
     };
 
-    server.receive(makeRequest(1, OpType::Set, "key:1", 100, 0), collect);
+    server.receive(makeRequest(1, OpType::Set, 1, 100, 0), collect);
     sim.run();
-    server.receive(
-        makeRequest(2, OpType::Get, "key:1", 0, sim.now()), collect);
+    server.receive(makeRequest(2, OpType::Get, 1, 0, sim.now()), collect);
     sim.run();
 
     ASSERT_EQ(responses.size(), 2u);
@@ -72,7 +71,7 @@ TEST_F(MemcachedTest, SetThenGetHits)
 TEST_F(MemcachedTest, GetMissOnUnknownKey)
 {
     RequestPtr response;
-    server.receive(makeRequest(1, OpType::Get, "nope", 0, 0),
+    server.receive(makeRequest(1, OpType::Get, 999, 0, 0),
                    [&](const RequestPtr &r) { response = r; });
     sim.run();
     ASSERT_NE(response, nullptr);
@@ -83,7 +82,7 @@ TEST_F(MemcachedTest, GetMissOnUnknownKey)
 TEST_F(MemcachedTest, TimestampsAreOrdered)
 {
     RequestPtr response;
-    server.receive(makeRequest(1, OpType::Get, "k", 0, 0),
+    server.receive(makeRequest(1, OpType::Get, 7, 0, 0),
                    [&](const RequestPtr &r) { response = r; });
     sim.run();
     ASSERT_NE(response, nullptr);
@@ -95,7 +94,7 @@ TEST_F(MemcachedTest, TimestampsAreOrdered)
 TEST_F(MemcachedTest, ServerLatencyIsPositiveAndPlausible)
 {
     RequestPtr response;
-    server.receive(makeRequest(1, OpType::Get, "k", 0, 0),
+    server.receive(makeRequest(1, OpType::Get, 7, 0, 0),
                    [&](const RequestPtr &r) { response = r; });
     sim.run();
     ASSERT_NE(response, nullptr);
@@ -112,7 +111,7 @@ TEST_F(MemcachedTest, ConcurrentRequestsOnOneConnectionQueue)
     // overlap on the worker core.
     std::vector<RequestPtr> responses;
     for (std::uint64_t i = 0; i < 4; ++i) {
-        auto req = makeRequest(100 + i, OpType::Get, "k", 0, 0);
+        auto req = makeRequest(100 + i, OpType::Get, 7, 0, 0);
         req->connectionId = 7;
         server.receive(std::move(req), [&](const RequestPtr &r) {
             responses.push_back(r);
@@ -140,22 +139,19 @@ TEST(MemcachedStandaloneTest, StoreStateSurvivesAcrossRequests)
 
     // Populate 100 keys, then read them all back.
     for (std::uint64_t i = 0; i < 100; ++i) {
-        server.receive(makeRequest(i, OpType::Set,
-                                   "key:" + std::to_string(i), 64,
-                                   sim.now()),
+        server.receive(makeRequest(i, OpType::Set, i, 64, sim.now()),
                        [](const RequestPtr &) {});
     }
     sim.run();
     int hits = 0;
     for (std::uint64_t i = 0; i < 100; ++i) {
-        server.receive(makeRequest(1000 + i, OpType::Get,
-                                   "key:" + std::to_string(i), 0,
-                                   sim.now()),
+        server.receive(makeRequest(1000 + i, OpType::Get, i, 0, sim.now()),
                        [&](const RequestPtr &r) { hits += r->hit; });
     }
     sim.run();
     EXPECT_EQ(hits, 100);
     EXPECT_EQ(server.store().size(), 100u);
+    EXPECT_EQ(server.store().bytesStored(), 100u * 64u);
 }
 
 } // namespace
