@@ -43,7 +43,7 @@ main()
     std::printf("Running %u random-config runs vs %u tuned runs...\n\n",
                 params.runsPerArm, params.runsPerArm);
     const auto result =
-        analysis::evaluateImprovement(attribution, params);
+        drive::evaluateImprovement(attribution, params);
 
     std::printf("Recommended configuration: %s\n\n",
                 result.recommended.label().c_str());

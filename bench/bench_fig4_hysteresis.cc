@@ -13,6 +13,7 @@
 
 #include "bench_common.h"
 
+#include "drive/repeat.h"
 #include "stats/summary.h"
 
 using namespace treadmill;
@@ -32,25 +33,28 @@ main()
     base.collector.trajectoryQuantile = 0.99;
     base.requestsPerSecond = core::deriveRequestRate(base);
 
-    std::vector<double> converged;
-    for (std::uint64_t run = 0; run < 4; ++run) {
+    drive::Repetitions runs;
+    runs.paramsOf = [&base](std::size_t run) {
         core::ExperimentParams params = base;
         params.seed = 1000 + run * 131;
-        const auto result = core::runExperiment(params);
-
-        std::printf("Run #%llu (instance 0 trajectory)\n",
-                    static_cast<unsigned long long>(run));
-        std::printf("  samples   P99 estimate (us)\n");
-        for (const auto &[n, estimate] :
-             result.instances[0].trajectory) {
-            std::printf("  %7llu   %10.1f\n",
-                        static_cast<unsigned long long>(n), estimate);
-        }
-        const double final = result.aggregatedQuantile(
-            0.99, core::AggregationKind::PerInstance);
-        converged.push_back(final);
-        std::printf("  converged aggregated P99: %.1f us\n\n", final);
-    }
+        return params;
+    };
+    runs.tau = 0.99;
+    runs.maxRuns = 4;
+    const std::vector<double> converged = drive::repeatRuns(
+        runs, [](std::size_t run, const core::ExperimentParams &,
+                 const core::ExperimentResult &result) {
+            std::printf("Run #%zu (instance 0 trajectory)\n", run);
+            std::printf("  samples   P99 estimate (us)\n");
+            for (const auto &[n, estimate] :
+                 result.instances[0].trajectory) {
+                std::printf("  %7llu   %10.1f\n",
+                            static_cast<unsigned long long>(n), estimate);
+            }
+            std::printf("  converged aggregated P99: %.1f us\n\n",
+                        result.aggregatedQuantile(
+                            0.99, core::AggregationKind::PerInstance));
+        });
 
     const double avg = stats::mean(converged);
     std::printf("Average of converged values: %.1f us\n", avg);

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "exec/parallel_for.h"
+#include "drive/repeat.h"
 #include "sim/event_queue.h"
 #include "sim/simulation.h"
 
@@ -110,33 +110,36 @@ BENCHMARK(BM_FullExperiment)->Unit(benchmark::kMillisecond)
     ->Arg(1000)->Arg(4000);
 
 /**
- * The parallel experiment fan-out: a fixed batch of 8 seed-isolated
- * experiments executed with state.range(0) worker threads. Comparing
- * the timings across thread counts gives the wall-clock speedup of
- * the ParallelRunner on this machine (the results themselves are
- * bit-exact at every thread count; the determinism suite pins that).
+ * The parallel experiment fan-out: a fixed count of 8 seed-isolated
+ * experiments run through drive::repeatRuns with state.range(0) worker
+ * threads. Comparing the timings across thread counts gives the
+ * wall-clock speedup of the loop's ParallelRunner on this machine (the
+ * results themselves are bit-exact at every thread count; the
+ * determinism suite pins that).
  */
 void
 BM_ExperimentBatchParallel(benchmark::State &state)
 {
-    std::vector<core::ExperimentParams> runs;
-    for (std::size_t i = 0; i < 8; ++i) {
+    drive::Repetitions batch;
+    batch.paramsOf = [](std::size_t i) {
         core::ExperimentParams params;
         params.targetUtilization = 0.5;
         params.collector.warmUpSamples = 100;
         params.collector.calibrationSamples = 100;
         params.collector.measurementSamples = 1000;
         params.seed = 17 + i * 101;
-        runs.push_back(std::move(params));
-    }
-    const exec::Parallelism par{
-        static_cast<unsigned>(state.range(0))};
+        return params;
+    };
+    batch.maxRuns = 8;
+    batch.parallelism.threads = static_cast<unsigned>(state.range(0));
     double simSeconds = 0.0;
     for (auto _ : state) {
-        const auto results = core::runExperiments(runs, par);
-        for (const auto &r : results)
-            simSeconds += toSeconds(r.simulatedTime);
-        benchmark::DoNotOptimize(results.front().achievedRps);
+        const std::vector<double> p99s = drive::repeatRuns(
+            batch, [&simSeconds](std::size_t, const core::ExperimentParams &,
+                                 const core::ExperimentResult &r) {
+                simSeconds += toSeconds(r.simulatedTime);
+            });
+        benchmark::DoNotOptimize(p99s.front());
     }
     state.counters["sim_s_per_wall_s"] = benchmark::Counter(
         simSeconds, benchmark::Counter::kIsRate);

@@ -114,7 +114,7 @@ main()
                 " %u tuned runs)...\n",
                 improve.runsPerArm, improve.runsPerArm);
     const auto result =
-        analysis::evaluateImprovement(attribution, improve);
+        drive::evaluateImprovement(attribution, improve);
     std::printf("  recommended: %s\n",
                 result.recommended.label().c_str());
     std::printf("  P99 before: %.1f +- %.1f us\n", result.before.mean,

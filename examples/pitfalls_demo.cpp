@@ -17,6 +17,8 @@
 
 #include "core/experiment.h"
 #include "core/tester_spec.h"
+#include "drive/repeat.h"
+#include "stats/convergence.h"
 #include "stats/summary.h"
 
 using namespace treadmill;
@@ -120,26 +122,34 @@ void
 pitfall4Hysteresis()
 {
     std::printf("--- Pitfall 4: performance hysteresis ---\n");
-    core::ProcedureParams procedure;
-    procedure.base = baseParams();
-    procedure.base.config.dvfs = hw::DvfsGovernor::Ondemand;
-    procedure.base.collector.measurementSamples = 4000;
-    procedure.quantile = 0.99;
+    core::ExperimentParams base = baseParams();
+    base.config.dvfs = hw::DvfsGovernor::Ondemand;
+    base.collector.measurementSamples = 4000;
+
+    drive::Repetitions procedure;
+    procedure.paramsOf = [&base](std::size_t k) {
+        core::ExperimentParams params = base;
+        // Fresh run seed => fresh placement: the hysteresis dimension.
+        params.seed = base.seed + k * 7919 + 13;
+        return params;
+    };
+    procedure.tau = 0.99;
     procedure.minRuns = 5;
     procedure.maxRuns = 15;
-    const auto result = core::repeatedProcedure(procedure);
+    procedure.stop = [](const std::vector<double> &kept) {
+        return stats::meanConverged(kept, 0.02, 3);
+    };
+    const std::vector<double> runs = drive::repeatRuns(procedure);
 
     std::printf("  per-run converged P99 values (us):");
-    for (double v : result.perRunMetric)
+    for (double v : runs)
         std::printf(" %.0f", v);
     std::printf("\n  spread: %.0f..%.0f; single runs disagree, so the"
                 " procedure repeats\n  until the mean converges:"
                 " %.1f us after %zu runs (sd %.1f us)\n\n",
-                *std::min_element(result.perRunMetric.begin(),
-                                  result.perRunMetric.end()),
-                *std::max_element(result.perRunMetric.begin(),
-                                  result.perRunMetric.end()),
-                result.mean, result.runs, result.stddev);
+                *std::min_element(runs.begin(), runs.end()),
+                *std::max_element(runs.begin(), runs.end()),
+                stats::mean(runs), runs.size(), stats::stddev(runs));
 }
 
 } // namespace

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "exec/parallel_runner.h"
 #include "hw/hardware_config.h"
 #include "regress/design.h"
 #include "regress/factorial.h"

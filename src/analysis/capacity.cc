@@ -14,7 +14,8 @@ namespace {
 
 /**
  * Two-sided Student-t critical value at 95% confidence, by degrees of
- * freedom. Beyond the table the normal limit applies.
+ * freedom. Beyond the table, the Cornish-Fisher expansion about the
+ * normal quantile (within 1e-3 of the exact value from 31 df on).
  */
 double
 tCritical95(std::size_t df)
@@ -28,7 +29,11 @@ tCritical95(std::size_t df)
         return 0.0;
     if (df < sizeof(table) / sizeof(table[0]))
         return table[df];
-    return 1.960;
+    const double z = 1.959964;
+    const double v = static_cast<double>(df);
+    return z + (std::pow(z, 3) + z) / (4.0 * v) +
+           (5.0 * std::pow(z, 5) + 16.0 * std::pow(z, 3) + 3.0 * z) /
+               (96.0 * v * v);
 }
 
 } // namespace

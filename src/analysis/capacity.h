@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "exec/parallel_for.h"
 
 namespace treadmill {
 namespace analysis {

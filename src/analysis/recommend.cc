@@ -1,11 +1,6 @@
 #include "analysis/recommend.h"
 
 #include <algorithm>
-#include <functional>
-
-#include "stats/summary.h"
-#include "util/error.h"
-#include "util/rng.h"
 
 namespace treadmill {
 namespace analysis {
@@ -49,58 +44,6 @@ ImprovementResult::variabilityReduction() const
     if (before.stddev == 0.0)
         return 0.0;
     return (before.stddev - after.stddev) / before.stddev;
-}
-
-namespace {
-
-ImprovementArm
-runArm(const core::ExperimentParams &base, double tau,
-       core::AggregationKind aggregation, unsigned runs,
-       std::uint64_t seedBase,
-       const std::function<hw::HardwareConfig(Rng &)> &pickConfig)
-{
-    ImprovementArm arm;
-    Rng rng = Rng(0x19a9e0b5eedull).substream(seedBase);
-    for (unsigned run = 0; run < runs; ++run) {
-        core::ExperimentParams params = base;
-        params.config = pickConfig(rng);
-        params.seed = seedBase * 104729 + run * 31 + 7;
-        const core::ExperimentResult outcome =
-            core::runExperiment(params);
-        arm.perRunQuantileUs.push_back(
-            outcome.aggregatedQuantile(tau, aggregation));
-    }
-    arm.mean = stats::mean(arm.perRunQuantileUs);
-    arm.stddev = stats::stddev(arm.perRunQuantileUs);
-    return arm;
-}
-
-} // namespace
-
-ImprovementResult
-evaluateImprovement(const AttributionResult &attribution,
-                    const ImprovementParams &params)
-{
-    if (params.runsPerArm == 0)
-        throw ConfigError("improvement evaluation needs runs");
-
-    ImprovementResult result;
-    result.tau = params.tau;
-    result.recommended = bestConfiguration(attribution, params.tau);
-
-    result.before = runArm(
-        params.base, params.tau, params.aggregation, params.runsPerArm,
-        params.seed, [](Rng &rng) {
-            return hw::HardwareConfig::fromIndex(
-                static_cast<unsigned>(rng.nextBelow(16)));
-        });
-
-    const hw::HardwareConfig best = result.recommended;
-    result.after = runArm(
-        params.base, params.tau, params.aggregation, params.runsPerArm,
-        params.seed + 9973, [best](Rng &) { return best; });
-
-    return result;
 }
 
 } // namespace analysis

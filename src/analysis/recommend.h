@@ -1,13 +1,15 @@
 /**
  * @file
- * Configuration recommendation and before/after evaluation (Fig 12).
+ * Configuration recommendation and the Fig 12 before/after data model.
  *
  * The attribution model predicts every factorial cell's quantile
  * latency; the recommendation is the argmin. The improvement
  * evaluation replays the paper's Fig 12 protocol: many runs under
  * randomly drawn configurations ("before") against the same number of
  * runs under the recommended configuration ("after"), comparing both
- * the level and the run-to-run variance of the tail.
+ * the level and the run-to-run variance of the tail. This header holds
+ * its controls and result; the runs happen in
+ * drive::evaluateImprovement.
  */
 
 #ifndef TREADMILL_ANALYSIS_RECOMMEND_H_
@@ -58,7 +60,8 @@ struct ImprovementResult {
     double variabilityReduction() const;
 };
 
-/** Controls for the improvement evaluation. */
+/** Controls for the improvement evaluation
+ *  (drive::evaluateImprovement). */
 struct ImprovementParams {
     core::ExperimentParams base;
     double tau = 0.99;
@@ -68,13 +71,6 @@ struct ImprovementParams {
         core::AggregationKind::PerInstance;
     std::uint64_t seed = 1;
 };
-
-/**
- * Run the Fig 12 protocol against a fitted attribution model.
- */
-ImprovementResult evaluateImprovement(
-    const AttributionResult &attribution,
-    const ImprovementParams &params);
 
 } // namespace analysis
 } // namespace treadmill

@@ -1,6 +1,5 @@
 #include "core/experiment.h"
 
-#include <algorithm>
 #include <memory>
 
 #include "fault/injector.h"
@@ -572,67 +571,6 @@ runExperiment(const ExperimentParams &params)
     registry.gauge("server.worker_utilization")
         .set(h->machine->workerUtilization());
     result.metrics = registry.snapshot();
-    return result;
-}
-
-std::vector<ExperimentResult>
-runExperiments(const std::vector<ExperimentParams> &runs,
-               const exec::Parallelism &parallelism,
-               const exec::ProgressFn &progress)
-{
-    exec::ParallelRunner runner(parallelism);
-    runner.onProgress(progress);
-    return runner.run(
-        runs.size(),
-        [&runs](std::size_t i) { return runExperiment(runs[i]); },
-        [](const ExperimentResult &r) {
-            return toSeconds(r.simulatedTime);
-        });
-}
-
-ProcedureResult
-repeatedProcedure(const ProcedureParams &params)
-{
-    stats::ConvergenceTracker tracker(params.tolerance, params.window,
-                                      params.minRuns);
-    ProcedureResult result;
-
-    // Runs are launched in waves of one per worker lane. Metrics are
-    // consumed strictly in run-index order and convergence is checked
-    // after each one, so the output matches the serial loop exactly;
-    // runs computed past the convergence point are simply discarded.
-    const std::size_t lanes =
-        std::max<std::size_t>(1, params.parallelism.resolve());
-    std::size_t launched = 0;
-    while (launched < params.maxRuns && !tracker.converged()) {
-        const std::size_t batch =
-            std::min(lanes, params.maxRuns - launched);
-        std::vector<ExperimentParams> wave;
-        wave.reserve(batch);
-        for (std::size_t k = 0; k < batch; ++k) {
-            ExperimentParams runParams = params.base;
-            // Fresh run seed => fresh placement: the hysteresis
-            // dimension. Seeds depend only on the run index.
-            runParams.seed =
-                params.base.seed + (launched + k) * 7919 + 13;
-            wave.push_back(std::move(runParams));
-        }
-        const std::vector<ExperimentResult> outcomes =
-            runExperiments(wave, params.parallelism);
-        for (const ExperimentResult &outcome : outcomes) {
-            const double metric = outcome.aggregatedQuantile(
-                params.quantile, params.aggregation);
-            tracker.add(metric);
-            result.perRunMetric.push_back(metric);
-            if (tracker.converged())
-                break;
-        }
-        launched += batch;
-    }
-    result.runs = result.perRunMetric.size();
-    result.mean = stats::mean(result.perRunMetric);
-    result.stddev = stats::stddev(result.perRunMetric);
-    result.converged = tracker.converged();
     return result;
 }
 

@@ -11,9 +11,9 @@
  * plus the ground truth and, when tracing is on, the per-request spans
  * every latency decomposition is read from.
  *
- * repeatedProcedure() implements the hysteresis-aware outer loop: the
- * same experiment is re-run with fresh run seeds (new placements)
- * until the mean of the per-run metrics converges.
+ * This layer runs exactly one experiment. Every multi-run loop -- the
+ * hysteresis-aware repetition with fresh run seeds (new placements),
+ * capacity probes, factorial plans -- lives in drive/.
  */
 
 #ifndef TREADMILL_CORE_EXPERIMENT_H_
@@ -26,7 +26,6 @@
 #include "core/client.h"
 #include "core/tester_spec.h"
 #include "core/workload.h"
-#include "exec/parallel_runner.h"
 #include "fault/plan.h"
 #include "hw/hardware_config.h"
 #include "hw/machine_spec.h"
@@ -35,7 +34,6 @@
 #include "obs/telemetry.h"
 #include "server/mcrouter.h"
 #include "server/memcached.h"
-#include "stats/convergence.h"
 #include "util/json.h"
 #include "util/types.h"
 
@@ -237,58 +235,6 @@ double deriveRequestRate(const ExperimentParams &params);
 
 /** Run one complete experiment. */
 ExperimentResult runExperiment(const ExperimentParams &params);
-
-/**
- * Run many independent experiments, fanned across hardware threads.
- *
- * Seed-isolation invariant: runExperiment() builds every piece of
- * mutable state it touches -- Simulation, Machine, servers, cluster,
- * collectors, and all Rng streams -- from its own ExperimentParams, so
- * two runs never share mutable state and may execute concurrently.
- * Results are index-addressed (result[i] belongs to runs[i]), never
- * ordered by completion, so the output is bit-exact with the serial
- * loop for any Parallelism setting.
- *
- * @param runs        One ExperimentParams per experiment.
- * @param parallelism Worker knob (default hardware concurrency,
- *                    1 = legacy serial path).
- * @param progress    Optional observer; Progress::workUnits carries
- *                    simulated seconds, so throughput() is the
- *                    achieved sim-time rate.
- */
-std::vector<ExperimentResult> runExperiments(
-    const std::vector<ExperimentParams> &runs,
-    const exec::Parallelism &parallelism = {},
-    const exec::ProgressFn &progress = {});
-
-/** Parameters of the hysteresis-aware repeated procedure. */
-struct ProcedureParams {
-    ExperimentParams base;
-    double quantile = 0.99;
-    AggregationKind aggregation = AggregationKind::PerInstance;
-    std::size_t minRuns = 5;
-    std::size_t maxRuns = 30;
-    double tolerance = 0.02;
-    std::size_t window = 3;
-    /** Fan independent runs across threads; results are bit-exact
-     *  with the serial path (see runExperiments()). */
-    exec::Parallelism parallelism{};
-};
-
-/** Outcome of the repeated procedure. */
-struct ProcedureResult {
-    std::vector<double> perRunMetric; ///< One converged value per run.
-    double mean = 0.0;
-    double stddev = 0.0;
-    std::size_t runs = 0;
-    bool converged = false;
-};
-
-/**
- * Repeat the experiment with fresh run seeds until the running mean of
- * the per-run metric converges (or maxRuns is reached).
- */
-ProcedureResult repeatedProcedure(const ProcedureParams &params);
 
 } // namespace core
 } // namespace treadmill

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/run_record.h"
-#include "stats/summary.h"
+#include "drive/repeat.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -41,66 +41,58 @@ CapacityController::probe(double utilization, unsigned probeIndex,
     ProbeOutcome outcome;
     outcome.utilization = utilization;
 
-    unsigned runsDone = 0;
-    while (true) {
-        // First wave fans runsPerPoint runs across threads; each
-        // re-probe adds one fresh seed (a new placement -- the
-        // paper's hysteresis procedure).
-        const unsigned batch =
-            runsDone == 0 ? search.runsPerPoint : 1u;
-        std::vector<core::ExperimentParams> runs;
-        runs.reserve(batch);
-        for (unsigned i = 0; i < batch; ++i) {
-            core::ExperimentParams p = search.base;
-            p.targetUtilization = utilization;
-            p.requestsPerSecond = 0.0; // derive from utilization
-            p.seed = search.seed * 6151 +
-                     static_cast<std::uint64_t>(probeIndex) * 24593 +
-                     (runsDone + i) * 131 + 7;
-            runs.push_back(std::move(p));
-        }
-        const auto results =
-            core::runExperiments(runs, search.parallelism);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            outcome.perRunQuantileUs.push_back(
-                results[i].aggregatedQuantile(
-                    search.tau, core::AggregationKind::PerInstance));
-            outcome.requestsPerSecond = results[i].targetRps;
-            if (archive != nullptr) {
-                core::RunRecordOptions opts;
-                opts.quantiles = {0.5, search.tau};
-                std::sort(opts.quantiles.begin(),
-                          opts.quantiles.end());
-                opts.quantiles.erase(
-                    std::unique(opts.quantiles.begin(),
-                                opts.quantiles.end()),
-                    opts.quantiles.end());
-                archive->writeRun(
-                    nextArchiveSeq++,
-                    core::toRunRecord(runs[i], results[i],
-                                      {utilization}, opts));
-            }
-        }
-        runsDone += batch;
+    core::RunRecordOptions opts;
+    opts.quantiles = {0.5, search.tau};
+    std::sort(opts.quantiles.begin(), opts.quantiles.end());
+    opts.quantiles.erase(
+        std::unique(opts.quantiles.begin(), opts.quantiles.end()),
+        opts.quantiles.end());
 
-        outcome.comparison = analysis::compareToSlo(
-            outcome.perRunQuantileUs, search.sloUs,
-            controls.confidence);
-        if (outcome.comparison.verdict !=
-            analysis::SloVerdict::Uncertain) {
-            outcome.earlyExit = runsDone < controls.maxRunsPerProbe;
-            outcome.meetsSlo = outcome.comparison.verdict ==
-                               analysis::SloVerdict::Clears;
-            return outcome;
-        }
-        if (runsDone >= controls.maxRunsPerProbe) {
-            // Budget exhausted with the CI still straddling the
-            // bound: fall back to the mean, verdict stays Uncertain.
-            outcome.meetsSlo =
-                outcome.comparison.mean <= search.sloUs;
-            return outcome;
-        }
+    // runsPerPoint fresh seeds first, then more (each a new placement
+    // -- the paper's hysteresis procedure) while the CI straddles the
+    // bound.
+    Repetitions reps;
+    reps.paramsOf = [&](std::size_t k) {
+        core::ExperimentParams p = search.base;
+        p.targetUtilization = utilization;
+        p.requestsPerSecond = 0.0; // derive from utilization
+        p.seed = search.seed * 6151 +
+                 static_cast<std::uint64_t>(probeIndex) * 24593 +
+                 k * 131 + 7;
+        return p;
+    };
+    reps.tau = search.tau;
+    reps.minRuns = search.runsPerPoint;
+    reps.maxRuns = controls.maxRunsPerProbe;
+    reps.stop = [&](const std::vector<double> &kept) {
+        return analysis::compareToSlo(kept, search.sloUs,
+                                      controls.confidence)
+                   .verdict != analysis::SloVerdict::Uncertain;
+    };
+    reps.parallelism = search.parallelism;
+    outcome.perRunQuantileUs = repeatRuns(
+        reps, [&](std::size_t, const core::ExperimentParams &params,
+                  const core::ExperimentResult &result) {
+            outcome.requestsPerSecond = result.targetRps;
+            if (archive != nullptr)
+                archive->writeRun(nextArchiveSeq++,
+                                  core::toRunRecord(params, result,
+                                                    {utilization}, opts));
+        });
+
+    outcome.comparison = analysis::compareToSlo(
+        outcome.perRunQuantileUs, search.sloUs, controls.confidence);
+    if (outcome.comparison.verdict != analysis::SloVerdict::Uncertain) {
+        outcome.earlyExit =
+            outcome.perRunQuantileUs.size() < controls.maxRunsPerProbe;
+        outcome.meetsSlo = outcome.comparison.verdict ==
+                           analysis::SloVerdict::Clears;
+    } else {
+        // Budget exhausted with the CI still straddling the bound:
+        // fall back to the mean, verdict stays Uncertain.
+        outcome.meetsSlo = outcome.comparison.mean <= search.sloUs;
     }
+    return outcome;
 }
 
 CapacitySearchResult

@@ -8,13 +8,14 @@
  * each probe adaptive, per the paper's repeated-experiment procedure
  * and DiPerF's closed-loop envelope extraction (PAPERS.md):
  *
- *  - every probe starts with minRunsPerProbe fresh-seeded runs and
- *    compares the per-run tau-quantiles against the SLO with a
- *    Student-t confidence interval (analysis::compareToSlo);
+ *  - every probe is one drive::repeatRuns call: it starts with
+ *    runsPerPoint fresh-seeded runs and compares the per-run
+ *    tau-quantiles against the SLO with a Student-t confidence
+ *    interval (analysis::compareToSlo);
  *  - if the CI cleanly clears or violates the bound the probe stops
  *    early -- no budget wasted confirming the obvious;
  *  - if the CI straddles the bound, the point is re-probed with
- *    another fresh seed (hysteresis: new placement, same load) until
+ *    further fresh seeds (hysteresis: new placement, same load) until
  *    the band resolves or maxRunsPerProbe is reached;
  *  - the bracket only narrows on a resolved verdict or an exhausted
  *    probe, and the search stops once the bracket is narrower than
@@ -27,8 +28,11 @@
  * exactly mean <= sloUs; with a tolerance the bracket never narrows
  * below, it probes 2 + maxIterations points.
  *
- * Every run can be persisted to a run store archive as it completes,
- * so the whole search is re-analyzable from disk afterwards.
+ * Every kept run can be persisted to a run store archive, so the
+ * whole search is re-analyzable from disk afterwards. Re-probes fan
+ * out in waves, but a run simulated past a probe's verdict is
+ * discarded before it reaches the archive, the probe or totalRuns, so
+ * the search and its archive are identical at every Parallelism.
  */
 
 #ifndef TREADMILL_DRIVE_CAPACITY_CONTROLLER_H_
@@ -82,7 +86,8 @@ struct CapacitySearchResult {
     /** True when the bracket narrowed below tolerance (as opposed to
      *  running out of iterations). */
     bool converged = false;
-    /** Total experiments simulated across all probes. */
+    /** Kept runs across all probes (the runs the verdicts used and
+     *  the archive holds), not every simulated run. */
     unsigned totalRuns = 0;
     /** Runs the fixed bisection (maxRunsPerProbe == runsPerPoint)
      *  spends when it runs every iteration: (2 bracket probes +
@@ -99,9 +104,8 @@ class CapacityController
 
     /**
      * Run the adaptive search. When @p archive is non-null every
-     * simulated run is persisted as it completes (factor
-     * "utilization", level = the probe's utilization); the caller
-     * owns finish().
+     * kept run is persisted in run order (factor "utilization",
+     * level = the probe's utilization); the caller owns finish().
      */
     CapacitySearchResult search(store::StudyWriter *archive = nullptr);
 

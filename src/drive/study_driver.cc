@@ -9,8 +9,10 @@
 #include <utility>
 
 #include "analysis/provenance.h"
+#include "drive/repeat.h"
 #include "exec/parallel_runner.h"
 #include "hw/hardware_config.h"
+#include "stats/summary.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -301,6 +303,53 @@ runAttribution(const analysis::AttributionParams &params)
                                     .asNumber();
         result.observations.push_back(std::move(obs));
     }
+    return result;
+}
+
+analysis::ImprovementResult
+evaluateImprovement(const analysis::AttributionResult &attribution,
+                    const analysis::ImprovementParams &params)
+{
+    if (params.runsPerArm == 0)
+        throw ConfigError("improvement evaluation needs runs");
+
+    analysis::ImprovementResult result;
+    result.tau = params.tau;
+    result.recommended =
+        analysis::bestConfiguration(attribution, params.tau);
+
+    const auto arm = [&params](std::uint64_t seedBase,
+                               const std::vector<hw::HardwareConfig>
+                                   &configs) {
+        Repetitions reps;
+        reps.paramsOf = [&](std::size_t k) {
+            core::ExperimentParams p = params.base;
+            p.config = configs[k];
+            p.seed = seedBase * 104729 + k * 31 + 7;
+            return p;
+        };
+        reps.tau = params.tau;
+        reps.aggregation = params.aggregation;
+        reps.maxRuns = params.runsPerArm;
+        analysis::ImprovementArm out;
+        out.perRunQuantileUs = repeatRuns(reps);
+        out.mean = stats::mean(out.perRunQuantileUs);
+        out.stddev = stats::stddev(out.perRunQuantileUs);
+        return out;
+    };
+
+    // The before arm's random configurations, drawn in run order.
+    std::vector<hw::HardwareConfig> randomConfigs;
+    randomConfigs.reserve(params.runsPerArm);
+    Rng rng = Rng(0x19a9e0b5eedull).substream(params.seed);
+    for (unsigned k = 0; k < params.runsPerArm; ++k)
+        randomConfigs.push_back(hw::HardwareConfig::fromIndex(
+            static_cast<unsigned>(rng.nextBelow(16))));
+    result.before = arm(params.seed, randomConfigs);
+    result.after =
+        arm(params.seed + 9973,
+            std::vector<hw::HardwareConfig>(params.runsPerArm,
+                                            result.recommended));
     return result;
 }
 

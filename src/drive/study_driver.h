@@ -21,6 +21,8 @@
  * StudyDriver is the only factorial sweep-and-fit engine: the paper's
  * 2^4 hardware study is a plan (hardwarePlan) run through it
  * (runAttribution), and the fault and cluster studies are plans too.
+ * The Fig 12 follow-up to that study, evaluateImprovement, repeats
+ * runs rather than fitting a plan, so it runs on drive::repeatRuns.
  */
 
 #ifndef TREADMILL_DRIVE_STUDY_DRIVER_H_
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "analysis/attribution.h"
+#include "analysis/recommend.h"
 #include "core/experiment.h"
 #include "core/run_record.h"
 #include "regress/design.h"
@@ -136,6 +139,18 @@ std::vector<StudyRun> hardwarePlan(const analysis::AttributionParams &params);
  */
 analysis::AttributionResult
 runAttribution(const analysis::AttributionParams &params);
+
+/**
+ * The Fig 12 protocol against a fitted attribution model: runsPerArm
+ * runs under random configurations ("before"), then as many under the
+ * model's best one for params.tau ("after"), each arm a fixed-count
+ * repeatRuns at the default Parallelism.
+ *
+ * @throws ConfigError when runsPerArm is 0.
+ */
+analysis::ImprovementResult
+evaluateImprovement(const analysis::AttributionResult &attribution,
+                    const analysis::ImprovementParams &params);
 
 } // namespace drive
 } // namespace treadmill

@@ -2,53 +2,41 @@
 
 #include <cmath>
 
-#include "stats/summary.h"
 #include "util/error.h"
 
 namespace treadmill {
 namespace stats {
 
-ConvergenceTracker::ConvergenceTracker(double relativeTolerance,
-                                       std::size_t window_,
-                                       std::size_t minRuns_)
-    : tolerance(relativeTolerance), window(window_), minRuns(minRuns_)
-{
-    if (!(relativeTolerance > 0.0))
-        throw ConfigError("convergence tolerance must be positive");
-    if (window_ == 0)
-        throw ConfigError("convergence window must be positive");
-}
-
-void
-ConvergenceTracker::add(double value)
-{
-    values.push_back(value);
-    meanHistory.push_back(mean(values));
-}
-
 bool
-ConvergenceTracker::converged() const
+meanConverged(const std::vector<double> &values, double tolerance,
+              std::size_t window)
 {
-    if (values.size() < minRuns || meanHistory.size() < window + 1)
+    if (!(tolerance > 0.0))
+        throw ConfigError("meanConverged: tolerance must be positive");
+    if (window == 0)
+        throw ConfigError("meanConverged: window must be positive");
+    if (values.size() < window + 1)
         return false;
-    const double current = meanHistory.back();
+
+    // Running mean after each value, summed in the order stats::mean
+    // sums, so each entry equals stats::mean of that prefix exactly.
+    std::vector<double> means;
+    means.reserve(values.size());
+    double total = 0.0;
+    for (double v : values) {
+        total += v;
+        means.push_back(total / static_cast<double>(means.size() + 1));
+    }
+    const double current = means.back();
     if (current == 0.0)
         return true;
-    for (std::size_t i = meanHistory.size() - window;
-         i < meanHistory.size(); ++i) {
-        const double prev = meanHistory[i - 1];
-        const double change = std::fabs(meanHistory[i] - prev) /
-                              std::fabs(current);
+    for (std::size_t i = means.size() - window; i < means.size(); ++i) {
+        const double change =
+            std::fabs(means[i] - means[i - 1]) / std::fabs(current);
         if (change > tolerance)
             return false;
     }
     return true;
-}
-
-double
-ConvergenceTracker::runningMean() const
-{
-    return meanHistory.empty() ? 0.0 : meanHistory.back();
 }
 
 } // namespace stats

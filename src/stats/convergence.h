@@ -4,9 +4,9 @@
  *
  * The paper's measurement procedure repeats the whole experiment until
  * "the mean of the collected measurements has already converged"
- * (S III-B). ConvergenceTracker watches the running mean and reports
- * convergence once its relative movement over a window stays below a
- * tolerance.
+ * (S III-B). meanConverged() is that test as a pure predicate over the
+ * per-run values so far; drive::repeatRuns applies it (with its own
+ * minRuns gate) as the procedure's stop rule.
  */
 
 #ifndef TREADMILL_STATS_CONVERGENCE_H_
@@ -18,41 +18,16 @@
 namespace treadmill {
 namespace stats {
 
-/** Watches a stream of per-run measurements for running-mean stability. */
-class ConvergenceTracker
-{
-  public:
-    /**
-     * @param relativeTolerance Max relative change of the running mean
-     *        across the window for convergence.
-     * @param window Number of consecutive stable updates required.
-     * @param minRuns Never report convergence before this many runs.
-     */
-    ConvergenceTracker(double relativeTolerance = 0.02,
-                       std::size_t window = 3, std::size_t minRuns = 5);
-
-    /** Record one per-run measurement. */
-    void add(double value);
-
-    /** True once the running mean has stabilized. */
-    bool converged() const;
-
-    /** Running mean of all measurements so far. */
-    double runningMean() const;
-
-    /** Number of measurements recorded. */
-    std::size_t count() const { return values.size(); }
-
-    /** All recorded measurements. */
-    const std::vector<double> &measurements() const { return values; }
-
-  private:
-    double tolerance;
-    std::size_t window;
-    std::size_t minRuns;
-    std::vector<double> values;
-    std::vector<double> meanHistory;
-};
+/**
+ * True once the running mean of @p values has stabilized: over each of
+ * the last @p window values, the running mean moved by at most
+ * @p tolerance relative to the current mean. A zero current mean
+ * counts as converged; fewer than window + 1 values never do.
+ *
+ * @throws ConfigError when tolerance <= 0 or window == 0.
+ */
+bool meanConverged(const std::vector<double> &values, double tolerance,
+                   std::size_t window);
 
 } // namespace stats
 } // namespace treadmill

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "drive/capacity_controller.h"
+#include "stats/summary.h"
 #include "util/error.h"
 
 namespace treadmill {
@@ -131,6 +136,27 @@ TEST(CompareToSloTest, WiderConfidenceWidensTheInterval)
     const SloComparison wide = compareToSlo(samples, 100.0, 0.99);
     EXPECT_LT(narrow.ciHighUs - narrow.ciLowUs,
               wide.ciHighUs - wide.ciLowUs);
+}
+
+TEST(CompareToSloTest, CriticalValueAboveTheTableFollowsStudentT)
+{
+    // Back the 95% critical value out of the interval's half-width.
+    // Past the 30-df table it must track Student's t (2.040 at 31 df),
+    // not drop to the normal 1.960.
+    for (const auto &[df, expected] :
+         {std::pair{30u, 2.042}, std::pair{31u, 2.040},
+          std::pair{40u, 2.021}, std::pair{60u, 2.000},
+          std::pair{120u, 1.980}}) {
+        std::vector<double> samples;
+        for (unsigned i = 0; i <= df; ++i)
+            samples.push_back(i % 2 == 0 ? 90.0 : 110.0 + i);
+        const SloComparison c = compareToSlo(samples, 100.0);
+        ASSERT_EQ(c.runs, df + 1u);
+        const double tcrit = (c.ciHighUs - c.mean) *
+                             std::sqrt(static_cast<double>(c.runs)) /
+                             stats::stddev(samples);
+        EXPECT_NEAR(tcrit, expected, 1e-3) << "df " << df;
+    }
 }
 
 } // namespace

@@ -91,7 +91,8 @@ TEST(RecommendTest, ImprovementReducesLatencyAndVariance)
     params.runsPerArm = 12;
     params.seed = 5;
 
-    const auto result = evaluateImprovement(sharedResult(), params);
+    const auto result =
+        drive::evaluateImprovement(sharedResult(), params);
     ASSERT_EQ(result.before.perRunQuantileUs.size(), 12u);
     ASSERT_EQ(result.after.perRunQuantileUs.size(), 12u);
     // Fig 12: tuned configuration reduces the expected tail and its
@@ -105,7 +106,7 @@ TEST(RecommendTest, RejectsZeroRuns)
 {
     ImprovementParams params;
     params.runsPerArm = 0;
-    EXPECT_THROW(evaluateImprovement(sharedResult(), params),
+    EXPECT_THROW(drive::evaluateImprovement(sharedResult(), params),
                  ConfigError);
 }
 

@@ -230,21 +230,6 @@ TEST(ExperimentTest, DifferentSeedsShowHysteresis)
     EXPECT_GT(spread / stats::mean(p99s), 0.03);
 }
 
-TEST(ExperimentTest, RepeatedProcedureConverges)
-{
-    ProcedureParams pp;
-    pp.base = quickParams(0.6);
-    pp.base.collector.measurementSamples = 800;
-    pp.minRuns = 4;
-    pp.maxRuns = 20;
-    pp.tolerance = 0.05;
-    const auto result = repeatedProcedure(pp);
-    EXPECT_GE(result.runs, 4u);
-    EXPECT_GT(result.mean, 0.0);
-    EXPECT_EQ(result.perRunMetric.size(), result.runs);
-    EXPECT_TRUE(result.converged);
-}
-
 TEST(ExperimentTest, LatencyDecompositionIsConsistent)
 {
     auto p = quickParams(0.5);

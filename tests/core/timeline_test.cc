@@ -10,6 +10,7 @@
 
 #include "analysis/provenance.h"
 #include "core/experiment.h"
+#include "drive/repeat.h"
 #include "obs/span.h"
 #include "util/json.h"
 
@@ -134,14 +135,21 @@ TEST(TimelineTest, MetricsSnapshotPresentAndSane)
 
 TEST(TimelineTest, MetricsAreBitExactAcrossThreadCounts)
 {
-    std::vector<ExperimentParams> runs;
-    for (std::uint64_t seed = 21; seed < 25; ++seed)
-        runs.push_back(tracedParams(seed));
-
-    const auto serial =
-        runExperiments(runs, exec::Parallelism{1});
-    const auto parallel =
-        runExperiments(runs, exec::Parallelism{4});
+    const auto runAll = [](unsigned threads) {
+        drive::Repetitions reps;
+        reps.paramsOf = [](std::size_t k) { return tracedParams(21 + k); };
+        reps.maxRuns = 4;
+        reps.parallelism.threads = threads;
+        std::vector<ExperimentResult> results;
+        drive::repeatRuns(reps, [&results](std::size_t,
+                                           const ExperimentParams &,
+                                           const ExperimentResult &r) {
+            results.push_back(r);
+        });
+        return results;
+    };
+    const auto serial = runAll(1);
+    const auto parallel = runAll(4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         // Registry is per-Simulation (seed-isolated), so the full

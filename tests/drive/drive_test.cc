@@ -1,23 +1,29 @@
 /**
  * @file
- * Tests for the drive layer: adaptive capacity search (it must beat
- * the fixed bisection's run budget) and the fixed bisection as one of
- * its settings, parameter validation, and the pipelined StudyDriver's
- * determinism, per-run metrics and progress across parallelism
- * settings.
+ * Tests for the drive layer: the repetition loop (stop rules, the
+ * speculation bound, Parallelism-independent kept runs, validation),
+ * adaptive capacity search (it must beat the fixed bisection's run
+ * budget) and the fixed bisection as one of its settings, parameter
+ * validation, and the pipelined StudyDriver's determinism, per-run
+ * metrics and progress across parallelism settings.
  */
 
 #include "drive/capacity_controller.h"
+#include "drive/repeat.h"
 #include "drive/study_driver.h"
 
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/export.h"
+#include "stats/convergence.h"
+#include "stats/summary.h"
 #include "store/reader.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -27,6 +33,177 @@ namespace drive {
 namespace {
 
 namespace fs = std::filesystem;
+
+core::ExperimentParams
+quickRun()
+{
+    core::ExperimentParams p;
+    p.targetUtilization = 0.5;
+    p.collector.warmUpSamples = 50;
+    p.collector.calibrationSamples = 50;
+    p.collector.measurementSamples = 400;
+    p.seed = 21;
+    return p;
+}
+
+/** Repetitions of quickRun() with seed 100 + 37k that count every
+ *  simulated run (discarded ones included) in @p simulated. */
+Repetitions
+countedRuns(std::atomic<std::size_t> &simulated)
+{
+    Repetitions reps;
+    reps.paramsOf = [&simulated](std::size_t k) {
+        ++simulated;
+        core::ExperimentParams p = quickRun();
+        p.seed = 100 + 37 * k;
+        return p;
+    };
+    return reps;
+}
+
+/** One onRun call: the run index and its ground truth. */
+using KeptRun = std::pair<std::size_t, std::vector<double>>;
+
+TEST(RepeatRunsTest, RuleFiringMidWaveKeepsTheSameRunsAtEveryParallelism)
+{
+    // The rule fires at the fifth kept run: the last of a wave at
+    // Parallelism 1, the first of the third wave at 2, and mid-way
+    // through the second wave at 8.
+    std::vector<std::vector<double>> values;
+    std::vector<std::vector<KeptRun>> seen;
+    for (unsigned threads : {1u, 2u, 8u}) {
+        std::atomic<std::size_t> simulated{0};
+        Repetitions reps = countedRuns(simulated);
+        reps.minRuns = 2;
+        reps.maxRuns = 12;
+        reps.stop = [](const std::vector<double> &kept) {
+            return kept.size() >= 5;
+        };
+        reps.parallelism.threads = threads;
+        std::vector<KeptRun> kept;
+        const std::vector<double> p99s = repeatRuns(
+            reps, [&kept](std::size_t k, const core::ExperimentParams &,
+                          const core::ExperimentResult &r) {
+                kept.emplace_back(k, r.groundTruthUs);
+            });
+        ASSERT_EQ(p99s.size(), 5u) << "threads " << threads;
+        ASSERT_EQ(kept.size(), 5u) << "threads " << threads;
+        for (std::size_t k = 0; k < kept.size(); ++k)
+            EXPECT_EQ(kept[k].first, k) << "threads " << threads;
+        // At most lanes - 1 runs are simulated past the stop, and none
+        // on the serial path.
+        EXPECT_GE(simulated.load(), 5u);
+        EXPECT_LE(simulated.load() - 5u, threads - 1u)
+            << "threads " << threads;
+        values.push_back(p99s);
+        seen.push_back(std::move(kept));
+    }
+    for (std::size_t i = 1; i < values.size(); ++i) {
+        EXPECT_EQ(values[i], values[0]);
+        EXPECT_EQ(seen[i], seen[0]);
+    }
+}
+
+TEST(RepeatRunsTest, WithoutARuleExactlyMaxRunsHappen)
+{
+    for (unsigned threads : {1u, 8u}) {
+        std::atomic<std::size_t> simulated{0};
+        Repetitions reps = countedRuns(simulated);
+        reps.maxRuns = 3;
+        reps.parallelism.threads = threads;
+        std::size_t observed = 0;
+        const std::vector<double> p99s = repeatRuns(
+            reps, [&observed](std::size_t, const core::ExperimentParams &,
+                              const core::ExperimentResult &) {
+                ++observed;
+            });
+        EXPECT_EQ(p99s.size(), 3u) << "threads " << threads;
+        EXPECT_EQ(observed, 3u) << "threads " << threads;
+        EXPECT_EQ(simulated.load(), 3u) << "threads " << threads;
+    }
+}
+
+TEST(RepeatRunsTest, MinRunsGatesTheRule)
+{
+    // A rule that would stop at once is first asked at minRuns kept
+    // values, so exactly minRuns runs are kept.
+    std::atomic<std::size_t> simulated{0};
+    Repetitions reps = countedRuns(simulated);
+    reps.minRuns = 5;
+    reps.maxRuns = 10;
+    std::vector<std::size_t> askedAt;
+    reps.stop = [&askedAt](const std::vector<double> &kept) {
+        askedAt.push_back(kept.size());
+        return stats::meanConverged(kept, 0.5, 1);
+    };
+    EXPECT_EQ(repeatRuns(reps).size(), 5u);
+    EXPECT_EQ(askedAt, (std::vector<std::size_t>{5}));
+}
+
+TEST(RepeatRunsTest, ConvergenceRuleStopsTheProcedure)
+{
+    // The S III-B procedure: fresh seeds until the running mean of the
+    // per-run P99 settles.
+    core::ExperimentParams base = quickRun();
+    base.targetUtilization = 0.6;
+    base.collector.warmUpSamples = 200;
+    base.collector.calibrationSamples = 200;
+    base.collector.measurementSamples = 800;
+    base.seed = 11;
+    Repetitions reps;
+    reps.paramsOf = [&base](std::size_t k) {
+        core::ExperimentParams p = base;
+        p.seed = base.seed + k * 7919 + 13;
+        return p;
+    };
+    reps.minRuns = 4;
+    reps.maxRuns = 20;
+    reps.stop = [](const std::vector<double> &kept) {
+        return stats::meanConverged(kept, 0.05, 3);
+    };
+    std::size_t observed = 0;
+    const std::vector<double> p99s = repeatRuns(
+        reps, [&observed](std::size_t, const core::ExperimentParams &,
+                          const core::ExperimentResult &) {
+            ++observed;
+        });
+    EXPECT_GE(p99s.size(), 4u);
+    EXPECT_GT(stats::mean(p99s), 0.0);
+    EXPECT_EQ(observed, p99s.size());
+    // Converged, not cut off at maxRuns.
+    EXPECT_LT(p99s.size(), 20u);
+    EXPECT_TRUE(stats::meanConverged(p99s, 0.05, 3));
+}
+
+TEST(RepeatRunsTest, ValidatesEveryField)
+{
+    const auto expectNamed = [](const Repetitions &reps,
+                                const char *field) {
+        try {
+            repeatRuns(reps);
+            ADD_FAILURE() << "accepted a bad " << field;
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    std::atomic<std::size_t> simulated{0};
+    Repetitions bad = countedRuns(simulated);
+    bad.maxRuns = 0;
+    bad.minRuns = 0;
+    expectNamed(bad, "maxRuns");
+    bad = countedRuns(simulated);
+    bad.maxRuns = 3;
+    bad.minRuns = 0;
+    expectNamed(bad, "minRuns");
+    bad.minRuns = 4;
+    expectNamed(bad, "minRuns");
+    bad = countedRuns(simulated);
+    bad.paramsOf = {};
+    expectNamed(bad, "paramsOf");
+    EXPECT_EQ(simulated.load(), 0u);
+}
 
 CapacityControllerParams
 quickSearch(double sloUs)
@@ -127,7 +304,7 @@ TEST(CapacityControllerTest, ImpossibleSloIsInfeasible)
     EXPECT_FALSE(result.probes[0].meetsSlo);
 }
 
-TEST(CapacityControllerTest, ArchivesEverySimulatedRun)
+TEST(CapacityControllerTest, ArchivesEveryKeptRun)
 {
     const std::string dir =
         (fs::temp_directory_path() / "tmdrive_test_archive").string();

@@ -8,20 +8,28 @@
  * collectors) from its own seed, and results land in index-addressed
  * slots. These tests pin both: the same seeds must produce identical
  * ExperimentResult quantiles, identical hardware-study observations and
- * models, and identical capacity searches under Parallelism 1, 2, and
- * 8.
+ * models, identical converged repetitions, and identical capacity
+ * searches and archives under Parallelism 1, 2, and 8.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/export.h"
 #include "analysis/screening.h"
 #include "core/experiment.h"
 #include "drive/capacity_controller.h"
+#include "drive/repeat.h"
 #include "drive/study_driver.h"
 #include "fault/plan.h"
+#include "stats/convergence.h"
+#include "store/writer.h"
 
 namespace treadmill {
 namespace {
@@ -51,16 +59,32 @@ seededRuns(std::size_t n)
     return runs;
 }
 
-TEST(DeterminismTest, RunExperimentsMatchesSerialAtEveryThreadCount)
+/** Every result of @p runs, as a fixed-count drive::repeatRuns. */
+std::vector<core::ExperimentResult>
+runAll(const std::vector<core::ExperimentParams> &runs,
+       exec::Parallelism parallelism)
+{
+    drive::Repetitions reps;
+    reps.paramsOf = [&runs](std::size_t k) { return runs[k]; };
+    reps.maxRuns = runs.size();
+    reps.parallelism = parallelism;
+    std::vector<core::ExperimentResult> results;
+    drive::repeatRuns(reps, [&results](std::size_t,
+                                       const core::ExperimentParams &,
+                                       const core::ExperimentResult &r) {
+        results.push_back(r);
+    });
+    return results;
+}
+
+TEST(DeterminismTest, FixedCountMatchesSerialAtEveryThreadCount)
 {
     const auto runs = seededRuns(6);
-    const auto serial =
-        core::runExperiments(runs, exec::Parallelism::serial());
+    const auto serial = runAll(runs, exec::Parallelism::serial());
     ASSERT_EQ(serial.size(), runs.size());
 
     for (unsigned threads : {2u, 8u}) {
-        const auto parallel =
-            core::runExperiments(runs, exec::Parallelism{threads});
+        const auto parallel = runAll(runs, exec::Parallelism{threads});
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             for (double q : {0.5, 0.9, 0.99}) {
@@ -125,13 +149,11 @@ faultedRuns(std::size_t n)
 TEST(DeterminismTest, FaultedRunsMatchSerialAtEveryThreadCount)
 {
     const auto runs = faultedRuns(4);
-    const auto serial =
-        core::runExperiments(runs, exec::Parallelism::serial());
+    const auto serial = runAll(runs, exec::Parallelism::serial());
     ASSERT_EQ(serial.size(), runs.size());
 
     for (unsigned threads : {2u, 8u}) {
-        const auto parallel =
-            core::runExperiments(runs, exec::Parallelism{threads});
+        const auto parallel = runAll(runs, exec::Parallelism{threads});
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             // Bit-exact ground truth, timing, and metrics snapshot --
@@ -157,9 +179,8 @@ TEST(DeterminismTest, FaultedRunsMatchSerialAtEveryThreadCount)
 TEST(DeterminismTest, SameSeedSameResultAcrossRepeatedParallelRuns)
 {
     const auto runs = seededRuns(4);
-    const auto first = core::runExperiments(runs, exec::Parallelism{8});
-    const auto second =
-        core::runExperiments(runs, exec::Parallelism{8});
+    const auto first = runAll(runs, exec::Parallelism{8});
+    const auto second = runAll(runs, exec::Parallelism{8});
     for (std::size_t i = 0; i < runs.size(); ++i) {
         EXPECT_EQ(first[i].groundTruthUs, second[i].groundTruthUs);
         EXPECT_EQ(first[i].simulatedTime, second[i].simulatedTime);
@@ -197,25 +218,31 @@ TEST(DeterminismTest, HardwareStudyIdenticalSerialVsParallel)
     }
 }
 
-TEST(DeterminismTest, RepeatedProcedureIdenticalSerialVsParallel)
+TEST(DeterminismTest, ConvergedRepetitionIdenticalSerialVsParallel)
 {
-    core::ProcedureParams params;
-    params.base = quickParams();
-    params.minRuns = 3;
-    params.maxRuns = 6;
+    // The S III-B procedure: fresh seeds until the running mean
+    // settles. Waves past the stop point are discarded, so the kept
+    // values match the serial loop's at every thread count.
+    const core::ExperimentParams base = quickParams();
+    drive::Repetitions reps;
+    reps.paramsOf = [&base](std::size_t k) {
+        core::ExperimentParams p = base;
+        p.seed = base.seed + k * 7919 + 13;
+        return p;
+    };
+    reps.minRuns = 3;
+    reps.maxRuns = 6;
+    reps.stop = [](const std::vector<double> &kept) {
+        return stats::meanConverged(kept, 0.02, 3);
+    };
 
-    params.parallelism = exec::Parallelism::serial();
-    const auto serial = core::repeatedProcedure(params);
+    reps.parallelism = exec::Parallelism::serial();
+    const auto serial = drive::repeatRuns(reps);
 
     for (unsigned threads : {2u, 8u}) {
-        params.parallelism = exec::Parallelism{threads};
-        const auto parallel = core::repeatedProcedure(params);
-        EXPECT_EQ(parallel.perRunMetric, serial.perRunMetric)
-            << "threads " << threads;
-        EXPECT_EQ(parallel.runs, serial.runs);
-        EXPECT_EQ(parallel.converged, serial.converged);
-        EXPECT_DOUBLE_EQ(parallel.mean, serial.mean);
-        EXPECT_DOUBLE_EQ(parallel.stddev, serial.stddev);
+        reps.parallelism = exec::Parallelism{threads};
+        const auto parallel = drive::repeatRuns(reps);
+        EXPECT_EQ(parallel, serial) << "threads " << threads;
     }
 }
 
@@ -255,30 +282,99 @@ TEST(DeterminismTest, ScreeningIdenticalSerialVsParallel)
     }
 }
 
-TEST(DeterminismTest, FixedCapacitySearchIdenticalSerialVsParallel)
+/** Every file under @p dir, by relative path, with its bytes. */
+std::map<std::string, std::string>
+treeBytes(const std::filesystem::path &dir)
 {
-    // The fixed bisection: the controller with maxRunsPerProbe ==
-    // runsPerPoint.
-    drive::CapacityControllerParams params;
-    params.search.base = quickParams();
-    params.search.sloUs = 400.0;
-    params.search.maxIterations = 2;
-    params.search.runsPerPoint = 3;
-    params.maxRunsPerProbe = 3;
-
-    params.search.parallelism = exec::Parallelism::serial();
-    const auto serial = drive::CapacityController(params).search();
-
-    params.search.parallelism = exec::Parallelism{8};
-    const auto parallel = drive::CapacityController(params).search();
-
-    EXPECT_DOUBLE_EQ(parallel.maxUtilization, serial.maxUtilization);
-    EXPECT_DOUBLE_EQ(parallel.latencyAtMaxUs, serial.latencyAtMaxUs);
-    ASSERT_EQ(parallel.probes.size(), serial.probes.size());
-    for (std::size_t i = 0; i < serial.probes.size(); ++i) {
-        EXPECT_EQ(parallel.probes[i].perRunQuantileUs,
-                  serial.probes[i].perRunQuantileUs);
+    std::map<std::string, std::string> files;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (!entry.is_regular_file())
+            continue;
+        std::ifstream in(entry.path(), std::ios::binary);
+        files[std::filesystem::relative(entry.path(), dir).string()] =
+            std::string((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
     }
+    return files;
+}
+
+TEST(DeterminismTest, CapacitySearchIdenticalSerialVsParallel)
+{
+    // Two settings: the fixed bisection (maxRunsPerProbe ==
+    // runsPerPoint) and the adaptive search, whose re-probes fan out in
+    // waves at 8 threads and discard runs simulated past a verdict. A
+    // discarded run must reach neither the result nor the archive.
+    drive::CapacityControllerParams fixed;
+    fixed.search.base = quickParams();
+    fixed.search.sloUs = 400.0;
+    fixed.search.maxIterations = 2;
+    fixed.search.runsPerPoint = 3;
+    fixed.maxRunsPerProbe = 3;
+
+    drive::CapacityControllerParams adaptive = fixed;
+    adaptive.search.runsPerPoint = 2;
+    adaptive.maxRunsPerProbe = 6;
+    adaptive.search.sloUs = 150.0;
+
+    const std::filesystem::path root =
+        std::filesystem::temp_directory_path() / "tmdeterminism_capacity";
+    for (const auto &[label, params] :
+         {std::pair{"fixed", fixed}, std::pair{"adaptive", adaptive}}) {
+        std::vector<drive::CapacitySearchResult> results;
+        std::vector<std::map<std::string, std::string>> archives;
+        for (unsigned threads : {1u, 8u}) {
+            drive::CapacityControllerParams run = params;
+            run.search.parallelism = exec::Parallelism{threads};
+            const std::filesystem::path dir =
+                root / (std::string(label) + std::to_string(threads));
+            std::filesystem::remove_all(dir);
+            store::StudyMeta meta;
+            meta.name = "capacity";
+            meta.factors = {"utilization"};
+            meta.quantiles = {0.5, 0.99};
+            store::StudyWriter archive(dir.string(), meta);
+            results.push_back(
+                drive::CapacityController(run).search(&archive));
+            archive.finish();
+            archives.push_back(treeBytes(dir));
+        }
+        const drive::CapacitySearchResult &serial = results[0];
+        const drive::CapacitySearchResult &parallel = results[1];
+        EXPECT_DOUBLE_EQ(parallel.maxUtilization, serial.maxUtilization)
+            << label;
+        EXPECT_DOUBLE_EQ(parallel.latencyAtMaxUs, serial.latencyAtMaxUs)
+            << label;
+        EXPECT_EQ(parallel.totalRuns, serial.totalRuns) << label;
+        ASSERT_EQ(parallel.probes.size(), serial.probes.size()) << label;
+        bool reprobed = false;
+        for (std::size_t i = 0; i < serial.probes.size(); ++i) {
+            EXPECT_EQ(parallel.probes[i].perRunQuantileUs,
+                      serial.probes[i].perRunQuantileUs)
+                << label << " probe " << i;
+            EXPECT_EQ(parallel.probes[i].earlyExit,
+                      serial.probes[i].earlyExit)
+                << label << " probe " << i;
+            reprobed = reprobed ||
+                       serial.probes[i].perRunQuantileUs.size() >
+                           params.search.runsPerPoint;
+        }
+        // The adaptive setting must exercise the re-probe waves, or it
+        // proves nothing about discarded runs.
+        if (params.maxRunsPerProbe > params.search.runsPerPoint) {
+            EXPECT_TRUE(reprobed) << label;
+        }
+
+        // Byte-identical archives: same files, same bytes.
+        ASSERT_FALSE(archives[0].empty()) << label;
+        EXPECT_EQ(archives[1].size(), archives[0].size()) << label;
+        for (const auto &[name, bytes] : archives[0]) {
+            const auto it = archives[1].find(name);
+            ASSERT_NE(it, archives[1].end()) << label << " " << name;
+            EXPECT_EQ(it->second, bytes) << label << " " << name;
+        }
+    }
+    std::filesystem::remove_all(root);
 }
 
 } // namespace

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "exec/parallel_runner.h"
+#include "drive/repeat.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 
@@ -58,14 +58,23 @@ exportsOf(const ExperimentResult &r)
 void
 expectByteIdenticalAcrossThreads(std::uint32_t backends)
 {
-    std::vector<ExperimentParams> runs;
-    for (std::uint64_t i = 0; i < 4; ++i)
-        runs.push_back(tracedParams(backends, 31 + 17 * i));
-
-    const auto serial =
-        runExperiments(runs, exec::Parallelism::serial());
-    const auto threaded =
-        runExperiments(runs, exec::Parallelism{4});
+    const auto runAll = [backends](exec::Parallelism parallelism) {
+        drive::Repetitions reps;
+        reps.paramsOf = [backends](std::size_t i) {
+            return tracedParams(backends, 31 + 17 * i);
+        };
+        reps.maxRuns = 4;
+        reps.parallelism = parallelism;
+        std::vector<ExperimentResult> results;
+        drive::repeatRuns(reps, [&results](std::size_t,
+                                           const ExperimentParams &,
+                                           const ExperimentResult &r) {
+            results.push_back(r);
+        });
+        return results;
+    };
+    const auto serial = runAll(exec::Parallelism::serial());
+    const auto threaded = runAll(exec::Parallelism{4});
     ASSERT_EQ(serial.size(), threaded.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         ASSERT_FALSE(serial[i].spans.empty()) << "run " << i;

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "drive/repeat.h"
 #include "fault/plan.h"
 #include "obs/span.h"
 
@@ -181,12 +182,21 @@ TEST(SpanSweepTest, EverySpanCompleteMonotoneAndExact)
     runs.push_back(classicLossParams(seed));
     labels.push_back("classic/linkloss/retry");
 
-    const auto results = runExperiments(runs);
-    for (std::size_t i = 0; i < results.size(); ++i)
-        checkSpans(results[i], labels[i]);
+    drive::Repetitions sweep;
+    sweep.paramsOf = [&runs](std::size_t i) { return runs[i]; };
+    sweep.maxRuns = runs.size();
+    std::size_t classicMultiAttempt = 0;
+    const std::vector<double> p99s = drive::repeatRuns(
+        sweep, [&](std::size_t i, const ExperimentParams &,
+                   const ExperimentResult &result) {
+            checkSpans(result, labels[i]);
+            if (i + 1 == runs.size())
+                classicMultiAttempt = multiAttemptSpans(result);
+        });
+    EXPECT_EQ(p99s.size(), runs.size());
     // The classic cell must exercise retry winners, or its rows prove
     // nothing about the pre-win grouping.
-    EXPECT_GT(multiAttemptSpans(results.back()), 0u);
+    EXPECT_GT(classicMultiAttempt, 0u);
 }
 
 TEST(SpanSweepTest, FaultySweepProducesMultiAttemptSpans)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stats/summary.h"
 #include "util/error.h"
 #include "util/random_variates.h"
 #include "util/rng.h"
@@ -14,68 +15,46 @@ namespace {
 
 TEST(ConvergenceTest, RejectsBadParameters)
 {
-    EXPECT_THROW(ConvergenceTracker(0.0), ConfigError);
-    EXPECT_THROW(ConvergenceTracker(0.1, 0), ConfigError);
-}
-
-TEST(ConvergenceTest, NotConvergedBeforeMinRuns)
-{
-    ConvergenceTracker t(0.5, 1, 5);
-    for (int i = 0; i < 4; ++i) {
-        t.add(100.0);
-        EXPECT_FALSE(t.converged());
-    }
-    t.add(100.0);
-    EXPECT_TRUE(t.converged());
+    const std::vector<double> values{1.0, 1.0, 1.0, 1.0};
+    EXPECT_THROW(meanConverged(values, 0.0, 3), ConfigError);
+    EXPECT_THROW(meanConverged(values, -0.1, 3), ConfigError);
+    EXPECT_THROW(meanConverged(values, 0.1, 0), ConfigError);
+    // Checked even before there are enough values to decide.
+    EXPECT_THROW(meanConverged({}, 0.0, 3), ConfigError);
 }
 
 TEST(ConvergenceTest, ConstantStreamConverges)
 {
-    ConvergenceTracker t;
-    for (int i = 0; i < 10; ++i)
-        t.add(42.0);
-    EXPECT_TRUE(t.converged());
-    EXPECT_DOUBLE_EQ(t.runningMean(), 42.0);
+    const std::vector<double> values(10, 42.0);
+    EXPECT_TRUE(meanConverged(values, 0.02, 3));
+    // window + 1 values are the least that can converge.
+    EXPECT_FALSE(meanConverged({42.0, 42.0, 42.0}, 0.02, 3));
+    EXPECT_TRUE(meanConverged({42.0, 42.0, 42.0, 42.0}, 0.02, 3));
 }
 
 TEST(ConvergenceTest, DriftingStreamDoesNotConverge)
 {
-    ConvergenceTracker t(0.01, 3, 5);
+    std::vector<double> values;
     for (int i = 0; i < 20; ++i)
-        t.add(100.0 * static_cast<double>(i + 1));
-    EXPECT_FALSE(t.converged());
+        values.push_back(100.0 * static_cast<double>(i + 1));
+    EXPECT_FALSE(meanConverged(values, 0.01, 3));
 }
 
 TEST(ConvergenceTest, NoisyStationaryStreamEventuallyConverges)
 {
     Rng rng(1);
     Normal noise(200.0, 20.0);
-    ConvergenceTracker t(0.01, 3, 5);
-    int runs = 0;
-    while (!t.converged() && runs < 500) {
-        t.add(noise.sample(rng));
-        ++runs;
+    std::vector<double> values;
+    while (values.size() < 5 || !meanConverged(values, 0.01, 3)) {
+        ASSERT_LT(values.size(), 500u);
+        values.push_back(noise.sample(rng));
     }
-    EXPECT_TRUE(t.converged());
-    EXPECT_NEAR(t.runningMean(), 200.0, 15.0);
-    EXPECT_GE(t.count(), 5u);
-}
-
-TEST(ConvergenceTest, MeasurementsAreRecorded)
-{
-    ConvergenceTracker t;
-    t.add(1.0);
-    t.add(3.0);
-    EXPECT_EQ(t.measurements(), (std::vector<double>{1.0, 3.0}));
-    EXPECT_DOUBLE_EQ(t.runningMean(), 2.0);
+    EXPECT_NEAR(mean(values), 200.0, 15.0);
 }
 
 TEST(ConvergenceTest, ZeroMeanStreamConverges)
 {
-    ConvergenceTracker t(0.01, 2, 3);
-    for (int i = 0; i < 6; ++i)
-        t.add(0.0);
-    EXPECT_TRUE(t.converged());
+    EXPECT_TRUE(meanConverged(std::vector<double>(6, 0.0), 0.01, 2));
 }
 
 } // namespace

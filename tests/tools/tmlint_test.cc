@@ -401,6 +401,15 @@ TEST(TmlintLayering, DriveSitsAboveAnalysisButIsNotIncludable)
     EXPECT_EQ(countRule(core, "layering"), 1) << describe(core);
 }
 
+TEST(TmlintLayering, CoreRunsOneExperimentAndUsesNoThreads)
+{
+    // Every multi-run loop lives in drive/; core/ may not reach the
+    // thread pool or the parallel runner.
+    const auto findings = lintOne("src/core/experiment.h",
+                                  "#include \"exec/parallel_runner.h\"\n");
+    EXPECT_EQ(countRule(findings, "layering"), 1) << describe(findings);
+}
+
 TEST(TmlintLayering, CoreAndAnalysisMayUseTheStore)
 {
     Linter linter(defaultConfig());

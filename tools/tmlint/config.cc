@@ -64,8 +64,8 @@ const char *const kDefaultJson = R"CFG({
         "server": ["util", "sim", "obs", "hw"],
         "lb": ["util", "sim", "obs", "server"],
         "fault": ["util", "sim", "obs", "hw", "net", "server"],
-        "core": ["util", "exec", "sim", "obs", "stats", "store",
-                 "hw", "net", "server", "fault", "lb"],
+        "core": ["util", "sim", "obs", "stats", "store", "hw",
+                 "net", "server", "fault", "lb"],
         "analysis": ["util", "exec", "sim", "obs", "stats", "store",
                      "hw", "net", "server", "core", "regress", "lb"],
         "drive": ["util", "exec", "stats", "store", "regress",
