@@ -108,8 +108,7 @@ LoadTesterInstance::LoadTesterInstance(sim::Simulation &sim_,
     } else {
         controller = std::make_unique<ClosedLoopController>(
             sim, cfg.closedLoopSlots, SimDuration{0},
-            cfg.rateLimitedClosedLoop ? cfg.requestsPerSecond : 0.0,
-            rng.substream(7), cfg.uniformClosedLoopSpacing);
+            cfg.rateLimitedClosedLoop ? cfg.requestsPerSecond : 0.0);
     }
 }
 

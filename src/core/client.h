@@ -93,10 +93,6 @@ struct ClientParams {
     /** Pace the closed loop at requestsPerSecond (Mutilate's
      *  target-QPS mode); false = saturating worker loop. */
     bool rateLimitedClosedLoop = true;
-    /** Rate-limited closed loop sends at exactly 1/rate intervals
-     *  (Mutilate's deterministic pacing, the inter-arrival pitfall)
-     *  instead of exponential ones. */
-    bool uniformClosedLoopSpacing = true;
     SampleCollector::Params collector;
     /** @name Client machine model
      * @{

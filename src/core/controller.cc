@@ -47,11 +47,9 @@ OpenLoopController::scheduleNext()
 ClosedLoopController::ClosedLoopController(sim::Simulation &sim_,
                                            unsigned connections,
                                            SimDuration thinkTime_,
-                                           double targetRps_,
-                                           const Rng &rng_,
-                                           bool uniformSpacing_)
+                                           double targetRps_)
     : sim(sim_), slots(connections), thinkTime(thinkTime_),
-      targetRps(targetRps_), rng(rng_), uniformSpacing(uniformSpacing_)
+      targetRps(targetRps_)
 {
     if (connections == 0)
         throw ConfigError("closed loop needs at least one connection");
@@ -75,12 +73,7 @@ ClosedLoopController::start(IssueFn issue_)
 void
 ClosedLoopController::scheduleNext()
 {
-    double gapNs = 1e9 / targetRps;
-    if (!uniformSpacing) {
-        Exponential interArrival(targetRps / 1e9);
-        gapNs = interArrival.sample(rng);
-    }
-    nextSend += static_cast<SimDuration>(std::max(1.0, gapNs));
+    nextSend += static_cast<SimDuration>(std::max(1.0, 1e9 / targetRps));
     sim.scheduleAt(nextSend, [this] {
         if (!running)
             return;

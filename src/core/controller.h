@@ -104,8 +104,9 @@ class OpenLoopController : public LoadController
  *  - Saturating (targetRps == 0): every slot reissues immediately on
  *    response (optionally after a think time) -- the classic worker-
  *    thread loop.
- *  - Rate-limited (targetRps > 0): sends are scheduled at exponential
- *    instants like an open loop, but a send finding every slot busy
+ *  - Rate-limited (targetRps > 0): sends go out at exact 1/rate
+ *    intervals (Mutilate's deterministic pacing, the "improper
+ *    inter-arrival" pitfall), but a send finding every slot busy
  *    waits for a response first. This is Mutilate's target-QPS mode;
  *    the cap on outstanding requests is exactly what clips the
  *    queueing tail (paper Figs 1 and 6).
@@ -119,15 +120,10 @@ class ClosedLoopController : public LoadController
      * @param thinkTime Delay between a response and the next request
      *        on that slot (saturating mode only).
      * @param targetRps Rate-limited mode when positive.
-     * @param rng Inter-arrival randomness (rate-limited mode).
-     * @param uniformSpacing Rate-limited sends at exactly 1/rate
-     *        intervals (Mutilate's pacing) instead of exponential
-     *        ones -- the "improper inter-arrival" pitfall.
      */
     ClosedLoopController(sim::Simulation &sim, unsigned connections,
                          SimDuration thinkTime = 0,
-                         double targetRps = 0.0, const Rng &rng = Rng(1),
-                         bool uniformSpacing = true);
+                         double targetRps = 0.0);
 
     void start(IssueFn issue) override;
     void onResponse() override;
@@ -153,8 +149,6 @@ class ClosedLoopController : public LoadController
     unsigned slots;
     SimDuration thinkTime;
     double targetRps;
-    Rng rng;
-    bool uniformSpacing;
     IssueFn issue;
     bool running = false;
     unsigned outstanding = 0;

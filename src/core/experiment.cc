@@ -115,6 +115,9 @@ struct Harness {
      *  an un-faulted run takes the raw service path untouched. */
     std::unique_ptr<server::ServiceFaultShim> faultShim;
     std::unique_ptr<fault::FaultInjector> injector;
+    /** Where client requests land: the server, or its fault shim when
+     *  one is wired. */
+    server::Service *front = nullptr;
     std::vector<std::unique_ptr<LoadTesterInstance>> instances;
     obs::SpanRecorder spanRecorder;
     obs::TelemetrySampler sampler;
@@ -122,31 +125,35 @@ struct Harness {
 
     std::uint64_t responsesCompleted = 0;
 
-    server::Service &
-    rawService()
+    /**
+     * Send @p request down @p path as one @p kind packet; on arrival
+     * stamp @p arrival (if not null) and pass the request and packet
+     * to @p next. Every hop of both tiers goes through here.
+     *
+     * @return The packet sent, for the capture at the server NIC.
+     */
+    template <typename Next>
+    net::Packet
+    hop(const net::Path &path, net::PacketKind kind,
+        server::RequestPtr request, SimTime server::Request::*arrival,
+        Next next)
     {
-        if (memcached)
-            return *memcached;
-        return *mcrouter;
-    }
-
-    /** The request sink: the fault shim when one is wired, else the
-     *  real server. */
-    server::Service &
-    service()
-    {
-        if (faultShim)
-            return *faultShim;
-        return rawService();
-    }
-
-    /** Backend @p i's request sink: its shim when faults are wired. */
-    server::Service &
-    backendService(std::size_t i)
-    {
-        if (!backendShims.empty())
-            return *backendShims[i];
-        return *backendServers[i];
+        net::Packet pkt;
+        pkt.seqId = request->seqId;
+        pkt.connectionId = request->connectionId;
+        pkt.bytes = kind == net::PacketKind::Request
+                        ? request->requestBytes
+                        : request->responseBytes;
+        pkt.kind = kind;
+        path.send(sim, pkt,
+                  [this, arrival, request = std::move(request),
+                   next = std::move(next)](
+                      const net::Packet &arrived) mutable {
+                      if (arrival != nullptr)
+                          (*request).*arrival = sim.now();
+                      next(std::move(request), arrived);
+                  });
+        return pkt;
     }
 
     /**
@@ -166,8 +173,9 @@ struct Harness {
 /**
  * Build the sharded backend tier: fabric links, per-shard machines and
  * Memcached services (scoped "backend<i>"), per-shard fault shims when
- * the run has a fault plan, and the balancer whose forward hooks carry
- * each request across the fabric and back.
+ * the run has a fault plan, and the balancer. Shard b's forward hook
+ * carries a request across the fabric into the shard; the shard's sink
+ * carries the answer back and reports it to the balancer as b's.
  */
 void
 wireClusterTier(Harness *h)
@@ -211,42 +219,28 @@ wireClusterTier(Harness *h)
                 *h->backendMachines.back(), params.memcachedParams,
                 shardSeed, strprintf("backend%u", b),
                 /*backendRole=*/true));
+        server::Service *shard = h->backendServers.back().get();
         if (withShims) {
             h->backendShims.push_back(
                 std::make_unique<server::ServiceFaultShim>(
-                    h->sim, *h->backendServers.back(),
-                    strprintf("backend%u", b)));
+                    h->sim, *shard, strprintf("backend%u", b)));
+            shard = h->backendShims.back().get();
         }
 
+        shard->setSink([h, b](server::RequestPtr response) {
+            h->hop(h->fabric->fromBackend(b), net::PacketKind::Response,
+                   std::move(response), nullptr,
+                   [h, b](server::RequestPtr resp, const net::Packet &) {
+                       h->balancer->backendAnswered(b, std::move(resp));
+                   });
+        });
         lb::LoadBalancer::Backend hook;
-        hook.forward = [h, b](server::RequestPtr request,
-                              server::RespondFn respond) {
-            net::Packet pkt;
-            pkt.seqId = request->seqId;
-            pkt.connectionId = request->connectionId;
-            pkt.bytes = request->requestBytes;
-            pkt.kind = net::PacketKind::Request;
-            h->fabric->toBackend(b).send(
-                h->sim, pkt,
-                [h, b, request = std::move(request),
-                 respond = std::move(respond)](const net::Packet &) mutable {
-                    request->backendNicArrival = h->sim.now();
-                    h->backendService(b).receive(
-                        std::move(request),
-                        [h, b, respond = std::move(respond)](
-                            const server::RequestPtr &resp) {
-                            net::Packet out;
-                            out.seqId = resp->seqId;
-                            out.connectionId = resp->connectionId;
-                            out.bytes = resp->responseBytes;
-                            out.kind = net::PacketKind::Response;
-                            h->fabric->fromBackend(b).send(
-                                h->sim, out,
-                                [respond, resp](const net::Packet &) {
-                                    respond(resp);
-                                });
-                        });
-                });
+        hook.forward = [h, b, shard](server::RequestPtr request) {
+            h->hop(h->fabric->toBackend(b), net::PacketKind::Request,
+                   std::move(request), &server::Request::backendNicArrival,
+                   [shard](server::RequestPtr req, const net::Packet &) {
+                       shard->receive(std::move(req));
+                   });
         };
         if (withShims) {
             server::ServiceFaultShim *shim = h->backendShims.back().get();
@@ -276,9 +270,11 @@ runExperiment(const ExperimentParams &params)
     if (params.kind == WorkloadKind::Memcached) {
         h->memcached = std::make_unique<server::MemcachedServer>(
             *h->machine, params.memcachedParams, params.seed);
+        h->front = h->memcached.get();
     } else {
         h->mcrouter = std::make_unique<server::McrouterServer>(
             *h->machine, params.mcrouterParams, params.seed);
+        h->front = h->mcrouter.get();
     }
 
     std::vector<net::Cluster::ClientSpec> clientSpecs(
@@ -293,7 +289,8 @@ runExperiment(const ExperimentParams &params)
 
     if (!params.faultPlan.empty()) {
         h->faultShim = std::make_unique<server::ServiceFaultShim>(
-            h->sim, h->rawService());
+            h->sim, *h->front);
+        h->front = h->faultShim.get();
         h->injector = std::make_unique<fault::FaultInjector>(
             h->sim, params.faultPlan, params.seed);
         std::vector<net::Link *> links = h->cluster->allLinks();
@@ -319,6 +316,23 @@ runExperiment(const ExperimentParams &params)
         }
         h->injector->arm();
     }
+
+    // Server NIC (captured) -> network -> the request's client.
+    auto *harness = h.get();
+    h->front->setSink([harness](server::RequestPtr response) {
+        const auto client =
+            static_cast<std::size_t>(response->clientIndex);
+        const net::Packet sent = harness->hop(
+            harness->cluster->serverToClient(client),
+            net::PacketKind::Response, std::move(response),
+            &server::Request::clientNicArrival,
+            [harness, client](server::RequestPtr resp,
+                              const net::Packet &) {
+                harness->instances[client]->onResponseDelivered(
+                    std::move(resp));
+            });
+        harness->capture.onResponse(sent, harness->sim.now());
+    });
 
     const double totalRps = deriveRequestRate(params);
     const double perClientRps =
@@ -353,50 +367,19 @@ runExperiment(const ExperimentParams &params)
         cp.recordSpans = params.trace.enabled;
         cp.seed = params.seed * 1009 + i;
 
-        auto *harness = h.get();
         auto instance = std::make_unique<LoadTesterInstance>(
             h->sim, cp, params.workload,
             [harness, i](server::RequestPtr request) {
-                // Client NIC -> network -> server NIC.
-                net::Packet pkt;
-                pkt.seqId = request->seqId;
-                pkt.connectionId = request->connectionId;
-                pkt.bytes = request->requestBytes;
-                pkt.kind = net::PacketKind::Request;
-                harness->cluster->clientToServer(i).send(
-                    harness->sim, pkt,
-                    [harness, request = std::move(request)](
-                        const net::Packet &arrived) mutable {
+                // Client NIC -> network -> server NIC (captured).
+                harness->hop(
+                    harness->cluster->clientToServer(i),
+                    net::PacketKind::Request, std::move(request),
+                    &server::Request::nicArrival,
+                    [harness](server::RequestPtr req,
+                              const net::Packet &arrived) {
                         harness->capture.onRequest(arrived,
                                                    harness->sim.now());
-                        request->nicArrival = harness->sim.now();
-                        harness->service().receive(
-                            std::move(request),
-                            [harness](const server::RequestPtr &resp) {
-                                // Response leaves the server NIC.
-                                net::Packet out;
-                                out.seqId = resp->seqId;
-                                out.connectionId = resp->connectionId;
-                                out.bytes = resp->responseBytes;
-                                out.kind = net::PacketKind::Response;
-                                harness->capture.onResponse(
-                                    out, harness->sim.now());
-                                const auto client = static_cast<
-                                    std::size_t>(resp->clientIndex);
-                                harness->cluster->serverToClient(client)
-                                    .send(harness->sim, out,
-                                          [harness,
-                                           resp](const net::Packet &) {
-                                              resp->clientNicArrival =
-                                                  harness->sim.now();
-                                              harness
-                                                  ->instances[static_cast<
-                                                      std::size_t>(
-                                                      resp->clientIndex)]
-                                                  ->onResponseDelivered(
-                                                      resp);
-                                          });
-                            });
+                        harness->front->receive(std::move(req));
                     });
             });
         if (params.trace.enabled) {
@@ -419,7 +402,6 @@ runExperiment(const ExperimentParams &params)
     // Completion hook: stop load at per-instance targets, stop the
     // simulation when every instance is done.
     for (auto &instance : h->instances) {
-        auto *harness = h.get();
         instance->setCompletionHook(
             [harness](const server::RequestPtr &) {
                 ++harness->responsesCompleted;
@@ -439,7 +421,6 @@ runExperiment(const ExperimentParams &params)
     // stable export order), then kick the first tick at t=0. Probes
     // are plain reads of state the run maintains anyway.
     if (params.telemetry.enabled) {
-        auto *harness = h.get();
         harness->sampler.addProbe("sim.event_queue_depth", [harness] {
             return static_cast<double>(harness->sim.pendingEvents());
         });
@@ -481,7 +462,7 @@ runExperiment(const ExperimentParams &params)
 
     for (auto &instance : h->instances)
         instance->start();
-    h->sim.scheduleAt(params.deadline, [harness = h.get()] {
+    h->sim.scheduleAt(params.deadline, [harness] {
         warn("experiment", "hit the simulated-time deadline");
         harness->deadlineHit = true;
         harness->sim.stop();

@@ -23,10 +23,11 @@ namespace hw {
 
 /** One unit of CPU work with its completion callback. */
 struct WorkItem {
-    /** Completion callback. Inline capacity of 64 bytes covers the
-     *  server-side closures (this + request handle + respond fn), so
-     *  submitting work never allocates. Move-only, like the queue. */
-    using DoneFn = util::InlineFunction<void(SimTime start, SimTime end), 64>;
+    /** Completion callback. The 48 bytes of inline capacity that
+     *  sim::EventFn also uses cover the largest server-side closure
+     *  (this + request handle + a flag), so submitting work never
+     *  allocates. Move-only, like the queue. */
+    using DoneFn = util::InlineFunction<void(SimTime start, SimTime end), 48>;
 
     /** Frequency-scaled work (CPU cycles). */
     double cycles = 0.0;

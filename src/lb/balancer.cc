@@ -75,11 +75,11 @@ LoadBalancer::backendHealthy(std::uint32_t b) const
     return !probe || probe();
 }
 
-// tmlint:hot-path-begin -- receive/dispatch/drainQueue run once per
-// routed request; stamping and selection must stay alloc-free.
+// tmlint:hot-path-begin -- receive/dispatch/backendAnswered/drainQueue
+// run once per routed request; stamping and selection must stay
+// alloc-free.
 void
-LoadBalancer::receive(server::RequestPtr request,
-                      server::RespondFn respond)
+LoadBalancer::receive(server::RequestPtr request)
 {
     TM_ASSERT(hooks.size() == params.backends,
               "balancer used before all backends attached");
@@ -131,7 +131,6 @@ LoadBalancer::receive(server::RequestPtr request,
             entry.enqueuedAt = sim.now();
             entry.candidates = scratchHealthy;
             entry.request = std::move(request);
-            entry.respond = std::move(respond);
             queue.emplace(
                 std::make_pair(policy->queuePriority(*entry.request),
                                nextQueueSeq++),
@@ -143,21 +142,18 @@ LoadBalancer::receive(server::RequestPtr request,
                                        inflight.size()};
         const std::size_t pick =
             policy->select(scratchFree, snapshot, *request);
-        dispatch(scratchFree[pick], std::move(request),
-                 std::move(respond));
+        dispatch(scratchFree[pick], std::move(request));
         return;
     }
 
     const BackendSnapshot snapshot{inflight.data(), inflight.size()};
     const std::size_t pick =
         policy->select(scratchHealthy, snapshot, *request);
-    dispatch(scratchHealthy[pick], std::move(request),
-             std::move(respond));
+    dispatch(scratchHealthy[pick], std::move(request));
 }
 
 void
-LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request,
-                       server::RespondFn respond)
+LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request)
 {
     ++inflight[b];
     ++dispatchCount[b];
@@ -166,19 +162,20 @@ LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request,
     backendInflight[b]->set(static_cast<double>(inflight[b]));
     request->backendId = static_cast<std::int32_t>(b);
     request->lbDispatch = sim.now();
-    auto &hook = hooks[b];
-    hook.forward(
-        std::move(request),
-        [this, b, respond = std::move(respond)](
-            const server::RequestPtr &response) {
-            --inflight[b];
-            backendInflight[b]->set(
-                static_cast<double>(inflight[b]));
-            // Reuse the freed slot at the earliest instant, then let
-            // the response continue toward the client.
-            drainQueue();
-            respond(response);
-        });
+    hooks[b].forward(std::move(request));
+}
+
+void
+LoadBalancer::backendAnswered(std::uint32_t b,
+                              server::RequestPtr response)
+{
+    TM_ASSERT(inflight[b] > 0, "backend answered a request it never got");
+    --inflight[b];
+    backendInflight[b]->set(static_cast<double>(inflight[b]));
+    // Reuse the freed slot at the earliest instant, then let the
+    // response continue toward the client.
+    drainQueue();
+    answer(std::move(response));
 }
 
 void
@@ -206,11 +203,10 @@ LoadBalancer::drainQueue()
             policy->select(scratchFree, snapshot, *head.request);
         queueWaitHist.record(toMicros(sim.now() - head.enqueuedAt));
         server::RequestPtr request = std::move(head.request);
-        server::RespondFn respond = std::move(head.respond);
         const std::uint32_t target = scratchFree[pick];
         queue.erase(headIt);
         queueDepthGauge.set(static_cast<double>(queue.size()));
-        dispatch(target, std::move(request), std::move(respond));
+        dispatch(target, std::move(request));
     }
 }
 // tmlint:hot-path-end

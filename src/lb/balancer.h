@@ -14,9 +14,10 @@
  * got slow".
  *
  * The balancer never touches packets or machines itself: each backend
- * is an opaque forward callback (typically: uplink -> backend service
- * -> downlink) plus an optional health probe, so the lb module stays
- * below core in the layering DAG and is unit-testable with synthetic
+ * is an opaque forward hook (typically: uplink -> backend service)
+ * plus an optional health probe, and the wiring reports each answer
+ * back by shard id (backendAnswered), so the lb module stays below
+ * core in the layering DAG and is unit-testable with synthetic
  * backends.
  */
 
@@ -60,10 +61,9 @@ class LoadBalancer : public server::Service
   public:
     /** One attached backend shard. */
     struct Backend {
-        /** Ship a request to the shard and eventually invoke the
-         *  response callback (wire + service path). */
-        std::function<void(server::RequestPtr, server::RespondFn)>
-            forward;
+        /** Ship a request to the shard (wire + service path); its
+         *  answer comes back through backendAnswered(). */
+        std::function<void(server::RequestPtr)> forward;
         /** Liveness probe consulted at dispatch time; an empty
          *  function means always healthy. */
         std::function<bool()> healthy;
@@ -84,8 +84,11 @@ class LoadBalancer : public server::Service
      * (and count) when all replicas are down -- the client's timeout
      * machinery owns unanswered requests.
      */
-    void receive(server::RequestPtr request,
-                 server::RespondFn respond) override;
+    void receive(server::RequestPtr request) override;
+
+    /** Backend @p b answered @p response: free its slot, drain the
+     *  queue, then hand the answer to the sink. */
+    void backendAnswered(std::uint32_t b, server::RequestPtr response);
 
     /** @name Observers
      * @{
@@ -117,7 +120,6 @@ class LoadBalancer : public server::Service
   private:
     struct QueuedRequest {
         server::RequestPtr request;
-        server::RespondFn respond;
         SimTime enqueuedAt = 0;
         /** Healthy replicas at enqueue time (re-filtered at pop). */
         std::vector<std::uint32_t> candidates;
@@ -126,9 +128,8 @@ class LoadBalancer : public server::Service
     /** True when @p b answers its health probe. */
     bool backendHealthy(std::uint32_t b) const;
 
-    /** Hand @p request to backend @p b and arm the completion path. */
-    void dispatch(std::uint32_t b, server::RequestPtr request,
-                  server::RespondFn respond);
+    /** Hand @p request to backend @p b. */
+    void dispatch(std::uint32_t b, server::RequestPtr request);
 
     /** A slot freed: dispatch queue heads while they fit. */
     void drainQueue();

@@ -16,6 +16,8 @@ ServiceFaultShim::ServiceFaultShim(sim::Simulation &sim_, Service &inner_,
           sim_.metrics().counter(scope + ".fault.warmed_up"))
 {
     sim_.metrics().claimScope(scope + ".fault");
+    inner.setSink(
+        [this](RequestPtr response) { answer(std::move(response)); });
 }
 
 bool
@@ -31,7 +33,7 @@ ServiceFaultShim::crashed() const
 }
 
 void
-ServiceFaultShim::receive(RequestPtr request, RespondFn respond)
+ServiceFaultShim::receive(RequestPtr request)
 {
     const SimTime now = sim.now();
 
@@ -52,10 +54,10 @@ ServiceFaultShim::receive(RequestPtr request, RespondFn respond)
         ++stalledCount;
         stalledCounter.add();
         sim.countEvent("fault.stall_release");
-        sim.scheduleAt(stallUntil, [this, request = std::move(request),
-                                    respond = std::move(respond)]() mutable {
-            receive(std::move(request), std::move(respond));
-        });
+        sim.scheduleAt(stallUntil,
+                       [this, request = std::move(request)]() mutable {
+                           receive(std::move(request));
+                       });
         return;
     }
 
@@ -70,14 +72,14 @@ ServiceFaultShim::receive(RequestPtr request, RespondFn respond)
         ++warmupCount;
         warmupCounter.add();
         sim.countEvent("fault.warmup_delay");
-        sim.schedule(penalty, [this, request = std::move(request),
-                               respond = std::move(respond)]() mutable {
-            inner.receive(std::move(request), std::move(respond));
-        });
+        sim.schedule(penalty,
+                     [this, request = std::move(request)]() mutable {
+                         inner.receive(std::move(request));
+                     });
         return;
     }
 
-    inner.receive(std::move(request), std::move(respond));
+    inner.receive(std::move(request));
 }
 
 void

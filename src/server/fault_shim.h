@@ -10,7 +10,8 @@
  * (in-flight requests are simply never answered). Requests already
  * handed to the inner service keep their worker-queue positions --
  * faults never reorder work that was accepted before they struck, so
- * faulted runs stay deterministic.
+ * faulted runs stay deterministic. The inner service's answers pass
+ * through the shim's sink unchanged.
  *
  * The shim is only inserted into the request path when the run's
  * FaultPlan contains server events; a plan-free run calls the real
@@ -41,7 +42,7 @@ class ServiceFaultShim : public Service
   public:
     /**
      * @param sim Owning simulation (schedules deferred deliveries).
-     * @param inner The real service.
+     * @param inner The real service; its sink now feeds this shim's.
      * @param scope Metric prefix of the wrapped service ("server", or
      *        "backend<i>" for a cluster shard); the shim claims
      *        "<scope>.fault" so two shims can never share counters.
@@ -58,7 +59,7 @@ class ServiceFaultShim : public Service
      * crashed, and delay by the decaying warm-up penalty while warming
      * up.
      */
-    void receive(RequestPtr request, RespondFn respond) override;
+    void receive(RequestPtr request) override;
 
     /** @name Injector hooks
      * @{

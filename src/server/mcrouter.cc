@@ -22,7 +22,20 @@ McrouterServer::McrouterServer(hw::Machine &machine_,
 }
 
 void
-McrouterServer::receive(RequestPtr request, RespondFn respond)
+McrouterServer::setBackendPool(Service *pool)
+{
+    backendPool = pool;
+    pool->setSink([this](RequestPtr response) {
+        // The instant the shard's response re-entered the router tier
+        // (span traces split fabric time from router egress on this
+        // stamp).
+        response->routerReturn = machine.simulation().now();
+        serializeOnWorker(std::move(response));
+    });
+}
+
+void
+McrouterServer::receive(RequestPtr request)
 {
     TM_ASSERT(request->nicArrival != kNoTime,
               "request must be stamped with nicArrival");
@@ -41,17 +54,14 @@ McrouterServer::receive(RequestPtr request, RespondFn respond)
     irq.cycles = machine.spec().irqCycles * machine.nic().irqLoadFactor();
     irq.allowTurbo = true;
     irq.done = [this, request = std::move(request),
-                respond = std::move(respond), crossSocket](
-                   SimTime, SimTime) mutable {
-        deserializeOnWorker(std::move(request), std::move(respond),
-                            crossSocket);
+                crossSocket](SimTime, SimTime) mutable {
+        deserializeOnWorker(std::move(request), crossSocket);
     };
     machine.submit(irqCore, std::move(irq));
 }
 
 void
-McrouterServer::deserializeOnWorker(RequestPtr request, RespondFn respond,
-                                    bool crossSocket)
+McrouterServer::deserializeOnWorker(RequestPtr request, bool crossSocket)
 {
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
@@ -74,43 +84,31 @@ McrouterServer::deserializeOnWorker(RequestPtr request, RespondFn respond,
     if (crossSocket)
         work.fixedStall += machine.spec().crossSocketTransfer;
     work.allowTurbo = true;
-    work.done = [this, request = std::move(request),
-                 respond = std::move(respond)](SimTime start,
-                                               SimTime) mutable {
+    work.done = [this, request = std::move(request)](SimTime start,
+                                                     SimTime) mutable {
         request->workerStart = start;
         if (backendPool != nullptr) {
             // Real shard fabric: the pool owns the whole round trip
-            // (links, shard service, response links) and hands back
-            // the request with hit/responseBytes filled by the shard.
-            // No router core is occupied meanwhile, same as the
-            // modelled path below.
-            backendPool->receive(
-                std::move(request),
-                [this, respond = std::move(respond)](
-                    const RequestPtr &resp) mutable {
-                    // The instant the shard's response re-entered the
-                    // router tier (span traces split fabric time from
-                    // router egress on this stamp).
-                    resp->routerReturn = machine.simulation().now();
-                    serializeOnWorker(resp, std::move(respond));
-                });
+            // (links, shard service, response links) and hands the
+            // request, hit/responseBytes filled by the shard, to the
+            // sink setBackendPool wired. No router core is occupied
+            // meanwhile, same as the modelled path below.
+            backendPool->receive(std::move(request));
             return;
         }
         // Asynchronous backend round trip: no core occupied.
         const double delayUs = backendDelay.sample(rng);
         machine.simulation().schedule(
             microseconds(delayUs),
-            [this, request = std::move(request),
-             respond = std::move(respond)]() mutable {
-                serializeOnWorker(std::move(request),
-                                  std::move(respond));
+            [this, request = std::move(request)]() mutable {
+                serializeOnWorker(std::move(request));
             });
     };
     machine.submit(coreId, std::move(work));
 }
 
 void
-McrouterServer::serializeOnWorker(RequestPtr request, RespondFn respond)
+McrouterServer::serializeOnWorker(RequestPtr request)
 {
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
@@ -119,9 +117,8 @@ McrouterServer::serializeOnWorker(RequestPtr request, RespondFn respond)
     hw::WorkItem work;
     work.cycles = params.serializeCycles * jitter.sample(rng);
     work.allowTurbo = true;
-    work.done = [this, request = std::move(request),
-                 respond = std::move(respond)](SimTime,
-                                               SimTime end) mutable {
+    work.done = [this, request = std::move(request)](SimTime,
+                                                     SimTime end) mutable {
         request->workerEnd = end;
         if (backendPool == nullptr) {
             // Modelled backend: synthesize the outcome the real shard
@@ -134,7 +131,7 @@ McrouterServer::serializeOnWorker(RequestPtr request, RespondFn respond)
         request->nicDeparture = end;
         metrics.onServed(*request, request->nicArrival,
                          request->workerStart, end);
-        respond(request);
+        answer(std::move(request));
     };
     machine.submit(coreId, std::move(work));
 }

@@ -6,7 +6,8 @@
  * packets -- CPU-bound work that frequency scaling accelerates (paper
  * Finding 8) -- then forwards each request to a backend pool and
  * relays the response. The backend round trip is asynchronous: it
- * occupies no router core, only time.
+ * occupies no router core, only time. A real pool (setBackendPool)
+ * answers into the router's serialize stage through its sink.
  */
 
 #ifndef TREADMILL_SERVER_MCROUTER_H_
@@ -48,16 +49,17 @@ class McrouterServer : public Service
                    std::uint64_t seed,
                    const std::string &scope = "server");
 
-    void receive(RequestPtr request, RespondFn respond) override;
+    void receive(RequestPtr request) override;
 
     /**
      * Route through @p pool (typically a lb::LoadBalancer fronting the
      * shard fabric) instead of the modelled lognormal backend delay.
      * The pool owns the entire backend round trip -- links, shard
      * service, and response links -- and the router core stays free
-     * while it runs, exactly like the modelled path.
+     * while it runs, exactly like the modelled path. Points the
+     * pool's sink at this router's serialize stage.
      */
-    void setBackendPool(Service *pool) { backendPool = pool; }
+    void setBackendPool(Service *pool);
 
     /** Requests fully routed so far. */
     std::uint64_t served() const { return servedCount; }
@@ -67,11 +69,10 @@ class McrouterServer : public Service
 
   private:
     /** Stage 2: parse + route on the proxy thread. */
-    void deserializeOnWorker(RequestPtr request, RespondFn respond,
-                             bool crossSocket);
+    void deserializeOnWorker(RequestPtr request, bool crossSocket);
 
-    /** Stage 3: backend responded; serialize the reply. */
-    void serializeOnWorker(RequestPtr request, RespondFn respond);
+    /** Stage 3: the backend answered; serialize the reply. */
+    void serializeOnWorker(RequestPtr request);
 
     hw::Machine &machine;
     McrouterParams params;

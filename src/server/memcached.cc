@@ -24,7 +24,7 @@ MemcachedServer::MemcachedServer(hw::Machine &machine_,
 }
 
 void
-MemcachedServer::receive(RequestPtr request, RespondFn respond)
+MemcachedServer::receive(RequestPtr request)
 {
     TM_ASSERT(backendRole ? request->backendNicArrival != kNoTime
                           : request->nicArrival != kNoTime,
@@ -47,17 +47,14 @@ MemcachedServer::receive(RequestPtr request, RespondFn respond)
     irq.fixedStall = 0;
     irq.allowTurbo = true;
     irq.done = [this, request = std::move(request),
-                respond = std::move(respond), crossSocket](
-                   SimTime, SimTime) mutable {
-        executeOnWorker(std::move(request), std::move(respond),
-                        crossSocket);
+                crossSocket](SimTime, SimTime) mutable {
+        executeOnWorker(std::move(request), crossSocket);
     };
     machine.submit(irqCore, std::move(irq));
 }
 
 void
-MemcachedServer::executeOnWorker(RequestPtr request, RespondFn respond,
-                                 bool crossSocket)
+MemcachedServer::executeOnWorker(RequestPtr request, bool crossSocket)
 {
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
@@ -79,9 +76,8 @@ MemcachedServer::executeOnWorker(RequestPtr request, RespondFn respond,
     if (crossSocket)
         work.fixedStall += machine.spec().crossSocketTransfer;
     work.allowTurbo = true;
-    work.done = [this, request = std::move(request),
-                 respond = std::move(respond)](SimTime start,
-                                               SimTime end) mutable {
+    work.done = [this, request = std::move(request)](SimTime start,
+                                                     SimTime end) mutable {
         // A backend shard keeps its window in the backend* stamps so
         // the router's workerStart/End on the same Request survive.
         if (backendRole) {
@@ -115,7 +111,7 @@ MemcachedServer::executeOnWorker(RequestPtr request, RespondFn respond,
             request->nicDeparture = end;
             metrics.onServed(*request, request->nicArrival, start, end);
         }
-        respond(request);
+        answer(std::move(request));
     };
     machine.submit(coreId, std::move(work));
 }

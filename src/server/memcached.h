@@ -67,7 +67,7 @@ class MemcachedServer : public Service
                     const std::string &scope = "server",
                     bool backendRole = false);
 
-    void receive(RequestPtr request, RespondFn respond) override;
+    void receive(RequestPtr request) override;
 
     /** The backing store (inspection and pre-population). */
     KvStore &store() { return kv; }
@@ -85,8 +85,7 @@ class MemcachedServer : public Service
 
   private:
     /** Worker-thread portion of request handling. */
-    void executeOnWorker(RequestPtr request, RespondFn respond,
-                         bool crossSocket);
+    void executeOnWorker(RequestPtr request, bool crossSocket);
 
     hw::Machine &machine;
     MemcachedParams params;

@@ -5,7 +5,8 @@
  * A Request carries its own timeline: every component that touches it
  * stamps the simulated clock, so any latency decomposition the paper
  * performs (client-side, network, server residence, Fig 3) falls out
- * of simple timestamp differences.
+ * of simple timestamp differences. A Service answers into one sink
+ * wired with the topology, so the request is all that travels.
  */
 
 #ifndef TREADMILL_SERVER_REQUEST_H_
@@ -15,10 +16,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string_view>
+#include <utility>
 
+#include "util/inline_function.h"
+#include "util/logging.h"
 #include "util/pool.h"
 #include "util/types.h"
 
@@ -152,23 +155,41 @@ using RequestPtr = std::shared_ptr<Request>;
  */
 using RequestPool = util::Pool<Request>;
 
-/** Callback delivering a completed response. */
-using RespondFn = std::function<void(const RequestPtr &)>;
-
 /**
- * Anything that accepts requests at its NIC and eventually responds.
+ * Anything that accepts requests at its NIC and eventually answers.
+ * Where answers go is fixed by the topology: the code that wires it
+ * sets each service's sink once, so no per-request continuation
+ * exists.
  */
 class Service
 {
   public:
+    /** Takes each answered request. */
+    using Sink = util::InlineFunction<void(RequestPtr)>;
+
     virtual ~Service() = default;
+
+    /** Send every answer to @p next; set before the first receive(). */
+    void setSink(Sink next) { sink = std::move(next); }
 
     /**
      * Deliver @p request, already stamped with nicArrival. The service
-     * invokes @p respond once the response is ready to leave its NIC
+     * hands it to its sink once the answer is ready to leave its NIC
      * (nicDeparture stamped).
      */
-    virtual void receive(RequestPtr request, RespondFn respond) = 0;
+    virtual void receive(RequestPtr request) = 0;
+
+  protected:
+    /** Hand the answered @p request to the wired sink. */
+    void
+    answer(RequestPtr request)
+    {
+        TM_ASSERT(sink, "service answered before its sink was wired");
+        sink(std::move(request));
+    }
+
+  private:
+    Sink sink;
 };
 
 } // namespace server

@@ -136,7 +136,7 @@ TEST(RateLimitedClosedLoopTest, MatchesTargetRateWhenUncapped)
 {
     sim::Simulation sim;
     // 100k RPS, fast responses: the cap never binds.
-    ClosedLoopController ctl(sim, 64, 0, 100000.0, Rng(5));
+    ClosedLoopController ctl(sim, 64, 0, 100000.0);
     std::uint64_t issued = 0;
     ctl.start([&](SimTime) {
         ++issued;
@@ -153,7 +153,7 @@ TEST(RateLimitedClosedLoopTest, CapClipsBursts)
     sim::Simulation sim;
     // 100k RPS against 100 us responses needs ~10 outstanding on
     // average; a cap of 4 must defer sends.
-    ClosedLoopController ctl(sim, 4, 0, 100000.0, Rng(6));
+    ClosedLoopController ctl(sim, 4, 0, 100000.0);
     std::uint64_t outstanding = 0;
     std::uint64_t maxOutstanding = 0;
     ctl.start([&](SimTime) {
@@ -173,7 +173,7 @@ TEST(RateLimitedClosedLoopTest, CapClipsBursts)
 TEST(RateLimitedClosedLoopTest, DeferredSendsFireOnResponse)
 {
     sim::Simulation sim;
-    ClosedLoopController ctl(sim, 1, 0, 1e6, Rng(7));
+    ClosedLoopController ctl(sim, 1, 0, 1e6);
     std::vector<SimTime> sends;
     ctl.start([&](SimTime t) {
         sends.push_back(t);

@@ -1,16 +1,18 @@
 /**
  * @file
- * Steady-state allocation assertions for the client request loop and
- * the server data path.
+ * Steady-state allocation assertions for the client request loop, the
+ * server data path and whole experiments on both request tiers.
  *
  * Built only under -DTM_COUNT_ALLOCS=ON: the binary links the global
  * operator new/delete interposer (util/alloc_hook.cc) and asserts that
  * once the request pool, event-queue slots, collector buffers and KV
  * store are warm, driving tens of thousands of requests through a
  * load-tester instance or a Memcached server performs zero heap
- * allocations. This pins the central claim -- the hot path is
- * allocation-free in steady state -- as a test rather than a
- * benchmark observation.
+ * allocations, and that a longer runExperiment -- classic or routed
+ * through the balancer and shard fabric, with a stalling server --
+ * costs next to no allocations per extra response. This pins the
+ * central claim -- the hot path is allocation-free in steady state --
+ * as a test rather than a benchmark observation.
  */
 
 #include "core/client.h"
@@ -19,11 +21,13 @@
 
 #include <vector>
 
+#include "core/experiment.h"
 #include "hw/machine.h"
 #include "server/memcached.h"
 #include "sim/simulation.h"
 #include "util/alloc_counter.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace treadmill {
 namespace core {
@@ -95,6 +99,7 @@ struct ServerLoad {
     ServerLoad(sim::Simulation &sim_, server::MemcachedServer &server_)
         : sim(sim_), server(server_)
     {
+        server.setSink([this](server::RequestPtr) { ++answered; });
     }
 
     sim::Simulation &sim;
@@ -116,8 +121,7 @@ struct ServerLoad {
         req->valueBytes =
             isSet ? 1 + static_cast<std::uint32_t>(rng.nextBelow(2048)) : 0;
         req->nicArrival = sim.now();
-        server.receive(std::move(req),
-                       [this](const server::RequestPtr &) { ++answered; });
+        server.receive(std::move(req));
         sim.schedule(microseconds(20), [this] { issue(); });
     }
 };
@@ -149,6 +153,88 @@ TEST(ZeroAllocTest, WarmMemcachedServerRunsWithoutHeapAllocations)
     EXPECT_EQ(allocDelta, 0u)
         << "warm Memcached server performed " << allocDelta
         << " heap allocations";
+}
+
+/** Responses the run's load testers received. */
+std::uint64_t
+responsesOf(const ExperimentResult &result, const ExperimentParams &params)
+{
+    const json::Value &counters = result.metrics.at("counters");
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < params.tester.clientMachines; ++i)
+        n += static_cast<std::uint64_t>(
+            counters.at(strprintf("client%zu.received", i)).asInt());
+    return n;
+}
+
+/**
+ * Heap allocations per response beyond a run's fixed setup: run
+ * @p params with 4000 and then 8000 measurement samples per instance
+ * and divide the difference in allocations by the difference in
+ * responses.
+ */
+double
+allocsPerExtraResponse(ExperimentParams params)
+{
+    params.collector.measurementSamples = 4000;
+    const std::uint64_t before = util::allocCount();
+    const ExperimentResult shortRun = runExperiment(params);
+    const std::uint64_t mid = util::allocCount();
+    params.collector.measurementSamples = 8000;
+    const ExperimentResult longRun = runExperiment(params);
+    const std::uint64_t after = util::allocCount();
+
+    EXPECT_FALSE(shortRun.deadlineHit);
+    EXPECT_FALSE(longRun.deadlineHit);
+    const double extraAllocs =
+        static_cast<double>(after - mid) - static_cast<double>(mid - before);
+    const double extraResponses =
+        static_cast<double>(responsesOf(longRun, params)) -
+        static_cast<double>(responsesOf(shortRun, params));
+    EXPECT_GT(extraResponses, 3000.0);
+    return extraAllocs / extraResponses;
+}
+
+/** Server stalls of 3 ms every 40 ms from 5 ms on, 100 times, on
+ *  @p backend (-1: the front server). */
+fault::FaultPlan
+periodicStall(int backend)
+{
+    fault::FaultEvent ev;
+    ev.kind = fault::FaultKind::ServerStall;
+    ev.backend = backend;
+    ev.start = milliseconds(5);
+    ev.duration = milliseconds(3);
+    ev.period = milliseconds(40);
+    ev.repeatCount = 100;
+    fault::FaultPlan plan;
+    plan.events.push_back(ev);
+    return plan;
+}
+
+TEST(ZeroAllocTest, LongerExperimentsCostNoAllocationsPerResponse)
+{
+    util::forceLinkAllocHook();
+    ASSERT_TRUE(util::allocCountingActive());
+
+    // Routed: mcrouter -> balancer -> fabric -> backend shard and back,
+    // with backend 2 stalling and no resilience policy.
+    ExperimentParams routed;
+    routed.kind = WorkloadKind::Mcrouter;
+    routed.cluster.backends = 4;
+    routed.cluster.replication = 2;
+    routed.targetUtilization = 0.4;
+    routed.seed = 17;
+    routed.faultPlan = periodicStall(2);
+    EXPECT_LT(allocsPerExtraResponse(routed), 0.01);
+
+    // Classic: client -> Memcached server and back, the server
+    // stalling.
+    ExperimentParams classic;
+    classic.targetUtilization = 0.4;
+    classic.seed = 17;
+    classic.faultPlan = periodicStall(-1);
+    EXPECT_LT(allocsPerExtraResponse(classic), 0.01);
 }
 
 TEST(ZeroAllocTest, RequestPoolRecyclesInsteadOfAllocating)

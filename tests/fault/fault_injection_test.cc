@@ -25,11 +25,10 @@ class RecordingService : public server::Service
   public:
     explicit RecordingService(sim::Simulation &sim) : sim(sim) {}
 
-    void receive(server::RequestPtr request,
-                 server::RespondFn respond) override
+    void receive(server::RequestPtr request) override
     {
         deliveredAt.push_back(sim.now());
-        respond(request);
+        answer(std::move(request));
     }
 
     std::vector<SimTime> deliveredAt;
@@ -52,10 +51,10 @@ TEST(FaultShimTest, StallDefersIntakeUntilTheWindowEnds)
 
     shim.beginStall(microseconds(100));
     std::uint64_t responses = 0;
+    shim.setSink([&](server::RequestPtr) { ++responses; });
     sim.schedule(microseconds(10), [&] {
         EXPECT_TRUE(shim.stalled());
-        shim.receive(makeRequest(),
-                     [&](const server::RequestPtr &) { ++responses; });
+        shim.receive(makeRequest());
     });
     sim.runUntil(milliseconds(1));
 
@@ -74,13 +73,9 @@ TEST(FaultShimTest, CrashDropsRequestsUntilRestart)
 
     shim.beginCrash(microseconds(100), 0, 0);
     std::uint64_t responses = 0;
-    const auto respond = [&](const server::RequestPtr &) {
-        ++responses;
-    };
-    sim.schedule(microseconds(50),
-                 [&] { shim.receive(makeRequest(), respond); });
-    sim.schedule(microseconds(150),
-                 [&] { shim.receive(makeRequest(), respond); });
+    shim.setSink([&](server::RequestPtr) { ++responses; });
+    sim.schedule(microseconds(50), [&] { shim.receive(makeRequest()); });
+    sim.schedule(microseconds(150), [&] { shim.receive(makeRequest()); });
     sim.runUntil(milliseconds(1));
 
     // The mid-crash request is silently dropped, never answered.
@@ -99,13 +94,10 @@ TEST(FaultShimTest, WarmupPenaltyDecaysLinearly)
     // Restart at 100 us; 80 us penalty decaying over a 100 us window.
     shim.beginCrash(microseconds(100), microseconds(100),
                     microseconds(80));
-    const auto respond = [](const server::RequestPtr &) {};
-    sim.schedule(microseconds(100),
-                 [&] { shim.receive(makeRequest(), respond); });
-    sim.schedule(microseconds(150),
-                 [&] { shim.receive(makeRequest(), respond); });
-    sim.schedule(microseconds(250),
-                 [&] { shim.receive(makeRequest(), respond); });
+    shim.setSink([](server::RequestPtr) {});
+    sim.schedule(microseconds(100), [&] { shim.receive(makeRequest()); });
+    sim.schedule(microseconds(150), [&] { shim.receive(makeRequest()); });
+    sim.schedule(microseconds(250), [&] { shim.receive(makeRequest()); });
     sim.runUntil(milliseconds(1));
 
     ASSERT_EQ(inner.deliveredAt.size(), 3u);

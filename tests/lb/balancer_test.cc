@@ -18,9 +18,12 @@ namespace lb {
 namespace {
 
 /** One synthetic backend: logs arrivals, answers after a fixed
- *  delay, and can be switched dead at any time. */
+ *  delay by reporting back to the balancer under its shard id, and
+ *  can be switched dead at any time. */
 struct FakeBackend {
     sim::Simulation *sim = nullptr;
+    LoadBalancer *balancer = nullptr;
+    std::uint32_t id = 0;
     SimDuration serviceTime = 0;
     bool alive = true;
     std::vector<std::uint64_t> servedSeqIds;
@@ -29,11 +32,12 @@ struct FakeBackend {
     hook()
     {
         return LoadBalancer::Backend{
-            [this](server::RequestPtr req, server::RespondFn respond) {
+            [this](server::RequestPtr req) {
                 servedSeqIds.push_back(req->seqId);
                 sim->schedule(serviceTime,
-                              [req, respond = std::move(respond)] {
-                                  respond(req);
+                              [this, req = std::move(req)]() mutable {
+                                  balancer->backendAnswered(
+                                      id, std::move(req));
                               });
             },
             [this] { return alive; }};
@@ -49,9 +53,14 @@ struct Cluster {
     explicit Cluster(BalancerParams params, SimDuration delay = 0)
     {
         balancer = std::make_unique<LoadBalancer>(sim, params);
+        balancer->setSink([this](server::RequestPtr resp) {
+            completedSeqIds.push_back(resp->seqId);
+        });
         for (std::uint32_t b = 0; b < params.backends; ++b) {
             auto backend = std::make_unique<FakeBackend>();
             backend->sim = &sim;
+            backend->balancer = balancer.get();
+            backend->id = b;
             backend->serviceTime = delay;
             balancer->addBackend(backend->hook());
             backends.push_back(std::move(backend));
@@ -73,10 +82,7 @@ struct Cluster {
     void
     send(std::uint64_t seq, std::uint64_t keyId)
     {
-        balancer->receive(makeRequest(seq, keyId),
-                          [this](const server::RequestPtr &resp) {
-                              completedSeqIds.push_back(resp->seqId);
-                          });
+        balancer->receive(makeRequest(seq, keyId));
     }
 };
 
@@ -115,11 +121,8 @@ TEST(BalancerTest, RejectsOverAttachingBackends)
 {
     sim::Simulation sim;
     LoadBalancer balancer(sim, smallCluster(1));
-    balancer.addBackend(
-        {[](server::RequestPtr, server::RespondFn) {}, nullptr});
-    EXPECT_THROW(balancer.addBackend({[](server::RequestPtr,
-                                         server::RespondFn) {},
-                                      nullptr}),
+    balancer.addBackend({[](server::RequestPtr) {}, nullptr});
+    EXPECT_THROW(balancer.addBackend({[](server::RequestPtr) {}, nullptr}),
                  ConfigError);
 }
 
@@ -235,10 +238,7 @@ TEST(BalancerTest, EdfDispatchesTheTightestDeadlineFirst)
     auto sendWithIntended = [&](std::uint64_t seq, SimTime intended) {
         auto req = cluster.makeRequest(seq, seq);
         req->intendedSend = intended;
-        cluster.balancer->receive(
-            std::move(req), [&](const server::RequestPtr &resp) {
-                cluster.completedSeqIds.push_back(resp->seqId);
-            });
+        cluster.balancer->receive(std::move(req));
     };
 
     sendWithIntended(0, 0);                  // occupies the backend

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -33,6 +34,31 @@ makeRequest(std::uint64_t seq, SimTime nicArrival)
     return req;
 }
 
+/** A backend pool that answers every request after a fixed delay
+ *  with a canned outcome. */
+class FixedDelayPool : public Service
+{
+  public:
+    FixedDelayPool(sim::Simulation &sim, SimDuration delay)
+        : sim(sim), delay(delay)
+    {
+    }
+
+    void
+    receive(RequestPtr request) override
+    {
+        sim.schedule(delay, [this, request = std::move(request)]() mutable {
+            request->hit = false;
+            request->responseBytes = 48;
+            answer(std::move(request));
+        });
+    }
+
+  private:
+    sim::Simulation &sim;
+    SimDuration delay;
+};
+
 TEST(McrouterTest, RoutesAndResponds)
 {
     sim::Simulation sim;
@@ -40,8 +66,8 @@ TEST(McrouterTest, RoutesAndResponds)
     McrouterServer router(machine, McrouterParams{}, 1);
 
     RequestPtr response;
-    router.receive(makeRequest(1, 0),
-                   [&](const RequestPtr &r) { response = r; });
+    router.setSink([&](RequestPtr r) { response = std::move(r); });
+    router.receive(makeRequest(1, 0));
     sim.run();
     ASSERT_NE(response, nullptr);
     EXPECT_TRUE(response->hit);
@@ -58,8 +84,8 @@ TEST(McrouterTest, LatencyIncludesBackendRoundTrip)
     McrouterServer router(machine, params, 1);
 
     RequestPtr response;
-    router.receive(makeRequest(1, 0),
-                   [&](const RequestPtr &r) { response = r; });
+    router.setSink([&](RequestPtr r) { response = std::move(r); });
+    router.receive(makeRequest(1, 0));
     sim.run();
     ASSERT_NE(response, nullptr);
     // Router CPU alone is ~12 us; with the backend wait we must be
@@ -79,12 +105,11 @@ TEST(McrouterTest, BackendWaitDoesNotOccupyCore)
     // Two requests on the same connection: the second's deserialize
     // should start while the first waits on its backend.
     std::vector<RequestPtr> responses;
+    router.setSink([&](RequestPtr r) { responses.push_back(std::move(r)); });
     for (std::uint64_t i = 0; i < 2; ++i) {
         auto req = makeRequest(i, 0);
         req->connectionId = 3;
-        router.receive(std::move(req), [&](const RequestPtr &r) {
-            responses.push_back(r);
-        });
+        router.receive(std::move(req));
     }
     sim.run();
     ASSERT_EQ(responses.size(), 2u);
@@ -101,15 +126,41 @@ TEST(McrouterTest, TimestampsOrdered)
     McrouterServer router(machine, McrouterParams{}, 4);
 
     RequestPtr response;
-    sim.schedule(microseconds(3), [&] {
-        router.receive(makeRequest(9, sim.now()),
-                       [&](const RequestPtr &r) { response = r; });
-    });
+    router.setSink([&](RequestPtr r) { response = std::move(r); });
+    sim.schedule(microseconds(3),
+                 [&] { router.receive(makeRequest(9, sim.now())); });
     sim.run();
     ASSERT_NE(response, nullptr);
     EXPECT_LE(response->nicArrival, response->workerStart);
     EXPECT_LT(response->workerStart, response->workerEnd);
     EXPECT_EQ(response->workerEnd, response->nicDeparture);
+}
+
+TEST(McrouterTest, BackendPoolAnswersIntoTheSerializeStage)
+{
+    sim::Simulation sim;
+    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 1);
+    McrouterServer router(machine, McrouterParams{}, 1);
+    FixedDelayPool pool(sim, microseconds(300));
+    router.setBackendPool(&pool);
+
+    RequestPtr response;
+    router.setSink([&](RequestPtr r) { response = std::move(r); });
+    router.receive(makeRequest(1, 0));
+    sim.run();
+
+    // The pool's outcome is relayed (no modelled hit), its answer
+    // re-entered the router after the pool's delay (counted from the
+    // end of parsing, after workerStart), and the router serialized
+    // it before the reply left.
+    ASSERT_NE(response, nullptr);
+    EXPECT_FALSE(response->hit);
+    EXPECT_EQ(response->responseBytes, 48u);
+    EXPECT_GT(response->routerReturn,
+              response->workerStart + microseconds(300));
+    EXPECT_LT(response->routerReturn, response->workerEnd);
+    EXPECT_EQ(response->workerEnd, response->nicDeparture);
+    EXPECT_EQ(router.served(), 1u);
 }
 
 TEST(McrouterTest, ExpectedServiceSmallerThanMemcached)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -35,6 +36,7 @@ makeRequest(std::uint64_t seq, OpType op, std::uint64_t keyId,
     return req;
 }
 
+/** A server whose sink collects every answer, in answer order. */
 class MemcachedTest : public ::testing::Test
 {
   protected:
@@ -42,23 +44,28 @@ class MemcachedTest : public ::testing::Test
         : machine(sim, hw::MachineSpec{}, perfConfig(), 1),
           server(machine, MemcachedParams{}, 1)
     {
+        server.setSink(
+            [this](RequestPtr r) { responses.push_back(std::move(r)); });
+    }
+
+    /** The latest answer, null before the first. */
+    RequestPtr
+    lastResponse() const
+    {
+        return responses.empty() ? nullptr : responses.back();
     }
 
     sim::Simulation sim;
     hw::Machine machine;
     MemcachedServer server;
+    std::vector<RequestPtr> responses;
 };
 
 TEST_F(MemcachedTest, SetThenGetHits)
 {
-    std::vector<RequestPtr> responses;
-    const auto collect = [&](const RequestPtr &r) {
-        responses.push_back(r);
-    };
-
-    server.receive(makeRequest(1, OpType::Set, 1, 100, 0), collect);
+    server.receive(makeRequest(1, OpType::Set, 1, 100, 0));
     sim.run();
-    server.receive(makeRequest(2, OpType::Get, 1, 0, sim.now()), collect);
+    server.receive(makeRequest(2, OpType::Get, 1, 0, sim.now()));
     sim.run();
 
     ASSERT_EQ(responses.size(), 2u);
@@ -70,10 +77,9 @@ TEST_F(MemcachedTest, SetThenGetHits)
 
 TEST_F(MemcachedTest, GetMissOnUnknownKey)
 {
-    RequestPtr response;
-    server.receive(makeRequest(1, OpType::Get, 999, 0, 0),
-                   [&](const RequestPtr &r) { response = r; });
+    server.receive(makeRequest(1, OpType::Get, 999, 0, 0));
     sim.run();
+    const RequestPtr response = lastResponse();
     ASSERT_NE(response, nullptr);
     EXPECT_FALSE(response->hit);
     EXPECT_EQ(response->responseBytes, 48u);
@@ -81,10 +87,9 @@ TEST_F(MemcachedTest, GetMissOnUnknownKey)
 
 TEST_F(MemcachedTest, TimestampsAreOrdered)
 {
-    RequestPtr response;
-    server.receive(makeRequest(1, OpType::Get, 7, 0, 0),
-                   [&](const RequestPtr &r) { response = r; });
+    server.receive(makeRequest(1, OpType::Get, 7, 0, 0));
     sim.run();
+    const RequestPtr response = lastResponse();
     ASSERT_NE(response, nullptr);
     EXPECT_LE(response->nicArrival, response->workerStart);
     EXPECT_LT(response->workerStart, response->workerEnd);
@@ -93,10 +98,9 @@ TEST_F(MemcachedTest, TimestampsAreOrdered)
 
 TEST_F(MemcachedTest, ServerLatencyIsPositiveAndPlausible)
 {
-    RequestPtr response;
-    server.receive(makeRequest(1, OpType::Get, 7, 0, 0),
-                   [&](const RequestPtr &r) { response = r; });
+    server.receive(makeRequest(1, OpType::Get, 7, 0, 0));
     sim.run();
+    const RequestPtr response = lastResponse();
     ASSERT_NE(response, nullptr);
     const double us = response->serverLatencyUs();
     // irq (~1.4us) + worker (~8us) + memory stalls + work jitter:
@@ -109,13 +113,10 @@ TEST_F(MemcachedTest, ConcurrentRequestsOnOneConnectionQueue)
 {
     // Same connection -> same worker; back-to-back requests must not
     // overlap on the worker core.
-    std::vector<RequestPtr> responses;
     for (std::uint64_t i = 0; i < 4; ++i) {
         auto req = makeRequest(100 + i, OpType::Get, 7, 0, 0);
         req->connectionId = 7;
-        server.receive(std::move(req), [&](const RequestPtr &r) {
-            responses.push_back(r);
-        });
+        server.receive(std::move(req));
     }
     sim.run();
     ASSERT_EQ(responses.size(), 4u);
@@ -136,18 +137,18 @@ TEST(MemcachedStandaloneTest, StoreStateSurvivesAcrossRequests)
     sim::Simulation sim;
     hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 2);
     MemcachedServer server(machine, MemcachedParams{}, 2);
+    int hits = 0;
+    server.setSink([&](RequestPtr r) {
+        if (r->op == OpType::Get)
+            hits += r->hit;
+    });
 
     // Populate 100 keys, then read them all back.
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        server.receive(makeRequest(i, OpType::Set, i, 64, sim.now()),
-                       [](const RequestPtr &) {});
-    }
+    for (std::uint64_t i = 0; i < 100; ++i)
+        server.receive(makeRequest(i, OpType::Set, i, 64, sim.now()));
     sim.run();
-    int hits = 0;
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        server.receive(makeRequest(1000 + i, OpType::Get, i, 0, sim.now()),
-                       [&](const RequestPtr &r) { hits += r->hit; });
-    }
+    for (std::uint64_t i = 0; i < 100; ++i)
+        server.receive(makeRequest(1000 + i, OpType::Get, i, 0, sim.now()));
     sim.run();
     EXPECT_EQ(hits, 100);
     EXPECT_EQ(server.store().size(), 100u);

@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cache.h"
 #include "lint.h"
 #include "sarif.h"
 #include "util/error.h"
@@ -519,121 +518,6 @@ TEST(TmlintSemanticFixtures, DisciplinedCodeIsClean)
     const auto findings = lintOne("src/core/semantic_clean.cc",
                                   readFixture("semantic_clean.cc"));
     EXPECT_TRUE(findings.empty()) << describe(findings);
-}
-
-// ---------------------------------------------------------------------
-// Incremental cache.
-// ---------------------------------------------------------------------
-
-TEST(TmlintCache, WarmRunReanalyzesOnlyChangedFiles)
-{
-    const std::string a = "int alpha() { return 1; }\n";
-    const std::string b = "int beta() { return 2; }\n";
-    IndexCache cache("builtin");
-
-    Linter cold(defaultConfig());
-    cold.attachCache(&cache);
-    cold.lintFile("src/core/a.cc", a);
-    cold.lintFile("src/core/b.cc", b);
-    cold.finish();
-    EXPECT_EQ(cold.analyzedCount(), 2u);
-    EXPECT_EQ(cold.cachedCount(), 0u);
-
-    Linter warm(defaultConfig());
-    warm.attachCache(&cache);
-    warm.lintFile("src/core/a.cc", a);
-    warm.lintFile("src/core/b.cc", "int beta() { return 3; }\n");
-    warm.finish();
-    EXPECT_EQ(warm.analyzedCount(), 1u);
-    EXPECT_EQ(warm.cachedCount(), 1u);
-}
-
-TEST(TmlintCache, CachedSummaryReplaysLocalFindings)
-{
-    const std::string src = "std::mt19937 g;\n";
-    IndexCache cache("builtin");
-
-    Linter cold(defaultConfig());
-    cold.attachCache(&cache);
-    cold.lintFile("src/core/a.cc", src);
-    const auto coldFindings = cold.finish();
-
-    Linter warm(defaultConfig());
-    warm.attachCache(&cache);
-    warm.lintFile("src/core/a.cc", src);
-    const auto warmFindings = warm.finish();
-
-    EXPECT_EQ(warm.cachedCount(), 1u);
-    EXPECT_EQ(describe(coldFindings), describe(warmFindings));
-    EXPECT_EQ(countRule(warmFindings, "no-default-seed"), 1);
-}
-
-TEST(TmlintCache, SaveLoadRoundTripSurvivesAndFindingsPersist)
-{
-    const std::string path =
-        testing::TempDir() + "/tmlint_cache_roundtrip.json";
-    const std::string src = "std::random_device rd;\n";
-
-    {
-        IndexCache cache("builtin");
-        Linter linter(defaultConfig());
-        linter.attachCache(&cache);
-        linter.lintFile("src/core/a.cc", src);
-        linter.finish();
-        ASSERT_TRUE(cache.save(path));
-    }
-
-    IndexCache reloaded("builtin");
-    reloaded.load(path);
-    Linter warm(defaultConfig());
-    warm.attachCache(&reloaded);
-    warm.lintFile("src/core/a.cc", src);
-    const auto findings = warm.finish();
-    EXPECT_EQ(warm.cachedCount(), 1u);
-    EXPECT_EQ(countRule(findings, "no-ambient-entropy"), 1)
-        << describe(findings);
-}
-
-TEST(TmlintCache, ConfigKeyMismatchInvalidatesEverything)
-{
-    const std::string path =
-        testing::TempDir() + "/tmlint_cache_configkey.json";
-    const std::string src = "int x = 0;\n";
-
-    {
-        IndexCache cache("key-one");
-        Linter linter(defaultConfig());
-        linter.attachCache(&cache);
-        linter.lintFile("src/core/a.cc", src);
-        linter.finish();
-        ASSERT_TRUE(cache.save(path));
-    }
-
-    IndexCache other("key-two");
-    other.load(path);
-    Linter warm(defaultConfig());
-    warm.attachCache(&other);
-    warm.lintFile("src/core/a.cc", src);
-    warm.finish();
-    EXPECT_EQ(warm.analyzedCount(), 1u);
-    EXPECT_EQ(warm.cachedCount(), 0u);
-}
-
-TEST(TmlintCache, MalformedCacheFileYieldsEmptyCache)
-{
-    const std::string path =
-        testing::TempDir() + "/tmlint_cache_malformed.json";
-    {
-        std::ofstream out(path, std::ios::binary);
-        out << "{ not json";
-    }
-    IndexCache cache("builtin");
-    cache.load(path); // must not throw
-    Linter warm(defaultConfig());
-    warm.attachCache(&cache);
-    warm.lintFile("src/core/a.cc", "int x = 0;\n");
-    warm.finish();
-    EXPECT_EQ(warm.analyzedCount(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,188 +1,12 @@
 /**
  * @file
- * FileSummary JSON (de)serialization for the incremental cache.
- *
- * The encoding favours compactness over self-description: repeated
- * structures (nodes, edges, uses) are stored as positional arrays, not
- * keyed objects, because a whole-tree cache serializes tens of
- * thousands of them. The cache format is versioned as a whole by
- * cache.h (kCacheVersion); any change to the shapes below must bump
- * that version rather than attempt in-place migration.
+ * FileSummary queries.
  */
 
 #include "index.h"
 
 namespace treadmill {
 namespace tmlint {
-namespace {
-
-json::Value stringsToJson(const std::vector<std::string> &items)
-{
-    json::Array out;
-    for (const auto &s : items) {
-        out.push_back(json::Value(s));
-    }
-    return json::Value(std::move(out));
-}
-
-std::vector<std::string> stringsFromJson(const json::Value &value)
-{
-    std::vector<std::string> out;
-    for (const auto &item : value.asArray()) {
-        out.push_back(item.asString());
-    }
-    return out;
-}
-
-json::Value funcToJson(const FuncIndex &fn)
-{
-    json::Object out;
-    out["n"] = json::Value(fn.name);
-    out["c"] = json::Value(fn.className);
-    out["l"] = json::Value(fn.line);
-    out["e"] = json::Value(fn.endLine);
-    out["cd"] = json::Value(fn.isCtorDtor);
-    out["hot"] = json::Value(fn.hotLex);
-    out["cold"] = json::Value(fn.cold);
-    out["req"] = stringsToJson(fn.requiresMutex);
-    out["mux"] = stringsToJson(fn.localMutexes);
-
-    json::Array calls;
-    for (const auto &call : fn.calls) {
-        json::Array row;
-        row.push_back(json::Value(call.callee));
-        row.push_back(json::Value(call.qualifier));
-        row.push_back(json::Value(call.receiver));
-        row.push_back(json::Value(call.line));
-        row.push_back(json::Value(call.args));
-        row.push_back(stringsToJson(call.heldLocks));
-        calls.push_back(json::Value(std::move(row)));
-    }
-    out["calls"] = json::Value(std::move(calls));
-
-    json::Array nodes;
-    for (const auto &node : fn.nodes) {
-        json::Array row;
-        row.push_back(json::Value(static_cast<int>(node.kind)));
-        row.push_back(json::Value(node.name));
-        row.push_back(json::Value(node.call));
-        row.push_back(json::Value(node.arg));
-        row.push_back(json::Value(node.line));
-        nodes.push_back(json::Value(std::move(row)));
-    }
-    out["nodes"] = json::Value(std::move(nodes));
-
-    json::Array edges;
-    for (const auto &edge : fn.edges) {
-        json::Array row;
-        row.push_back(json::Value(edge.first));
-        row.push_back(json::Value(edge.second));
-        edges.push_back(json::Value(std::move(row)));
-    }
-    out["edges"] = json::Value(std::move(edges));
-
-    json::Array uses;
-    for (const auto &use : fn.uses) {
-        json::Array row;
-        row.push_back(json::Value(use.name));
-        row.push_back(json::Value(use.line));
-        row.push_back(stringsToJson(use.heldLocks));
-        uses.push_back(json::Value(std::move(row)));
-    }
-    out["uses"] = json::Value(std::move(uses));
-
-    json::Array facts;
-    for (const auto &fact : fn.facts) {
-        json::Array row;
-        row.push_back(json::Value(fact.rule));
-        row.push_back(json::Value(fact.token));
-        row.push_back(json::Value(fact.line));
-        row.push_back(json::Value(fact.lexHot));
-        facts.push_back(json::Value(std::move(row)));
-    }
-    out["facts"] = json::Value(std::move(facts));
-
-    json::Array glocals;
-    for (const auto &gv : fn.guardedLocals) {
-        json::Array row;
-        row.push_back(json::Value(gv.name));
-        row.push_back(json::Value(gv.line));
-        row.push_back(stringsToJson(gv.mutexes));
-        glocals.push_back(json::Value(std::move(row)));
-    }
-    out["glocals"] = json::Value(std::move(glocals));
-
-    return json::Value(std::move(out));
-}
-
-FuncIndex funcFromJson(const json::Value &value)
-{
-    FuncIndex fn;
-    fn.name = value.at("n").asString();
-    fn.className = value.at("c").asString();
-    fn.line = static_cast<int>(value.at("l").asInt());
-    fn.endLine = static_cast<int>(value.at("e").asInt());
-    fn.isCtorDtor = value.at("cd").asBool();
-    fn.hotLex = value.at("hot").asBool();
-    fn.cold = value.at("cold").asBool();
-    fn.requiresMutex = stringsFromJson(value.at("req"));
-    fn.localMutexes = stringsFromJson(value.at("mux"));
-
-    for (const auto &item : value.at("calls").asArray()) {
-        const auto &row = item.asArray();
-        CallInfo call;
-        call.callee = row[0].asString();
-        call.qualifier = row[1].asString();
-        call.receiver = row[2].asString();
-        call.line = static_cast<int>(row[3].asInt());
-        call.args = static_cast<int>(row[4].asInt());
-        call.heldLocks = stringsFromJson(row[5]);
-        fn.calls.push_back(std::move(call));
-    }
-    for (const auto &item : value.at("nodes").asArray()) {
-        const auto &row = item.asArray();
-        FlowNode node;
-        node.kind = static_cast<FlowKind>(row[0].asInt());
-        node.name = row[1].asString();
-        node.call = static_cast<int>(row[2].asInt());
-        node.arg = static_cast<int>(row[3].asInt());
-        node.line = static_cast<int>(row[4].asInt());
-        fn.nodes.push_back(std::move(node));
-    }
-    for (const auto &item : value.at("edges").asArray()) {
-        const auto &row = item.asArray();
-        fn.edges.emplace_back(static_cast<int>(row[0].asInt()),
-                              static_cast<int>(row[1].asInt()));
-    }
-    for (const auto &item : value.at("uses").asArray()) {
-        const auto &row = item.asArray();
-        UseInfo use;
-        use.name = row[0].asString();
-        use.line = static_cast<int>(row[1].asInt());
-        use.heldLocks = stringsFromJson(row[2]);
-        fn.uses.push_back(std::move(use));
-    }
-    for (const auto &item : value.at("facts").asArray()) {
-        const auto &row = item.asArray();
-        FactInfo fact;
-        fact.rule = row[0].asString();
-        fact.token = row[1].asString();
-        fact.line = static_cast<int>(row[2].asInt());
-        fact.lexHot = row[3].asBool();
-        fn.facts.push_back(std::move(fact));
-    }
-    for (const auto &item : value.at("glocals").asArray()) {
-        const auto &row = item.asArray();
-        GuardedVar gv;
-        gv.name = row[0].asString();
-        gv.line = static_cast<int>(row[1].asInt());
-        gv.mutexes = stringsFromJson(row[2]);
-        fn.guardedLocals.push_back(std::move(gv));
-    }
-    return fn;
-}
-
-} // namespace
 
 bool FileSummary::allowedAt(const std::string &rule, int line) const
 {
@@ -191,117 +15,6 @@ bool FileSummary::allowedAt(const std::string &rule, int line) const
     }
     auto it = lineAllows.find(line);
     return it != lineAllows.end() && it->second.count(rule) != 0;
-}
-
-json::Value summaryToJson(const FileSummary &summary)
-{
-    json::Object out;
-    out["path"] = json::Value(summary.path);
-    out["module"] = json::Value(summary.module);
-
-    json::Array functions;
-    for (const auto &fn : summary.functions) {
-        functions.push_back(funcToJson(fn));
-    }
-    out["functions"] = json::Value(std::move(functions));
-
-    json::Array fields;
-    for (const auto &field : summary.fields) {
-        json::Array row;
-        row.push_back(json::Value(field.className));
-        row.push_back(json::Value(field.name));
-        row.push_back(json::Value(field.line));
-        row.push_back(json::Value(field.isMutex));
-        row.push_back(json::Value(field.isUnordered));
-        row.push_back(stringsToJson(field.guardedBy));
-        fields.push_back(json::Value(std::move(row)));
-    }
-    out["fields"] = json::Value(std::move(fields));
-
-    json::Array findings;
-    for (const auto &finding : summary.localFindings) {
-        json::Array row;
-        row.push_back(json::Value(finding.file));
-        row.push_back(json::Value(finding.line));
-        row.push_back(json::Value(finding.rule));
-        row.push_back(json::Value(finding.message));
-        findings.push_back(json::Value(std::move(row)));
-    }
-    out["findings"] = json::Value(std::move(findings));
-
-    json::Array includes;
-    for (const auto &inc : summary.moduleIncludes) {
-        json::Array row;
-        row.push_back(json::Value(inc.first));
-        row.push_back(json::Value(inc.second));
-        includes.push_back(json::Value(std::move(row)));
-    }
-    out["includes"] = json::Value(std::move(includes));
-
-    json::Object lineAllows;
-    for (const auto &entry : summary.lineAllows) {
-        json::Array rules;
-        for (const auto &rule : entry.second) {
-            rules.push_back(json::Value(rule));
-        }
-        lineAllows[std::to_string(entry.first)] =
-            json::Value(std::move(rules));
-    }
-    out["lineAllows"] = json::Value(std::move(lineAllows));
-
-    json::Array fileAllows;
-    for (const auto &rule : summary.fileAllows) {
-        fileAllows.push_back(json::Value(rule));
-    }
-    out["fileAllows"] = json::Value(std::move(fileAllows));
-
-    return json::Value(std::move(out));
-}
-
-FileSummary summaryFromJson(const json::Value &value)
-{
-    FileSummary summary;
-    summary.path = value.at("path").asString();
-    summary.module = value.at("module").asString();
-    for (const auto &item : value.at("functions").asArray()) {
-        summary.functions.push_back(funcFromJson(item));
-    }
-    for (const auto &item : value.at("fields").asArray()) {
-        const auto &row = item.asArray();
-        FieldIndex field;
-        field.className = row[0].asString();
-        field.name = row[1].asString();
-        field.line = static_cast<int>(row[2].asInt());
-        field.isMutex = row[3].asBool();
-        field.isUnordered = row[4].asBool();
-        field.guardedBy = stringsFromJson(row[5]);
-        summary.fields.push_back(std::move(field));
-    }
-    for (const auto &item : value.at("findings").asArray()) {
-        const auto &row = item.asArray();
-        Finding finding;
-        finding.file = row[0].asString();
-        finding.line = static_cast<int>(row[1].asInt());
-        finding.rule = row[2].asString();
-        finding.message = row[3].asString();
-        summary.localFindings.push_back(std::move(finding));
-    }
-    for (const auto &item : value.at("includes").asArray()) {
-        const auto &row = item.asArray();
-        summary.moduleIncludes.emplace_back(row[0].asString(),
-                                            static_cast<int>(row[1].asInt()));
-    }
-    for (const auto &entry : value.at("lineAllows").asObject()) {
-        std::set<std::string> rules;
-        for (const auto &rule : entry.second.asArray()) {
-            rules.insert(rule.asString());
-        }
-        summary.lineAllows[std::stoi(entry.first)] = std::move(rules);
-    }
-    for (const auto &rule : value.at("fileAllows").asArray()) {
-        summary.fileAllows.insert(rule.asString());
-    }
-    return summary;
 }
 
 } // namespace tmlint

@@ -1,19 +1,14 @@
 /**
  * @file
- * Per-file semantic summaries: the unit of tmlint's flow analysis and
- * of its incremental cache.
+ * Per-file semantic summaries: the unit of tmlint's flow analysis.
  *
  * tmlint's semantic rules cannot be answered one file at a time: a
  * guarded field is declared in a header but accessed in a .cc, a
  * tainted value crosses a call boundary, a hot-path region reaches an
  * allocating helper two modules away. The FileSummary is the bridge:
  * everything the global passes (callgraph.h, flow.h) need to know
- * about one file, extracted once by the symbol indexer (symbols.h) and
- * serializable to JSON so the incremental cache (cache.h) can skip
- * re-indexing unchanged files while the cheap whole-program
- * propagation still runs over every summary -- that is how a change to
- * one file is automatically re-checked against its reverse-dependency
- * closure.
+ * about one file, extracted once by the symbol indexer (symbols.h),
+ * after which the whole-program propagation runs over every summary.
  *
  * The flow graph is deliberately small: per function, a set of nodes
  * (locals, parameters in/out, call results, call arguments, the return
@@ -34,8 +29,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "util/json.h"
 
 namespace treadmill {
 namespace tmlint {
@@ -153,20 +146,14 @@ struct FileSummary {
     std::vector<Finding> localFindings;
     /** Module-qualified quoted includes: (toModule, line). */
     std::vector<std::pair<std::string, int>> moduleIncludes;
-    /** Suppressions, persisted so global-pass findings that land in
-     *  this file respect its inline allows even on a cache hit. */
+    /** Suppressions, kept so global-pass findings that land in this
+     *  file respect its inline allows. */
     std::map<int, std::set<std::string>> lineAllows;
     std::set<std::string> fileAllows;
 
     /** True if @p rule is suppressed at @p line in this file. */
     bool allowedAt(const std::string &rule, int line) const;
 };
-
-/** Serialize a summary for the incremental cache. */
-json::Value summaryToJson(const FileSummary &summary);
-
-/** Rebuild a summary from its cached form. */
-FileSummary summaryFromJson(const json::Value &value);
 
 } // namespace tmlint
 } // namespace treadmill

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "cache.h"
 #include "callgraph.h"
 #include "flow.h"
 #include "symbols.h"
@@ -136,17 +135,6 @@ Linter::lintFile(const std::string &path, const std::string &content)
     ++filesSeen;
     const std::string norm = normalizeRepoPath(path);
 
-    std::string hash;
-    if (indexCache != nullptr) {
-        hash = IndexCache::hashContent(content);
-        if (const FileSummary *hit = indexCache->lookup(norm, hash)) {
-            summaries.push_back(*hit);
-            ++cached;
-            return;
-        }
-    }
-    ++analyzed;
-
     FileSummary sum;
     sum.path = norm;
     sum.module = moduleOfPath(norm);
@@ -161,9 +149,6 @@ Linter::lintFile(const std::string &path, const std::string &content)
     checkTokens(sum, lexed);
     checkIncludes(sum, lexed);
     indexSymbols(lexed, sum);
-
-    if (indexCache != nullptr)
-        indexCache->store(norm, hash, sum);
     summaries.push_back(std::move(sum));
 }
 
@@ -333,7 +318,6 @@ Linter::checkTokens(FileSummary &sum, const LexedFile &lexed)
 void
 Linter::checkIncludes(FileSummary &sum, const LexedFile &lexed)
 {
-    const std::string &path = sum.path;
     const std::string &module = sum.module;
     if (module.empty())
         return;
@@ -388,9 +372,8 @@ std::vector<Finding>
 Linter::finish()
 {
     // Replay per-file findings (token rules, pool lifetime, layering
-    // allowlist). Cache hits carry theirs inside the stored summary;
-    // the disabled-rule filter re-applies here because the symbol
-    // indexer records pool-lifetime findings unconditionally.
+    // allowlist). The disabled-rule filter re-applies here because the
+    // symbol indexer records pool-lifetime findings unconditionally.
     for (const FileSummary &sum : summaries) {
         for (const Finding &f : sum.localFindings) {
             if (cfg.ruleEnabled(f.rule))
@@ -463,10 +446,8 @@ Linter::finish()
         }
     }
 
-    // Whole-program semantic passes over the collected summaries.
-    // These always run in full -- they are cheap relative to
-    // lexing/indexing, and running them globally is what lets a cached
-    // run still re-check cross-file invariants against changed files.
+    // Whole-program semantic passes over the collected summaries: every
+    // cross-file invariant is checked against every file, every run.
     const SymbolTable table(summaries);
     for (auto &f : checkTaint(table, cfg))
         findings.push_back(std::move(f));

@@ -5,10 +5,7 @@
  * Linting is two-phase. Phase one (lintFile) is per-file: lex, run the
  * token-level rules (determinism, hot-path hygiene, unordered
  * containers, include layering), and index symbols into a FileSummary.
- * This phase is the expensive one and is skipped for unchanged files
- * when an IndexCache is attached -- a cache hit replays the stored
- * summary, local findings included. Phase two (finish) is
- * whole-program and always runs: the layering cycle check, the
+ * Phase two (finish) is whole-program: the layering cycle check, the
  * determinism-taint propagation, the guarded-by lock-discipline check,
  * and the transitive hot-path pass, all over the collected summaries.
  * Findings come back sorted (file, line, rule) so output is
@@ -29,8 +26,6 @@
 namespace treadmill {
 namespace tmlint {
 
-class IndexCache;
-
 /** Render a finding as "file:line: [rule] message". */
 std::string formatFinding(const Finding &f);
 
@@ -38,10 +33,6 @@ class Linter
 {
   public:
     explicit Linter(Config config);
-
-    /** Reuse/store per-file summaries in @p cache (not owned; may be
-     *  nullptr). Attach before the first lintFile call. */
-    void attachCache(IndexCache *cache) { indexCache = cache; }
 
     /**
      * Lint one file (phase one).
@@ -58,10 +49,6 @@ class Linter
 
     /** Files fed so far (for the driver's summary line). */
     std::size_t fileCount() const { return filesSeen; }
-    /** Files actually lexed+indexed this run (cache misses). */
-    std::size_t analyzedCount() const { return analyzed; }
-    /** Files replayed from the incremental cache. */
-    std::size_t cachedCount() const { return cached; }
 
   private:
     struct IncludeEdge {
@@ -78,10 +65,7 @@ class Linter
     Config cfg;
     std::vector<FileSummary> summaries;
     std::vector<Finding> findings;
-    IndexCache *indexCache = nullptr;
     std::size_t filesSeen = 0;
-    std::size_t analyzed = 0;
-    std::size_t cached = 0;
 };
 
 /**

@@ -3,8 +3,8 @@
  * tmlint driver: lint a source tree against the simulator invariants.
  *
  * Usage:
- *   tmlint [--config FILE] [--cache FILE] [--sarif FILE]
- *          [--baseline FILE] [--write-baseline FILE] [--list-rules]
+ *   tmlint [--config FILE] [--sarif FILE] [--baseline FILE]
+ *          [--write-baseline FILE] [--list-rules]
  *          <file-or-directory>...
  *
  * Directories are walked recursively for C++ sources and headers, in
@@ -16,10 +16,8 @@
  * (which mirror that file) apply, so `./build/tools/tmlint src` works
  * from a repository checkout with no flags.
  *
- * --cache persists per-file index summaries keyed by content hash, so
- * a warm run re-indexes only changed files (the whole-program passes
- * still run in full). --sarif additionally writes the findings as a
- * SARIF 2.1.0 document for code-scanning upload. --baseline suppresses
+ * --sarif additionally writes the findings as a SARIF 2.1.0 document
+ * for code-scanning upload. --baseline suppresses
  * known findings recorded with --write-baseline, budgeted per
  * (rule, file), so a legacy debt list cannot silently grow.
  */
@@ -36,7 +34,6 @@
 #include "util/error.h"
 #include "util/json.h"
 
-#include "cache.h"
 #include "lint.h"
 #include "sarif.h"
 
@@ -47,7 +44,6 @@ using treadmill::json::Object;
 using treadmill::json::Value;
 using treadmill::tmlint::Config;
 using treadmill::tmlint::Finding;
-using treadmill::tmlint::IndexCache;
 using treadmill::tmlint::Linter;
 
 bool
@@ -130,7 +126,7 @@ int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: tmlint [--config FILE] [--cache FILE] "
+                 "usage: tmlint [--config FILE] "
                  "[--sarif FILE] [--baseline FILE] "
                  "[--write-baseline FILE] [--list-rules] "
                  "<file-or-dir>...\n");
@@ -143,7 +139,6 @@ int
 main(int argc, char **argv)
 {
     std::string configPath;
-    std::string cachePath;
     std::string sarifPath;
     std::string baselinePath;
     std::string writeBaselinePath;
@@ -159,10 +154,6 @@ main(int argc, char **argv)
             if ((v = flagValue(i)) == nullptr)
                 return usage();
             configPath = v;
-        } else if (arg == "--cache") {
-            if ((v = flagValue(i)) == nullptr)
-                return usage();
-            cachePath = v;
         } else if (arg == "--sarif") {
             if ((v = flagValue(i)) == nullptr)
                 return usage();
@@ -195,17 +186,10 @@ main(int argc, char **argv)
 
     try {
         Config cfg;
-        // The cache key covers the effective configuration: a config
-        // edit invalidates every cached summary, since local findings
-        // are config-dependent.
-        std::string configKey = "builtin";
         if (!configPath.empty()) {
             cfg = treadmill::tmlint::loadConfig(configPath);
-            configKey = IndexCache::hashContent(readFile(configPath));
         } else if (fs::exists("tools/tmlint/tmlint.json")) {
             cfg = treadmill::tmlint::loadConfig("tools/tmlint/tmlint.json");
-            configKey = IndexCache::hashContent(
-                readFile("tools/tmlint/tmlint.json"));
         } else {
             cfg = treadmill::tmlint::defaultConfig();
         }
@@ -227,20 +211,9 @@ main(int argc, char **argv)
                     files.end());
 
         Linter linter(cfg);
-        IndexCache cache(configKey);
-        if (!cachePath.empty()) {
-            cache.load(cachePath);
-            linter.attachCache(&cache);
-        }
-
         for (const auto &file : files)
             linter.lintFile(file.generic_string(), readFile(file));
         std::vector<Finding> findings = linter.finish();
-
-        if (!cachePath.empty() && !cache.save(cachePath)) {
-            std::fprintf(stderr, "tmlint: warning: cannot write cache %s\n",
-                         cachePath.c_str());
-        }
 
         if (!writeBaselinePath.empty()) {
             writeBaseline(writeBaselinePath, findings);
@@ -281,28 +254,19 @@ main(int argc, char **argv)
                         treadmill::tmlint::formatFinding(f).c_str());
         }
 
-        std::string runStats;
-        if (!cachePath.empty()) {
-            char buf[96];
-            std::snprintf(buf, sizeof(buf), "; analyzed %zu, cached %zu",
-                          linter.analyzedCount(), linter.cachedCount());
-            runStats = buf;
-        }
         if (baselined > 0) {
             std::printf("tmlint: %zu baselined finding%s suppressed\n",
                         baselined, baselined == 1 ? "" : "s");
         }
         if (!findings.empty()) {
-            std::printf("tmlint: %zu finding%s in %zu file%s%s\n",
+            std::printf("tmlint: %zu finding%s in %zu file%s\n",
                         findings.size(),
                         findings.size() == 1 ? "" : "s",
                         linter.fileCount(),
-                        linter.fileCount() == 1 ? "" : "s",
-                        runStats.c_str());
+                        linter.fileCount() == 1 ? "" : "s");
             return 1;
         }
-        std::printf("tmlint: clean (%zu files%s)\n", linter.fileCount(),
-                    runStats.c_str());
+        std::printf("tmlint: clean (%zu files)\n", linter.fileCount());
         return 0;
     } catch (const treadmill::Error &e) {
         std::fprintf(stderr, "tmlint: %s\n", e.what());
