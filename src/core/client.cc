@@ -91,6 +91,8 @@ LoadTesterInstance::LoadTesterInstance(sim::Simulation &sim_,
                 "fires at send time and doubles offered load; set "
                 "hedgeDelayUs > 0 or hedgeMinSamples > 0");
     }
+    // Two instances with one index would add into one set of counters.
+    sim.metrics().claimScope(strprintf("client%zu", cfg.index));
 
     // Pre-size the per-send outstanding log for the whole run (the
     // slack covers timeouts/hedges issuing more attempts than
@@ -147,7 +149,6 @@ LoadTesterInstance::issueRequest(SimTime intendedSend)
     outstandingHist.record(static_cast<double>(outstandingCount));
     ++outstandingCount;
     outstandingGauge.set(static_cast<double>(outstandingCount));
-    ++issuedCount;
     issuedCounter.add();
 
     if (cfg.resilience.enabled) {
@@ -175,7 +176,7 @@ LoadTesterInstance::transmitAttempt(server::RequestPtr request)
         static_cast<SimDuration>(microseconds(cfg.sendCostUs));
     cpuFreeAt = startProcessing + cost;
     cpuBusy += cost;
-    sim.countEvent("client.send");
+    sim.countEvent(sim::EventTag::ClientSend);
     sim.scheduleAt(cpuFreeAt, [this, request] {
         request->clientSend = sim.now();
         // Send slip: how far the actual send drifted from the
@@ -243,9 +244,8 @@ LoadTesterInstance::onTimeout(std::uint64_t logicalId)
         if (primary.timeoutAt == kNoTime)
             primary.timeoutAt = sim.now();
     }
-    ++timeoutCount;
     timeoutsCounter.add();
-    sim.countEvent("client.timeout");
+    sim.countEvent(sim::EventTag::ClientTimeout);
     const ResiliencePolicy &res = cfg.resilience;
     const std::uint64_t logical = it->first;
 
@@ -272,7 +272,6 @@ LoadTesterInstance::onTimeout(std::uint64_t logicalId)
         if (state.retryEvent != 0)
             sim.cancel(state.retryEvent);
         pending.erase(it);
-        ++failedCount;
         failedCounter.add();
         TM_ASSERT(outstandingCount > 0,
                   "failure without an outstanding request");
@@ -309,9 +308,8 @@ LoadTesterInstance::onRetryTimer(std::uint64_t logicalId)
         return; // Answered during the backoff wait.
     PendingState &state = it->second;
     state.retryEvent = 0;
-    ++retryCount;
     retriesCounter.add();
-    sim.countEvent("client.retry");
+    sim.countEvent(sim::EventTag::ClientRetry);
     transmitAttempt(cloneAttempt(state, /*hedged=*/false));
 }
 
@@ -326,9 +324,8 @@ LoadTesterInstance::onHedgeTimer(std::uint64_t logicalId)
     if (state.hedgeSent)
         return;
     state.hedgeSent = true;
-    ++hedgeCount;
     hedgesCounter.add();
-    sim.countEvent("client.hedge");
+    sim.countEvent(sim::EventTag::ClientHedge);
     transmitAttempt(cloneAttempt(state, /*hedged=*/true));
 }
 
@@ -340,6 +337,8 @@ LoadTesterInstance::cloneAttempt(PendingState &state, bool hedged)
         (static_cast<std::uint64_t>(cfg.index) << 40) | nextSeq++;
     request->attempt = state.attemptsSent++;
     request->hedged = hedged;
+    request->cause =
+        hedged ? obs::AttemptCause::Hedge : obs::AttemptCause::Retry;
     // The clone is triggered *now* (backoff/hedge timer firing), not
     // at the proto's intendedSend.
     request->triggerAt = sim.now();
@@ -364,7 +363,7 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
     // offset the paper observes between tcpdump and tester curves.
     const auto kernel =
         static_cast<SimDuration>(microseconds(cfg.kernelDelayUs));
-    sim.countEvent("client.kernel");
+    sim.countEvent(sim::EventTag::ClientKernel);
     sim.schedule(kernel, [this, request = std::move(request)] {
         // Response callback executes on the client CPU (inline, as
         // with wangle, but it still queues if the CPU is busy).
@@ -373,7 +372,7 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
             static_cast<SimDuration>(microseconds(cfg.receiveCostUs));
         cpuFreeAt = startProcessing + cost;
         cpuBusy += cost;
-        sim.countEvent("client.receive");
+        sim.countEvent(sim::EventTag::ClientReceive);
         sim.scheduleAt(cpuFreeAt, [this, request] {
             request->clientReceive = sim.now();
 
@@ -382,7 +381,6 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
                 if (it == pending.end()) {
                     // The logical request already completed (another
                     // attempt won) or failed: this response is late.
-                    ++lateCount;
                     lateCounter.add();
                     return;
                 }
@@ -393,10 +391,8 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
                     sim.cancel(state.hedgeEvent);
                 if (state.retryEvent != 0)
                     sim.cancel(state.retryEvent);
-                if (request->hedged) {
-                    ++hedgeWinCount;
+                if (request->hedged)
                     hedgeWinsCounter.add();
-                }
                 if (cfg.recordSpans && spanSink)
                     recordSpan(&state, request);
                 pending.erase(it);
@@ -409,14 +405,11 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
             --outstandingCount;
             outstandingGauge.set(
                 static_cast<double>(outstandingCount));
-            ++receivedCount;
             receivedCounter.add();
             // Responses after the measurement window closed are
             // dropped by the collector; surface them explicitly.
-            if (samples.done()) {
-                ++lateCount;
+            if (samples.done())
                 lateCounter.add();
-            }
             samples.add(request->clientLatencyUs());
             controller->onResponse();
             if (completionHook)
@@ -424,42 +417,6 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
         });
     });
 }
-
-namespace {
-
-/** Copy one wire attempt's stamps into a span attempt. */
-void
-fillAttempt(obs::AttemptSpan &a, const server::Request &r)
-{
-    a.seqId = r.seqId;
-    a.attempt = r.attempt;
-    a.cause = r.hedged ? obs::AttemptCause::Hedge
-              : r.attempt == 0 ? obs::AttemptCause::Scheduled
-                               : obs::AttemptCause::Retry;
-    a.hedged = r.hedged;
-    a.won = false;
-    a.lbDropped = r.lbDropped;
-    a.backendId = r.backendId;
-    a.lbFailovers = r.lbFailovers;
-    a.triggerAt = r.triggerAt;
-    a.clientSend = r.clientSend;
-    a.timeoutAt = r.timeoutAt;
-    a.nicArrival = r.nicArrival;
-    a.workerStart = r.workerStart;
-    a.workerEnd = r.workerEnd;
-    a.nicDeparture = r.nicDeparture;
-    a.lbArrival = r.lbArrival;
-    a.lbDispatch = r.lbDispatch;
-    a.backendNicArrival = r.backendNicArrival;
-    a.backendWorkerStart = r.backendWorkerStart;
-    a.backendWorkerEnd = r.backendWorkerEnd;
-    a.backendNicDeparture = r.backendNicDeparture;
-    a.routerReturn = r.routerReturn;
-    a.clientNicArrival = r.clientNicArrival;
-    a.clientReceive = r.clientReceive;
-}
-
-} // namespace
 
 void
 LoadTesterInstance::recordSpan(const PendingState *state,
@@ -479,7 +436,7 @@ LoadTesterInstance::recordSpan(const PendingState *state,
         span.attemptCount = 1;
         span.stored = 1;
         span.winner = 0;
-        fillAttempt(span.winning, *winner);
+        span.winning = *winner;
         span.winning.won = true;
         spanSink(obs::SpanView{span, nullptr});
         return;
@@ -503,8 +460,8 @@ LoadTesterInstance::recordSpan(const PendingState *state,
     std::uint32_t losers = 0;
     for (std::uint32_t i = 0; i < n; ++i)
         if (i != w)
-            fillAttempt(loserScratch[losers++], *state->held[i]);
-    fillAttempt(span.winning, *won);
+            loserScratch[losers++] = *state->held[i];
+    span.winning = *won;
     span.winning.won = true;
     span.winner = static_cast<std::int32_t>(w);
     span.stored = n;

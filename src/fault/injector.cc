@@ -117,9 +117,8 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
     };
 
     const auto applied = [this] {
-        ++appliedCount;
         appliedCounter.add();
-        sim.countEvent("fault.apply");
+        sim.countEvent(sim::EventTag::FaultApply);
     };
 
     switch (ev.kind) {

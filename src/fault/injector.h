@@ -98,7 +98,7 @@ class FaultInjector
     }
 
     /** Windows whose apply instant has fired so far. */
-    std::uint64_t windowsApplied() const { return appliedCount; }
+    std::uint64_t windowsApplied() const { return appliedCounter.value(); }
 
   private:
     /** Links whose name contains @p target (all links when empty). */
@@ -119,7 +119,6 @@ class FaultInjector
     std::map<std::uint32_t, std::vector<net::Link *>> rackLinkHooks;
 
     std::vector<obs::TraceAnnotation> windows;
-    std::uint64_t appliedCount = 0;
     obs::Counter &appliedCounter;
 };
 

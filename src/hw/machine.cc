@@ -140,13 +140,6 @@ Machine::coreUtilization(unsigned coreId) const
     return cores[coreId]->utilization();
 }
 
-std::size_t
-Machine::coreQueueDepth(unsigned coreId) const
-{
-    TM_ASSERT(coreId < cores.size(), "core id out of range");
-    return cores[coreId]->queueDepth();
-}
-
 std::uint64_t
 Machine::totalFrequencyTransitions() const
 {

@@ -85,9 +85,6 @@ class Machine
     /** Busy fraction of core @p coreId. */
     double coreUtilization(unsigned coreId) const;
 
-    /** Queue depth of core @p coreId. */
-    std::size_t coreQueueDepth(unsigned coreId) const;
-
     /** Total DVFS transitions across all cores (diagnostics). */
     std::uint64_t totalFrequencyTransitions() const;
 

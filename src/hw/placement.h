@@ -67,13 +67,6 @@ class PlacementState
     /** Fraction of connections with node-local buffers this run. */
     double localBufferFraction() const { return sameNodeLocal; }
 
-    /** Fraction of connections skewed onto one worker this run (the
-     *  accept-order luck that makes one event loop run hot). */
-    double connectionSkew() const { return skewFraction; }
-
-    /** The worker that receives the skewed connections. */
-    unsigned skewedWorker() const { return hotWorker; }
-
     /** The run seed this placement was drawn from. */
     std::uint64_t seed() const { return runSeed; }
 

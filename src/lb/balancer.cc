@@ -34,7 +34,7 @@ LoadBalancer::LoadBalancer(sim::Simulation &sim_,
            params_.vnodesPerBackend),
       policy(makePolicy(params_.policy, params_.seed,
                         params_.edfSlackUs)),
-      inflight(params_.backends, 0), dispatchCount(params_.backends, 0),
+      inflight(params_.backends, 0),
       dispatchedCounter(sim_.metrics().counter("lb.dispatched")),
       queuedCounter(sim_.metrics().counter("lb.queued")),
       unroutableCounter(sim_.metrics().counter("lb.unroutable")),
@@ -98,12 +98,10 @@ LoadBalancer::receive(server::RequestPtr request)
         // The stamp lets span traces account the loss as failover
         // wait instead of an anonymous timeout.
         request->lbDropped = true;
-        ++unroutableCount;
         unroutableCounter.add();
         return;
     }
     if (scratchHealthy.front() != scratchReplicas.front()) {
-        ++failoverCount;
         failoversCounter.add();
         // Down replicas skipped ahead of the first healthy one: the
         // per-attempt failover hop count for span traces.
@@ -125,7 +123,6 @@ LoadBalancer::receive(server::RequestPtr request)
         if (scratchFree.empty()) {
             // Every replica is saturated: park in the dispatch queue
             // under the policy's priority (ties by arrival order).
-            ++queuedCount;
             queuedCounter.add();
             QueuedRequest entry;
             entry.enqueuedAt = sim.now();
@@ -156,7 +153,6 @@ void
 LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request)
 {
     ++inflight[b];
-    ++dispatchCount[b];
     dispatchedCounter.add();
     backendDispatched[b]->add();
     backendInflight[b]->set(static_cast<double>(inflight[b]));

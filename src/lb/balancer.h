@@ -101,20 +101,16 @@ class LoadBalancer : public server::Service
     }
     std::uint64_t dispatchedTo(std::uint32_t b) const
     {
-        return dispatchCount[b];
+        return backendDispatched[b]->value();
     }
     /** Requests parked in the dispatch queue right now. */
     std::size_t queueDepth() const { return queue.size(); }
     /** Requests that ever waited in the dispatch queue. */
-    std::uint64_t queued() const { return queuedCount; }
+    std::uint64_t queued() const { return queuedCounter.value(); }
     /** Requests dropped because every replica was down. */
-    std::uint64_t unroutable() const { return unroutableCount; }
+    std::uint64_t unroutable() const { return unroutableCounter.value(); }
     /** Requests routed past a down primary to a later replica. */
-    std::uint64_t failovers() const { return failoverCount; }
-    const SchedulingPolicy &schedulingPolicy() const
-    {
-        return *policy;
-    }
+    std::uint64_t failovers() const { return failoversCounter.value(); }
     /** @} */
 
   private:
@@ -141,13 +137,9 @@ class LoadBalancer : public server::Service
     std::vector<Backend> hooks;
 
     std::vector<std::uint64_t> inflight;      ///< Per backend.
-    std::vector<std::uint64_t> dispatchCount; ///< Per backend.
     /** Dispatch queue ordered by (policy priority, arrival seq). */
     std::map<std::pair<double, std::uint64_t>, QueuedRequest> queue;
     std::uint64_t nextQueueSeq = 0;
-    std::uint64_t queuedCount = 0;
-    std::uint64_t unroutableCount = 0;
-    std::uint64_t failoverCount = 0;
 
     /** Scratch replica buffers (reused; dispatch allocates nothing
      *  once warm). */

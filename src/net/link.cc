@@ -74,7 +74,7 @@ Link::send(const Packet &packet, DeliveryFn onDelivered)
     const SimDuration effectivePropagation =
         faults ? propagation + faults->extraPropagation : propagation;
     const SimTime deliverAt = transmitterFreeAt + effectivePropagation;
-    sim.countEvent("net.delivery");
+    sim.countEvent(sim::EventTag::NetDelivery);
     // Park the packet and its callback in the pool; the event then
     // captures 16 bytes and scheduling allocates nothing.
     const std::uint32_t slot =

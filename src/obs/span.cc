@@ -1,7 +1,10 @@
 #include "obs/span.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <iterator>
 #include <set>
+#include <span>
 
 #include "util/json.h"
 #include "util/strings.h"
@@ -25,28 +28,142 @@ attemptCauseName(AttemptCause cause)
 
 namespace {
 
-/** The lifecycle order of every AttemptSpan stamp. */
-constexpr std::size_t kAttemptStampCount = 15;
+/** One AttemptSpan stamp and its span-JSON key. */
+struct Stamp {
+    SimTime AttemptSpan::*at;
+    const char *key;
+    /** On the wire chain attemptMonotonic() orders (the timeout is a
+     *  client-side instant off that chain). */
+    bool chained;
+};
 
-void
-attemptStamps(const AttemptSpan &a,
-              SimTime (&out)[kAttemptStampCount])
+/** Every AttemptSpan stamp, in lifecycle order. */
+constexpr Stamp kStamps[] = {
+    {&AttemptSpan::triggerAt, "trigger_us", true},
+    {&AttemptSpan::clientSend, "client_send_us", true},
+    {&AttemptSpan::timeoutAt, "timeout_us", false},
+    {&AttemptSpan::nicArrival, "nic_arrival_us", true},
+    {&AttemptSpan::workerStart, "worker_start_us", true},
+    {&AttemptSpan::lbArrival, "lb_arrival_us", true},
+    {&AttemptSpan::lbDispatch, "lb_dispatch_us", true},
+    {&AttemptSpan::backendNicArrival, "backend_nic_arrival_us", true},
+    {&AttemptSpan::backendWorkerStart, "backend_worker_start_us", true},
+    {&AttemptSpan::backendWorkerEnd, "backend_worker_end_us", true},
+    {&AttemptSpan::backendNicDeparture, "backend_nic_departure_us",
+     true},
+    {&AttemptSpan::routerReturn, "router_return_us", true},
+    {&AttemptSpan::workerEnd, "worker_end_us", true},
+    {&AttemptSpan::nicDeparture, "nic_departure_us", true},
+    {&AttemptSpan::clientNicArrival, "client_nic_arrival_us", true},
+    {&AttemptSpan::clientReceive, "client_receive_us", true},
+};
+static_assert(std::size(kStamps) * sizeof(SimTime) ==
+                  sizeof(AttemptSpan) - offsetof(AttemptSpan, triggerAt),
+              "every AttemptSpan stamp is in kStamps");
+
+/** One hop of an attempt's wire path. */
+struct Hop {
+    SegmentKind kind;
+    SimTime AttemptSpan::*begin;
+    SimTime AttemptSpan::*end;
+    /** The hop's time is attributable to the attempt's backend. */
+    bool backend;
+};
+
+/** The classic tier's wire path: client, one server, client. */
+constexpr Hop kClassicHops[] = {
+    {SegmentKind::ClientQueue, &AttemptSpan::triggerAt,
+     &AttemptSpan::clientSend, false},
+    {SegmentKind::NetRequest, &AttemptSpan::clientSend,
+     &AttemptSpan::nicArrival, false},
+    {SegmentKind::ServerQueue, &AttemptSpan::nicArrival,
+     &AttemptSpan::workerStart, true},
+    {SegmentKind::Service, &AttemptSpan::workerStart,
+     &AttemptSpan::workerEnd, true},
+    {SegmentKind::ServerNic, &AttemptSpan::workerEnd,
+     &AttemptSpan::nicDeparture, false},
+    {SegmentKind::NetResponse, &AttemptSpan::nicDeparture,
+     &AttemptSpan::clientNicArrival, false},
+    {SegmentKind::ClientDeliver, &AttemptSpan::clientNicArrival,
+     &AttemptSpan::clientReceive, false},
+};
+
+/** The cluster tier's wire path: the router's worker interval split
+ *  into balancer, fabric and backend hops. */
+constexpr Hop kClusterHops[] = {
+    {SegmentKind::ClientQueue, &AttemptSpan::triggerAt,
+     &AttemptSpan::clientSend, false},
+    {SegmentKind::NetRequest, &AttemptSpan::clientSend,
+     &AttemptSpan::nicArrival, false},
+    {SegmentKind::RouterQueue, &AttemptSpan::nicArrival,
+     &AttemptSpan::workerStart, false},
+    {SegmentKind::RouterService, &AttemptSpan::workerStart,
+     &AttemptSpan::lbArrival, false},
+    {SegmentKind::LbQueue, &AttemptSpan::lbArrival,
+     &AttemptSpan::lbDispatch, true},
+    {SegmentKind::FabricRequest, &AttemptSpan::lbDispatch,
+     &AttemptSpan::backendNicArrival, true},
+    {SegmentKind::BackendQueue, &AttemptSpan::backendNicArrival,
+     &AttemptSpan::backendWorkerStart, true},
+    {SegmentKind::BackendService, &AttemptSpan::backendWorkerStart,
+     &AttemptSpan::backendWorkerEnd, true},
+    {SegmentKind::BackendNic, &AttemptSpan::backendWorkerEnd,
+     &AttemptSpan::backendNicDeparture, true},
+    {SegmentKind::FabricResponse, &AttemptSpan::backendNicDeparture,
+     &AttemptSpan::routerReturn, true},
+    {SegmentKind::RouterEgress, &AttemptSpan::routerReturn,
+     &AttemptSpan::workerEnd, false},
+    {SegmentKind::ServerNic, &AttemptSpan::workerEnd,
+     &AttemptSpan::nicDeparture, false},
+    {SegmentKind::NetResponse, &AttemptSpan::nicDeparture,
+     &AttemptSpan::clientNicArrival, false},
+    {SegmentKind::ClientDeliver, &AttemptSpan::clientNicArrival,
+     &AttemptSpan::clientReceive, false},
+};
+
+using Hops = std::span<const Hop>;
+
+/** The hop table of one tier. */
+Hops
+hopsOf(bool cluster)
 {
-    out[0] = a.triggerAt;
-    out[1] = a.clientSend;
-    out[2] = a.nicArrival;
-    out[3] = a.workerStart;
-    out[4] = a.lbArrival;
-    out[5] = a.lbDispatch;
-    out[6] = a.backendNicArrival;
-    out[7] = a.backendWorkerStart;
-    out[8] = a.backendWorkerEnd;
-    out[9] = a.backendNicDeparture;
-    out[10] = a.routerReturn;
-    out[11] = a.workerEnd;
-    out[12] = a.nicDeparture;
-    out[13] = a.clientNicArrival;
-    out[14] = a.clientReceive;
+    return cluster ? Hops(kClusterHops) : Hops(kClassicHops);
+}
+
+/** True when every stamp @p hops reads is set on @p a. */
+bool
+stamped(const AttemptSpan &a, Hops hops)
+{
+    for (const Hop &hop : hops)
+        if (a.*hop.begin == kNoTime || a.*hop.end == kNoTime)
+            return false;
+    return true;
+}
+
+/** Per-kind facts, indexed by SegmentKind. */
+struct KindInfo {
+    const char *name;
+    /** pathRowsNs() row of a winning-attempt segment of this kind
+     *  (0 = pre-win wait). */
+    std::size_t winnerRow;
+};
+
+constexpr KindInfo kKinds[] = {
+    {"client queue", 1},   {"timeout wait", 0},   {"failover wait", 0},
+    {"retry backoff", 0},  {"hedge wait", 0},     {"net request", 2},
+    {"router queue", 3},   {"router service", 4}, {"lb queue", 4},
+    {"fabric request", 4}, {"backend queue", 4},  {"backend service", 4},
+    {"backend nic", 4},    {"fabric response", 4}, {"router egress", 4},
+    {"server queue", 3},   {"service", 4},        {"server nic", 5},
+    {"net response", 6},   {"client deliver", 7},
+};
+static_assert(std::size(kKinds) == kSegmentKindCount,
+              "one kKinds row per SegmentKind");
+
+const KindInfo &
+infoOf(SegmentKind kind)
+{
+    return kKinds[static_cast<std::size_t>(kind)];
 }
 
 } // namespace
@@ -54,15 +171,14 @@ attemptStamps(const AttemptSpan &a,
 bool
 attemptMonotonic(const AttemptSpan &a)
 {
-    SimTime stamps[kAttemptStampCount];
-    attemptStamps(a, stamps);
     SimTime last = 0;
-    for (SimTime stamp : stamps) {
-        if (stamp == kNoTime)
+    for (const Stamp &stamp : kStamps) {
+        const SimTime at = a.*stamp.at;
+        if (!stamp.chained || at == kNoTime)
             continue;
-        if (stamp < last)
+        if (at < last)
             return false;
-        last = stamp;
+        last = at;
     }
     // The timeout, when it fired, fired after the attempt was sent.
     if (a.timeoutAt != kNoTime &&
@@ -93,14 +209,10 @@ spanComplete(const SpanView &view)
     const AttemptSpan &w = span.winning;
     if (winners != 1 || !w.won)
         return false;
-
-    const SimTime required[] = {w.triggerAt,    w.clientSend,
-                                w.nicArrival,   w.workerStart,
-                                w.workerEnd,    w.nicDeparture,
-                                w.clientNicArrival, w.clientReceive};
-    for (SimTime stamp : required)
-        if (stamp == kNoTime)
-            return false;
+    // The end-to-end timeline: every stamp of the classic hop chain,
+    // which the cluster chain refines.
+    if (!stamped(w, kClassicHops))
+        return false;
     return w.triggerAt >= span.intendedSend &&
            w.clientReceive == span.clientReceive;
 }
@@ -108,14 +220,12 @@ spanComplete(const SpanView &view)
 const std::vector<std::string> &
 segmentKindNames()
 {
-    static const std::vector<std::string> names = {
-        "client queue",   "timeout wait", "failover wait",
-        "retry backoff",  "hedge wait",   "net request",
-        "router queue",   "router service", "lb queue",
-        "fabric request", "backend queue", "backend service",
-        "backend nic",    "fabric response", "router egress",
-        "server queue",   "service",      "server nic",
-        "net response",   "client deliver"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const KindInfo &kind : kKinds)
+            out.emplace_back(kind.name);
+        return out;
+    }();
     return names;
 }
 
@@ -172,19 +282,6 @@ class PathBuilder
     CriticalPath &out;
     SimTime cursor;
 };
-
-/** True when the winning attempt carries the full cluster-hop
- *  timeline (it crossed a balancer tier). */
-bool
-hasClusterStamps(const AttemptSpan &w)
-{
-    return w.lbArrival != kNoTime && w.lbDispatch != kNoTime &&
-           w.backendNicArrival != kNoTime &&
-           w.backendWorkerStart != kNoTime &&
-           w.backendWorkerEnd != kNoTime &&
-           w.backendNicDeparture != kNoTime &&
-           w.routerReturn != kNoTime;
-}
 
 /**
  * The pre-win chain for a retry winner: every earlier primary
@@ -285,47 +382,14 @@ extractCriticalPath(const SpanView &view, CriticalPath &out)
         }
     }
 
-    // --- The winning attempt's wire path, hop by hop. ---
-    const std::int32_t wi = span.winner;
-    bool ok = b.push(SegmentKind::ClientQueue, w.triggerAt,
-                     w.clientSend, wi, -1) &&
-              b.push(SegmentKind::NetRequest, w.clientSend,
-                     w.nicArrival, wi, -1);
-    if (ok && hasClusterStamps(w)) {
-        ok = b.push(SegmentKind::RouterQueue, w.nicArrival,
-                    w.workerStart, wi, -1) &&
-             b.push(SegmentKind::RouterService, w.workerStart,
-                    w.lbArrival, wi, -1) &&
-             b.push(SegmentKind::LbQueue, w.lbArrival, w.lbDispatch,
-                    wi, w.backendId) &&
-             b.push(SegmentKind::FabricRequest, w.lbDispatch,
-                    w.backendNicArrival, wi, w.backendId) &&
-             b.push(SegmentKind::BackendQueue, w.backendNicArrival,
-                    w.backendWorkerStart, wi, w.backendId) &&
-             b.push(SegmentKind::BackendService, w.backendWorkerStart,
-                    w.backendWorkerEnd, wi, w.backendId) &&
-             b.push(SegmentKind::BackendNic, w.backendWorkerEnd,
-                    w.backendNicDeparture, wi, w.backendId) &&
-             b.push(SegmentKind::FabricResponse, w.backendNicDeparture,
-                    w.routerReturn, wi, w.backendId) &&
-             b.push(SegmentKind::RouterEgress, w.routerReturn,
-                    w.workerEnd, wi, -1);
-    } else if (ok) {
-        ok = b.push(SegmentKind::ServerQueue, w.nicArrival,
-                    w.workerStart, wi, w.backendId) &&
-             b.push(SegmentKind::Service, w.workerStart, w.workerEnd,
-                    wi, w.backendId);
-    }
-    ok = ok &&
-         b.push(SegmentKind::ServerNic, w.workerEnd, w.nicDeparture,
-                wi, -1) &&
-         b.push(SegmentKind::NetResponse, w.nicDeparture,
-                w.clientNicArrival, wi, -1) &&
-         b.push(SegmentKind::ClientDeliver, w.clientNicArrival,
-                w.clientReceive, wi, -1);
-    if (!ok) {
-        out.count = 0;
-        return false;
+    // --- The winning attempt's wire path, hop by hop: the cluster
+    // chain when the attempt carries all of it, else the classic one.
+    for (const Hop &hop : hopsOf(stamped(w, kClusterHops))) {
+        if (!b.push(hop.kind, w.*hop.begin, w.*hop.end, span.winner,
+                    hop.backend ? w.backendId : -1)) {
+            out.count = 0;
+            return false;
+        }
     }
     out.startAt = span.intendedSend;
     out.endAt = span.clientReceive;
@@ -386,54 +450,13 @@ pathRowNames()
     return names;
 }
 
-namespace {
-
-/** The row a segment of the winning attempt falls in. */
-std::size_t
-winnerRowOf(SegmentKind kind)
-{
-    switch (kind) {
-      case SegmentKind::ClientQueue:
-        return 1;
-      case SegmentKind::NetRequest:
-        return 2;
-      case SegmentKind::RouterQueue:
-      case SegmentKind::ServerQueue:
-        return 3;
-      case SegmentKind::RouterService:
-      case SegmentKind::LbQueue:
-      case SegmentKind::FabricRequest:
-      case SegmentKind::BackendQueue:
-      case SegmentKind::BackendService:
-      case SegmentKind::BackendNic:
-      case SegmentKind::FabricResponse:
-      case SegmentKind::RouterEgress:
-      case SegmentKind::Service:
-        return 4;
-      case SegmentKind::ServerNic:
-        return 5;
-      case SegmentKind::NetResponse:
-        return 6;
-      case SegmentKind::ClientDeliver:
-        return 7;
-      case SegmentKind::TimeoutWait:
-      case SegmentKind::FailoverWait:
-      case SegmentKind::RetryBackoff:
-      case SegmentKind::HedgeWait:
-        break;
-    }
-    return 0;
-}
-
-} // namespace
-
 std::array<SimDuration, kPathRowCount>
 pathRowsNs(const CriticalPath &path, std::int32_t winner)
 {
     std::array<SimDuration, kPathRowCount> rows{};
     for (std::size_t i = 0; i < path.count; ++i) {
         const PathSegment &seg = path.segments[i];
-        rows[seg.attempt == winner ? winnerRowOf(seg.kind) : 0] +=
+        rows[seg.attempt == winner ? infoOf(seg.kind).winnerRow : 0] +=
             seg.ns();
     }
     return rows;
@@ -488,22 +511,8 @@ attemptToJson(const AttemptSpan &a)
         json::Value(static_cast<std::int64_t>(a.backendId));
     at["lb_failovers"] =
         json::Value(static_cast<std::int64_t>(a.lbFailovers));
-    putStamp(at, "trigger_us", a.triggerAt);
-    putStamp(at, "client_send_us", a.clientSend);
-    putStamp(at, "timeout_us", a.timeoutAt);
-    putStamp(at, "nic_arrival_us", a.nicArrival);
-    putStamp(at, "worker_start_us", a.workerStart);
-    putStamp(at, "lb_arrival_us", a.lbArrival);
-    putStamp(at, "lb_dispatch_us", a.lbDispatch);
-    putStamp(at, "backend_nic_arrival_us", a.backendNicArrival);
-    putStamp(at, "backend_worker_start_us", a.backendWorkerStart);
-    putStamp(at, "backend_worker_end_us", a.backendWorkerEnd);
-    putStamp(at, "backend_nic_departure_us", a.backendNicDeparture);
-    putStamp(at, "router_return_us", a.routerReturn);
-    putStamp(at, "worker_end_us", a.workerEnd);
-    putStamp(at, "nic_departure_us", a.nicDeparture);
-    putStamp(at, "client_nic_arrival_us", a.clientNicArrival);
-    putStamp(at, "client_receive_us", a.clientReceive);
+    for (const Stamp &stamp : kStamps)
+        putStamp(at, stamp.key, a.*stamp.at);
     return json::Value(std::move(at));
 }
 
@@ -551,7 +560,7 @@ namespace {
 /** One "X" event on an attempt's lane. */
 json::Value
 attemptHopEvent(const SpanTrace &s, const AttemptSpan &a,
-                const std::string &name, SimTime begin, SimTime end)
+                const char *name, SimTime begin, SimTime end)
 {
     json::Object ev;
     ev["name"] = json::Value(name);
@@ -575,71 +584,19 @@ attemptHopEvent(const SpanTrace &s, const AttemptSpan &a,
     return json::Value(std::move(ev));
 }
 
-/** Tile one attempt's lane with every consecutive stamped hop. */
+/** Tile one attempt's lane with every stamped hop of its tier's
+ *  chain: the cluster chain once the attempt reached a balancer. */
 void
 appendAttemptLane(json::Array &events, const SpanTrace &s,
                   const AttemptSpan &a)
 {
-    const auto &names = segmentKindNames();
-    const auto nameOf = [&names](SegmentKind kind) {
-        return names[static_cast<std::size_t>(kind)];
-    };
-    struct Hop {
-        SimTime begin, end;
-        SegmentKind kind;
-    };
-    const bool cluster = a.lbArrival != kNoTime;
-    const Hop hops[] = {
-        {a.triggerAt, a.clientSend, SegmentKind::ClientQueue},
-        {a.clientSend, a.nicArrival, SegmentKind::NetRequest},
-        {a.nicArrival, a.workerStart,
-         cluster ? SegmentKind::RouterQueue
-                 : SegmentKind::ServerQueue},
-        {a.workerStart, a.lbArrival, SegmentKind::RouterService},
-        {a.lbArrival, a.lbDispatch, SegmentKind::LbQueue},
-        {a.lbDispatch, a.backendNicArrival,
-         SegmentKind::FabricRequest},
-        {a.backendNicArrival, a.backendWorkerStart,
-         SegmentKind::BackendQueue},
-        {a.backendWorkerStart, a.backendWorkerEnd,
-         SegmentKind::BackendService},
-        {a.backendWorkerEnd, a.backendNicDeparture,
-         SegmentKind::BackendNic},
-        {a.backendNicDeparture, a.routerReturn,
-         SegmentKind::FabricResponse},
-        {a.routerReturn, a.workerEnd, SegmentKind::RouterEgress},
-        {a.workerStart, a.workerEnd, SegmentKind::Service},
-        {a.workerEnd, a.nicDeparture, SegmentKind::ServerNic},
-        {a.nicDeparture, a.clientNicArrival,
-         SegmentKind::NetResponse},
-        {a.clientNicArrival, a.clientReceive,
-         SegmentKind::ClientDeliver},
-    };
-    for (const Hop &hop : hops) {
-        // The classic path renders workerStart->workerEnd as one
-        // "service" hop; the cluster path splits that interval via
-        // the lb/fabric/backend stamps instead.
-        if (hop.kind == SegmentKind::Service && cluster)
-            continue;
-        if (cluster &&
-            (hop.kind == SegmentKind::ServerQueue))
-            continue;
-        if (!cluster &&
-            (hop.kind == SegmentKind::RouterService ||
-             hop.kind == SegmentKind::LbQueue ||
-             hop.kind == SegmentKind::FabricRequest ||
-             hop.kind == SegmentKind::BackendQueue ||
-             hop.kind == SegmentKind::BackendService ||
-             hop.kind == SegmentKind::BackendNic ||
-             hop.kind == SegmentKind::FabricResponse ||
-             hop.kind == SegmentKind::RouterEgress))
-            continue;
-        if (hop.begin == kNoTime || hop.end == kNoTime ||
-            hop.end < hop.begin)
+    for (const Hop &hop : hopsOf(a.lbArrival != kNoTime)) {
+        const SimTime begin = a.*hop.begin;
+        const SimTime end = a.*hop.end;
+        if (begin == kNoTime || end == kNoTime || end < begin)
             continue;
         events.push_back(
-            attemptHopEvent(s, a, nameOf(hop.kind), hop.begin,
-                            hop.end));
+            attemptHopEvent(s, a, infoOf(hop.kind).name, begin, end));
     }
 }
 

@@ -27,7 +27,9 @@
  * decomposition (pre-win wait ... client deliver).
  *
  * Everything here is plain data over util only (obs sits at the bottom
- * of the layering DAG); producers in core copy Request stamps in.
+ * of the layering DAG). The stamps and the per-tier hop chain are each
+ * listed once, as tables in span.cc that the critical path, the
+ * completeness checks, the Chrome lanes and the span JSON all walk.
  */
 
 #ifndef TREADMILL_OBS_SPAN_H_
@@ -80,50 +82,64 @@ const char *attemptCauseName(AttemptCause cause);
 constexpr std::uint32_t kMaxSpanAttempts = 8;
 
 /**
- * The hop timeline of one wire attempt. Stamps are kNoTime until the
- * attempt reached that hop; losing attempts legitimately stop partway
- * (e.g. a hedge still in flight when the primary answered).
+ * The identity and hop timeline of one wire attempt, declared once:
+ * server::Request derives from it, so every component that touches a
+ * request stamps its span attempt in place, and recording a span copies
+ * the attempt in one assignment. Stamps are kNoTime until the attempt
+ * reached that hop; losing attempts legitimately stop partway (e.g. a
+ * hedge still in flight when the primary answered).
  */
 struct AttemptSpan {
     std::uint64_t seqId = 0;
     std::uint32_t attempt = 0; ///< 0 = first send, 1+ = clones.
     AttemptCause cause = AttemptCause::Scheduled;
-    bool hedged = false;
+    bool hedged = false;    ///< A hedge (backup) send.
     bool won = false;       ///< This attempt's response was consumed.
-    bool lbDropped = false; ///< Balancer dropped it (replicas down).
-    std::int32_t backendId = -1; ///< Shard dispatched to; -1 = none.
-    std::uint32_t lbFailovers = 0; ///< Down replicas skipped at dispatch.
+    /** The balancer dropped this attempt (every replica down). */
+    bool lbDropped = false;
+    /** Backend shard the balancer dispatched it to (-1 = direct path,
+     *  no balancer tier), so attribution can split "backend N got slow"
+     *  from "the balancer queued". */
+    std::int32_t backendId = -1;
+    /** Down replicas skipped ahead of the one that got this attempt. */
+    std::uint32_t lbFailovers = 0;
 
     /** @name Client-side stamps
+     * triggerAt is the instant the client decided to send *this*
+     * attempt: the open-loop schedule instant for the first attempt,
+     * the backoff/hedge timer firing for clones. timeoutAt records when
+     * this attempt's timeout fired, kNoTime if it never did.
      * @{ */
-    SimTime triggerAt = kNoTime;  ///< Client decided to send it.
+    SimTime triggerAt = kNoTime;
     SimTime clientSend = kNoTime; ///< Left the client CPU.
-    SimTime timeoutAt = kNoTime;  ///< Its timeout fired (if ever).
+    SimTime timeoutAt = kNoTime;
     /** @} */
 
     /** @name Router / classic-server stamps
      * @{ */
-    SimTime nicArrival = kNoTime;
-    SimTime workerStart = kNoTime;
-    SimTime workerEnd = kNoTime;
-    SimTime nicDeparture = kNoTime;
+    SimTime nicArrival = kNoTime;   ///< Reached the server NIC.
+    SimTime workerStart = kNoTime;  ///< Began worker processing.
+    SimTime workerEnd = kNoTime;    ///< Finished worker processing.
+    SimTime nicDeparture = kNoTime; ///< Response left the server NIC.
     /** @} */
 
     /** @name Cluster-tier stamps (kNoTime on the classic path)
+     * Stamped along the router -> balancer -> fabric -> backend chain,
+     * splitting what would otherwise be one opaque worker interval.
      * @{ */
-    SimTime lbArrival = kNoTime;
-    SimTime lbDispatch = kNoTime;
-    SimTime backendNicArrival = kNoTime;
-    SimTime backendWorkerStart = kNoTime;
-    SimTime backendWorkerEnd = kNoTime;
-    SimTime backendNicDeparture = kNoTime;
-    SimTime routerReturn = kNoTime;
+    SimTime lbArrival = kNoTime;  ///< Entered the balancer.
+    SimTime lbDispatch = kNoTime; ///< Left the balancer queue.
+    SimTime backendNicArrival = kNoTime;  ///< Reached the shard NIC.
+    SimTime backendWorkerStart = kNoTime; ///< Shard worker began.
+    SimTime backendWorkerEnd = kNoTime;   ///< Shard worker finished.
+    SimTime backendNicDeparture = kNoTime; ///< Left the shard NIC.
+    SimTime routerReturn = kNoTime; ///< Response back at the router.
     /** @} */
 
     /** @name Client-side completion stamps
      * @{ */
-    SimTime clientNicArrival = kNoTime;
-    SimTime clientReceive = kNoTime;
+    SimTime clientNicArrival = kNoTime; ///< Response hit the client NIC.
+    SimTime clientReceive = kNoTime;    ///< Response callback ran.
     /** @} */
 };
 

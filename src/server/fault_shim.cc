@@ -41,7 +41,6 @@ ServiceFaultShim::receive(RequestPtr request)
         // The process is down: the connection resets and the request
         // is never answered. The client's timeout/retry policy is the
         // only recovery path -- exactly as in production.
-        ++droppedCount;
         droppedCounter.add();
         return;
     }
@@ -51,9 +50,8 @@ ServiceFaultShim::receive(RequestPtr request)
         // socket buffer and is delivered when the pause ends. Arrival
         // order is preserved because same-instant events fire in
         // scheduling order.
-        ++stalledCount;
         stalledCounter.add();
-        sim.countEvent("fault.stall_release");
+        sim.countEvent(sim::EventTag::FaultStallRelease);
         sim.scheduleAt(stallUntil,
                        [this, request = std::move(request)]() mutable {
                            receive(std::move(request));
@@ -69,9 +67,8 @@ ServiceFaultShim::receive(RequestPtr request)
             static_cast<double>(warmupWindow);
         const auto penalty = static_cast<SimDuration>(
             static_cast<double>(warmupMaxPenalty) * remaining);
-        ++warmupCount;
         warmupCounter.add();
-        sim.countEvent("fault.warmup_delay");
+        sim.countEvent(sim::EventTag::FaultWarmupDelay);
         sim.schedule(penalty,
                      [this, request = std::move(request)]() mutable {
                          inner.receive(std::move(request));

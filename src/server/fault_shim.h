@@ -79,9 +79,9 @@ class ServiceFaultShim : public Service
     /** @name Diagnostics
      * @{
      */
-    std::uint64_t stalledRequests() const { return stalledCount; }
-    std::uint64_t droppedRequests() const { return droppedCount; }
-    std::uint64_t warmupRequests() const { return warmupCount; }
+    std::uint64_t stalledRequests() const { return stalledCounter.value(); }
+    std::uint64_t droppedRequests() const { return droppedCounter.value(); }
+    std::uint64_t warmupRequests() const { return warmupCounter.value(); }
     bool stalled() const;
     bool crashed() const;
     /** @} */
@@ -95,10 +95,6 @@ class ServiceFaultShim : public Service
     SimTime warmupUntil = 0;
     SimDuration warmupWindow = 0;
     SimDuration warmupMaxPenalty = 0;
-
-    std::uint64_t stalledCount = 0;
-    std::uint64_t droppedCount = 0;
-    std::uint64_t warmupCount = 0;
 
     obs::Counter &stalledCounter;
     obs::Counter &droppedCounter;

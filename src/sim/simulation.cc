@@ -44,21 +44,37 @@ Simulation::cancel(EventId id)
     return cancelled;
 }
 
-void
-Simulation::countEvent(const char *type)
+const char *
+eventTagName(EventTag tag)
 {
-    auto it = typeCounters.find(type);
-    if (it == typeCounters.end())
-        it = typeCounters.emplace(type, &registerEventCounter(type)).first;
-    it->second->add();
+    static constexpr const char *kNames[kEventTagCount] = {
+        "client.send",     "client.timeout", "client.retry",
+        "client.hedge",    "client.kernel",  "client.receive",
+        "net.delivery",    "fault.apply",    "fault.stall_release",
+        "fault.warmup_delay"};
+    return kNames[static_cast<std::size_t>(tag)];
 }
 
+namespace {
+
 obs::Counter &
-Simulation::registerEventCounter(const char *type)
+tagCounter(obs::MetricsRegistry &registry, EventTag tag)
 {
-    // tmlint:cold: runs once per event type; steady state takes the
-    // memoized typeCounters hit in countEvent()
-    return registry.counter(std::string("sim.events.") + type);
+    // tmlint:cold: runs at each tag's first count; steady state takes
+    // the counter pointer cached in Simulation::tagCounters
+    return registry.counter(std::string("sim.events.") +
+                            eventTagName(tag));
+}
+
+} // namespace
+
+void
+Simulation::countEvent(EventTag tag)
+{
+    obs::Counter *&counter = tagCounters[static_cast<std::size_t>(tag)];
+    if (counter == nullptr)
+        counter = &tagCounter(registry, tag);
+    counter->add();
 }
 
 bool

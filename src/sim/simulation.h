@@ -10,8 +10,9 @@
 #ifndef TREADMILL_SIM_SIMULATION_H_
 #define TREADMILL_SIM_SIMULATION_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "sim/event_queue.h"
@@ -19,6 +20,27 @@
 
 namespace treadmill {
 namespace sim {
+
+/** The kinds of scheduled event counted under "sim.events.<tag>". */
+enum class EventTag : std::uint8_t {
+    ClientSend,
+    ClientTimeout,
+    ClientRetry,
+    ClientHedge,
+    ClientKernel,
+    ClientReceive,
+    NetDelivery,
+    FaultApply,
+    FaultStallRelease,
+    FaultWarmupDelay,
+};
+
+/** Number of EventTag values. */
+constexpr std::size_t kEventTagCount =
+    static_cast<std::size_t>(EventTag::FaultWarmupDelay) + 1;
+
+/** The dotted name of @p tag ("client.send", "net.delivery"). */
+const char *eventTagName(EventTag tag);
 
 /**
  * Owns the virtual clock and the pending-event set and dispatches events
@@ -87,17 +109,13 @@ class Simulation
     const obs::MetricsRegistry &metrics() const { return registry; }
 
     /**
-     * Count one scheduled event of the named type ("client.send",
-     * "net.delivery") under "sim.events.<type>". The per-type counter
-     * is memoized by the literal's address, so call sites must pass
-     * string literals (or otherwise stable strings).
+     * Count one scheduled event of kind @p tag under
+     * "sim.events.<eventTagName(tag)>"; the counter is created at the
+     * tag's first count.
      */
-    void countEvent(const char *type);
+    void countEvent(EventTag tag);
 
   private:
-    /** Slow path of countEvent(): first sighting of an event type. */
-    obs::Counter &registerEventCounter(const char *type);
-
     EventQueue events;
     SimTime currentTime = 0;
     std::uint64_t executed = 0;
@@ -107,8 +125,8 @@ class Simulation
     obs::Counter *scheduledCounter = nullptr;
     obs::Counter *executedCounter = nullptr;
     obs::Counter *cancelledCounter = nullptr;
-    /** Per-type event counters, memoized by literal address. */
-    std::unordered_map<const char *, obs::Counter *> typeCounters;
+    /** Per-tag event counters, null until the tag's first count. */
+    std::array<obs::Counter *, kEventTagCount> tagCounters{};
     /** The logging clock this Simulation replaced, restored on exit. */
     const std::uint64_t *previousLogClock = nullptr;
 };

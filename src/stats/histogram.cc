@@ -263,7 +263,6 @@ void
 StaticHistogram::addSlow(double x)
 {
     if (x < lo) {
-        ++clampedLo;
         ++bins[0];
         return;
     }

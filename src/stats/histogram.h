@@ -106,9 +106,6 @@ class AdaptiveHistogram
     /** Bin count currently configured. */
     std::size_t binCount() const { return bins.size(); }
 
-    /** Mass in bin @p i. */
-    std::uint64_t binMass(std::size_t i) const { return bins[i]; }
-
     /** Lower edge of bin @p i. */
     double binLowerEdge(std::size_t i) const;
 
@@ -169,9 +166,6 @@ class StaticHistogram
     /** Number of samples clamped into the top bin from above. */
     std::uint64_t clampedHigh() const { return clampedHi; }
 
-    /** Number of samples clamped into the bottom bin from below. */
-    std::uint64_t clampedLow() const { return clampedLo; }
-
     double quantile(double q) const;
 
     double cdf(double x) const;
@@ -186,7 +180,6 @@ class StaticHistogram
     std::vector<std::uint64_t> bins;
     std::uint64_t total = 0;
     std::uint64_t clampedHi = 0;
-    std::uint64_t clampedLo = 0;
 };
 
 } // namespace stats

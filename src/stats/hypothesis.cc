@@ -77,29 +77,5 @@ permutationTest(const std::vector<double> &a, const std::vector<double> &b,
     return result;
 }
 
-TestResult
-welchTTest(const std::vector<double> &a, const std::vector<double> &b)
-{
-    if (a.size() < 2 || b.size() < 2)
-        throw NumericalError("Welch t-test needs >= 2 samples per group");
-    const double ma = mean(a);
-    const double mb = mean(b);
-    const double sa = stddev(a);
-    const double sb = stddev(b);
-    const double na = static_cast<double>(a.size());
-    const double nb = static_cast<double>(b.size());
-    const double se = std::sqrt(sa * sa / na + sb * sb / nb);
-
-    TestResult result;
-    if (se == 0.0) {
-        result.statistic = ma == mb ? 0.0 : INFINITY;
-        result.pValue = ma == mb ? 1.0 : 0.0;
-        return result;
-    }
-    result.statistic = (ma - mb) / se;
-    result.pValue = twoSidedPValue(result.statistic);
-    return result;
-}
-
 } // namespace stats
 } // namespace treadmill

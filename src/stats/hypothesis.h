@@ -5,8 +5,8 @@
  * The paper screens candidate factors with null-hypothesis testing over
  * repeated experiments under random factor permutations (S IV-B), and
  * reports p-values for regression coefficients (Table IV). We provide a
- * permutation test (distribution-free, matching the paper's setting),
- * Welch's t-test, and normal-distribution helpers.
+ * permutation test (distribution-free, matching the paper's setting)
+ * and normal-distribution helpers.
  */
 
 #ifndef TREADMILL_STATS_HYPOTHESIS_H_
@@ -47,10 +47,6 @@ permutationTest(const std::vector<double> &a, const std::vector<double> &b,
                 const std::function<double(const std::vector<double> &,
                                            const std::vector<double> &)>
                     &statistic = {});
-
-/** Welch's unequal-variance t-test (normal approximation for p). */
-TestResult welchTTest(const std::vector<double> &a,
-                      const std::vector<double> &b);
 
 } // namespace stats
 } // namespace treadmill

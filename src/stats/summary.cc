@@ -9,74 +9,6 @@
 namespace treadmill {
 namespace stats {
 
-void
-Summary::add(double x)
-{
-    if (n == 0) {
-        lo = x;
-        hi = x;
-    } else {
-        lo = std::min(lo, x);
-        hi = std::max(hi, x);
-    }
-    ++n;
-    total += x;
-    const double delta = x - meanAcc;
-    meanAcc += delta / static_cast<double>(n);
-    m2 += delta * (x - meanAcc);
-}
-
-void
-Summary::merge(const Summary &other)
-{
-    if (other.n == 0)
-        return;
-    if (n == 0) {
-        *this = other;
-        return;
-    }
-    const double na = static_cast<double>(n);
-    const double nb = static_cast<double>(other.n);
-    const double delta = other.meanAcc - meanAcc;
-    const double combined = na + nb;
-    meanAcc += delta * nb / combined;
-    m2 += other.m2 + delta * delta * na * nb / combined;
-    n += other.n;
-    total += other.total;
-    lo = std::min(lo, other.lo);
-    hi = std::max(hi, other.hi);
-}
-
-double
-Summary::mean() const
-{
-    return n == 0 ? 0.0 : meanAcc;
-}
-
-double
-Summary::variance() const
-{
-    return n < 2 ? 0.0 : m2 / static_cast<double>(n - 1);
-}
-
-double
-Summary::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-double
-Summary::min() const
-{
-    return n == 0 ? 0.0 : lo;
-}
-
-double
-Summary::max() const
-{
-    return n == 0 ? 0.0 : hi;
-}
-
 double
 quantileSorted(const std::vector<double> &sorted, double q)
 {

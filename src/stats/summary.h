@@ -1,49 +1,15 @@
 /**
  * @file
- * Streaming summary statistics and exact sample quantiles.
+ * Summary statistics and exact sample quantiles.
  */
 
 #ifndef TREADMILL_STATS_SUMMARY_H_
 #define TREADMILL_STATS_SUMMARY_H_
 
-#include <cstdint>
 #include <vector>
 
 namespace treadmill {
 namespace stats {
-
-/**
- * Single-pass count/mean/variance/min/max accumulator (Welford's
- * algorithm), numerically stable for long runs.
- */
-class Summary
-{
-  public:
-    Summary() = default;
-
-    /** Fold one observation into the summary. */
-    void add(double x);
-
-    /** Fold another summary into this one (parallel merge). */
-    void merge(const Summary &other);
-
-    std::uint64_t count() const { return n; }
-    double mean() const;
-    /** Unbiased sample variance (n-1 denominator); 0 for n < 2. */
-    double variance() const;
-    double stddev() const;
-    double min() const;
-    double max() const;
-    double sum() const { return total; }
-
-  private:
-    std::uint64_t n = 0;
-    double meanAcc = 0.0;
-    double m2 = 0.0;
-    double lo = 0.0;
-    double hi = 0.0;
-    double total = 0.0;
-};
 
 /**
  * The q-quantile of @p sorted (ascending) by linear interpolation

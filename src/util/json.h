@@ -62,8 +62,6 @@ class Value
 
     Type type() const { return tag; }
     bool isNull() const { return tag == Type::Null; }
-    bool isBool() const { return tag == Type::Boolean; }
-    bool isNumber() const { return tag == Type::Number; }
     bool isString() const { return tag == Type::String; }
     bool isArray() const { return tag == Type::Array; }
     bool isObject() const { return tag == Type::Object; }

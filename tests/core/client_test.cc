@@ -222,6 +222,33 @@ TEST(ClientTest, RejectsZeroConnections)
                  ConfigError);
 }
 
+TEST(ClientTest, CountersAreTheObserversAndOneInstanceOwnsItsScope)
+{
+    sim::Simulation sim;
+    EchoHarness echo(sim, microseconds(20));
+    auto params = fastParams();
+    params.index = 3;
+    LoadTesterInstance *slot = nullptr;
+    LoadTesterInstance inst(sim, params, WorkloadConfig{},
+                            echo.transmitTo(slot));
+    slot = &inst;
+    inst.start();
+    sim.runUntil(milliseconds(5));
+    EXPECT_GT(inst.issued(), 0u);
+    EXPECT_EQ(inst.issued(), sim.metrics().counter("client3.issued").value());
+    EXPECT_EQ(inst.received(),
+              sim.metrics().counter("client3.received").value());
+
+    // A second instance with the same index would add into the same
+    // counters: its construction fails instead.
+    EXPECT_THROW(LoadTesterInstance(sim, params, WorkloadConfig{},
+                                    [](server::RequestPtr) {}),
+                 ConfigError);
+    params.index = 4;
+    EXPECT_NO_THROW(LoadTesterInstance(sim, params, WorkloadConfig{},
+                                       [](server::RequestPtr) {}));
+}
+
 } // namespace
 } // namespace core
 } // namespace treadmill

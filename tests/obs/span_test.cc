@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "util/json.h"
 
@@ -628,6 +631,79 @@ TEST(SpanTest, ChromeSpanJsonLanesPerAttempt)
     }
     EXPECT_EQ(lanes, 2u); // One lane per stored attempt.
     EXPECT_GT(hops, 0u);
+}
+
+TEST(SpanTest, WinnerLaneIsItsCriticalPathOnBothTiers)
+{
+    // The Chrome lanes and the critical path read one hop table per
+    // tier: a complete winner's lane is exactly its wire segments.
+    for (const HeldSpan &held : {singleAttemptSpan(classicAttempt()),
+                                 singleAttemptSpan(clusterAttempt()),
+                                 retrySpan()}) {
+        const SpanLog log = logOf({held});
+        CriticalPath path;
+        ASSERT_TRUE(extractCriticalPath(log[0], path));
+        std::vector<PathSegment> wire;
+        for (std::size_t i = 0; i < path.count; ++i)
+            if (path.segments[i].attempt == held.trace.winner)
+                wire.push_back(path.segments[i]);
+
+        const json::Value doc = json::parse(chromeSpanJson(log));
+        std::vector<json::Value> lane;
+        for (const json::Value &ev : doc.at("traceEvents").asArray())
+            if (ev.at("ph").asString() == "X" &&
+                ev.at("args").at("won").asBool())
+                lane.push_back(ev);
+
+        ASSERT_EQ(lane.size(), wire.size());
+        for (std::size_t i = 0; i < wire.size(); ++i) {
+            const PathSegment &seg = wire[i];
+            EXPECT_EQ(lane[i].at("name").asString(),
+                      segmentKindNames()[static_cast<std::size_t>(
+                          seg.kind)]);
+            EXPECT_DOUBLE_EQ(lane[i].at("ts").asNumber(),
+                             toMicros(seg.begin));
+            EXPECT_DOUBLE_EQ(lane[i].at("dur").asNumber(),
+                             toMicros(seg.ns()));
+        }
+    }
+}
+
+TEST(SpanTest, SpanJsonCarriesAllSixteenStamps)
+{
+    AttemptSpan a = clusterAttempt();
+    a.timeoutAt = 10'000; // Distinct from every other stamp.
+    const json::Value doc =
+        json::parse(spanJson(logOf({singleAttemptSpan(a)})));
+    const json::Value &at =
+        doc.at("spans").asArray()[0].at("attempts").asArray()[0];
+
+    const std::pair<const char *, SimTime> expected[] = {
+        {"trigger_us", a.triggerAt},
+        {"client_send_us", a.clientSend},
+        {"timeout_us", a.timeoutAt},
+        {"nic_arrival_us", a.nicArrival},
+        {"worker_start_us", a.workerStart},
+        {"lb_arrival_us", a.lbArrival},
+        {"lb_dispatch_us", a.lbDispatch},
+        {"backend_nic_arrival_us", a.backendNicArrival},
+        {"backend_worker_start_us", a.backendWorkerStart},
+        {"backend_worker_end_us", a.backendWorkerEnd},
+        {"backend_nic_departure_us", a.backendNicDeparture},
+        {"router_return_us", a.routerReturn},
+        {"worker_end_us", a.workerEnd},
+        {"nic_departure_us", a.nicDeparture},
+        {"client_nic_arrival_us", a.clientNicArrival},
+        {"client_receive_us", a.clientReceive},
+    };
+    std::size_t stampKeys = 0;
+    for (const auto &entry : at.asObject())
+        stampKeys += entry.first.ends_with("_us") ? 1 : 0;
+    EXPECT_EQ(stampKeys, std::size(expected));
+    for (const auto &[key, stamp] : expected) {
+        ASSERT_TRUE(at.asObject().count(key) != 0) << key;
+        EXPECT_DOUBLE_EQ(at.at(key).asNumber(), toMicros(stamp)) << key;
+    }
 }
 
 } // namespace

@@ -129,6 +129,21 @@ TEST(SimulationTest, SameInstantEventsRunInScheduleOrder)
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+TEST(SimulationTest, EventTagsCountUnderTheirNamesFromTheFirstCount)
+{
+    Simulation sim;
+    const std::size_t before = sim.metrics().size();
+    sim.countEvent(EventTag::NetDelivery);
+    sim.countEvent(EventTag::NetDelivery);
+    // Only a counted tag registers a counter, so snapshots list the
+    // tags a run used and no others.
+    EXPECT_EQ(sim.metrics().size(), before + 1);
+    EXPECT_EQ(sim.metrics().counter("sim.events.net.delivery").value(), 2u);
+    EXPECT_STREQ(eventTagName(EventTag::ClientSend), "client.send");
+    EXPECT_STREQ(eventTagName(EventTag::FaultWarmupDelay),
+                 "fault.warmup_delay");
+}
+
 } // namespace
 } // namespace sim
 } // namespace treadmill

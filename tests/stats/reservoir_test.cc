@@ -40,15 +40,15 @@ TEST(ReservoirTest, SampleIsApproximatelyUniform)
 {
     // Offer 0..9999; the retained mean should approximate the stream
     // mean across repeated reservoirs.
-    Summary means;
+    std::vector<double> means;
     for (std::uint64_t seed = 0; seed < 50; ++seed) {
         ReservoirSampler r(200, Rng(seed));
         for (int i = 0; i < 10000; ++i)
             r.add(static_cast<double>(i));
         EXPECT_EQ(r.samples().size(), 200u);
-        means.add(stats::mean(r.samples()));
+        means.push_back(stats::mean(r.samples()));
     }
-    EXPECT_NEAR(means.mean(), 4999.5, 150.0);
+    EXPECT_NEAR(stats::mean(means), 4999.5, 150.0);
 }
 
 TEST(ReservoirTest, DeterministicForSameSeed)
@@ -114,7 +114,7 @@ TEST(ReservoirTest, MergeWeightsSidesByStreamLength)
     // Side A saw 9x the stream of side B, so retained items should
     // come from A and B in roughly 9:1 proportion -- the
     // hypergeometric allocation, averaged over seeds.
-    Summary fractionFromA;
+    std::vector<double> fractionFromA;
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
         ReservoirSampler a(500, Rng(seed * 2 + 1));
         ReservoirSampler b(500, Rng(seed * 2 + 2));
@@ -128,16 +128,16 @@ TEST(ReservoirTest, MergeWeightsSidesByStreamLength)
         double fromA = 0.0;
         for (double x : a.samples())
             fromA += x;
-        fractionFromA.add(fromA / 500.0);
+        fractionFromA.push_back(fromA / 500.0);
     }
-    EXPECT_NEAR(fractionFromA.mean(), 0.9, 0.02);
+    EXPECT_NEAR(stats::mean(fractionFromA), 0.9, 0.02);
 }
 
 TEST(ReservoirTest, MergedSampleStaysUniform)
 {
     // Merge two reservoirs over disjoint halves of 0..9999; the
     // merged retained mean must still track the union-stream mean.
-    Summary means;
+    std::vector<double> means;
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
         ReservoirSampler a(300, Rng(seed * 2 + 1));
         ReservoirSampler b(300, Rng(seed * 2 + 2));
@@ -148,9 +148,9 @@ TEST(ReservoirTest, MergedSampleStaysUniform)
         a.merge(b);
         EXPECT_EQ(a.seen(), 10000u);
         EXPECT_EQ(a.samples().size(), 300u);
-        means.add(stats::mean(a.samples()));
+        means.push_back(stats::mean(a.samples()));
     }
-    EXPECT_NEAR(means.mean(), 4999.5, 200.0);
+    EXPECT_NEAR(stats::mean(means), 4999.5, 200.0);
 }
 
 TEST(ReservoirTest, MergeIsDeterministic)

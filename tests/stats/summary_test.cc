@@ -1,4 +1,4 @@
-/** @file Unit tests for streaming summaries and sample quantiles. */
+/** @file Unit tests for sample quantiles and summary helpers. */
 
 #include "stats/summary.h"
 
@@ -13,72 +13,6 @@
 namespace treadmill {
 namespace stats {
 namespace {
-
-TEST(SummaryTest, EmptySummaryIsZero)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(SummaryTest, SingleValue)
-{
-    Summary s;
-    s.add(5.0);
-    EXPECT_EQ(s.count(), 1u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-    EXPECT_DOUBLE_EQ(s.min(), 5.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(SummaryTest, KnownMoments)
-{
-    Summary s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    // Sample variance with n-1 = 7: sum of squares = 32 -> 32/7.
-    EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
-    EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(SummaryTest, MergeMatchesSequential)
-{
-    Rng rng(1);
-    Normal n(3.0, 2.0);
-    Summary whole;
-    Summary left;
-    Summary right;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = n.sample(rng);
-        whole.add(x);
-        (i % 2 == 0 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), whole.count());
-    EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), whole.min());
-    EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(SummaryTest, MergeWithEmptyIsIdentity)
-{
-    Summary a;
-    a.add(1.0);
-    a.add(2.0);
-    Summary empty;
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 2u);
-    Summary b;
-    b.merge(a);
-    EXPECT_EQ(b.count(), 2u);
-    EXPECT_DOUBLE_EQ(b.mean(), 1.5);
-}
 
 TEST(QuantileTest, MedianOfOddSample)
 {

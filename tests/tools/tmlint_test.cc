@@ -279,6 +279,88 @@ TEST(TmlintRules, StringConstructionShapesInHotFiles)
               0);
 }
 
+TEST(TmlintRules, PlacementNewDoesNotAllocate)
+{
+    const std::string src = "// tmlint:hot-path\n"
+                            "void f(void *buf) {\n"
+                            "    auto *a = new (buf) int(1);\n"
+                            "    auto *b = new int(2);\n"
+                            "}\n";
+    const auto findings = lintOne("src/sim/a.cc", src);
+    ASSERT_EQ(countRule(findings, "hot-path-no-alloc"), 1)
+        << describe(findings);
+    EXPECT_EQ(findings[0].line, 4);
+}
+
+TEST(TmlintRules, PlacementNewCalleeIsNotATransitiveFinding)
+{
+    const std::string src = "int *construct(void *buf) {\n"
+                            "    return new (buf) int(7);\n"
+                            "}\n"
+                            "// tmlint:hot-path-begin\n"
+                            "int hot(void *buf) { return *construct(buf); }\n"
+                            "// tmlint:hot-path-end\n";
+    const auto findings = lintOne("src/sim/a.cc", src);
+    EXPECT_TRUE(findings.empty()) << describe(findings);
+}
+
+TEST(TmlintRules, FunctionAliasIsStdFunction)
+{
+    const std::string src =
+        "#include <functional>\n"
+        "using Callback = std::function<void(int)>;\n"
+        "void cold(Callback cb) { cb(1); }\n"
+        "// tmlint:hot-path-begin\n"
+        "void hot(int v) { Callback cb = [v](int) {}; cb(v); }\n"
+        "// tmlint:hot-path-end\n";
+    const auto findings = lintOne("src/sim/a.cc", src);
+    ASSERT_EQ(countRule(findings, "hot-path-no-function"), 1)
+        << describe(findings);
+    EXPECT_EQ(findings[0].line, 5);
+    EXPECT_NE(findings[0].message.find("'Callback' aliases std::function"),
+              std::string::npos)
+        << describe(findings);
+}
+
+TEST(TmlintRules, FunctionAliasFromAnotherFileIsSeen)
+{
+    // The alias lives in a header that sorts after its user, as
+    // client.cc sorts before client.h.
+    Linter linter(defaultConfig());
+    linter.lintFile("src/sim/a.cc",
+                    "#include \"sim/a.h\"\n"
+                    "// tmlint:hot-path-begin\n"
+                    "void Box::fire() { Box::Fn copy = fn; copy(); }\n"
+                    "// tmlint:hot-path-end\n");
+    linter.lintFile("src/sim/a.h",
+                    "#include <functional>\n"
+                    "struct Box {\n"
+                    "    using Fn = std::function<void()>;\n"
+                    "    Fn fn;\n"
+                    "    void fire();\n"
+                    "};\n");
+    const auto findings = linter.finish();
+    ASSERT_EQ(countRule(findings, "hot-path-no-function"), 1)
+        << describe(findings);
+    EXPECT_EQ(findings[0].file, "src/sim/a.cc");
+    EXPECT_EQ(findings[0].line, 3);
+}
+
+TEST(TmlintRules, FunctionAliasInHotCalleeIsATransitiveFinding)
+{
+    const std::string src =
+        "#include <functional>\n"
+        "using Task = std::function<void()>;\n"
+        "void wrap(int v) { Task t = [v] {}; t(); }\n"
+        "// tmlint:hot-path-begin\n"
+        "void hot(int v) { wrap(v); }\n"
+        "// tmlint:hot-path-end\n";
+    const auto findings = lintOne("src/sim/a.cc", src);
+    ASSERT_EQ(countRule(findings, "hot-path-transitive"), 1)
+        << describe(findings);
+    EXPECT_EQ(findings[0].line, 3);
+}
+
 // ---------------------------------------------------------------------
 // Suppression directives.
 // ---------------------------------------------------------------------
@@ -441,19 +523,6 @@ TEST(TmlintConfig, UnknownRuleNameIsRejected)
     EXPECT_THROW(parseConfig(R"({"rules": {"no-such-rule": {}}})"),
                  ConfigError);
     EXPECT_THROW(parseConfig(R"({"norules": true})"), ConfigError);
-}
-
-TEST(TmlintConfig, RepoConfigFileMatchesBuiltInDefaults)
-{
-    const Config fromFile = loadConfig(TMLINT_REPO_CONFIG);
-    const Config builtIn = defaultConfig();
-    EXPECT_EQ(fromFile.wallclockAllow, builtIn.wallclockAllow);
-    EXPECT_EQ(fromFile.entropyAllow, builtIn.entropyAllow);
-    EXPECT_EQ(fromFile.exportModules, builtIn.exportModules);
-    EXPECT_EQ(fromFile.layering, builtIn.layering);
-    EXPECT_EQ(fromFile.disabled, builtIn.disabled);
-    EXPECT_EQ(fromFile.taintSinks, builtIn.taintSinks);
-    EXPECT_EQ(fromFile.hotTransitiveDepth, builtIn.hotTransitiveDepth);
 }
 
 TEST(TmlintConfig, HotTransitiveDepthMustBePositive)

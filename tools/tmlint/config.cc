@@ -10,71 +10,13 @@ namespace tmlint {
 
 namespace {
 
-/**
- * The canonical configuration for this repository. Kept byte-for-byte
- * in sync with tools/tmlint/tmlint.json so `tmlint src` behaves the
- * same with or without the file (config_test asserts the two parse to
- * the same Config).
- */
-const char *const kDefaultJson = R"CFG({
-  "rules": {
-    "no-wallclock": {
-      "allow": [
-        "bench/",
-        "tests/",
-        "src/exec/thread_pool."
-      ]
-    },
-    "no-ambient-entropy": {
-      "allow": ["bench/", "tests/"]
-    },
-    "no-default-seed": {
-      "allow": ["bench/", "tests/"]
-    },
-    "no-unordered-in-export": {
-      "modules": ["analysis", "obs", "stats", "regress"]
-    },
-    "determinism-taint": {
-      "sinks": ["dump", "dumpPretty", "encodeRunRecord", "toJson",
-                "spanJson", "chromeSpanJson", "telemetryCsv",
-                "decompositionCsv", "renderProvenanceTable",
-                "provenanceToJson", "renderCoefficientTable",
-                "renderCdf", "renderDecompositionTable"]
-    },
-    "guarded-by": {},
-    "pool-lifetime": {},
-    "hot-path-no-function": {},
-    "hot-path-no-alloc": {},
-    "hot-path-no-string": {},
-    "hot-path-no-throw": {},
-    "hot-path-transitive": {
-      "depth": 3
-    },
-    "layering": {
-      "modules": {
-        "util": [],
-        "exec": ["util"],
-        "obs": ["util"],
-        "stats": ["util"],
-        "sim": ["util", "obs"],
-        "store": ["util"],
-        "regress": ["util", "stats"],
-        "hw": ["util", "sim"],
-        "net": ["util", "sim", "obs"],
-        "server": ["util", "sim", "obs", "hw"],
-        "lb": ["util", "sim", "obs", "server"],
-        "fault": ["util", "sim", "obs", "hw", "net", "server"],
-        "core": ["util", "sim", "obs", "stats", "store", "hw",
-                 "net", "server", "fault", "lb"],
-        "analysis": ["util", "exec", "sim", "obs", "stats", "store",
-                     "hw", "net", "server", "core", "regress", "lb"],
-        "drive": ["util", "exec", "stats", "store", "regress",
-                  "hw", "core", "analysis"]
-      }
-    }
-  }
-}
-)CFG";
+/** The canonical configuration for this repository: the text of
+ *  tools/tmlint/tmlint.json, embedded by the build (see
+ *  tools/tmlint/CMakeLists.txt), so `tmlint src` behaves the same with
+ *  or without the file. */
+const char *const kDefaultJson =
+#include "tmlint_default.inc"
+    ;
 
 std::vector<std::string>
 stringList(const json::Value &v, const char *what)

@@ -6,8 +6,8 @@
  * simulator depends on); the configuration controls where each rule
  * applies: path allowlists for the determinism rules, the module list
  * for the unordered-container rule, and the allowed include DAG for
- * the layering rule. A JSON file (tools/tmlint/tmlint.json) overrides
- * the built-in defaults, which mirror that file exactly.
+ * the layering rule. The built-in defaults are tools/tmlint/tmlint.json
+ * itself, embedded at build time; a --config file overrides them.
  */
 
 #ifndef TREADMILL_TOOLS_TMLINT_CONFIG_H_

@@ -68,6 +68,36 @@ isUnorderedIdent(const std::string &id)
            id == "unordered_multimap" || id == "unordered_multiset";
 }
 
+/** The lexical finding message of a classifyHotPath() hit. */
+std::string
+hotPathMessage(const HotPathHit &hit)
+{
+    const std::string rule = hit.rule;
+    if (rule == "hot-path-no-function") {
+        return (hit.token == "std::function"
+                    ? std::string("std::function")
+                    : "'" + hit.token + "' aliases std::function, which") +
+               " allocates and indirect-calls on the steady-state path; "
+               "use util::InlineFunction";
+    }
+    if (rule == "hot-path-no-alloc") {
+        return (hit.token == "new" ? std::string("'new' on")
+                                   : "'" + hit.token + "' allocates on") +
+               " the steady-state path; recycle through util::Pool / "
+               "util::RawPool instead";
+    }
+    if (rule == "hot-path-no-string") {
+        return hit.token == "std::string"
+                   ? "std::string construction on the steady-state path; "
+                     "keep keys/payloads pooled or preallocated"
+                   : "'" + hit.token +
+                         "' builds a std::string on the steady-state "
+                         "path; format at report time instead";
+    }
+    return "throwing on the steady-state path; validate configuration "
+           "at setup time (ConfigError belongs in constructors)";
+}
+
 } // namespace
 
 std::string
@@ -133,13 +163,17 @@ void
 Linter::lintFile(const std::string &path, const std::string &content)
 {
     ++filesSeen;
-    const std::string norm = normalizeRepoPath(path);
+    lexedFiles.push_back(
+        {normalizeRepoPath(path), lex(content, knownRules())});
+    collectFunctionAliases(lexedFiles.back().lexed.tokens, functionAliases);
+}
 
+void
+Linter::summarize(const std::string &path, const LexedFile &lexed)
+{
     FileSummary sum;
-    sum.path = norm;
-    sum.module = moduleOfPath(norm);
-
-    const LexedFile lexed = lex(content, knownRules());
+    sum.path = path;
+    sum.module = moduleOfPath(path);
     sum.lineAllows = lexed.lineAllows;
     sum.fileAllows = lexed.fileAllows;
 
@@ -148,7 +182,7 @@ Linter::lintFile(const std::string &path, const std::string &content)
 
     checkTokens(sum, lexed);
     checkIncludes(sum, lexed);
-    indexSymbols(lexed, sum);
+    indexSymbols(lexed, sum, functionAliases);
     summaries.push_back(std::move(sum));
 }
 
@@ -166,10 +200,6 @@ Linter::checkTokens(FileSummary &sum, const LexedFile &lexed)
     const auto text = [&](std::size_t i) -> const std::string & {
         static const std::string empty;
         return i < toks.size() ? toks[i].text : empty;
-    };
-    const auto isIdent = [&](std::size_t i, const char *s) {
-        return i < toks.size() && toks[i].kind == TokKind::Identifier &&
-               toks[i].text == s;
     };
 
     for (std::size_t i = 0; i < toks.size(); ++i) {
@@ -265,53 +295,9 @@ Linter::checkTokens(FileSummary &sum, const LexedFile &lexed)
         if (!hot)
             continue;
 
-        if (t.text == "function" && prev == "::" && i >= 2 &&
-            isIdent(i - 2, "std")) {
-            report(sum, lexed, t.line, "hot-path-no-function",
-                   "std::function allocates and indirect-calls on the "
-                   "steady-state path; use util::InlineFunction");
-        }
-        if (t.text == "new" && prev != "operator") {
-            report(sum, lexed, t.line, "hot-path-no-alloc",
-                   "'new' on the steady-state path; recycle through "
-                   "util::Pool / util::RawPool instead");
-        }
-        if (t.text == "make_unique" || t.text == "make_shared") {
-            report(sum, lexed, t.line, "hot-path-no-alloc",
-                   "'" + t.text +
-                       "' allocates on the steady-state path; recycle "
-                       "through util::Pool / util::RawPool instead");
-        }
-        if (t.text == "string" && prev == "::" && i >= 2 &&
-            isIdent(i - 2, "std")) {
-            // References, pointers, nested-name uses and template
-            // arguments do not construct; declarations, temporaries
-            // and brace-inits do.
-            const bool constructs =
-                next == "(" || next == "{" ||
-                (i + 1 < toks.size() &&
-                 toks[i + 1].kind == TokKind::Identifier);
-            if (constructs) {
-                report(sum, lexed, t.line, "hot-path-no-string",
-                       "std::string construction on the steady-state "
-                       "path; keep keys/payloads pooled or "
-                       "preallocated");
-            }
-        }
-        if ((t.text == "to_string" && prev == "::" && i >= 2 &&
-             isIdent(i - 2, "std")) ||
-            t.text == "strprintf") {
-            report(sum, lexed, t.line, "hot-path-no-string",
-                   "'" + t.text +
-                       "' builds a std::string on the steady-state "
-                       "path; format at report time instead");
-        }
-        if (t.text == "throw") {
-            report(sum, lexed, t.line, "hot-path-no-throw",
-                   "throwing on the steady-state path; validate "
-                   "configuration at setup time (ConfigError belongs "
-                   "in constructors)");
-        }
+        const HotPathHit hit = classifyHotPath(toks, i, functionAliases);
+        if (hit.rule != nullptr)
+            report(sum, lexed, t.line, hit.rule, hotPathMessage(hit));
     }
 }
 
@@ -371,6 +357,13 @@ Linter::checkIncludes(FileSummary &sum, const LexedFile &lexed)
 std::vector<Finding>
 Linter::finish()
 {
+    // The per-file rules run once every file is lexed, so a
+    // std::function alias declared in a header is known in every file
+    // that uses it.
+    for (const LexedSource &file : lexedFiles)
+        summarize(file.path, file.lexed);
+    lexedFiles.clear();
+
     // Replay per-file findings (token rules, pool lifetime, layering
     // allowlist). The disabled-rule filter re-applies here because the
     // symbol indexer records pool-lifetime findings unconditionally.

@@ -2,12 +2,13 @@
  * @file
  * The tmlint rule engine.
  *
- * Linting is two-phase. Phase one (lintFile) is per-file: lex, run the
- * token-level rules (determinism, hot-path hygiene, unordered
- * containers, include layering), and index symbols into a FileSummary.
- * Phase two (finish) is whole-program: the layering cycle check, the
- * determinism-taint propagation, the guarded-by lock-discipline check,
- * and the transitive hot-path pass, all over the collected summaries.
+ * Linting is two-phase. Phase one (lintFile) lexes each file and
+ * collects the std::function aliases it declares. Phase two (finish)
+ * runs the per-file token-level rules (determinism, hot-path hygiene,
+ * unordered containers, include layering) and indexes symbols into a
+ * FileSummary per file, then the whole-program passes: the layering
+ * cycle check, the determinism-taint propagation, the guarded-by
+ * lock-discipline check, and the transitive hot-path pass.
  * Findings come back sorted (file, line, rule) so output is
  * deterministic regardless of the order files were fed in.
  */
@@ -16,6 +17,7 @@
 #define TREADMILL_TOOLS_TMLINT_LINT_H_
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,7 +37,7 @@ class Linter
     explicit Linter(Config config);
 
     /**
-     * Lint one file (phase one).
+     * Lex one file (phase one); its rules run in finish().
      *
      * @param path Repo-relative path with forward slashes (absolute
      *             paths are normalized to their "src/..." suffix).
@@ -57,12 +59,22 @@ class Linter
         std::string toModule;
     };
 
+    struct LexedSource {
+        std::string path; ///< normalized repo-relative path
+        LexedFile lexed;
+    };
+
+    /** Phase two for one file: token rules, includes, symbols. */
+    void summarize(const std::string &path, const LexedFile &lexed);
     void checkTokens(FileSummary &sum, const LexedFile &lexed);
     void checkIncludes(FileSummary &sum, const LexedFile &lexed);
     void report(FileSummary &sum, const LexedFile &lexed, int line,
                 const std::string &rule, const std::string &message);
 
     Config cfg;
+    std::vector<LexedSource> lexedFiles;
+    /** Names declared as std::function aliases in any file fed. */
+    std::set<std::string> functionAliases;
     std::vector<FileSummary> summaries;
     std::vector<Finding> findings;
     std::size_t filesSeen = 0;

@@ -104,8 +104,10 @@ bool isInsertCall(const std::string &s)
 class Scanner
 {
   public:
-    Scanner(const LexedFile &lexedFile, FileSummary &out)
-        : lexed(lexedFile), sum(out), toks(lexedFile.tokens)
+    Scanner(const LexedFile &lexedFile, FileSummary &out,
+            const std::set<std::string> &aliases)
+        : lexed(lexedFile), sum(out), toks(lexedFile.tokens),
+          functionAliases(aliases)
     {
     }
 
@@ -280,6 +282,7 @@ class Scanner
     const LexedFile &lexed;
     FileSummary &sum;
     const std::vector<Token> &toks;
+    const std::set<std::string> &functionAliases;
 
     std::vector<Scope> scopes;
     std::vector<int> parens; ///< paren depth per brace level
@@ -1242,32 +1245,10 @@ void Scanner::handleDeclaration(std::size_t b, std::size_t e,
 void Scanner::recordUseAndFacts(std::size_t i)
 {
     const Token &t = toks[i];
-    const std::string &prev = i > 0 ? text(i - 1) : text(toks.size());
-    const std::string &next = text(i + 1);
-    const bool lexHot = lexed.hot(t.line);
-    const auto fact = [&](const char *rule, const std::string &token) {
-        fn().facts.push_back({rule, token, t.line, lexHot});
-    };
-
-    if (t.text == "function" && prev == "::" && i >= 2 &&
-        text(i - 2) == "std") {
-        fact("hot-path-no-function", "std::function");
-    } else if (t.text == "new" && prev != "operator" && next != "(") {
-        // `new (place) T` is placement syntax and does not allocate.
-        fact("hot-path-no-alloc", "new");
-    } else if (t.text == "make_unique" || t.text == "make_shared") {
-        fact("hot-path-no-alloc", t.text);
-    } else if (t.text == "string" && prev == "::" && i >= 2 &&
-               text(i - 2) == "std" &&
-               (next == "(" || next == "{" || isIdent(i + 1))) {
-        fact("hot-path-no-string", "std::string");
-    } else if ((t.text == "to_string" && prev == "::" && i >= 2 &&
-                text(i - 2) == "std") ||
-               t.text == "strprintf") {
-        fact("hot-path-no-string", t.text);
-    } else if (t.text == "throw") {
-        fact("hot-path-no-throw", "throw");
-    }
+    HotPathHit hit = classifyHotPath(toks, i, functionAliases);
+    if (hit.rule != nullptr)
+        fn().facts.push_back(
+            {hit.rule, std::move(hit.token), t.line, lexed.hot(t.line)});
 
     if (okIdent(i))
         fn().uses.push_back({t.text, t.line, lockSnapshot()});
@@ -1305,9 +1286,62 @@ void Scanner::checkPoolUse(std::size_t i)
 
 } // namespace
 
-void indexSymbols(const LexedFile &lexed, FileSummary &summary)
+HotPathHit classifyHotPath(const std::vector<Token> &toks, std::size_t i,
+                           const std::set<std::string> &functionAliases)
 {
-    Scanner scanner(lexed, summary);
+    static const std::string none;
+    const auto text = [&](std::size_t k) -> const std::string & {
+        return k < toks.size() ? toks[k].text : none;
+    };
+    const auto isIdent = [&](std::size_t k) {
+        return k < toks.size() && toks[k].kind == TokKind::Identifier;
+    };
+    const std::string &t = toks[i].text;
+    const std::string &prev = i > 0 ? text(i - 1) : none;
+    const std::string &next = text(i + 1);
+    const bool stdQualified =
+        prev == "::" && i >= 2 && isIdent(i - 2) && text(i - 2) == "std";
+
+    if (t == "function" && stdQualified)
+        return {"hot-path-no-function", "std::function"};
+    // An alias names std::function everywhere but its own declaration.
+    if (functionAliases.count(t) != 0 && prev != "using" && next != "=")
+        return {"hot-path-no-function", t};
+    // `new (place) T` is placement syntax and does not allocate.
+    if (t == "new" && prev != "operator" && next != "(")
+        return {"hot-path-no-alloc", "new"};
+    if (t == "make_unique" || t == "make_shared")
+        return {"hot-path-no-alloc", t};
+    // References, pointers, nested-name uses and template arguments do
+    // not construct; declarations, temporaries and brace-inits do.
+    if (t == "string" && stdQualified &&
+        (next == "(" || next == "{" || isIdent(i + 1)))
+        return {"hot-path-no-string", "std::string"};
+    if ((t == "to_string" && stdQualified) || t == "strprintf")
+        return {"hot-path-no-string", t};
+    if (t == "throw")
+        return {"hot-path-no-throw", "throw"};
+    return {};
+}
+
+void collectFunctionAliases(const std::vector<Token> &toks,
+                            std::set<std::string> &out)
+{
+    const auto at = [&](std::size_t k, const char *s) {
+        return k < toks.size() && toks[k].text == s;
+    };
+    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
+        if (at(i, "using") && toks[i + 1].kind == TokKind::Identifier &&
+            at(i + 2, "=") && at(i + 3, "std") && at(i + 4, "::") &&
+            at(i + 5, "function"))
+            out.insert(toks[i + 1].text);
+    }
+}
+
+void indexSymbols(const LexedFile &lexed, FileSummary &summary,
+                  const std::set<std::string> &functionAliases)
+{
+    Scanner scanner(lexed, summary, functionAliases);
     scanner.run();
 }
 

@@ -23,6 +23,10 @@
 #ifndef TREADMILL_TOOLS_TMLINT_SYMBOLS_H_
 #define TREADMILL_TOOLS_TMLINT_SYMBOLS_H_
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "index.h"
 #include "lexer.h"
 
@@ -32,14 +36,41 @@ namespace tmlint {
 /** Rule id for use-after-release / pooled-pointer escape findings. */
 extern const char kPoolLifetimeRule[];
 
+/** What a token does that the steady-state path must not. */
+struct HotPathHit {
+    /** Base rule id ("hot-path-no-alloc"); nullptr when none. */
+    const char *rule = nullptr;
+    /** The offending token as reported ("std::function", "new"). */
+    std::string token;
+};
+
+/**
+ * The one hot-path hygiene classifier, behind both the lexical
+ * hot-path rules and the facts hot-path-transitive follows: whether
+ * identifier token @p i of @p toks names std::function or one of
+ * @p functionAliases, allocates (`new`, except placement
+ * `new (buf) T`; make_unique / make_shared), constructs a std::string
+ * (declarations, temporaries, brace-inits, to_string, strprintf), or
+ * throws.
+ */
+HotPathHit classifyHotPath(const std::vector<Token> &toks, std::size_t i,
+                           const std::set<std::string> &functionAliases);
+
+/** Add to @p out every X that @p toks declares as
+ *  `using X = std::function<...>`. */
+void collectFunctionAliases(const std::vector<Token> &toks,
+                            std::set<std::string> &out);
+
 /**
  * Index @p lexed into @p summary (functions, fields, flow graphs) and
- * append pool-lifetime findings to summary.localFindings.
+ * append pool-lifetime findings to summary.localFindings. Hot-path facts
+ * treat every name in @p functionAliases as std::function.
  *
  * @p summary must already have its path/module/suppression members
  * populated; this function only adds symbol information.
  */
-void indexSymbols(const LexedFile &lexed, FileSummary &summary);
+void indexSymbols(const LexedFile &lexed, FileSummary &summary,
+                  const std::set<std::string> &functionAliases);
 
 } // namespace tmlint
 } // namespace treadmill

@@ -13,8 +13,8 @@
  *
  * With no --config, tools/tmlint/tmlint.json is used when it exists
  * relative to the current directory; otherwise the built-in defaults
- * (which mirror that file) apply, so `./build/tools/tmlint src` works
- * from a repository checkout with no flags.
+ * (that file, embedded at build time) apply, so `./build/tools/tmlint
+ * src` works from a repository checkout with no flags.
  *
  * --sarif additionally writes the findings as a SARIF 2.1.0 document
  * for code-scanning upload. --baseline suppresses
