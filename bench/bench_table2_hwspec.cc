@@ -19,7 +19,7 @@ main()
                   " under test",
                   "Section III-C, Table II");
 
-    const hw::MachineSpec spec;
+    const hw::MachineSpec &spec = hw::kMachine;
     analysis::TextTable table({"Component", "Specification"});
     table.addRow({"Processor", spec.processor});
     table.addRow({"Sockets x cores",
@@ -37,7 +37,7 @@ main()
                             spec.localMemStallNs,
                             spec.remoteMemStallNs)});
     table.addRow({"Ethernet",
-                  strprintf("%s (%.0f GbE)", spec.nicModel.c_str(),
+                  strprintf("%s (%.0f GbE)", spec.nicModel,
                             spec.nicGbps)});
     table.addRow({"NIC interrupt queues",
                   strprintf("%u (= 2^%u hash bits)", spec.nicQueues(),

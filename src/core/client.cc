@@ -64,8 +64,6 @@ LoadTesterInstance::LoadTesterInstance(sim::Simulation &sim_,
       outstandingGauge(sim_.metrics().gauge(
           metricPrefix(params.index) + "outstanding"))
 {
-    if (cfg.connections == 0)
-        throw ConfigError("client needs at least one connection");
     TM_ASSERT(transmit != nullptr, "client needs a transmit callback");
 
     const ResiliencePolicy &res = cfg.resilience;
@@ -109,7 +107,7 @@ LoadTesterInstance::LoadTesterInstance(sim::Simulation &sim_,
             sim, cfg.requestsPerSecond, rng.substream(7));
     } else {
         controller = std::make_unique<ClosedLoopController>(
-            sim, cfg.closedLoopSlots, SimDuration{0},
+            sim, cfg.closedLoopSlots,
             cfg.rateLimitedClosedLoop ? cfg.requestsPerSecond : 0.0);
     }
 }
@@ -138,7 +136,7 @@ LoadTesterInstance::issueRequest(SimTime intendedSend)
     request->logicalSeqId = request->seqId;
     request->clientIndex = cfg.index;
     request->connectionId = globalConnectionId(
-        cfg.index, nextConnection++ % cfg.connections);
+        cfg.index, nextConnection++ % kConnections);
     workload.fill(*request);
     request->intendedSend = intendedSend;
     // The scheduled first attempt is triggered the instant the
@@ -160,7 +158,7 @@ LoadTesterInstance::issueRequest(SimTime intendedSend)
             state.heldCount = 1;
             state.lastPrimaryHeld = 0;
         }
-        pending.emplace(request->logicalSeqId, std::move(state));
+        pending.insertOrAssign(request->logicalSeqId, std::move(state));
     }
 
     transmitAttempt(std::move(request));
@@ -196,10 +194,10 @@ LoadTesterInstance::transmitAttempt(server::RequestPtr request)
 void
 LoadTesterInstance::armAttempt(const server::RequestPtr &request)
 {
-    const auto it = pending.find(request->logicalSeqId);
-    if (it == pending.end())
+    PendingState *found = pending.find(request->logicalSeqId);
+    if (found == nullptr)
         return; // Answered while this attempt queued on the CPU.
-    PendingState &state = it->second;
+    PendingState &state = *found;
     const ResiliencePolicy &res = cfg.resilience;
     const std::uint64_t logicalId = request->logicalSeqId;
 
@@ -231,10 +229,10 @@ LoadTesterInstance::armAttempt(const server::RequestPtr &request)
 void
 LoadTesterInstance::onTimeout(std::uint64_t logicalId)
 {
-    const auto it = pending.find(logicalId);
-    if (it == pending.end())
+    PendingState *found = pending.find(logicalId);
+    if (found == nullptr)
         return;
-    PendingState &state = it->second;
+    PendingState &state = *found;
     state.timeoutEvent = 0;
     if (state.heldCount > 0) {
         // Span bookkeeping: the newest primary attempt just timed
@@ -247,7 +245,6 @@ LoadTesterInstance::onTimeout(std::uint64_t logicalId)
     timeoutsCounter.add();
     sim.countEvent(sim::EventTag::ClientTimeout);
     const ResiliencePolicy &res = cfg.resilience;
-    const std::uint64_t logical = it->first;
 
     if (state.retriesLeft == 0) {
         if (state.hedgeSent && !state.awaitingHedge &&
@@ -260,7 +257,7 @@ LoadTesterInstance::onTimeout(std::uint64_t logicalId)
             state.awaitingHedge = true;
             state.timeoutEvent = sim.schedule(
                 static_cast<SimDuration>(microseconds(res.timeoutUs)),
-                [this, logical] { onTimeout(logical); });
+                [this, logicalId] { onTimeout(logicalId); });
             return;
         }
         // Retry budget exhausted: the logical request failed. Release
@@ -271,7 +268,7 @@ LoadTesterInstance::onTimeout(std::uint64_t logicalId)
             sim.cancel(state.hedgeEvent);
         if (state.retryEvent != 0)
             sim.cancel(state.retryEvent);
-        pending.erase(it);
+        pending.erase(logicalId);
         failedCounter.add();
         TM_ASSERT(outstandingCount > 0,
                   "failure without an outstanding request");
@@ -297,16 +294,16 @@ LoadTesterInstance::onTimeout(std::uint64_t logicalId)
     // zombie attempt (which would double-send and inflate load).
     state.retryEvent = sim.schedule(
         static_cast<SimDuration>(microseconds(delayUs)),
-        [this, logical] { onRetryTimer(logical); });
+        [this, logicalId] { onRetryTimer(logicalId); });
 }
 
 void
 LoadTesterInstance::onRetryTimer(std::uint64_t logicalId)
 {
-    const auto it = pending.find(logicalId);
-    if (it == pending.end())
+    PendingState *found = pending.find(logicalId);
+    if (found == nullptr)
         return; // Answered during the backoff wait.
-    PendingState &state = it->second;
+    PendingState &state = *found;
     state.retryEvent = 0;
     retriesCounter.add();
     sim.countEvent(sim::EventTag::ClientRetry);
@@ -316,10 +313,10 @@ LoadTesterInstance::onRetryTimer(std::uint64_t logicalId)
 void
 LoadTesterInstance::onHedgeTimer(std::uint64_t logicalId)
 {
-    const auto it = pending.find(logicalId);
-    if (it == pending.end())
+    PendingState *found = pending.find(logicalId);
+    if (found == nullptr)
         return;
-    PendingState &state = it->second;
+    PendingState &state = *found;
     state.hedgeEvent = 0;
     if (state.hedgeSent)
         return;
@@ -346,7 +343,7 @@ LoadTesterInstance::cloneAttempt(PendingState &state, bool hedged)
     // different interrupt queue (the point of a backup request).
     if (hedged) {
         request->connectionId = globalConnectionId(
-            cfg.index, nextConnection++ % cfg.connections);
+            cfg.index, nextConnection++ % kConnections);
     }
     if (cfg.recordSpans && state.heldCount < obs::kMaxSpanAttempts) {
         if (!hedged)
@@ -362,7 +359,7 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
     // Kernel interrupt handling between NIC and user code: the fixed
     // offset the paper observes between tcpdump and tester curves.
     const auto kernel =
-        static_cast<SimDuration>(microseconds(cfg.kernelDelayUs));
+        static_cast<SimDuration>(microseconds(kKernelDelayUs));
     sim.countEvent(sim::EventTag::ClientKernel);
     sim.schedule(kernel, [this, request = std::move(request)] {
         // Response callback executes on the client CPU (inline, as
@@ -377,14 +374,15 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
             request->clientReceive = sim.now();
 
             if (cfg.resilience.enabled) {
-                const auto it = pending.find(request->logicalSeqId);
-                if (it == pending.end()) {
+                PendingState *found =
+                    pending.find(request->logicalSeqId);
+                if (found == nullptr) {
                     // The logical request already completed (another
                     // attempt won) or failed: this response is late.
                     lateCounter.add();
                     return;
                 }
-                PendingState &state = it->second;
+                PendingState &state = *found;
                 if (state.timeoutEvent != 0)
                     sim.cancel(state.timeoutEvent);
                 if (state.hedgeEvent != 0)
@@ -395,7 +393,7 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
                     hedgeWinsCounter.add();
                 if (cfg.recordSpans && spanSink)
                     recordSpan(&state, request);
-                pending.erase(it);
+                pending.erase(request->logicalSeqId);
             } else if (cfg.recordSpans && spanSink) {
                 recordSpan(nullptr, request);
             }

@@ -7,9 +7,9 @@
  * CPU: send construction and response-callback processing occupy the
  * client CPU, so an overloaded client queues -- the client-side
  * queueing bias of paper S II-C. A fixed kernel interrupt-handling
- * delay sits between the client NIC and user code, producing the
- * constant offset the paper observes between tcpdump and load-tester
- * measurements (Figs 5-6).
+ * delay (LoadTesterInstance::kKernelDelayUs) sits between the client
+ * NIC and user code, producing the constant offset the paper observes
+ * between tcpdump and load-tester measurements (Figs 5-6).
  */
 
 #ifndef TREADMILL_CORE_CLIENT_H_
@@ -19,7 +19,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/collector.h"
@@ -29,6 +28,7 @@
 #include "obs/span.h"
 #include "server/request.h"
 #include "sim/simulation.h"
+#include "util/flat_map.h"
 #include "util/rng.h"
 
 namespace treadmill {
@@ -85,8 +85,6 @@ struct ClientParams {
     std::size_t index = 0; ///< Instance number (also the seq-id space).
     /** Open-loop issue rate for this instance. */
     double requestsPerSecond = 10000.0;
-    /** Connections this instance multiplexes requests over. */
-    unsigned connections = 16;
     ControlLoop loop = ControlLoop::OpenLoop;
     /** Outstanding slots when loop == ClosedLoop. */
     unsigned closedLoopSlots = 8;
@@ -99,7 +97,6 @@ struct ClientParams {
      */
     double sendCostUs = 1.0;    ///< CPU time to build + send a request.
     double receiveCostUs = 1.2; ///< CPU time for the response callback.
-    double kernelDelayUs = 30.0; ///< NIC-to-user interrupt handling.
     /** @} */
     ResiliencePolicy resilience;
     /**
@@ -118,6 +115,11 @@ class LoadTesterInstance
   public:
     /** Hands a fully built request to the harness for transmission. */
     using TransmitFn = std::function<void(server::RequestPtr)>;
+
+    /** Connections each instance multiplexes its requests over. */
+    static constexpr unsigned kConnections = 16;
+    /** NIC-to-user interrupt handling on the client machine, us. */
+    static constexpr double kKernelDelayUs = 30.0;
 
     /**
      * @param sim Owning simulation.
@@ -284,8 +286,10 @@ class LoadTesterInstance
     obs::SpanTrace spanScratch;
     std::array<obs::AttemptSpan, obs::kMaxSpanAttempts - 1> loserScratch;
     /** Logical requests awaiting their first response (resilience
-     *  enabled only; empty and untouched otherwise). */
-    std::unordered_map<std::uint64_t, PendingState> pending;
+     *  enabled only; empty and untouched otherwise). A PendingState
+     *  pointer is dropped before anything can insert or erase an
+     *  entry: a closed loop issues (inserts) from onResponse(). */
+    util::FlatU64Map<PendingState> pending;
 
     /** @name Registry handles ("client<i>.*", resolved once)
      * @{

@@ -11,7 +11,7 @@ namespace core {
 
 SampleCollector::SampleCollector(const Params &params_, const Rng &rng)
     : params(params_),
-      reservoir(params_.reservoirCapacity, rng)
+      reservoir(kReservoirCapacity, rng)
 {
     if (params.measurementSamples == 0)
         throw ConfigError("measurement phase needs at least one sample");

@@ -43,6 +43,10 @@ enum class Phase { WarmUp, Calibration, Measurement, Done };
 class SampleCollector
 {
   public:
+    /** Raw measurement values the reservoir keeps: the attribution
+     *  pipeline draws 20k-sample sub-samples. */
+    static constexpr std::size_t kReservoirCapacity = 20000;
+
     /** Sizing for each phase. */
     struct Params {
         std::uint64_t warmUpSamples = 500;
@@ -53,7 +57,6 @@ class SampleCollector
         double staticLo = 0.0;
         double staticHi = 1000.0;
         std::size_t staticBins = 1024;
-        std::size_t reservoirCapacity = 20000;
         stats::AdaptiveHistogram::Params adaptive;
         /** Record a quantile-estimate trajectory every this many
          *  measurement samples (0 = off); used for the Fig 4

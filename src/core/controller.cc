@@ -46,10 +46,8 @@ OpenLoopController::scheduleNext()
 
 ClosedLoopController::ClosedLoopController(sim::Simulation &sim_,
                                            unsigned connections,
-                                           SimDuration thinkTime_,
                                            double targetRps_)
-    : sim(sim_), slots(connections), thinkTime(thinkTime_),
-      targetRps(targetRps_)
+    : sim(sim_), slots(connections), targetRps(targetRps_)
 {
     if (connections == 0)
         throw ConfigError("closed loop needs at least one connection");
@@ -67,7 +65,7 @@ ClosedLoopController::start(IssueFn issue_)
         return;
     }
     for (unsigned s = 0; s < slots; ++s)
-        reissue();
+        issue(sim.now());
 }
 
 void
@@ -111,20 +109,7 @@ ClosedLoopController::onResponse()
         }
         return;
     }
-    reissue();
-}
-
-void
-ClosedLoopController::reissue()
-{
-    if (thinkTime == 0) {
-        issue(sim.now());
-        return;
-    }
-    sim.schedule(thinkTime, [this] {
-        if (running)
-            issue(sim.now());
-    });
+    issue(sim.now());
 }
 
 unsigned

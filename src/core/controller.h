@@ -52,9 +52,6 @@ class LoadController
 
     /** Stop issuing further requests. */
     virtual void stop() = 0;
-
-    /** Which discipline this controller implements. */
-    virtual ControlLoop kind() const = 0;
 };
 
 /**
@@ -75,7 +72,6 @@ class OpenLoopController : public LoadController
     void start(IssueFn issue) override;
     void onResponse() override {}
     void stop() override { running = false; }
-    ControlLoop kind() const override { return ControlLoop::OpenLoop; }
 
   private:
     /** Schedule the next precisely timed send. */
@@ -102,8 +98,7 @@ class OpenLoopController : public LoadController
  *
  * Two operating modes, both used by the surveyed tools:
  *  - Saturating (targetRps == 0): every slot reissues immediately on
- *    response (optionally after a think time) -- the classic worker-
- *    thread loop.
+ *    response -- the classic worker-thread loop.
  *  - Rate-limited (targetRps > 0): sends go out at exact 1/rate
  *    intervals (Mutilate's deterministic pacing, the "improper
  *    inter-arrival" pitfall), but a send finding every slot busy
@@ -117,18 +112,14 @@ class ClosedLoopController : public LoadController
     /**
      * @param sim Owning simulation.
      * @param connections Number of concurrent connection slots.
-     * @param thinkTime Delay between a response and the next request
-     *        on that slot (saturating mode only).
      * @param targetRps Rate-limited mode when positive.
      */
     ClosedLoopController(sim::Simulation &sim, unsigned connections,
-                         SimDuration thinkTime = 0,
                          double targetRps = 0.0);
 
     void start(IssueFn issue) override;
     void onResponse() override;
     void stop() override { running = false; }
-    ControlLoop kind() const override { return ControlLoop::ClosedLoop; }
 
     unsigned connections() const { return slots; }
 
@@ -136,9 +127,6 @@ class ClosedLoopController : public LoadController
     std::uint64_t deferredSends() const { return deferred; }
 
   private:
-    /** Issue one request now (or after think time). */
-    void reissue();
-
     /** Rate-limited mode: schedule the next timed send. */
     void scheduleNext();
 
@@ -147,7 +135,6 @@ class ClosedLoopController : public LoadController
 
     sim::Simulation &sim;
     unsigned slots;
-    SimDuration thinkTime;
     double targetRps;
     IssueFn issue;
     bool running = false;

@@ -3,10 +3,13 @@
 #include <memory>
 
 #include "fault/injector.h"
+#include "hw/machine.h"
 #include "lb/balancer.h"
 #include "net/capture.h"
 #include "net/topology.h"
 #include "server/fault_shim.h"
+#include "server/mcrouter.h"
+#include "server/memcached.h"
 #include "sim/simulation.h"
 #include "stats/summary.h"
 #include "util/error.h"
@@ -68,24 +71,20 @@ deriveRequestRate(const ExperimentParams &params)
     // Probe the expected per-request service time under this config by
     // building a scratch machine with the run's placement.
     sim::Simulation scratch;
-    hw::Machine machine(scratch, params.machine, params.config,
-                        params.seed);
+    hw::Machine machine(scratch, params.config, params.seed);
     double serviceSeconds = 0.0;
     if (params.kind == WorkloadKind::Memcached) {
-        server::MemcachedServer probe(machine, params.memcachedParams,
-                                      params.seed);
+        server::MemcachedServer probe(machine, params.seed);
         serviceSeconds =
             probe.expectedServiceSeconds(params.workload.valueBytesMean);
     } else {
-        server::McrouterServer probe(machine, params.mcrouterParams,
-                                     params.seed);
+        server::McrouterServer probe(machine, params.seed);
         serviceSeconds =
             probe.expectedServiceSeconds(params.workload.valueBytesMean);
     }
     TM_ASSERT(serviceSeconds > 0.0, "service time must be positive");
     const double capacity =
-        static_cast<double>(params.machine.workerThreads) /
-        serviceSeconds;
+        static_cast<double>(hw::kMachine.workerThreads) / serviceSeconds;
     return params.targetUtilization * capacity;
 }
 
@@ -191,21 +190,12 @@ wireClusterTier(Harness *h)
         throw ConfigError("cluster has more racks than backends");
 
     std::vector<net::ShardFabric::BackendSpec> specs(cl.backends);
-    for (std::uint32_t b = 0; b < cl.backends; ++b) {
+    for (std::uint32_t b = 0; b < cl.backends; ++b)
         specs[b].rack = cl.rackOf(b);
-        specs[b].linkGbps = cl.backendLinkGbps;
-    }
     h->fabric = std::make_unique<net::ShardFabric>(h->sim, specs);
 
-    lb::BalancerParams bp;
-    bp.backends = cl.backends;
-    bp.replication = cl.replication;
-    bp.vnodesPerBackend = cl.vnodesPerBackend;
-    bp.maxInflightPerBackend = cl.maxInflightPerBackend;
-    bp.policy = cl.policy;
-    bp.edfSlackUs = cl.edfSlackUs;
-    bp.seed = params.seed;
-    h->balancer = std::make_unique<lb::LoadBalancer>(h->sim, bp);
+    h->balancer =
+        std::make_unique<lb::LoadBalancer>(h->sim, cl, params.seed);
 
     const bool withShims = !params.faultPlan.empty();
     for (std::uint32_t b = 0; b < cl.backends; ++b) {
@@ -213,12 +203,11 @@ wireClusterTier(Harness *h)
         // from the run seed and the shard id.
         const std::uint64_t shardSeed = params.seed * 8191 + b + 1;
         h->backendMachines.push_back(std::make_unique<hw::Machine>(
-            h->sim, params.machine, params.config, shardSeed));
+            h->sim, params.config, shardSeed));
         h->backendServers.push_back(
             std::make_unique<server::MemcachedServer>(
-                *h->backendMachines.back(), params.memcachedParams,
-                shardSeed, strprintf("backend%u", b),
-                /*backendRole=*/true));
+                *h->backendMachines.back(), shardSeed,
+                strprintf("backend%u", b), /*backendRole=*/true));
         server::Service *shard = h->backendServers.back().get();
         if (withShims) {
             h->backendShims.push_back(
@@ -265,15 +254,15 @@ runExperiment(const ExperimentParams &params)
     h->spanRecorder = obs::SpanRecorder(params.trace);
     h->sampler = obs::TelemetrySampler(params.telemetry);
 
-    h->machine = std::make_unique<hw::Machine>(h->sim, params.machine,
-                                               params.config, params.seed);
+    h->machine =
+        std::make_unique<hw::Machine>(h->sim, params.config, params.seed);
     if (params.kind == WorkloadKind::Memcached) {
         h->memcached = std::make_unique<server::MemcachedServer>(
-            *h->machine, params.memcachedParams, params.seed);
+            *h->machine, params.seed);
         h->front = h->memcached.get();
     } else {
         h->mcrouter = std::make_unique<server::McrouterServer>(
-            *h->machine, params.mcrouterParams, params.seed);
+            *h->machine, params.seed);
         h->front = h->mcrouter.get();
     }
 
@@ -282,7 +271,7 @@ runExperiment(const ExperimentParams &params)
     if (params.oneRemoteRackClient && !clientSpecs.empty())
         clientSpecs[0].remoteRack = true;
     h->cluster = std::make_unique<net::Cluster>(
-        h->sim, params.machine.nicGbps, clientSpecs);
+        h->sim, hw::kMachine.nicGbps, clientSpecs);
 
     if (params.cluster.backends > 0)
         wireClusterTier(h.get());
@@ -351,7 +340,6 @@ runExperiment(const ExperimentParams &params)
         ClientParams cp;
         cp.index = i;
         cp.requestsPerSecond = perClientRps;
-        cp.connections = params.connectionsPerClientMux;
         cp.loop = params.tester.loop;
         cp.closedLoopSlots =
             params.tester.connectionsPerClient > 0
@@ -362,7 +350,6 @@ runExperiment(const ExperimentParams &params)
         cp.collector = params.collector;
         cp.sendCostUs = params.clientSendCostUs;
         cp.receiveCostUs = params.clientReceiveCostUs;
-        cp.kernelDelayUs = params.clientKernelDelayUs;
         cp.resilience = params.resilience;
         cp.recordSpans = params.trace.enabled;
         cp.seed = params.seed * 1009 + i;

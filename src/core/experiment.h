@@ -28,12 +28,9 @@
 #include "core/workload.h"
 #include "fault/plan.h"
 #include "hw/hardware_config.h"
-#include "hw/machine_spec.h"
-#include "lb/policy.h"
+#include "lb/balancer.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
-#include "server/mcrouter.h"
-#include "server/memcached.h"
 #include "util/json.h"
 #include "util/types.h"
 
@@ -49,24 +46,17 @@ enum class WorkloadKind { Memcached, Mcrouter };
  * only): the router forwards each routed request through a
  * lb::LoadBalancer onto `backends` Memcached shards, each with its own
  * hw::Machine and fabric links, instead of the modelled lognormal
- * backend delay.
+ * backend delay. The balancer's settings are the inherited
+ * lb::BalancerConfig fields; the racks are the topology's.
  *
  * backends == 0 (the default) builds none of it: no extra machines,
  * links, metric names, or Rng draws, so a single-backend-era config
  * produces byte-identical output.
  */
-struct ClusterParams {
-    std::uint32_t backends = 0; ///< 0 = classic modelled-backend path.
-    std::uint32_t replication = 1; ///< Replicas per key on the ring.
+struct ClusterParams : lb::BalancerConfig {
     /** Racks the backends spread across (contiguous blocks; rack 0
      *  also houses the router, others pay the cross-rack hop). */
     std::uint32_t racks = 1;
-    /** Balancer saturation cap per backend; 0 = never queue. */
-    std::uint32_t maxInflightPerBackend = 0;
-    lb::PolicyKind policy = lb::PolicyKind::Fcfs;
-    double edfSlackUs = 1000.0; ///< EDF deadline slack.
-    std::uint32_t vnodesPerBackend = 64;
-    double backendLinkGbps = 10.0; ///< Fabric link bandwidth.
 
     /** Rack of backend @p b under the contiguous-block layout. */
     std::uint32_t
@@ -83,10 +73,7 @@ struct ClusterParams {
 struct ExperimentParams {
     WorkloadKind kind = WorkloadKind::Memcached;
     WorkloadConfig workload;
-    hw::MachineSpec machine;
     hw::HardwareConfig config;
-    server::MemcachedParams memcachedParams;
-    server::McrouterParams mcrouterParams;
     TesterSpec tester; ///< Defaults to treadmillSpec().
 
     /**
@@ -97,8 +84,6 @@ struct ExperimentParams {
     double targetUtilization = 0.70;
 
     SampleCollector::Params collector;
-    /** Connections each instance multiplexes over (open loop). */
-    unsigned connectionsPerClientMux = 16;
     /** Place the first client on the remote rack (Fig 2 scenario). */
     bool oneRemoteRackClient = false;
 
@@ -107,7 +92,6 @@ struct ExperimentParams {
      */
     double clientSendCostUs = 1.0;
     double clientReceiveCostUs = 1.2;
-    double clientKernelDelayUs = 30.0;
     /** @} */
 
     /**

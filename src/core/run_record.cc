@@ -41,9 +41,17 @@ field(std::string &canon, const char *name, const std::string &value)
 std::uint64_t
 configDigest(const ExperimentParams &params)
 {
-    // A canonical text rendering of every parameter that shapes the
-    // run's distribution. Order and formatting are part of the digest
-    // definition -- append only, never reorder.
+    // A canonical text rendering of every field of ExperimentParams
+    // that a run reads, except on purpose:
+    //  - the seed (the digest names a distribution, the seed one draw);
+    //  - trace and telemetry, which record without perturbing a run;
+    //  - collector.trajectoryEvery/trajectoryQuantile, which only
+    //    observe the collector;
+    //  - TesterSpec's name, histogram, aggregation, repeatsExperiments
+    //    and general: Table I traits runExperiment never reads (the
+    //    run's histogram kind is collector.histogram).
+    // Order and formatting are part of the digest definition: a change
+    // to either changes every archived digest.
     std::string canon;
     canon.reserve(1024);
     field(canon, "kind",
@@ -52,21 +60,32 @@ configDigest(const ExperimentParams &params)
     field(canon, "hwconfig", params.config.bits());
     field(canon, "rps", params.requestsPerSecond);
     field(canon, "util", params.targetUtilization);
-    field(canon, "warmup", params.collector.warmUpSamples);
-    field(canon, "calib", params.collector.calibrationSamples);
-    field(canon, "measure", params.collector.measurementSamples);
-    field(canon, "histkind",
-          static_cast<std::uint64_t>(params.collector.histogram));
-    field(canon, "rescap",
-          static_cast<std::uint64_t>(
-              params.collector.reservoirCapacity));
-    field(canon, "mux",
-          static_cast<std::uint64_t>(params.connectionsPerClientMux));
+
+    const TesterSpec &t = params.tester;
+    field(canon, "clients", static_cast<std::uint64_t>(t.clientMachines));
+    field(canon, "loop", static_cast<std::uint64_t>(t.loop));
+    field(canon, "slots",
+          static_cast<std::uint64_t>(t.connectionsPerClient));
+    field(canon, "ratelim",
+          static_cast<std::uint64_t>(t.rateLimitedClosedLoop));
+
+    const SampleCollector::Params &col = params.collector;
+    field(canon, "warmup", col.warmUpSamples);
+    field(canon, "calib", col.calibrationSamples);
+    field(canon, "measure", col.measurementSamples);
+    field(canon, "histkind", static_cast<std::uint64_t>(col.histogram));
+    field(canon, "slo", col.staticLo);
+    field(canon, "shi", col.staticHi);
+    field(canon, "sbins", static_cast<std::uint64_t>(col.staticBins));
+    field(canon, "abins",
+          static_cast<std::uint64_t>(col.adaptive.binCount));
+    field(canon, "atrig", col.adaptive.overflowTrigger);
+    field(canon, "ahead", col.adaptive.calibrationHeadroom);
+
     field(canon, "remote",
           static_cast<std::uint64_t>(params.oneRemoteRackClient));
     field(canon, "csend", params.clientSendCostUs);
     field(canon, "crecv", params.clientReceiveCostUs);
-    field(canon, "ckern", params.clientKernelDelayUs);
     field(canon, "deadline",
           static_cast<std::uint64_t>(params.deadline));
 
@@ -80,7 +99,6 @@ configDigest(const ExperimentParams &params)
     field(canon, "edf", cl.edfSlackUs);
     field(canon, "vnodes",
           static_cast<std::uint64_t>(cl.vnodesPerBackend));
-    field(canon, "blink", cl.backendLinkGbps);
 
     const ResiliencePolicy &res = params.resilience;
     field(canon, "res",
@@ -114,6 +132,11 @@ configDigest(const ExperimentParams &params)
         field(canon, "fc",
               static_cast<std::uint64_t>(ev.repeatCount));
         field(canon, "fl", ev.lossProbability);
+        field(canon, "fbw", ev.bandwidthFactor);
+        field(canon, "fxl", static_cast<std::uint64_t>(ev.extraLatency));
+        field(canon, "fwu", static_cast<std::uint64_t>(ev.warmup));
+        field(canon, "fwp", static_cast<std::uint64_t>(ev.warmupPenalty));
+        field(canon, "firq", ev.irqCostFactor);
     }
 
     return fnv1a64(canon);

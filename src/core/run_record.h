@@ -36,10 +36,13 @@ struct RunRecordOptions {
 /**
  * Stable 64-bit digest of everything that determines a run's
  * distribution *except* its seed: workload kind and rates, hardware
- * factor levels, collector sizing, cluster topology and policy,
- * resilience settings, and the fault plan's event schedule. Two
- * ExperimentParams with equal digests and equal seeds produce
- * identical runs.
+ * factor levels, the tester's clients and control loop, collector
+ * sizing and histogram bounds, client costs, cluster topology and
+ * policy, resilience settings, and every field of every fault event.
+ * Trace, telemetry and the collector's trajectory only observe a run
+ * and are left out, as are TesterSpec's Table I traits the run never
+ * reads. Two ExperimentParams with equal digests and equal seeds
+ * produce identical runs.
  */
 std::uint64_t configDigest(const ExperimentParams &params);
 

@@ -7,6 +7,13 @@
  * and cross-client aggregation. Presets reproduce Treadmill itself and
  * the behaviours of YCSB, Faban, CloudSuite, and Mutilate; feature
  * queries regenerate Table I programmatically.
+ *
+ * A run (core::runExperiment) reads four fields: clientMachines, loop,
+ * connectionsPerClient and rateLimitedClosedLoop. The rest (name,
+ * histogram, aggregation, repeatsExperiments, general) are Table I
+ * traits read by the feature rows below; a run's histogram kind is
+ * its collector's, and its aggregation is chosen when results are
+ * read (ExperimentResult::aggregatedQuantile).
  */
 
 #ifndef TREADMILL_CORE_TESTER_SPEC_H_

@@ -2,14 +2,14 @@
 
 #include <algorithm>
 
+#include "hw/machine_spec.h"
 #include "util/logging.h"
 
 namespace treadmill {
 namespace hw {
 
-CoreFrequency::CoreFrequency(const MachineSpec &spec_,
-                             DvfsGovernor governor_)
-    : spec(spec_), governor(governor_)
+CoreFrequency::CoreFrequency(DvfsGovernor governor_)
+    : governor(governor_)
 {
     // Performance pins nominal; ondemand boots at the low step and
     // ramps up once it observes utilization.
@@ -21,8 +21,8 @@ double
 CoreFrequency::currentGhz()
 const
 {
-    return current == FreqStep::Base ? spec.baseFreqGhz
-                                     : spec.minFreqGhz;
+    return current == FreqStep::Base ? kMachine.baseFreqGhz
+                                     : kMachine.minFreqGhz;
 }
 
 bool
@@ -37,15 +37,15 @@ CoreFrequency::sampleWindow(double windowNs)
     windowBusyNs = 0.0;
 
     FreqStep target = current;
-    if (utilization > spec.governorUpThreshold)
+    if (utilization > kMachine.governorUpThreshold)
         target = FreqStep::Base;
-    else if (utilization < spec.governorDownThreshold)
+    else if (utilization < kMachine.governorDownThreshold)
         target = FreqStep::Min;
 
     if (target == current)
         return false;
     current = target;
-    pendingStall += spec.frequencyTransitionStall;
+    pendingStall += kMachine.frequencyTransitionStall;
     ++transitionCount;
     return true;
 }

@@ -15,7 +15,6 @@
 #define TREADMILL_HW_FREQUENCY_H_
 
 #include "hw/hardware_config.h"
-#include "hw/machine_spec.h"
 #include "util/types.h"
 
 namespace treadmill {
@@ -28,11 +27,8 @@ enum class FreqStep { Min, Base };
 class CoreFrequency
 {
   public:
-    /**
-     * @param spec Machine constants (steps, thresholds, stall).
-     * @param governor Active governor for this run.
-     */
-    CoreFrequency(const MachineSpec &spec, DvfsGovernor governor);
+    /** @param governor Active governor for this run. */
+    explicit CoreFrequency(DvfsGovernor governor);
 
     /** Current frequency step. */
     FreqStep step() const { return current; }
@@ -65,7 +61,6 @@ class CoreFrequency
     std::uint64_t transitions() const { return transitionCount; }
 
   private:
-    const MachineSpec &spec;
     DvfsGovernor governor;
     FreqStep current;
     double windowBusyNs = 0.0;

@@ -8,26 +8,25 @@
 namespace treadmill {
 namespace hw {
 
-Machine::Machine(sim::Simulation &sim_, const MachineSpec &spec_,
-                 const HardwareConfig &config_, std::uint64_t runSeed)
-    : sim(sim_), machineSpec(spec_), hwConfig(config_),
-      placementState(machineSpec, hwConfig, runSeed),
-      nicModel(machineSpec, hwConfig, placementState),
-      thermal(machineSpec.thermalCapacityUs * 1e3,
-              machineSpec.thermalRefillRate),
+Machine::Machine(sim::Simulation &sim_, const HardwareConfig &config_,
+                 std::uint64_t runSeed)
+    : sim(sim_), hwConfig(config_), placementState(hwConfig, runSeed),
+      nicModel(hwConfig, placementState),
+      thermal(kMachine.thermalCapacityUs * 1e3,
+              kMachine.thermalRefillRate),
       rng(Rng(0x5bd1e995cafebabeull).substream(runSeed))
 {
-    coreFreq.reserve(machineSpec.totalCores());
-    cores.reserve(machineSpec.totalCores());
-    for (unsigned c = 0; c < machineSpec.totalCores(); ++c) {
-        coreFreq.emplace_back(machineSpec, hwConfig.dvfs);
+    coreFreq.reserve(kMachine.totalCores());
+    cores.reserve(kMachine.totalCores());
+    for (unsigned c = 0; c < kMachine.totalCores(); ++c) {
+        coreFreq.emplace_back(hwConfig.dvfs);
         cores.push_back(std::make_unique<Core>(
             sim, c, [this](unsigned coreId, const WorkItem &item) {
                 return durationOf(coreId, item);
             }));
     }
     if (hwConfig.dvfs == DvfsGovernor::Ondemand) {
-        sim.schedule(machineSpec.governorSamplingPeriod,
+        sim.schedule(kMachine.governorSamplingPeriod,
                      [this] { governorTick(); });
     }
 }
@@ -36,10 +35,10 @@ void
 Machine::governorTick()
 {
     const double window =
-        static_cast<double>(machineSpec.governorSamplingPeriod);
+        static_cast<double>(kMachine.governorSamplingPeriod);
     for (auto &freq : coreFreq)
         freq.sampleWindow(window);
-    sim.schedule(machineSpec.governorSamplingPeriod,
+    sim.schedule(kMachine.governorSamplingPeriod,
                  [this] { governorTick(); });
 }
 
@@ -64,10 +63,10 @@ Machine::durationOf(unsigned coreId, const WorkItem &item)
     if (hwConfig.turbo == TurboMode::On && item.allowTurbo &&
         freq.step() == FreqStep::Base) {
         // Ask the thermal pool for turbo residency covering this item.
-        const double turboNs = item.cycles / machineSpec.turboFreqGhz;
+        const double turboNs = item.cycles / kMachine.turboFreqGhz;
         const double cost =
             hwConfig.dvfs == DvfsGovernor::Performance
-                ? machineSpec.performanceGovernorTurboCost
+                ? kMachine.performanceGovernorTurboCost
                 : 1.0;
         const double granted = thermal.request(sim.now(), turboNs, cost);
         const double phi = turboNs > 0.0 ? granted / turboNs : 0.0;
@@ -84,10 +83,10 @@ Machine::durationOf(unsigned coreId, const WorkItem &item)
 SimDuration
 Machine::memoryStall(std::uint64_t connectionId)
 {
-    const double local = machineSpec.localMemStallNs;
-    const double remote = machineSpec.remoteMemStallNs;
+    const double local = kMachine.localMemStallNs;
+    const double remote = kMachine.remoteMemStallNs;
     const auto accesses =
-        static_cast<double>(machineSpec.bufferAccesses);
+        static_cast<double>(kMachine.bufferAccesses);
 
     double stallNs = 0.0;
     if (hwConfig.numa == NumaPolicy::Interleave) {
@@ -128,9 +127,9 @@ double
 Machine::workerUtilization() const
 {
     double sum = 0.0;
-    for (unsigned w = 0; w < machineSpec.workerThreads; ++w)
+    for (unsigned w = 0; w < kMachine.workerThreads; ++w)
         sum += cores[workerCore(w)]->utilization();
-    return sum / static_cast<double>(machineSpec.workerThreads);
+    return sum / static_cast<double>(kMachine.workerThreads);
 }
 
 double
@@ -153,16 +152,16 @@ double
 Machine::expectedComputeSeconds(double cyclesPerRequest) const
 {
     // At the nominal step, ignoring turbo (conservative for sizing).
-    return cyclesPerRequest / machineSpec.baseFreqGhz * 1e-9;
+    return cyclesPerRequest / kMachine.baseFreqGhz * 1e-9;
 }
 
 double
 Machine::expectedMemoryStallSeconds() const
 {
-    const double local = machineSpec.localMemStallNs;
-    const double remote = machineSpec.remoteMemStallNs;
+    const double local = kMachine.localMemStallNs;
+    const double remote = kMachine.remoteMemStallNs;
     const auto accesses =
-        static_cast<double>(machineSpec.bufferAccesses);
+        static_cast<double>(kMachine.bufferAccesses);
     double memNs = 0.0;
     if (hwConfig.numa == NumaPolicy::Interleave) {
         const double p = placementState.perAccessRemoteProbability();

@@ -37,13 +37,12 @@ class Machine
   public:
     /**
      * @param sim Owning simulation.
-     * @param spec Static hardware description (copied).
      * @param config Factor levels for this run.
      * @param runSeed Run identity; drives placement (hysteresis) and
      *        the machine's internal stochastic draws.
      */
-    Machine(sim::Simulation &sim, const MachineSpec &spec,
-            const HardwareConfig &config, std::uint64_t runSeed);
+    Machine(sim::Simulation &sim, const HardwareConfig &config,
+            std::uint64_t runSeed);
 
     Machine(const Machine &) = delete;
     Machine &operator=(const Machine &) = delete;
@@ -54,7 +53,6 @@ class Machine
     /** @name Accessors
      * @{
      */
-    const MachineSpec &spec() const { return machineSpec; }
     const HardwareConfig &config() const { return hwConfig; }
     const PlacementState &placement() const { return placementState; }
     const Nic &nic() const { return nicModel; }
@@ -111,7 +109,6 @@ class Machine
     void governorTick();
 
     sim::Simulation &sim;
-    MachineSpec machineSpec;
     HardwareConfig hwConfig;
     PlacementState placementState;
     Nic nicModel;

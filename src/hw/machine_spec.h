@@ -1,37 +1,38 @@
 /**
  * @file
- * Static description of the simulated server machine.
+ * The simulated server machine's constants.
  *
  * MachineSpec is the Table II analogue plus the tuning constants of the
  * behavioural models (DVFS governor, Turbo thermal pool, NUMA stalls,
- * NIC interrupt handling). One spec describes the system under test for
- * every experiment in the paper's evaluation.
+ * NIC interrupt handling). One machine, kMachine, is the system under
+ * test for every experiment in the paper's evaluation: the models read
+ * it directly, and a run varies only the factor levels of its
+ * HardwareConfig.
  */
 
 #ifndef TREADMILL_HW_MACHINE_SPEC_H_
 #define TREADMILL_HW_MACHINE_SPEC_H_
 
 #include <cstdint>
-#include <string>
 
 #include "util/types.h"
 
 namespace treadmill {
 namespace hw {
 
-/** Static hardware description and model parameters. */
+/** Static hardware description and model constants. */
 struct MachineSpec {
     /** @name Table II analogue
      * @{
      */
-    std::string processor = "Simulated Xeon E5-2660 v2 class";
+    const char *processor = "Simulated Xeon E5-2660 v2 class";
     unsigned sockets = 2;
     unsigned coresPerSocket = 10;
     unsigned dramGb = 144;
     unsigned dramMhz = 1333;
     double nicGbps = 10.0;
-    std::string nicModel = "Simulated 10GbE, 4-bit RSS hash";
-    std::string kernel = "simulated-3.10";
+    const char *nicModel = "Simulated 10GbE, 4-bit RSS hash";
+    const char *kernel = "simulated-3.10";
     /** @} */
 
     /** @name Frequency domain
@@ -96,17 +97,26 @@ struct MachineSpec {
     /** @} */
 
     /** Total cores across all sockets. */
-    unsigned totalCores() const { return sockets * coresPerSocket; }
+    constexpr unsigned totalCores() const
+    {
+        return sockets * coresPerSocket;
+    }
 
     /** Number of NIC interrupt queues (2^nicHashBits). */
-    unsigned nicQueues() const { return 1u << nicHashBits; }
+    constexpr unsigned nicQueues() const { return 1u << nicHashBits; }
 
     /** Socket that owns core @p coreId. */
-    unsigned socketOf(unsigned coreId) const
+    constexpr unsigned socketOf(unsigned coreId) const
     {
         return coreId / coresPerSocket;
     }
 };
+
+/** The one simulated server machine every run uses. */
+inline constexpr MachineSpec kMachine{};
+
+static_assert(kMachine.workerThreads <= kMachine.coresPerSocket,
+              "worker threads must fit on socket 0");
 
 } // namespace hw
 } // namespace treadmill

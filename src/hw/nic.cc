@@ -3,11 +3,8 @@
 namespace treadmill {
 namespace hw {
 
-Nic::Nic(const MachineSpec &spec_, const HardwareConfig &config,
-         const PlacementState &placement)
-    : spec(spec_), affinity(config.nic),
-      rotation(placement.nicQueueRotation()),
-      queueCount(spec_.nicQueues())
+Nic::Nic(const HardwareConfig &config, const PlacementState &placement)
+    : affinity(config.nic), rotation(placement.nicQueueRotation())
 {
 }
 
@@ -18,16 +15,16 @@ Nic::queueOf(std::uint64_t connectionId) const
     // low nicHashBits survive, as on the paper's hardware.
     std::uint64_t h = connectionId * 0x9e3779b97f4a7c15ull;
     h ^= h >> 29;
-    return static_cast<unsigned>(h & (queueCount - 1));
+    return static_cast<unsigned>(h & (queues() - 1));
 }
 
 unsigned
 Nic::coreOfQueue(unsigned queue) const
 {
-    const unsigned rotated = (queue + rotation) % queueCount;
+    const unsigned rotated = (queue + rotation) % queues();
     if (affinity == NicAffinity::SameNode)
-        return rotated % spec.coresPerSocket;
-    return rotated % spec.totalCores();
+        return rotated % kMachine.coresPerSocket;
+    return rotated % kMachine.totalCores();
 }
 
 unsigned

@@ -26,8 +26,7 @@ namespace hw {
 class Nic
 {
   public:
-    Nic(const MachineSpec &spec, const HardwareConfig &config,
-        const PlacementState &placement);
+    Nic(const HardwareConfig &config, const PlacementState &placement);
 
     /** RSS hash: interrupt queue for @p connectionId. */
     unsigned queueOf(std::uint64_t connectionId) const;
@@ -39,7 +38,7 @@ class Nic
     unsigned irqCore(std::uint64_t connectionId) const;
 
     /** Number of interrupt queues. */
-    unsigned queues() const { return queueCount; }
+    static constexpr unsigned queues() { return kMachine.nicQueues(); }
 
     /** @name Fault-injection hooks (interrupt storms)
      * @{
@@ -56,10 +55,8 @@ class Nic
     /** @} */
 
   private:
-    const MachineSpec &spec;
     NicAffinity affinity;
     unsigned rotation;
-    unsigned queueCount;
     double irqLoad = 1.0;
 };
 

@@ -2,32 +2,29 @@
 
 #include <algorithm>
 
+#include "hw/machine_spec.h"
 #include "util/logging.h"
 
 namespace treadmill {
 namespace hw {
 
-PlacementState::PlacementState(const MachineSpec &spec,
-                               const HardwareConfig &config,
+PlacementState::PlacementState(const HardwareConfig &config,
                                std::uint64_t runSeed_)
-    : runSeed(runSeed_), workerCount(spec.workerThreads),
-      numaPolicy(config.numa)
+    : runSeed(runSeed_), numaPolicy(config.numa)
 {
-    TM_ASSERT(spec.workerThreads <= spec.coresPerSocket,
-              "worker threads must fit on socket 0");
     Rng rng = Rng(0x7f4a7c159e3779b9ull).substream(runSeed_);
 
     // Choose which socket-0 cores host the worker threads this run
     // (the OS scheduler's choice varies run to run).
-    std::vector<unsigned> socket0(spec.coresPerSocket);
-    for (unsigned i = 0; i < spec.coresPerSocket; ++i)
+    std::vector<unsigned> socket0(kMachine.coresPerSocket);
+    for (unsigned i = 0; i < kMachine.coresPerSocket; ++i)
         socket0[i] = i;
     for (std::size_t i = socket0.size() - 1; i > 0; --i) {
         const auto j = static_cast<std::size_t>(rng.nextBelow(i + 1));
         std::swap(socket0[i], socket0[j]);
     }
     workerCores.assign(socket0.begin(),
-                       socket0.begin() + spec.workerThreads);
+                       socket0.begin() + kMachine.workerThreads);
     std::sort(workerCores.begin(), workerCores.end());
 
     // Connection-to-worker mapping varies with the accept order.
@@ -42,20 +39,21 @@ PlacementState::PlacementState(const MachineSpec &spec,
     // the touched lines remote, jittered by where page boundaries fell.
     interleaveRemote = 0.50 + 0.08 * (rng.nextDouble() - 0.5);
 
-    nicRotation = static_cast<unsigned>(rng.nextBelow(spec.nicQueues()));
+    nicRotation = static_cast<unsigned>(rng.nextBelow(kMachine.nicQueues()));
 
     // Accept-order luck: a run-specific slice of connections lands on
     // one "hot" worker thread. Bounded so the hot worker stays stable
     // (< ~25% above its fair share), but enough to move the measured
     // tail between runs -- the paper's hysteresis.
     skewFraction = 0.05 * rng.nextDouble();
-    hotWorker = static_cast<unsigned>(rng.nextBelow(workerCount));
+    hotWorker = static_cast<unsigned>(rng.nextBelow(kMachine.workerThreads));
 }
 
 unsigned
 PlacementState::workerCore(unsigned workerIdx) const
 {
-    TM_ASSERT(workerIdx < workerCount, "worker index out of range");
+    TM_ASSERT(workerIdx < kMachine.workerThreads,
+              "worker index out of range");
     return workerCores[workerIdx];
 }
 
@@ -77,7 +75,8 @@ PlacementState::workerOfConnection(std::uint64_t connectionId) const
     const std::uint64_t client = connectionId >> 32;
     const std::uint64_t local = connectionId & 0xffffffffull;
     return static_cast<unsigned>(
-        (local + client + (connectionShuffle >> 8)) % workerCount);
+        (local + client + (connectionShuffle >> 8)) %
+        kMachine.workerThreads);
 }
 
 bool

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "hw/hardware_config.h"
-#include "hw/machine_spec.h"
 #include "util/rng.h"
 
 namespace treadmill {
@@ -33,13 +32,11 @@ class PlacementState
     /**
      * Draw a placement for one run.
      *
-     * @param spec Machine description.
      * @param config Factor levels (the NUMA policy shapes buffer
      *        placement probabilities).
      * @param runSeed Seed identifying the run; same seed, same state.
      */
-    PlacementState(const MachineSpec &spec, const HardwareConfig &config,
-                   std::uint64_t runSeed);
+    PlacementState(const HardwareConfig &config, std::uint64_t runSeed);
 
     /** Core hosting worker thread @p workerIdx (socket 0). */
     unsigned workerCore(unsigned workerIdx) const;
@@ -72,7 +69,6 @@ class PlacementState
 
   private:
     std::uint64_t runSeed;
-    unsigned workerCount;
     std::vector<unsigned> workerCores;
     std::uint64_t connectionShuffle;
     double sameNodeLocal;

@@ -11,7 +11,7 @@ namespace treadmill {
 namespace lb {
 
 void
-BalancerParams::validate() const
+BalancerConfig::validate() const
 {
     if (backends == 0)
         throw ConfigError("balancer needs at least one backend");
@@ -28,13 +28,13 @@ BalancerParams::validate() const
 }
 
 LoadBalancer::LoadBalancer(sim::Simulation &sim_,
-                           const BalancerParams &params_)
-    : sim(sim_), params(params_),
-      ring((params_.validate(), params_.backends),
-           params_.vnodesPerBackend),
-      policy(makePolicy(params_.policy, params_.seed,
-                        params_.edfSlackUs)),
-      inflight(params_.backends, 0),
+                           const BalancerConfig &config_,
+                           std::uint64_t seed)
+    : sim(sim_), config(config_),
+      ring((config_.validate(), config_.backends),
+           config_.vnodesPerBackend),
+      policy(makePolicy(config_.policy, seed, config_.edfSlackUs)),
+      inflight(config_.backends, 0),
       dispatchedCounter(sim_.metrics().counter("lb.dispatched")),
       queuedCounter(sim_.metrics().counter("lb.queued")),
       unroutableCounter(sim_.metrics().counter("lb.unroutable")),
@@ -43,25 +43,25 @@ LoadBalancer::LoadBalancer(sim::Simulation &sim_,
       queueWaitHist(sim_.metrics().histogram("lb.queue_wait_us"))
 {
     sim.metrics().claimScope("lb");
-    hooks.reserve(params.backends);
-    backendDispatched.reserve(params.backends);
-    backendInflight.reserve(params.backends);
-    for (std::uint32_t b = 0; b < params.backends; ++b) {
+    hooks.reserve(config.backends);
+    backendDispatched.reserve(config.backends);
+    backendInflight.reserve(config.backends);
+    for (std::uint32_t b = 0; b < config.backends; ++b) {
         const std::string prefix = strprintf("lb.backend%u.", b);
         backendDispatched.push_back(
             &sim.metrics().counter(prefix + "dispatched"));
         backendInflight.push_back(
             &sim.metrics().gauge(prefix + "inflight"));
     }
-    scratchReplicas.reserve(params.backends);
-    scratchHealthy.reserve(params.backends);
-    scratchFree.reserve(params.backends);
+    scratchReplicas.reserve(config.backends);
+    scratchHealthy.reserve(config.backends);
+    scratchFree.reserve(config.backends);
 }
 
 void
 LoadBalancer::addBackend(Backend backend)
 {
-    if (hooks.size() >= params.backends)
+    if (hooks.size() >= config.backends)
         throw ConfigError("more backends attached than configured");
     if (!backend.forward)
         throw ConfigError("backend needs a forward hook");
@@ -81,10 +81,10 @@ LoadBalancer::backendHealthy(std::uint32_t b) const
 void
 LoadBalancer::receive(server::RequestPtr request)
 {
-    TM_ASSERT(hooks.size() == params.backends,
+    TM_ASSERT(hooks.size() == config.backends,
               "balancer used before all backends attached");
     request->lbArrival = sim.now();
-    ring.replicas(HashRing::hashKeyId(request->keyId), params.replication,
+    ring.replicas(HashRing::hashKeyId(request->keyId), config.replication,
                   scratchReplicas);
     scratchHealthy.clear();
     for (std::uint32_t b : scratchReplicas) {
@@ -114,10 +114,10 @@ LoadBalancer::receive(server::RequestPtr request)
         request->lbFailovers = hops;
     }
 
-    if (params.maxInflightPerBackend > 0) {
+    if (config.maxInflightPerBackend > 0) {
         scratchFree.clear();
         for (std::uint32_t b : scratchHealthy) {
-            if (inflight[b] < params.maxInflightPerBackend)
+            if (inflight[b] < config.maxInflightPerBackend)
                 scratchFree.push_back(b);
         }
         if (scratchFree.empty()) {
@@ -187,8 +187,8 @@ LoadBalancer::drainQueue()
         scratchFree.clear();
         for (std::uint32_t b : head.candidates) {
             if (backendHealthy(b) &&
-                (params.maxInflightPerBackend == 0 ||
-                 inflight[b] < params.maxInflightPerBackend))
+                (config.maxInflightPerBackend == 0 ||
+                 inflight[b] < config.maxInflightPerBackend))
                 scratchFree.push_back(b);
         }
         if (scratchFree.empty())

@@ -40,16 +40,16 @@
 namespace treadmill {
 namespace lb {
 
-/** Configuration of one balancer tier. */
-struct BalancerParams {
+/** Configuration of one balancer tier (core::ClusterParams derives
+ *  from it). */
+struct BalancerConfig {
     std::uint32_t backends = 0;    ///< Number of shards (required).
     std::uint32_t replication = 1; ///< Replicas per key (<= backends).
-    std::uint32_t vnodesPerBackend = 128;
+    std::uint32_t vnodesPerBackend = 64;
     /** Saturation cap per backend; 0 = never queue at the balancer. */
     std::uint32_t maxInflightPerBackend = 0;
     PolicyKind policy = PolicyKind::Fcfs;
     double edfSlackUs = 1000.0; ///< EDF latency budget.
-    std::uint64_t seed = 1;     ///< Run seed (policy randomness).
 
     /** @throws ConfigError when inconsistent. */
     void validate() const;
@@ -69,13 +69,19 @@ class LoadBalancer : public server::Service
         std::function<bool()> healthy;
     };
 
-    LoadBalancer(sim::Simulation &sim, const BalancerParams &params);
+    /**
+     * @param sim Owning simulation.
+     * @param config Tier configuration (validated here).
+     * @param seed Run seed (policy randomness).
+     */
+    LoadBalancer(sim::Simulation &sim, const BalancerConfig &config,
+                 std::uint64_t seed);
 
     LoadBalancer(const LoadBalancer &) = delete;
     LoadBalancer &operator=(const LoadBalancer &) = delete;
 
     /** Attach the next backend (ids assigned 0.. in call order);
-     *  exactly params.backends calls, before the first receive(). */
+     *  exactly config.backends calls, before the first receive(). */
     void addBackend(Backend backend);
 
     /**
@@ -94,7 +100,7 @@ class LoadBalancer : public server::Service
      * @{
      */
     const HashRing &hashRing() const { return ring; }
-    std::uint32_t backendCount() const { return params.backends; }
+    std::uint32_t backendCount() const { return config.backends; }
     std::uint64_t inflightOf(std::uint32_t b) const
     {
         return inflight[b];
@@ -131,7 +137,7 @@ class LoadBalancer : public server::Service
     void drainQueue();
 
     sim::Simulation &sim;
-    BalancerParams params;
+    BalancerConfig config;
     HashRing ring;
     std::unique_ptr<SchedulingPolicy> policy;
     std::vector<Backend> hooks;

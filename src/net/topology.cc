@@ -73,10 +73,10 @@ Cluster::Cluster(sim::Simulation &sim, double serverLinkGbps,
             spec.remoteRack ? kCrossRackExtraPropagation : SimDuration{0};
 
         auto up = std::make_unique<Link>(
-            sim, strprintf("client%zu-uplink", i), spec.uplinkGbps,
+            sim, strprintf("client%zu-uplink", i), kAccessLinkGbps,
             microseconds(1) + extra);
         auto down = std::make_unique<Link>(
-            sim, strprintf("client%zu-downlink", i), spec.downlinkGbps,
+            sim, strprintf("client%zu-downlink", i), kAccessLinkGbps,
             microseconds(1) + extra);
 
         toServer[i].addLink(up.get());
@@ -136,10 +136,10 @@ ShardFabric::ShardFabric(sim::Simulation &sim,
 
         auto up = std::make_unique<Link>(
             sim, strprintf("rack%u-backend%zu-uplink", spec.rack, i),
-            spec.linkGbps, microseconds(1) + extra);
+            kAccessLinkGbps, microseconds(1) + extra);
         auto down = std::make_unique<Link>(
             sim, strprintf("rack%u-backend%zu-downlink", spec.rack, i),
-            spec.linkGbps, microseconds(1) + extra);
+            kAccessLinkGbps, microseconds(1) + extra);
 
         forward[i].addLink(up.get());
         reverse[i].addLink(down.get());

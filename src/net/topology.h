@@ -30,6 +30,9 @@ constexpr SimDuration kSwitchHopLatency = nanoseconds(450);
  *  hops plus their queueing, which the paper's Fig 2 client suffered. */
 constexpr SimDuration kCrossRackExtraPropagation = microseconds(40);
 
+/** Bandwidth of every client and backend-fabric link. */
+constexpr double kAccessLinkGbps = 10.0;
+
 /**
  * An ordered sequence of links a packet traverses in one direction.
  * Each hop adds switch forwarding latency; each link adds serialization,
@@ -81,11 +84,9 @@ class Path
 class Cluster
 {
   public:
-    /** Per-client placement and link parameters. */
+    /** Per-client placement. */
     struct ClientSpec {
         bool remoteRack = false; ///< True: client sits on the other rack.
-        double uplinkGbps = 10.0;
-        double downlinkGbps = 10.0;
     };
 
     /**
@@ -144,10 +145,9 @@ class Cluster
 class ShardFabric
 {
   public:
-    /** Per-backend placement and link parameters. */
+    /** Per-backend placement. */
     struct BackendSpec {
         std::uint32_t rack = 0; ///< ToR grouping; rack 0 holds the router.
-        double linkGbps = 10.0;
     };
 
     ShardFabric(sim::Simulation &sim,

@@ -7,16 +7,32 @@
 namespace treadmill {
 namespace server {
 
-McrouterServer::McrouterServer(hw::Machine &machine_,
-                               const McrouterParams &params_,
-                               std::uint64_t seed,
+namespace {
+
+/** @name Service costs of the mcrouter model
+ * @{
+ */
+constexpr double kDeserializeCycles = 20000.0; ///< Parsing + routing.
+constexpr double kSerializeCycles = 7000.0;    ///< Response relay cost.
+constexpr double kCyclesPerValueByte = 2.0;    ///< Marginal payload cost.
+constexpr double kWorkJitterSigma = 0.35;      ///< Lognormal sigma.
+/** Occasional slow requests (route-map misses, reconnects). */
+constexpr double kSlowFraction = 0.008;
+constexpr double kSlowMultiplier = 3.0;
+/** mcrouter touches connection buffers far less than memcached; its
+ *  NUMA stall is this fraction of the machine's full stall. */
+constexpr double kMemStallScale = 0.35;
+/** @} */
+
+} // namespace
+
+McrouterServer::McrouterServer(hw::Machine &machine_, std::uint64_t seed,
                                const std::string &scope)
-    : machine(machine_), params(params_),
-      rng(Rng(0x6d63726f75746572ull).substream(seed)),
-      jitter(-0.5 * params_.workJitterSigma * params_.workJitterSigma,
-             params_.workJitterSigma),
-      backendDelay(LogNormal::fromMoments(params_.backendMeanUs,
-                                          params_.backendSigmaUs)),
+    : machine(machine_), rng(Rng(0x6d63726f75746572ull).substream(seed)),
+      jitter(-0.5 * kWorkJitterSigma * kWorkJitterSigma,
+             kWorkJitterSigma),
+      backendDelay(
+          LogNormal::fromMoments(kBackendMeanUs, kBackendSigmaUs)),
       metrics(machine_.simulation().metrics(), scope)
 {
 }
@@ -45,13 +61,12 @@ McrouterServer::receive(RequestPtr request)
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
     const unsigned workerCoreId = machine.workerCore(workerIdx);
-    const bool crossSocket =
-        machine.spec().socketOf(irqCore) !=
-        machine.spec().socketOf(workerCoreId);
+    const bool crossSocket = hw::kMachine.socketOf(irqCore) !=
+                             hw::kMachine.socketOf(workerCoreId);
 
     hw::WorkItem irq;
     // Interrupt-storm fault hook: 1.0 (exact identity) when healthy.
-    irq.cycles = machine.spec().irqCycles * machine.nic().irqLoadFactor();
+    irq.cycles = hw::kMachine.irqCycles * machine.nic().irqLoadFactor();
     irq.allowTurbo = true;
     irq.done = [this, request = std::move(request),
                 crossSocket](SimTime, SimTime) mutable {
@@ -67,22 +82,20 @@ McrouterServer::deserializeOnWorker(RequestPtr request, bool crossSocket)
         machine.workerOfConnection(request->connectionId);
     const unsigned coreId = machine.workerCore(workerIdx);
 
-    double cycles = params.deserializeCycles +
-                    params.cyclesPerValueByte *
-                        static_cast<double>(request->valueBytes);
+    double cycles =
+        kDeserializeCycles +
+        kCyclesPerValueByte * static_cast<double>(request->valueBytes);
     cycles *= jitter.sample(rng);
-    if (params.slowFraction > 0.0 &&
-        rng.nextDouble() < params.slowFraction) {
-        cycles *= params.slowMultiplier;
-    }
+    if (rng.nextDouble() < kSlowFraction)
+        cycles *= kSlowMultiplier;
 
     hw::WorkItem work;
     work.cycles = cycles;
     work.fixedStall = static_cast<SimDuration>(
-        params.memStallScale *
+        kMemStallScale *
         static_cast<double>(machine.memoryStall(request->connectionId)));
     if (crossSocket)
-        work.fixedStall += machine.spec().crossSocketTransfer;
+        work.fixedStall += hw::kMachine.crossSocketTransfer;
     work.allowTurbo = true;
     work.done = [this, request = std::move(request)](SimTime start,
                                                      SimTime) mutable {
@@ -115,7 +128,7 @@ McrouterServer::serializeOnWorker(RequestPtr request)
     const unsigned coreId = machine.workerCore(workerIdx);
 
     hw::WorkItem work;
-    work.cycles = params.serializeCycles * jitter.sample(rng);
+    work.cycles = kSerializeCycles * jitter.sample(rng);
     work.allowTurbo = true;
     work.done = [this, request = std::move(request)](SimTime,
                                                      SimTime end) mutable {
@@ -127,7 +140,6 @@ McrouterServer::serializeOnWorker(RequestPtr request)
             request->responseBytes =
                 48 + request->valueBytes / 2; // relayed value
         }
-        ++servedCount;
         request->nicDeparture = end;
         metrics.onServed(*request, request->nicArrival,
                          request->workerStart, end);
@@ -139,11 +151,11 @@ McrouterServer::serializeOnWorker(RequestPtr request)
 double
 McrouterServer::expectedServiceSeconds(double meanValueBytes) const
 {
-    double cycles = params.deserializeCycles + params.serializeCycles +
-                    params.cyclesPerValueByte * meanValueBytes;
-    cycles *= 1.0 + params.slowFraction * (params.slowMultiplier - 1.0);
+    double cycles = kDeserializeCycles + kSerializeCycles +
+                    kCyclesPerValueByte * meanValueBytes;
+    cycles *= 1.0 + kSlowFraction * (kSlowMultiplier - 1.0);
     return machine.expectedComputeSeconds(cycles) +
-           params.memStallScale * machine.expectedMemoryStallSeconds();
+           kMemStallScale * machine.expectedMemoryStallSeconds();
 }
 
 } // namespace server

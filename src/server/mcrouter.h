@@ -25,28 +25,18 @@
 namespace treadmill {
 namespace server {
 
-/** Service-cost parameters of the mcrouter model. */
-struct McrouterParams {
-    double deserializeCycles = 20000.0; ///< Request parsing + routing.
-    double serializeCycles = 7000.0;    ///< Response relay cost.
-    double cyclesPerValueByte = 2.0;    ///< Marginal payload cost.
-    double workJitterSigma = 0.35;      ///< Lognormal sigma on cycles.
-    /** Occasional slow requests (route-map misses, reconnects). */
-    double slowFraction = 0.008;
-    double slowMultiplier = 3.0;
-    /** mcrouter touches connection buffers far less than memcached;
-     *  its NUMA stall is this fraction of the machine's full stall. */
-    double memStallScale = 0.35;
-    double backendMeanUs = 20.0;  ///< Mean backend round trip.
-    double backendSigmaUs = 7.0;  ///< Backend round-trip spread.
-};
-
 /** Simulated mcrouter instance bound to a Machine. */
 class McrouterServer : public Service
 {
   public:
-    McrouterServer(hw::Machine &machine, const McrouterParams &params,
-                   std::uint64_t seed,
+    /** @name Modelled backend round trip (no backend pool)
+     * @{
+     */
+    static constexpr double kBackendMeanUs = 20.0;  ///< Mean.
+    static constexpr double kBackendSigmaUs = 7.0;  ///< Spread.
+    /** @} */
+
+    McrouterServer(hw::Machine &machine, std::uint64_t seed,
                    const std::string &scope = "server");
 
     void receive(RequestPtr request) override;
@@ -62,7 +52,7 @@ class McrouterServer : public Service
     void setBackendPool(Service *pool);
 
     /** Requests fully routed so far. */
-    std::uint64_t served() const { return servedCount; }
+    std::uint64_t served() const { return metrics.served(); }
 
     /** Expected router CPU seconds per request at nominal frequency. */
     double expectedServiceSeconds(double meanValueBytes) const;
@@ -75,13 +65,11 @@ class McrouterServer : public Service
     void serializeOnWorker(RequestPtr request);
 
     hw::Machine &machine;
-    McrouterParams params;
     Rng rng;
     LogNormal jitter;
     LogNormal backendDelay;
     ServerMetrics metrics;
     Service *backendPool = nullptr; ///< Null: modelled backend delay.
-    std::uint64_t servedCount = 0;
 };
 
 } // namespace server

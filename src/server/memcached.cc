@@ -1,7 +1,5 @@
 #include "server/memcached.h"
 
-#include <cmath>
-#include <optional>
 #include <utility>
 
 #include "util/logging.h"
@@ -9,20 +7,38 @@
 namespace treadmill {
 namespace server {
 
+namespace {
+
+/** @name Service costs of the Memcached model
+ * @{
+ */
+constexpr double kGetCycles = 17000.0; ///< Base worker cycles for a GET.
+constexpr double kSetCycles = 20000.0; ///< Base worker cycles for a SET.
+constexpr double kCyclesPerValueByte = 6.0; ///< Marginal payload cost.
+constexpr double kWorkJitterSigma = 0.45; ///< Lognormal sigma on cycles.
+/** Occasional slow requests (hash-chain walks, slab maintenance,
+ *  epoll hiccups): this fraction of requests costs kSlowMultiplier
+ *  times the normal cycles -- the intrinsic service-time tail. */
+constexpr double kSlowFraction = 0.015;
+constexpr double kSlowMultiplier = 8.0;
+/** @} */
+
+} // namespace
+
 MemcachedServer::MemcachedServer(hw::Machine &machine_,
-                                 const MemcachedParams &params_,
                                  std::uint64_t seed,
                                  const std::string &scope,
                                  bool backendRole_)
-    : machine(machine_), params(params_), kv(params_.storeCapacityBytes),
-      rng(Rng(0x6d656d63616368ull).substream(seed)),
-      jitter(-0.5 * params_.workJitterSigma * params_.workJitterSigma,
-             params_.workJitterSigma),
+    : machine(machine_), rng(Rng(0x6d656d63616368ull).substream(seed)),
+      jitter(-0.5 * kWorkJitterSigma * kWorkJitterSigma,
+             kWorkJitterSigma),
       metrics(machine_.simulation().metrics(), scope),
       backendRole(backendRole_)
 {
 }
 
+// tmlint:hot-path-begin -- receive and executeOnWorker run once per
+// served request, including the key-size map lookup or store.
 void
 MemcachedServer::receive(RequestPtr request)
 {
@@ -35,15 +51,14 @@ MemcachedServer::receive(RequestPtr request)
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
     const unsigned workerCoreId = machine.workerCore(workerIdx);
-    const bool crossSocket =
-        machine.spec().socketOf(irqCore) !=
-        machine.spec().socketOf(workerCoreId);
+    const bool crossSocket = hw::kMachine.socketOf(irqCore) !=
+                             hw::kMachine.socketOf(workerCoreId);
 
     // Stage 1: interrupt handling on the RSS-steered core.
     hw::WorkItem irq;
     // An injected interrupt storm multiplies handling cost (1.0 when
     // healthy, which is an exact identity on the cycle count).
-    irq.cycles = machine.spec().irqCycles * machine.nic().irqLoadFactor();
+    irq.cycles = hw::kMachine.irqCycles * machine.nic().irqLoadFactor();
     irq.fixedStall = 0;
     irq.allowTurbo = true;
     irq.done = [this, request = std::move(request),
@@ -60,21 +75,18 @@ MemcachedServer::executeOnWorker(RequestPtr request, bool crossSocket)
         machine.workerOfConnection(request->connectionId);
     const unsigned coreId = machine.workerCore(workerIdx);
 
-    double cycles = request->op == OpType::Get ? params.getCycles
-                                               : params.setCycles;
-    cycles += params.cyclesPerValueByte *
-              static_cast<double>(request->valueBytes);
+    double cycles =
+        request->op == OpType::Get ? kGetCycles : kSetCycles;
+    cycles += kCyclesPerValueByte * static_cast<double>(request->valueBytes);
     cycles *= jitter.sample(rng);
-    if (params.slowFraction > 0.0 &&
-        rng.nextDouble() < params.slowFraction) {
-        cycles *= params.slowMultiplier;
-    }
+    if (rng.nextDouble() < kSlowFraction)
+        cycles *= kSlowMultiplier;
 
     hw::WorkItem work;
     work.cycles = cycles;
     work.fixedStall = machine.memoryStall(request->connectionId);
     if (crossSocket)
-        work.fixedStall += machine.spec().crossSocketTransfer;
+        work.fixedStall += hw::kMachine.crossSocketTransfer;
     work.allowTurbo = true;
     work.done = [this, request = std::move(request)](SimTime start,
                                                      SimTime end) mutable {
@@ -92,17 +104,15 @@ MemcachedServer::executeOnWorker(RequestPtr request, bool crossSocket)
         // sizes, so a GET hit answers with the size the last SET of
         // its key stored.
         if (request->op == OpType::Set) {
-            kv.set(request->keyId, request->valueBytes);
+            values.insertOrAssign(request->keyId, request->valueBytes);
             request->hit = true;
             request->responseBytes = 48; // STORED + headers
         } else {
-            const std::optional<std::uint32_t> stored =
-                kv.find(request->keyId);
-            request->hit = stored.has_value();
-            request->responseBytes = 48 + stored.value_or(0);
+            const std::uint32_t *stored = values.find(request->keyId);
+            request->hit = stored != nullptr;
+            request->responseBytes = 48 + (stored ? *stored : 0);
         }
 
-        ++servedCount;
         if (backendRole) {
             request->backendNicDeparture = end;
             metrics.onServed(*request, request->backendNicArrival,
@@ -116,13 +126,14 @@ MemcachedServer::executeOnWorker(RequestPtr request, bool crossSocket)
     machine.submit(coreId, std::move(work));
 }
 
+// tmlint:hot-path-end
+
 double
 MemcachedServer::expectedServiceSeconds(double meanValueBytes) const
 {
-    double cycles =
-        params.getCycles + params.cyclesPerValueByte * meanValueBytes;
+    double cycles = kGetCycles + kCyclesPerValueByte * meanValueBytes;
     // The slow-request mechanism inflates the mean multiplicatively.
-    cycles *= 1.0 + params.slowFraction * (params.slowMultiplier - 1.0);
+    cycles *= 1.0 + kSlowFraction * (kSlowMultiplier - 1.0);
     return machine.expectedServiceSeconds(cycles);
 }
 

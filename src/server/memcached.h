@@ -9,10 +9,12 @@
  *   protocol parsing + hash-table operation, paying NUMA memory stalls
  *   on the connection buffer -> response leaves through the NIC.
  *
- * The hash-table operation is performed against a KvStore that keeps
- * each key's value size, not its bytes: hits, misses, LRU order,
- * evictions and response sizes are those of a store holding the real
- * values, and a warm server handles requests without heap allocation.
+ * The hash-table operation runs against a map from key id to value
+ * size: a stored value matters only through its size (a GET hit's
+ * response carries that many bytes), so hits, misses and response
+ * sizes are those of a store holding the real values, and a warm
+ * server handles requests without heap allocation. The store is
+ * unbounded -- no run evicts.
  */
 
 #ifndef TREADMILL_SERVER_MEMCACHED_H_
@@ -22,28 +24,14 @@
 #include <string>
 
 #include "hw/machine.h"
-#include "server/kvstore.h"
 #include "server/request.h"
 #include "server/server_metrics.h"
+#include "util/flat_map.h"
 #include "util/random_variates.h"
 #include "util/rng.h"
 
 namespace treadmill {
 namespace server {
-
-/** Service-cost parameters of the Memcached model. */
-struct MemcachedParams {
-    double getCycles = 17000.0;   ///< Base worker cycles for a GET.
-    double setCycles = 20000.0;   ///< Base worker cycles for a SET.
-    double cyclesPerValueByte = 6.0; ///< Marginal cost of payload bytes.
-    double workJitterSigma = 0.45; ///< Lognormal sigma on worker cycles.
-    /** Occasional slow requests (hash-chain walks, slab maintenance,
-     *  epoll hiccups): this fraction of requests costs slowMultiplier
-     *  times the normal cycles -- the intrinsic service-time tail. */
-    double slowFraction = 0.015;
-    double slowMultiplier = 8.0;
-    std::uint64_t storeCapacityBytes = 0; ///< 0 = unbounded.
-};
 
 /** Simulated Memcached instance bound to a Machine. */
 class MemcachedServer : public Service
@@ -51,7 +39,6 @@ class MemcachedServer : public Service
   public:
     /**
      * @param machine Configured hardware to run on.
-     * @param params Service-cost parameters.
      * @param seed Stream for per-request work jitter.
      * @param scope Metric-name prefix ("server" for the classic single
      *        server, "backend<i>" for a cluster shard); claimed
@@ -62,18 +49,17 @@ class MemcachedServer : public Service
      *        it never clobbers the router's workerStart/End timeline on
      *        the shared Request (span traces need both tiers).
      */
-    MemcachedServer(hw::Machine &machine, const MemcachedParams &params,
-                    std::uint64_t seed,
+    MemcachedServer(hw::Machine &machine, std::uint64_t seed,
                     const std::string &scope = "server",
                     bool backendRole = false);
 
     void receive(RequestPtr request) override;
 
-    /** The backing store (inspection and pre-population). */
-    KvStore &store() { return kv; }
+    /** Key id -> stored value size (inspection). */
+    const util::FlatU64Map<std::uint32_t> &store() const { return values; }
 
     /** Requests fully served so far. */
-    std::uint64_t served() const { return servedCount; }
+    std::uint64_t served() const { return metrics.served(); }
 
     /**
      * Expected worker service seconds per request at nominal frequency
@@ -88,13 +74,11 @@ class MemcachedServer : public Service
     void executeOnWorker(RequestPtr request, bool crossSocket);
 
     hw::Machine &machine;
-    MemcachedParams params;
-    KvStore kv;
+    util::FlatU64Map<std::uint32_t> values;
     Rng rng;
     LogNormal jitter;
     ServerMetrics metrics;
     bool backendRole;
-    std::uint64_t servedCount = 0;
 };
 
 } // namespace server

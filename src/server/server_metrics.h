@@ -36,7 +36,7 @@ class ServerMetrics
           serviceUs(registry.histogram(scope + ".service_us")),
           hits(registry.counter(scope + ".hits")),
           misses(registry.counter(scope + ".misses")),
-          served(registry.counter(scope + ".served"))
+          servedCounter(registry.counter(scope + ".served"))
     {
         registry.claimScope(scope);
     }
@@ -60,15 +60,18 @@ class ServerMetrics
             queueWaitUs.record(toMicros(start - arrival));
         serviceUs.record(toMicros(end - start));
         (request.hit ? hits : misses).add();
-        served.add();
+        servedCounter.add();
     }
+
+    /** Requests recorded by onServed() so far. */
+    std::uint64_t served() const { return servedCounter.value(); }
 
   private:
     obs::Histogram &queueWaitUs; ///< NIC arrival to worker start.
     obs::Histogram &serviceUs;   ///< Worker start to worker end.
     obs::Counter &hits;
     obs::Counter &misses;
-    obs::Counter &served;
+    obs::Counter &servedCounter;
 };
 
 } // namespace server

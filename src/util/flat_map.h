@@ -8,12 +8,16 @@
  * insert + one erase per request). FlatU64Map stores keys and values
  * in flat arrays with linear probing and backward-shift deletion, so
  * once the table has grown to cover the high-water mark of live
- * entries it never allocates again.
+ * entries it never allocates again. A map nothing inserts into holds
+ * no storage.
  *
- * Deliberately minimal: no iteration, no rehash-on-erase, values must
- * be trivially destructible-ish (they are left in place on erase).
- * Sequential ids hash through a multiplicative mix so bursts of
- * consecutive keys spread across the table.
+ * Deliberately minimal: no iteration and no rehash-on-erase. Values
+ * are moved on rehash and on backward shift, and an erased or cleared
+ * slot's value is reset to V{}, so a value that owns resources (a
+ * pooled request handle) releases them at erase time. A pointer from
+ * find() is invalidated by any insert or erase. Sequential ids hash
+ * through a multiplicative mix so bursts of consecutive keys spread
+ * across the table.
  */
 
 #ifndef TREADMILL_UTIL_FLAT_MAP_H_
@@ -22,6 +26,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -34,25 +39,23 @@ template <typename V>
 class FlatU64Map
 {
   public:
-    FlatU64Map() { rehash(kInitialCapacity); }
-
     /** Insert @p key or overwrite its existing value. */
     void
     insertOrAssign(std::uint64_t key, V value)
     {
         if ((count + 1) * 4 >= capacity() * 3)
-            rehash(capacity() * 2);
+            rehash(std::max(kInitialCapacity, capacity() * 2));
         std::size_t i = indexOf(key);
         while (used[i]) {
             if (keys[i] == key) {
-                vals[i] = value;
+                vals[i] = std::move(value);
                 return;
             }
             i = (i + 1) & mask;
         }
         used[i] = 1;
         keys[i] = key;
-        vals[i] = value;
+        vals[i] = std::move(value);
         ++count;
     }
 
@@ -60,13 +63,16 @@ class FlatU64Map
     const V *
     find(std::uint64_t key) const
     {
-        std::size_t i = indexOf(key);
-        while (used[i]) {
-            if (keys[i] == key)
-                return &vals[i];
-            i = (i + 1) & mask;
-        }
-        return nullptr;
+        const std::size_t i = slotOf(key);
+        return i == kNotFound ? nullptr : &vals[i];
+    }
+
+    /** @return Mutable pointer to the value for @p key, or nullptr. */
+    V *
+    find(std::uint64_t key)
+    {
+        const std::size_t i = slotOf(key);
+        return i == kNotFound ? nullptr : &vals[i];
     }
 
     /**
@@ -78,14 +84,9 @@ class FlatU64Map
     bool
     erase(std::uint64_t key)
     {
-        std::size_t i = indexOf(key);
-        while (true) {
-            if (!used[i])
-                return false;
-            if (keys[i] == key)
-                break;
-            i = (i + 1) & mask;
-        }
+        const std::size_t i = slotOf(key);
+        if (i == kNotFound)
+            return false;
         std::size_t hole = i;
         std::size_t j = (hole + 1) & mask;
         while (used[j]) {
@@ -94,12 +95,13 @@ class FlatU64Map
             // move it before its ideal slot in cyclic probe order.
             if (((j - ideal) & mask) >= ((j - hole) & mask)) {
                 keys[hole] = keys[j];
-                vals[hole] = vals[j];
+                vals[hole] = std::move(vals[j]);
                 hole = j;
             }
             j = (j + 1) & mask;
         }
         used[hole] = 0;
+        vals[hole] = V{};
         --count;
         return true;
     }
@@ -113,18 +115,22 @@ class FlatU64Map
     void
     clear()
     {
+        for (std::size_t i = 0; i < used.size(); ++i) {
+            if (used[i])
+                vals[i] = V{};
+        }
         std::fill(used.begin(), used.end(), std::uint8_t{0});
         count = 0;
     }
 
     /** Current slot count (regression hook for allocation tests). */
-    std::size_t capacity() const { return mask + 1; }
+    std::size_t capacity() const { return used.size(); }
 
     /** Grow so @p n entries fit without rehashing. */
     void
     reserve(std::size_t n)
     {
-        std::size_t cap = capacity();
+        std::size_t cap = std::max(kInitialCapacity, capacity());
         while (n * 4 >= cap * 3)
             cap *= 2;
         if (cap != capacity())
@@ -133,6 +139,22 @@ class FlatU64Map
 
   private:
     static constexpr std::size_t kInitialCapacity = 16;
+    static constexpr std::size_t kNotFound = ~std::size_t{0};
+
+    /** Slot holding @p key, or kNotFound. */
+    std::size_t
+    slotOf(std::uint64_t key) const
+    {
+        if (count == 0)
+            return kNotFound;
+        std::size_t i = indexOf(key);
+        while (used[i]) {
+            if (keys[i] == key)
+                return i;
+            i = (i + 1) & mask;
+        }
+        return kNotFound;
+    }
 
     std::size_t
     indexOf(std::uint64_t key) const
@@ -153,7 +175,7 @@ class FlatU64Map
         std::vector<V> oldVals = std::move(vals);
         std::vector<std::uint8_t> oldUsed = std::move(used);
         keys.assign(newCapacity, 0);
-        vals.assign(newCapacity, V{});
+        vals = std::vector<V>(newCapacity);
         used.assign(newCapacity, 0);
         mask = newCapacity - 1;
         count = 0;
@@ -165,7 +187,7 @@ class FlatU64Map
                 j = (j + 1) & mask;
             used[j] = 1;
             keys[j] = oldKeys[i];
-            vals[j] = oldVals[i];
+            vals[j] = std::move(oldVals[i]);
             ++count;
         }
     }

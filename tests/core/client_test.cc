@@ -20,7 +20,6 @@ fastParams()
     p.collector.warmUpSamples = 0;
     p.collector.calibrationSamples = 50;
     p.collector.measurementSamples = 200;
-    p.kernelDelayUs = 30.0;
     return p;
 }
 
@@ -148,18 +147,19 @@ TEST(ClientTest, ConnectionsRotateRoundRobin)
 {
     sim::Simulation sim;
     EchoHarness echo(sim, microseconds(5));
-    auto params = fastParams();
-    params.connections = 4;
     LoadTesterInstance *slot = nullptr;
-    LoadTesterInstance inst(sim, params, WorkloadConfig{},
+    LoadTesterInstance inst(sim, fastParams(), WorkloadConfig{},
                             echo.transmitTo(slot));
     slot = &inst;
     inst.start();
     sim.runUntil(milliseconds(2));
-    ASSERT_GE(echo.sent.size(), 8u);
-    for (std::size_t i = 4; i < 8; ++i)
+    constexpr std::size_t n = LoadTesterInstance::kConnections;
+    ASSERT_GE(echo.sent.size(), 2 * n);
+    for (std::size_t i = 1; i < n; ++i)
+        EXPECT_NE(echo.sent[i]->connectionId, echo.sent[0]->connectionId);
+    for (std::size_t i = n; i < 2 * n; ++i)
         EXPECT_EQ(echo.sent[i]->connectionId,
-                  echo.sent[i - 4]->connectionId);
+                  echo.sent[i - n]->connectionId);
 }
 
 TEST(ClientTest, SequenceIdsEncodeInstance)
@@ -210,16 +210,6 @@ TEST(ClientTest, StopLoadHaltsIssuing)
     const auto issuedAtStop = inst.issued();
     sim.runUntil(milliseconds(10));
     EXPECT_EQ(inst.issued(), issuedAtStop);
-}
-
-TEST(ClientTest, RejectsZeroConnections)
-{
-    sim::Simulation sim;
-    auto params = fastParams();
-    params.connections = 0;
-    EXPECT_THROW(LoadTesterInstance(sim, params, WorkloadConfig{},
-                                    [](server::RequestPtr) {}),
-                 ConfigError);
 }
 
 TEST(ClientTest, CountersAreTheObserversAndOneInstanceOwnsItsScope)

@@ -144,7 +144,6 @@ TEST(CollectorTest, ReservoirHoldsAllWhenUnderCapacity)
 {
     auto p = smallParams();
     p.measurementSamples = 50;
-    p.reservoirCapacity = 100;
     SampleCollector c(p, Rng(11));
     for (int i = 0; i < 30 + 50; ++i)
         c.add(static_cast<double>(i));

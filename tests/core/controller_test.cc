@@ -100,22 +100,6 @@ TEST(ClosedLoopTest, ThroughputIsSlotsOverResponseTime)
     EXPECT_NEAR(static_cast<double>(issued), 8000.0, 100.0);
 }
 
-TEST(ClosedLoopTest, ThinkTimeDelaysReissue)
-{
-    sim::Simulation sim;
-    ClosedLoopController ctl(sim, 1, microseconds(50));
-    std::vector<SimTime> sends;
-    ctl.start([&](SimTime t) {
-        sends.push_back(t);
-        ctl.onResponse(); // instant response
-    });
-    sim.runUntil(microseconds(500));
-    ctl.stop();
-    ASSERT_GE(sends.size(), 3u);
-    for (std::size_t i = 1; i < sends.size(); ++i)
-        EXPECT_EQ(sends[i] - sends[i - 1], microseconds(50));
-}
-
 TEST(ClosedLoopTest, StopPreventsReissue)
 {
     sim::Simulation sim;
@@ -136,7 +120,7 @@ TEST(RateLimitedClosedLoopTest, MatchesTargetRateWhenUncapped)
 {
     sim::Simulation sim;
     // 100k RPS, fast responses: the cap never binds.
-    ClosedLoopController ctl(sim, 64, 0, 100000.0);
+    ClosedLoopController ctl(sim, 64, 100000.0);
     std::uint64_t issued = 0;
     ctl.start([&](SimTime) {
         ++issued;
@@ -153,7 +137,7 @@ TEST(RateLimitedClosedLoopTest, CapClipsBursts)
     sim::Simulation sim;
     // 100k RPS against 100 us responses needs ~10 outstanding on
     // average; a cap of 4 must defer sends.
-    ClosedLoopController ctl(sim, 4, 0, 100000.0);
+    ClosedLoopController ctl(sim, 4, 100000.0);
     std::uint64_t outstanding = 0;
     std::uint64_t maxOutstanding = 0;
     ctl.start([&](SimTime) {
@@ -173,7 +157,7 @@ TEST(RateLimitedClosedLoopTest, CapClipsBursts)
 TEST(RateLimitedClosedLoopTest, DeferredSendsFireOnResponse)
 {
     sim::Simulation sim;
-    ClosedLoopController ctl(sim, 1, 0, 1e6);
+    ClosedLoopController ctl(sim, 1, 1e6);
     std::vector<SimTime> sends;
     ctl.start([&](SimTime t) {
         sends.push_back(t);
@@ -200,15 +184,6 @@ TEST(ConnectionsSizingTest, LittlesLaw)
     EXPECT_EQ(closedLoopConnectionsFor(100000.0, 100e-6), 10u);
     EXPECT_EQ(closedLoopConnectionsFor(100000.0, 105e-6), 11u); // ceil
     EXPECT_THROW(closedLoopConnectionsFor(0.0, 1.0), ConfigError);
-}
-
-TEST(ControllerKindTest, ReportsDiscipline)
-{
-    sim::Simulation sim;
-    OpenLoopController open(sim, 1000.0, Rng(1));
-    ClosedLoopController closed(sim, 2);
-    EXPECT_EQ(open.kind(), ControlLoop::OpenLoop);
-    EXPECT_EQ(closed.kind(), ControlLoop::ClosedLoop);
 }
 
 } // namespace

@@ -24,7 +24,6 @@ slowSteadyParams()
     p.collector.warmUpSamples = 0;
     p.collector.calibrationSamples = 10;
     p.collector.measurementSamples = 60;
-    p.kernelDelayUs = 30.0;
     return p;
 }
 

@@ -12,10 +12,9 @@ namespace {
 
 TEST(FrequencyTest, PerformanceGovernorPinsNominal)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Performance);
+    CoreFrequency f(DvfsGovernor::Performance);
     EXPECT_EQ(f.step(), FreqStep::Base);
-    EXPECT_DOUBLE_EQ(f.currentGhz(), spec.baseFreqGhz);
+    EXPECT_DOUBLE_EQ(f.currentGhz(), kMachine.baseFreqGhz);
 
     // No amount of idleness moves it.
     for (int i = 0; i < 10; ++i)
@@ -26,16 +25,14 @@ TEST(FrequencyTest, PerformanceGovernorPinsNominal)
 
 TEST(FrequencyTest, OndemandBootsLow)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Ondemand);
+    CoreFrequency f(DvfsGovernor::Ondemand);
     EXPECT_EQ(f.step(), FreqStep::Min);
-    EXPECT_DOUBLE_EQ(f.currentGhz(), spec.minFreqGhz);
+    EXPECT_DOUBLE_EQ(f.currentGhz(), kMachine.minFreqGhz);
 }
 
 TEST(FrequencyTest, OndemandUpscalesUnderLoad)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Ondemand);
+    CoreFrequency f(DvfsGovernor::Ondemand);
     f.accountBusy(0.5 * 1e6); // 50% of a 1ms window
     EXPECT_TRUE(f.sampleWindow(1e6));
     EXPECT_EQ(f.step(), FreqStep::Base);
@@ -44,8 +41,7 @@ TEST(FrequencyTest, OndemandUpscalesUnderLoad)
 
 TEST(FrequencyTest, OndemandDownscalesWhenIdle)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Ondemand);
+    CoreFrequency f(DvfsGovernor::Ondemand);
     f.accountBusy(0.5 * 1e6);
     f.sampleWindow(1e6); // up to Base
     f.accountBusy(0.01 * 1e6);
@@ -56,13 +52,12 @@ TEST(FrequencyTest, OndemandDownscalesWhenIdle)
 
 TEST(FrequencyTest, HysteresisBandHoldsStep)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Ondemand);
+    CoreFrequency f(DvfsGovernor::Ondemand);
     f.accountBusy(0.9 * 1e6);
     f.sampleWindow(1e6); // Base
     // Utilization between the thresholds: no change either way.
-    const double mid = 0.5 * (spec.governorUpThreshold +
-                              spec.governorDownThreshold);
+    const double mid = 0.5 * (kMachine.governorUpThreshold +
+                              kMachine.governorDownThreshold);
     f.accountBusy(mid * 1e6);
     EXPECT_FALSE(f.sampleWindow(1e6));
     EXPECT_EQ(f.step(), FreqStep::Base);
@@ -70,21 +65,19 @@ TEST(FrequencyTest, HysteresisBandHoldsStep)
 
 TEST(FrequencyTest, TransitionsAccumulateStall)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Ondemand);
+    CoreFrequency f(DvfsGovernor::Ondemand);
     f.accountBusy(1e6);
     f.sampleWindow(1e6); // up
     f.sampleWindow(1e6); // down (no busy time accounted)
     // Two transitions accrued before any execution claimed the stall.
     EXPECT_EQ(f.takePendingStall(),
-              2 * spec.frequencyTransitionStall);
+              2 * kMachine.frequencyTransitionStall);
     EXPECT_EQ(f.takePendingStall(), 0u);
 }
 
 TEST(FrequencyTest, BusyWindowResetsEachSample)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Ondemand);
+    CoreFrequency f(DvfsGovernor::Ondemand);
     f.accountBusy(1e6);
     f.sampleWindow(1e6); // consumed
     // Next window sees zero busy -> downscale.
@@ -94,8 +87,7 @@ TEST(FrequencyTest, BusyWindowResetsEachSample)
 
 TEST(FrequencyTest, UtilizationClampedToOne)
 {
-    MachineSpec spec;
-    CoreFrequency f(spec, DvfsGovernor::Ondemand);
+    CoreFrequency f(DvfsGovernor::Ondemand);
     f.accountBusy(5e6); // 500% of the window (queued work overlap)
     EXPECT_TRUE(f.sampleWindow(1e6));
     EXPECT_EQ(f.step(), FreqStep::Base);

@@ -24,7 +24,7 @@ performanceConfig()
 TEST(CoreTest, ExecutesSubmittedWorkFifo)
 {
     sim::Simulation s;
-    Machine m(s, MachineSpec{}, performanceConfig(), 1);
+    Machine m(s, performanceConfig(), 1);
 
     std::vector<int> order;
     for (int i = 0; i < 3; ++i) {
@@ -41,7 +41,7 @@ TEST(CoreTest, ExecutesSubmittedWorkFifo)
 TEST(MachineTest, PerformanceGovernorDurationMatchesCycles)
 {
     sim::Simulation s;
-    Machine m(s, MachineSpec{}, performanceConfig(), 1);
+    Machine m(s, performanceConfig(), 1);
 
     SimTime start = 0;
     SimTime end = 0;
@@ -60,7 +60,7 @@ TEST(MachineTest, PerformanceGovernorDurationMatchesCycles)
 TEST(MachineTest, FixedStallAddsToDuration)
 {
     sim::Simulation s;
-    Machine m(s, MachineSpec{}, performanceConfig(), 1);
+    Machine m(s, performanceConfig(), 1);
 
     SimDuration dur = 0;
     WorkItem w;
@@ -76,7 +76,7 @@ TEST(MachineTest, FixedStallAddsToDuration)
 TEST(MachineTest, QueuedWorkWaits)
 {
     sim::Simulation s;
-    Machine m(s, MachineSpec{}, performanceConfig(), 1);
+    Machine m(s, performanceConfig(), 1);
 
     SimTime secondStart = 0;
     WorkItem a;
@@ -96,11 +96,10 @@ TEST(MachineTest, QueuedWorkWaits)
 TEST(MachineTest, TurboShortensExecution)
 {
     sim::Simulation s;
-    MachineSpec spec;
     HardwareConfig cfg = performanceConfig();
     cfg.turbo = TurboMode::On;
     // Use ondemand-off (performance) so step is Base; thermal is full.
-    Machine m(s, spec, cfg, 1);
+    Machine m(s, cfg, 1);
 
     SimDuration dur = 0;
     WorkItem w;
@@ -117,7 +116,7 @@ TEST(MachineTest, TurboDisabledRunsAtBase)
 {
     sim::Simulation s;
     HardwareConfig cfg = performanceConfig(); // turbo off
-    Machine m(s, MachineSpec{}, cfg, 1);
+    Machine m(s, cfg, 1);
 
     SimDuration dur = 0;
     WorkItem w;
@@ -132,9 +131,8 @@ TEST(MachineTest, TurboDisabledRunsAtBase)
 TEST(MachineTest, OndemandColdCoreRunsSlow)
 {
     sim::Simulation s;
-    MachineSpec spec;
     HardwareConfig cfg; // ondemand
-    Machine m(s, spec, cfg, 1);
+    Machine m(s, cfg, 1);
 
     SimDuration dur = 0;
     WorkItem w;
@@ -150,9 +148,8 @@ TEST(MachineTest, OndemandColdCoreRunsSlow)
 TEST(MachineTest, OndemandBusyCoreRampsUp)
 {
     sim::Simulation s;
-    MachineSpec spec;
     HardwareConfig cfg; // ondemand
-    Machine m(s, spec, cfg, 1);
+    Machine m(s, cfg, 1);
 
     // Saturate core 0 for several governor windows.
     std::function<void(SimTime, SimTime)> resubmit;
@@ -184,12 +181,11 @@ TEST(MachineTest, MemoryStallDependsOnNumaPolicy)
 {
     sim::Simulation s1;
     sim::Simulation s2;
-    MachineSpec spec;
     HardwareConfig sameNode = performanceConfig();
     HardwareConfig interleave = performanceConfig();
     interleave.numa = NumaPolicy::Interleave;
-    Machine mSame(s1, spec, sameNode, 3);
-    Machine mInter(s2, spec, interleave, 3);
+    Machine mSame(s1, sameNode, 3);
+    Machine mInter(s2, interleave, 3);
 
     // Average over many connections: interleave must stall more than
     // the mostly-local same-node policy.
@@ -206,7 +202,7 @@ TEST(MachineTest, MemoryStallDependsOnNumaPolicy)
 TEST(MachineTest, MemoryStallMatchesExpectedServiceSizing)
 {
     sim::Simulation s;
-    Machine m(s, MachineSpec{}, performanceConfig(), 9);
+    Machine m(s, performanceConfig(), 9);
     double sum = 0.0;
     const int conns = 5000;
     for (std::uint64_t c = 0; c < conns; ++c)
@@ -219,8 +215,7 @@ TEST(MachineTest, MemoryStallMatchesExpectedServiceSizing)
 TEST(MachineTest, WorkerUtilizationTracksSubmittedLoad)
 {
     sim::Simulation s;
-    MachineSpec spec;
-    Machine m(s, spec, performanceConfig(), 5);
+    Machine m(s, performanceConfig(), 5);
 
     // Keep worker 0's core half-busy for 10 ms.
     const unsigned core = m.workerCore(0);
@@ -238,7 +233,7 @@ TEST(MachineTest, WorkerUtilizationTracksSubmittedLoad)
     EXPECT_NEAR(m.coreUtilization(core), 0.5, 0.05);
     // Worker utilization averages over all workers (others idle).
     EXPECT_NEAR(m.workerUtilization(),
-                0.5 / spec.workerThreads, 0.05);
+                0.5 / kMachine.workerThreads, 0.05);
 }
 
 } // namespace

@@ -12,10 +12,9 @@ namespace {
 
 TEST(NicTest, QueueWithinHashSpace)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
-    PlacementState placement(spec, cfg, 1);
-    Nic nic(spec, cfg, placement);
+    PlacementState placement(cfg, 1);
+    Nic nic(cfg, placement);
     EXPECT_EQ(nic.queues(), 16u);
     for (std::uint64_t c = 0; c < 1000; ++c)
         EXPECT_LT(nic.queueOf(c), 16u);
@@ -23,20 +22,18 @@ TEST(NicTest, QueueWithinHashSpace)
 
 TEST(NicTest, HashIsDeterministicPerConnection)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
-    PlacementState placement(spec, cfg, 1);
-    Nic nic(spec, cfg, placement);
+    PlacementState placement(cfg, 1);
+    Nic nic(cfg, placement);
     for (std::uint64_t c = 0; c < 100; ++c)
         EXPECT_EQ(nic.queueOf(c), nic.queueOf(c));
 }
 
 TEST(NicTest, HashSpreadsAcrossQueues)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
-    PlacementState placement(spec, cfg, 1);
-    Nic nic(spec, cfg, placement);
+    PlacementState placement(cfg, 1);
+    Nic nic(cfg, placement);
     std::set<unsigned> used;
     for (std::uint64_t c = 0; c < 256; ++c)
         used.insert(nic.queueOf(c));
@@ -45,37 +42,34 @@ TEST(NicTest, HashSpreadsAcrossQueues)
 
 TEST(NicTest, SameNodeAffinityStaysOnSocket0)
 {
-    MachineSpec spec;
     HardwareConfig cfg; // nic low = same-node
     for (std::uint64_t seed = 0; seed < 10; ++seed) {
-        PlacementState placement(spec, cfg, seed);
-        Nic nic(spec, cfg, placement);
+        PlacementState placement(cfg, seed);
+        Nic nic(cfg, placement);
         for (unsigned q = 0; q < nic.queues(); ++q)
-            EXPECT_EQ(spec.socketOf(nic.coreOfQueue(q)), 0u);
+            EXPECT_EQ(kMachine.socketOf(nic.coreOfQueue(q)), 0u);
     }
 }
 
 TEST(NicTest, AllNodesAffinityUsesBothSockets)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
     cfg.nic = NicAffinity::AllNodes;
-    PlacementState placement(spec, cfg, 2);
-    Nic nic(spec, cfg, placement);
+    PlacementState placement(cfg, 2);
+    Nic nic(cfg, placement);
     std::set<unsigned> sockets;
     for (unsigned q = 0; q < nic.queues(); ++q)
-        sockets.insert(spec.socketOf(nic.coreOfQueue(q)));
+        sockets.insert(kMachine.socketOf(nic.coreOfQueue(q)));
     EXPECT_EQ(sockets.size(), 2u);
 }
 
 TEST(NicTest, RotationChangesMappingAcrossRuns)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
     std::set<unsigned> firstQueueCores;
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
-        PlacementState placement(spec, cfg, seed);
-        Nic nic(spec, cfg, placement);
+        PlacementState placement(cfg, seed);
+        Nic nic(cfg, placement);
         firstQueueCores.insert(nic.coreOfQueue(0));
     }
     EXPECT_GT(firstQueueCores.size(), 3u);
@@ -83,10 +77,9 @@ TEST(NicTest, RotationChangesMappingAcrossRuns)
 
 TEST(NicTest, IrqCoreComposesHashAndAffinity)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
-    PlacementState placement(spec, cfg, 5);
-    Nic nic(spec, cfg, placement);
+    PlacementState placement(cfg, 5);
+    Nic nic(cfg, placement);
     for (std::uint64_t c = 0; c < 50; ++c)
         EXPECT_EQ(nic.irqCore(c), nic.coreOfQueue(nic.queueOf(c)));
 }

@@ -6,17 +6,18 @@
 
 #include <set>
 
+#include "hw/machine_spec.h"
+
 namespace treadmill {
 namespace hw {
 namespace {
 
 TEST(PlacementTest, DeterministicForSameSeed)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
-    PlacementState a(spec, cfg, 42);
-    PlacementState b(spec, cfg, 42);
-    for (unsigned w = 0; w < spec.workerThreads; ++w)
+    PlacementState a(cfg, 42);
+    PlacementState b(cfg, 42);
+    for (unsigned w = 0; w < kMachine.workerThreads; ++w)
         EXPECT_EQ(a.workerCore(w), b.workerCore(w));
     for (std::uint64_t c = 0; c < 64; ++c) {
         EXPECT_EQ(a.workerOfConnection(c), b.workerOfConnection(c));
@@ -28,11 +29,10 @@ TEST(PlacementTest, DeterministicForSameSeed)
 
 TEST(PlacementTest, DifferentSeedsDiffer)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
     std::set<double> fractions;
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
-        PlacementState p(spec, cfg, seed);
+        PlacementState p(cfg, seed);
         fractions.insert(p.localBufferFraction());
     }
     // Essentially every run should draw a distinct local fraction.
@@ -41,40 +41,37 @@ TEST(PlacementTest, DifferentSeedsDiffer)
 
 TEST(PlacementTest, WorkerCoresAreDistinctSocket0Cores)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
     for (std::uint64_t seed = 0; seed < 20; ++seed) {
-        PlacementState p(spec, cfg, seed);
+        PlacementState p(cfg, seed);
         std::set<unsigned> cores;
-        for (unsigned w = 0; w < spec.workerThreads; ++w) {
+        for (unsigned w = 0; w < kMachine.workerThreads; ++w) {
             const unsigned c = p.workerCore(w);
-            EXPECT_LT(c, spec.coresPerSocket); // socket 0
+            EXPECT_LT(c, kMachine.coresPerSocket); // socket 0
             cores.insert(c);
         }
-        EXPECT_EQ(cores.size(), spec.workerThreads); // distinct
+        EXPECT_EQ(cores.size(), kMachine.workerThreads); // distinct
     }
 }
 
 TEST(PlacementTest, ConnectionsSpreadAcrossWorkers)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
-    PlacementState p(spec, cfg, 7);
-    std::vector<int> counts(spec.workerThreads, 0);
+    PlacementState p(cfg, 7);
+    std::vector<int> counts(kMachine.workerThreads, 0);
     const int conns = 1000;
     for (std::uint64_t c = 0; c < conns; ++c)
         ++counts[p.workerOfConnection(c)];
-    for (unsigned w = 0; w < spec.workerThreads; ++w)
-        EXPECT_NEAR(counts[w], conns / static_cast<int>(spec.workerThreads),
+    for (unsigned w = 0; w < kMachine.workerThreads; ++w)
+        EXPECT_NEAR(counts[w], conns / static_cast<int>(kMachine.workerThreads),
                     conns / 8);
 }
 
 TEST(PlacementTest, SameNodeLocalFractionInRange)
 {
-    MachineSpec spec;
     HardwareConfig cfg; // numa low = same-node
     for (std::uint64_t seed = 0; seed < 50; ++seed) {
-        PlacementState p(spec, cfg, seed);
+        PlacementState p(cfg, seed);
         EXPECT_GE(p.localBufferFraction(), 0.78);
         EXPECT_LE(p.localBufferFraction(), 0.92);
         // Empirical local fraction tracks the drawn fraction.
@@ -89,10 +86,9 @@ TEST(PlacementTest, SameNodeLocalFractionInRange)
 
 TEST(PlacementTest, InterleaveBuffersNeverWhollyLocal)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
     cfg.numa = NumaPolicy::Interleave;
-    PlacementState p(spec, cfg, 3);
+    PlacementState p(cfg, 3);
     for (std::uint64_t c = 0; c < 100; ++c)
         EXPECT_FALSE(p.bufferIsLocal(c));
     EXPECT_NEAR(p.perAccessRemoteProbability(), 0.5, 0.05);
@@ -100,11 +96,10 @@ TEST(PlacementTest, InterleaveBuffersNeverWhollyLocal)
 
 TEST(PlacementTest, NicRotationWithinQueueCount)
 {
-    MachineSpec spec;
     HardwareConfig cfg;
     for (std::uint64_t seed = 0; seed < 40; ++seed) {
-        PlacementState p(spec, cfg, seed);
-        EXPECT_LT(p.nicQueueRotation(), spec.nicQueues());
+        PlacementState p(cfg, seed);
+        EXPECT_LT(p.nicQueueRotation(), kMachine.nicQueues());
     }
 }
 

@@ -50,9 +50,9 @@ struct Cluster {
     std::vector<std::unique_ptr<FakeBackend>> backends;
     std::unique_ptr<LoadBalancer> balancer;
 
-    explicit Cluster(BalancerParams params, SimDuration delay = 0)
+    explicit Cluster(BalancerConfig params, SimDuration delay = 0)
     {
-        balancer = std::make_unique<LoadBalancer>(sim, params);
+        balancer = std::make_unique<LoadBalancer>(sim, params, 1);
         balancer->setSink([this](server::RequestPtr resp) {
             completedSeqIds.push_back(resp->seqId);
         });
@@ -89,18 +89,17 @@ struct Cluster {
 /** The one key every request of the routing-consistency test uses. */
 constexpr std::uint64_t kHotKey = 424242;
 
-BalancerParams
+BalancerConfig
 smallCluster(std::uint32_t backends)
 {
-    BalancerParams p;
+    BalancerConfig p;
     p.backends = backends;
-    p.vnodesPerBackend = 64;
     return p;
 }
 
 TEST(BalancerTest, ValidatesConfiguration)
 {
-    BalancerParams p;
+    BalancerConfig p;
     EXPECT_THROW(p.validate(), ConfigError); // zero backends
 
     p = smallCluster(2);
@@ -120,7 +119,7 @@ TEST(BalancerTest, ValidatesConfiguration)
 TEST(BalancerTest, RejectsOverAttachingBackends)
 {
     sim::Simulation sim;
-    LoadBalancer balancer(sim, smallCluster(1));
+    LoadBalancer balancer(sim, smallCluster(1), 1);
     balancer.addBackend({[](server::RequestPtr) {}, nullptr});
     EXPECT_THROW(balancer.addBackend({[](server::RequestPtr) {}, nullptr}),
                  ConfigError);
@@ -129,10 +128,10 @@ TEST(BalancerTest, RejectsOverAttachingBackends)
 TEST(BalancerTest, MetricScopeIsClaimedOncePerSimulation)
 {
     sim::Simulation sim;
-    LoadBalancer first(sim, smallCluster(2));
+    LoadBalancer first(sim, smallCluster(2), 1);
     // A second balancer on the same registry would silently share
     // "lb.*" metric names; the scope claim turns that into an error.
-    EXPECT_THROW(LoadBalancer(sim, smallCluster(2)), ConfigError);
+    EXPECT_THROW(LoadBalancer(sim, smallCluster(2), 1), ConfigError);
 }
 
 TEST(BalancerTest, SameKeyAlwaysRoutesToTheSameBackend)

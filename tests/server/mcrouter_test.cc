@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -62,8 +63,8 @@ class FixedDelayPool : public Service
 TEST(McrouterTest, RoutesAndResponds)
 {
     sim::Simulation sim;
-    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 1);
-    McrouterServer router(machine, McrouterParams{}, 1);
+    hw::Machine machine(sim, perfConfig(), 1);
+    McrouterServer router(machine, 1);
 
     RequestPtr response;
     router.setSink([&](RequestPtr r) { response = std::move(r); });
@@ -77,11 +78,8 @@ TEST(McrouterTest, RoutesAndResponds)
 TEST(McrouterTest, LatencyIncludesBackendRoundTrip)
 {
     sim::Simulation sim;
-    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 1);
-    McrouterParams params;
-    params.backendMeanUs = 50.0;
-    params.backendSigmaUs = 1.0;
-    McrouterServer router(machine, params, 1);
+    hw::Machine machine(sim, perfConfig(), 1);
+    McrouterServer router(machine, 1);
 
     RequestPtr response;
     router.setSink([&](RequestPtr r) { response = std::move(r); });
@@ -90,17 +88,15 @@ TEST(McrouterTest, LatencyIncludesBackendRoundTrip)
     ASSERT_NE(response, nullptr);
     // Router CPU alone is ~12 us; with the backend wait we must be
     // clearly above the backend mean.
-    EXPECT_GT(response->serverLatencyUs(), 50.0);
+    EXPECT_GT(response->serverLatencyUs(),
+              McrouterServer::kBackendMeanUs);
 }
 
 TEST(McrouterTest, BackendWaitDoesNotOccupyCore)
 {
     sim::Simulation sim;
-    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 1);
-    McrouterParams params;
-    params.backendMeanUs = 200.0;
-    params.backendSigmaUs = 1.0;
-    McrouterServer router(machine, params, 1);
+    hw::Machine machine(sim, perfConfig(), 1);
+    McrouterServer router(machine, 1);
 
     // Two requests on the same connection: the second's deserialize
     // should start while the first waits on its backend.
@@ -113,17 +109,21 @@ TEST(McrouterTest, BackendWaitDoesNotOccupyCore)
     }
     sim.run();
     ASSERT_EQ(responses.size(), 2u);
-    // Both worker phases started well before the first response's
-    // backend wait ended (~200 us).
-    EXPECT_LT(toMicros(responses[0]->workerStart), 100.0);
-    EXPECT_LT(toMicros(responses[1]->workerStart), 100.0);
+    // Both worker phases started before either backend wait ended: a
+    // core held through the wait would start the second parse only
+    // after the first reply was serialized.
+    const SimTime lastStart =
+        std::max(responses[0]->workerStart, responses[1]->workerStart);
+    const SimTime firstEnd =
+        std::min(responses[0]->workerEnd, responses[1]->workerEnd);
+    EXPECT_LT(lastStart, firstEnd);
 }
 
 TEST(McrouterTest, TimestampsOrdered)
 {
     sim::Simulation sim;
-    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 4);
-    McrouterServer router(machine, McrouterParams{}, 4);
+    hw::Machine machine(sim, perfConfig(), 4);
+    McrouterServer router(machine, 4);
 
     RequestPtr response;
     router.setSink([&](RequestPtr r) { response = std::move(r); });
@@ -139,8 +139,8 @@ TEST(McrouterTest, TimestampsOrdered)
 TEST(McrouterTest, BackendPoolAnswersIntoTheSerializeStage)
 {
     sim::Simulation sim;
-    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 1);
-    McrouterServer router(machine, McrouterParams{}, 1);
+    hw::Machine machine(sim, perfConfig(), 1);
+    McrouterServer router(machine, 1);
     FixedDelayPool pool(sim, microseconds(300));
     router.setBackendPool(&pool);
 
@@ -166,8 +166,8 @@ TEST(McrouterTest, BackendPoolAnswersIntoTheSerializeStage)
 TEST(McrouterTest, ExpectedServiceSmallerThanMemcached)
 {
     sim::Simulation sim;
-    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 1);
-    McrouterServer router(machine, McrouterParams{}, 1);
+    hw::Machine machine(sim, perfConfig(), 1);
+    McrouterServer router(machine, 1);
     // mcrouter touches memory much less: its sizing service time uses
     // the scaled stall.
     const double s = router.expectedServiceSeconds(64.0);

@@ -41,8 +41,8 @@ class MemcachedTest : public ::testing::Test
 {
   protected:
     MemcachedTest()
-        : machine(sim, hw::MachineSpec{}, perfConfig(), 1),
-          server(machine, MemcachedParams{}, 1)
+        : machine(sim, perfConfig(), 1),
+          server(machine, 1)
     {
         server.setSink(
             [this](RequestPtr r) { responses.push_back(std::move(r)); });
@@ -73,6 +73,18 @@ TEST_F(MemcachedTest, SetThenGetHits)
     EXPECT_TRUE(responses[1]->hit); // GET found it
     EXPECT_EQ(responses[1]->responseBytes, 48u + 100u);
     EXPECT_EQ(server.served(), 2u);
+}
+
+TEST_F(MemcachedTest, EmptyValueIsAHit)
+{
+    server.receive(makeRequest(1, OpType::Set, 7, 0, 0));
+    sim.run();
+    server.receive(makeRequest(2, OpType::Get, 7, 0, sim.now()));
+    sim.run();
+
+    ASSERT_EQ(responses.size(), 2u);
+    EXPECT_TRUE(responses[1]->hit);
+    EXPECT_EQ(responses[1]->responseBytes, 48u);
 }
 
 TEST_F(MemcachedTest, GetMissOnUnknownKey)
@@ -135,12 +147,15 @@ TEST_F(MemcachedTest, ExpectedServiceSizingIsReasonable)
 TEST(MemcachedStandaloneTest, StoreStateSurvivesAcrossRequests)
 {
     sim::Simulation sim;
-    hw::Machine machine(sim, hw::MachineSpec{}, perfConfig(), 2);
-    MemcachedServer server(machine, MemcachedParams{}, 2);
+    hw::Machine machine(sim, perfConfig(), 2);
+    MemcachedServer server(machine, 2);
     int hits = 0;
+    std::uint64_t getBytes = 0;
     server.setSink([&](RequestPtr r) {
-        if (r->op == OpType::Get)
+        if (r->op == OpType::Get) {
             hits += r->hit;
+            getBytes += r->responseBytes;
+        }
     });
 
     // Populate 100 keys, then read them all back.
@@ -152,7 +167,8 @@ TEST(MemcachedStandaloneTest, StoreStateSurvivesAcrossRequests)
     sim.run();
     EXPECT_EQ(hits, 100);
     EXPECT_EQ(server.store().size(), 100u);
-    EXPECT_EQ(server.store().bytesStored(), 100u * 64u);
+    // Each hit answers with the 64 bytes its key's SET stored.
+    EXPECT_EQ(getBytes, 100u * (48u + 64u));
 }
 
 } // namespace

@@ -226,7 +226,7 @@ TEST(TmlintRules, UnorderedContainersOnlyInExportModules)
                         "no-unordered-in-export"),
               1);
     // The paper-facing server model may hash; order never leaves it.
-    EXPECT_EQ(countRule(lintOne("src/server/kvstore.cc", usage),
+    EXPECT_EQ(countRule(lintOne("src/server/memcached.cc", usage),
                         "no-unordered-in-export"),
               0);
     // The #include alone is enough to flag.
@@ -417,7 +417,7 @@ TEST(TmlintLayering, DownwardIncludesAreAllowed)
     linter.lintFile("src/core/experiment.cc",
                     "#include \"util/json.h\"\n"
                     "#include \"sim/simulation.h\"\n"
-                    "#include \"server/kvstore.h\"\n");
+                    "#include \"server/memcached.h\"\n");
     linter.lintFile("src/sim/simulation.cc",
                     "#include \"obs/metrics.h\"\n"
                     "#include \"sim/event_queue.h\"\n");
@@ -452,7 +452,7 @@ TEST(TmlintLayering, StoreStaysBelowTheSimulationStack)
         lintOne("src/store/writer.cc", "#include \"sim/simulation.h\"\n");
     EXPECT_EQ(countRule(sim, "layering"), 1) << describe(sim);
     const auto server =
-        lintOne("src/store/reader.cc", "#include \"server/kvstore.h\"\n");
+        lintOne("src/store/reader.cc", "#include \"server/memcached.h\"\n");
     EXPECT_EQ(countRule(server, "layering"), 1) << describe(server);
     const auto stats =
         lintOne("src/store/record.h", "#include \"stats/reservoir.h\"\n");

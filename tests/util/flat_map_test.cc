@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -18,6 +19,9 @@ TEST(FlatMapTest, InsertFindErase)
 {
     FlatU64Map<std::uint64_t> m;
     EXPECT_TRUE(m.empty());
+    EXPECT_EQ(m.capacity(), 0u); // no storage until the first insert
+    EXPECT_EQ(m.find(5), nullptr);
+    EXPECT_FALSE(m.erase(5));
     m.insertOrAssign(5, 50);
     m.insertOrAssign(6, 60);
     ASSERT_NE(m.find(5), nullptr);
@@ -69,6 +73,44 @@ TEST(FlatMapTest, SteadyStateWindowDoesNotGrow)
     }
     EXPECT_EQ(m.capacity(), cap);
     EXPECT_EQ(m.size(), 512u);
+}
+
+TEST(FlatMapTest, OwningValuesMoveAndReleaseAtErase)
+{
+    // Values that own resources (the client's pending table holds
+    // pooled request handles) move on rehash and backward shift, are
+    // mutable through find(), and are released when erased or cleared.
+    FlatU64Map<std::shared_ptr<int>> m;
+    std::vector<std::weak_ptr<int>> owned;
+    for (std::uint64_t i = 0; i < 200; ++i) { // several rehashes
+        auto value = std::make_shared<int>(static_cast<int>(i));
+        owned.push_back(value);
+        m.insertOrAssign(i, std::move(value));
+    }
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        ASSERT_NE(m.find(i), nullptr);
+        EXPECT_EQ(owned[i].use_count(), 1) << "key " << i;
+    }
+
+    **m.find(7) = 70;
+    EXPECT_EQ(*owned[7].lock(), 70);
+
+    // Erasing every other key shifts later chain members back into
+    // the holes; each erased value is released at once, and every
+    // survivor keeps exactly one owner.
+    for (std::uint64_t i = 0; i < 200; i += 2) {
+        ASSERT_TRUE(m.erase(i));
+        EXPECT_TRUE(owned[i].expired()) << "kept alive after erase: " << i;
+    }
+    for (std::uint64_t i = 1; i < 200; i += 2) {
+        ASSERT_NE(m.find(i), nullptr);
+        EXPECT_EQ(**m.find(i), i == 7 ? 70 : static_cast<int>(i));
+        EXPECT_EQ(owned[i].use_count(), 1);
+    }
+
+    m.clear();
+    for (const auto &weak : owned)
+        EXPECT_TRUE(weak.expired());
 }
 
 TEST(FlatMapTest, MatchesReferenceOverRandomOps)
