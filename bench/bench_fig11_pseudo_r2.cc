@@ -36,14 +36,8 @@ sweep(const char *label, core::WorkloadKind kind, double utilization)
                     model.pseudoR2);
 
     // ANOVA/OLS baseline on the mean response for contrast.
-    std::vector<std::vector<double>> levels;
-    regress::Vec y;
-    for (const auto &obs : result.observations) {
-        const auto l = obs.config.levels();
-        levels.emplace_back(l.begin(), l.end());
-        y.push_back(obs.quantileUs.at(0.99));
-    }
-    const auto ols = regress::fitFactorialOls(result.design, levels, y);
+    const auto ols = regress::fitFactorialOls(
+        result.design, result.levels, result.responses.at(0.99));
     std::printf("  (OLS/ANOVA R2 on the P99 response: %.3f -- models"
                 " the mean of the\n   quantile, not the quantile"
                 " itself)\n\n",

@@ -74,7 +74,7 @@ main()
     screening.tau = 0.99;
     screening.seed = params.seed;
     for (const auto &screen :
-         analysis::screenFactors(attribution.observations, screening)) {
+         analysis::screenFactors(attribution, screening)) {
         std::printf("  %-6s effect %+7.1f us   p=%.3f   %s\n",
                     screen.name.c_str(), screen.effectUs,
                     screen.pValue,

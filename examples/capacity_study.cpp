@@ -10,8 +10,9 @@
  * planner would on the same bracket while every narrowed probe is
  * backed by a confidence verdict. A 2^2 factorial attribution sweep
  * (shard-2 stall x balancer policy) then runs through the
- * StudyDriver's simulate -> persist -> fit pipeline with span tracing
- * on, and the fitted models land next to the archive as models.json.
+ * StudyDriver -- one fan-out that archives every run, then one fit --
+ * with span tracing on, and the fitted models land next to the archive
+ * as models.json.
  *
  * Phase 2 (--refit): open the archives read-only and reproduce every
  * conclusion with zero simulations -- verify both archives, re-fit
@@ -250,7 +251,6 @@ runStudy(const std::string &dir)
     driverParams.fit = factorialFit();
     driverParams.attachProvenance = true;
     driverParams.provenanceQuantiles = {0.5, 0.99};
-    driverParams.refitEvery = 4;
 
     store::StudyMeta facMeta;
     facMeta.name = "factorial";
@@ -260,15 +260,12 @@ runStudy(const std::string &dir)
     store::StudyWriter facArchive(root + "/factorial", facMeta,
                                   store::StudyWriter::Options{true});
 
-    std::printf("\nPipelined 2^2 factorial sweep (%zu runs, spans "
-                "on, refit every %u completions)...\n",
-                plan.size(), driverParams.refitEvery);
+    std::printf("\n2^2 factorial sweep (%zu runs, spans on)...\n",
+                plan.size());
     drive::StudyDriver driver(driverParams);
     const drive::StudyOutcome outcome = driver.run(plan, &facArchive);
     facArchive.finish();
-    std::printf("  %zu runs archived, %u incremental refits "
-                "overlapped simulation\n",
-                outcome.runs, outcome.refitsOverlapped);
+    std::printf("  %zu runs archived\n", outcome.runs);
 
     std::printf("\n%s\n",
                 analysis::renderCoefficientTable(outcome.models)

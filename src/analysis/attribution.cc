@@ -23,9 +23,9 @@ AttributionResult::predict(double tau,
                            const hw::HardwareConfig &config) const
 {
     const QuantileModel &m = model(tau);
-    const auto levels = config.levels();
-    const regress::Vec row = design.designRow(
-        std::vector<double>(levels.begin(), levels.end()));
+    const auto cell = config.levels();
+    const regress::Vec row =
+        design.designRow(std::vector<double>(cell.begin(), cell.end()));
     return m.fit.predict(row);
 }
 
@@ -126,45 +126,6 @@ fitFactorialModels(const regress::FactorialDesign &design,
         models.push_back(std::move(model));
     }
     return models;
-}
-
-AttributionResult
-fitAttribution(const AttributionParams &params,
-               std::vector<Observation> observations)
-{
-    if (observations.empty())
-        throw NumericalError("attribution needs observations");
-
-    AttributionResult result;
-    result.observations = std::move(observations);
-
-    std::vector<std::vector<double>> levels;
-    levels.reserve(result.observations.size());
-    for (const Observation &obs : result.observations) {
-        const auto l = obs.config.levels();
-        levels.emplace_back(l.begin(), l.end());
-    }
-    std::map<double, std::vector<double>> responses;
-    for (double tau : params.quantiles) {
-        std::vector<double> y;
-        y.reserve(result.observations.size());
-        for (const Observation &obs : result.observations) {
-            const auto it = obs.quantileUs.find(tau);
-            if (it == obs.quantileUs.end())
-                throw NumericalError(
-                    strprintf("observation missing tau=%g", tau));
-            y.push_back(it->second);
-        }
-        responses.emplace(tau, std::move(y));
-    }
-
-    FactorialFitParams fit;
-    fit.quantiles = params.quantiles;
-    fit.bootstrapReplicates = params.bootstrapReplicates;
-    fit.seed = params.seed;
-    result.models =
-        fitFactorialModels(result.design, levels, responses, fit);
-    return result;
 }
 
 } // namespace analysis

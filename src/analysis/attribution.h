@@ -4,11 +4,12 @@
  *
  * The pipeline: run repeated experiments over random permutations of
  * the 2^4 factorial configurations (at least `repsPerConfig` per
- * cell), take each experiment's aggregated quantile as the response
- * variable, fit quantile regression with all interaction terms at each
- * requested tau (exactly, in closed form: regress/factorial.h), and
- * report Table IV-style estimates with within-cell bootstrap standard
- * errors, p-values, and the pseudo-R^2 goodness-of-fit.
+ * cell), take each experiment's per-instance aggregated quantile as
+ * the response variable, fit quantile regression with all interaction
+ * terms at each requested tau (exactly, in closed form:
+ * regress/factorial.h), and report Table IV-style estimates with
+ * within-cell bootstrap standard errors, p-values, and the pseudo-R^2
+ * goodness-of-fit.
  *
  * This header holds the data model and the fit; the sweep runs in
  * drive::StudyDriver (drive::hardwarePlan, drive::runAttribution).
@@ -45,26 +46,15 @@ struct AttributionParams {
     unsigned repsPerConfig = 30;
     /** Bootstrap replicates for standard errors. */
     std::size_t bootstrapReplicates = 200;
-    core::AggregationKind aggregation =
-        core::AggregationKind::PerInstance;
     /** Seeds the run order, every run seed, and the fit. */
     std::uint64_t seed = 1;
-    /** StudyDriver's simulation fan-out; the Observation set and the
+    /** StudyDriver's simulation fan-out; the levels, responses and
      *  models are bit-exact for every setting (each run's seed depends
      *  only on its plan index). */
     exec::Parallelism parallelism{};
     /** Optional sweep observer, forwarded to StudyDriver (runs done /
      *  total, wall-clock, achieved sim-time throughput). */
     exec::ProgressFn progress{};
-};
-
-/** One measured experiment in the attribution data set. */
-struct Observation {
-    hw::HardwareConfig config;
-    std::uint64_t runSeed = 0;
-    /** Aggregated quantile latency per requested tau, microseconds. */
-    std::map<double, double> quantileUs;
-    double serverUtilization = 0.0;
 };
 
 /** Table IV row: one term of one quantile model. */
@@ -83,9 +73,13 @@ struct QuantileModel {
     regress::QuantRegResult fit;
 };
 
-/** Complete outcome of an attribution study. */
+/** Complete outcome of an attribution study: its data set and fit. */
 struct AttributionResult {
-    std::vector<Observation> observations;
+    /** One 0/1 level vector per run, in `design`'s factor order. */
+    std::vector<std::vector<double>> levels;
+    /** tau -> one per-instance aggregated response per run (us), in
+     *  the order of `levels`. */
+    std::map<double, std::vector<double>> responses;
     std::vector<QuantileModel> models;
     regress::FactorialDesign design{
         std::vector<std::string>{"numa", "turbo", "dvfs", "nic"}};
@@ -128,8 +122,8 @@ struct FactorialFitParams {
 
 /**
  * Fit one QuantileModel per requested tau to a generic 2-level
- * factorial data set. This is the engine behind fitAttribution() and
- * drive::StudyDriver, so studies with factor sets other than the
+ * factorial data set. This is the engine behind drive::StudyDriver and
+ * analysis::refitFromStore, so studies with factor sets other than the
  * hardware one -- e.g. injected-fault toggles -- get the identical
  * treatment: the exact quantile regression with all interactions,
  * within-cell bootstrap standard errors, pseudo-R^2.
@@ -147,12 +141,6 @@ std::vector<QuantileModel> fitFactorialModels(
     const std::vector<std::vector<double>> &levels,
     const std::map<double, std::vector<double>> &responses,
     const FactorialFitParams &params);
-
-/**
- * Fit the quantile-regression models to an observation set.
- */
-AttributionResult fitAttribution(const AttributionParams &params,
-                                 std::vector<Observation> observations);
 
 } // namespace analysis
 } // namespace treadmill

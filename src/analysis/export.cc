@@ -127,7 +127,7 @@ toJson(const AttributionResult &attribution)
 {
     json::Object doc;
     doc["observations"] = json::Value(
-        static_cast<std::int64_t>(attribution.observations.size()));
+        static_cast<std::int64_t>(attribution.levels.size()));
     doc["models"] = toJson(attribution.models);
     return json::Value(std::move(doc));
 }

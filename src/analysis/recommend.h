@@ -67,8 +67,6 @@ struct ImprovementParams {
     double tau = 0.99;
     /** Runs per arm (paper: 100). */
     unsigned runsPerArm = 100;
-    core::AggregationKind aggregation =
-        core::AggregationKind::PerInstance;
     std::uint64_t seed = 1;
 };
 

@@ -1,78 +1,46 @@
 #include "analysis/refit.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/span.h"
-#include "stats/summary.h"
 #include "util/error.h"
 #include "util/strings.h"
 
 namespace treadmill {
 namespace analysis {
 
-StoredObservations
-loadObservations(const store::StudyReader &study,
-                 const std::vector<double> &quantiles)
-{
-    const store::StudyMeta &meta = study.meta();
-    StoredObservations out{
-        regress::FactorialDesign(meta.factors), {}, {}, {}};
-    out.levels.reserve(
-        static_cast<std::size_t>(study.runCount()));
-
-    for (std::uint64_t seq = 0; seq < study.runCount(); ++seq) {
-        const store::RunReader run = study.openRun(seq);
-        out.levels.push_back(
-            run.doubles(store::ColumnId::FactorLevels).toVector());
-        out.seeds.push_back(
-            run.u64s(store::ColumnId::Seed)[0]);
-
-        const auto taus = run.doubles(store::ColumnId::QuantileTaus);
-        const auto values =
-            run.doubles(store::ColumnId::QuantileValues);
-        std::vector<double> sortedReservoir;
-        for (double tau : quantiles) {
-            // Prefer the snapshotted value: it is the exact double the
-            // live pipeline fitted, so refits reproduce coefficients
-            // bit-identically.
-            bool snapshotted = false;
-            for (std::size_t i = 0; i < taus.size(); ++i) {
-                if (taus[i] == tau) {
-                    out.responses[tau].push_back(values[i]);
-                    snapshotted = true;
-                    break;
-                }
-            }
-            if (snapshotted)
-                continue;
-            if (sortedReservoir.empty()) {
-                sortedReservoir =
-                    run.doubles(store::ColumnId::Reservoir)
-                        .toVector();
-                if (sortedReservoir.empty())
-                    throw ConfigError(strprintf(
-                        "run %llu snapshots no tau %g and has an "
-                        "empty reservoir",
-                        static_cast<unsigned long long>(seq), tau));
-                std::sort(sortedReservoir.begin(),
-                          sortedReservoir.end());
-            }
-            out.responses[tau].push_back(
-                stats::quantileSorted(sortedReservoir, tau));
-        }
-    }
-    return out;
-}
-
 std::vector<QuantileModel>
 refitFromStore(const store::StudyReader &study,
                const FactorialFitParams &params)
 {
-    const StoredObservations data =
-        loadObservations(study, params.quantiles);
-    return fitFactorialModels(data.design, data.levels, data.responses,
-                              params);
+    std::vector<std::vector<double>> levels;
+    std::map<double, std::vector<double>> responses;
+    levels.reserve(static_cast<std::size_t>(study.runCount()));
+    for (std::uint64_t seq = 0; seq < study.runCount(); ++seq) {
+        const store::RunReader run = study.openRun(seq);
+        levels.push_back(
+            run.doubles(store::ColumnId::FactorLevels).toVector());
+        const std::vector<double> taus =
+            run.doubles(store::ColumnId::QuantileTaus).toVector();
+        const auto values = run.doubles(store::ColumnId::QuantileValues);
+        for (double tau : params.quantiles) {
+            const auto it = std::find(taus.begin(), taus.end(), tau);
+            if (it == taus.end()) {
+                std::vector<std::string> have;
+                for (double t : taus)
+                    have.push_back(strprintf("%g", t));
+                throw ConfigError(strprintf(
+                    "run %llu did not snapshot tau %g (snapshotted: "
+                    "%s); a refit reads only snapshotted taus",
+                    static_cast<unsigned long long>(seq), tau,
+                    join(have, ", ").c_str()));
+            }
+            responses[tau].push_back(values[static_cast<std::size_t>(
+                it - taus.begin())]);
+        }
+    }
+    return fitFactorialModels(regress::FactorialDesign(study.meta().factors),
+                              levels, responses, params);
 }
 
 std::map<double, std::vector<StoredProvenanceRank>>

@@ -5,12 +5,15 @@
  * Every entry point here consumes a store::StudyReader and produces
  * the same artifacts the live pipeline produces, bit-identically:
  * refitFromStore() re-fits the factorial quantile-regression models
- * from the archived responses (or, for taus the archive did not
- * snapshot, from the archived latency reservoirs), and
- * provenanceRankFromStore() re-ranks tail-provenance segment shares
- * from the archived per-run rows. "Tell-Tale Tail Latencies"
- * (PAPERS.md) is the motivation: conclusions should be re-examinable
- * from the raw persisted samples, not trusted to one summary pass.
+ * from the archived levels and snapshotted per-instance responses --
+ * the one data set the live fit read -- and provenanceRankFromStore()
+ * re-ranks tail-provenance segment shares from the archived per-run
+ * rows. "Tell-Tale Tail Latencies" (PAPERS.md) is the motivation:
+ * conclusions should be re-examinable from persisted data, which holds
+ * only when the re-examination computes the same quantity. So a tau
+ * the archive did not snapshot is refused rather than recomputed from
+ * the merged reservoir, which would merge before extracting (the
+ * paper's pitfall 2, Fig 2).
  */
 
 #ifndef TREADMILL_ANALYSIS_REFIT_H_
@@ -27,32 +30,17 @@
 namespace treadmill {
 namespace analysis {
 
-/** The archive's factorial data set, materialized for fitting. */
-struct StoredObservations {
-    regress::FactorialDesign design;
-    std::vector<std::vector<double>> levels;
-    /** tau -> one response per run, in run-sequence order. */
-    std::map<double, std::vector<double>> responses;
-    std::vector<std::uint64_t> seeds;
-};
-
 /**
- * Load every run's factor levels and responses for @p quantiles.
- * Taus the archive snapshotted are read back exactly (bit-identical
- * doubles); other taus are computed from the archived reservoir.
+ * Re-fit the factorial quantile-regression models from the archive:
+ * every run's factor levels and, for each tau in params.quantiles, its
+ * snapshotted response, in run-sequence order. Given the same
+ * FactorialFitParams that produced a live fit, the coefficients are
+ * bit-identical to that fit -- the acceptance bar for
+ * refit-from-archive.
  *
- * @throws store errors on unreadable runs; ConfigError when a
- *         requested tau is neither snapshotted nor computable.
- */
-StoredObservations loadObservations(
-    const store::StudyReader &study,
-    const std::vector<double> &quantiles);
-
-/**
- * Re-fit the factorial quantile-regression models from the archive.
- * Given the same FactorialFitParams that produced a live fit, the
- * coefficients are bit-identical to that fit -- the acceptance bar
- * for refit-from-archive.
+ * @throws store errors on unreadable runs; ConfigError naming the tau
+ *         and the snapshotted ones when a run did not snapshot a
+ *         requested tau.
  */
 std::vector<QuantileModel> refitFromStore(
     const store::StudyReader &study,

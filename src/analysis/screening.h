@@ -6,7 +6,7 @@
  * candidate factors "actually have an impact on the tail latency"
  * using null-hypothesis tests over experiments run under random
  * permutations of all factors. screenFactors() implements that step:
- * for each factor it splits the observations into low/high groups and
+ * for each factor it splits the runs into low/high groups and
  * permutation-tests the difference of the group tau-quantile means.
  */
 
@@ -43,13 +43,16 @@ struct ScreeningParams {
 };
 
 /**
- * Screen all four factors against a set of observations collected
- * under random factor permutations (drive::runAttribution output).
+ * Screen every factor of @p study's design against its runs, collected
+ * under random factor permutations (drive::runAttribution output):
+ * its `levels` and its `responses` at params.tau.
  *
- * @throws NumericalError when a factor never varies in the data.
+ * @throws NumericalError when the study has no runs, has no responses
+ *         at params.tau, or a factor never varies in the data;
+ *         ConfigError when a run's levels do not match the design.
  */
 std::vector<FactorScreen>
-screenFactors(const std::vector<Observation> &observations,
+screenFactors(const AttributionResult &study,
               const ScreeningParams &params);
 
 } // namespace analysis

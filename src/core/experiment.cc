@@ -270,8 +270,9 @@ runExperiment(const ExperimentParams &params)
         params.tester.clientMachines);
     if (params.oneRemoteRackClient && !clientSpecs.empty())
         clientSpecs[0].remoteRack = true;
-    h->cluster = std::make_unique<net::Cluster>(
-        h->sim, hw::kMachine.nicGbps, clientSpecs);
+    // The server's access links run at its NIC's Table II speed.
+    static_assert(hw::kMachine.nicGbps == net::kAccessLinkGbps);
+    h->cluster = std::make_unique<net::Cluster>(h->sim, clientSpecs);
 
     if (params.cluster.backends > 0)
         wireClusterTier(h.get());
@@ -514,18 +515,6 @@ runExperiment(const ExperimentParams &params)
                 report.quantiles[q] = inst.collector().quantile(q);
         }
         result.instances.push_back(std::move(report));
-    }
-
-    if (h->balancer) {
-        for (std::uint32_t b = 0; b < params.cluster.backends; ++b) {
-            result.backendServed.push_back(
-                h->backendServers[b]->served());
-            result.backendDispatched.push_back(
-                h->balancer->dispatchedTo(b));
-        }
-        result.lbQueued = h->balancer->queued();
-        result.lbUnroutable = h->balancer->unroutable();
-        result.lbFailovers = h->balancer->failovers();
     }
 
     // Final gauge values that are only known at harvest time, then a

@@ -181,20 +181,11 @@ struct ExperimentResult {
      *  chromeSpanJson() to overlay fault lanes on exported traces. */
     std::vector<obs::TraceAnnotation> faultWindows;
 
-    /** Snapshot of the simulation's metrics registry at run end. */
+    /** Snapshot of the simulation's metrics registry at run end: the
+     *  one source of every count, the cluster tier's included
+     *  (`backend<i>.served`, `lb.backend<i>.dispatched`, `lb.queued`,
+     *  `lb.unroutable`, `lb.failovers`). */
     json::Value metrics;
-
-    /** @name Cluster tier (empty/zero unless cluster.backends > 0)
-     * @{
-     */
-    /** Requests served per backend shard. */
-    std::vector<std::uint64_t> backendServed;
-    /** Requests dispatched per backend shard by the balancer. */
-    std::vector<std::uint64_t> backendDispatched;
-    std::uint64_t lbQueued = 0;     ///< Parked in the dispatch queue.
-    std::uint64_t lbUnroutable = 0; ///< Dropped: all replicas down.
-    std::uint64_t lbFailovers = 0;  ///< Routed past a down primary.
-    /** @} */
 
     /**
      * The q-quantile aggregated across instances: PerInstance computes

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/collector.h"
 #include "util/checksum.h"
 #include "util/strings.h"
 #include "util/types.h"
@@ -159,14 +160,15 @@ toRunRecord(const ExperimentParams &params,
     rec.quantileUs.reserve(taus.size());
     for (double tau : taus)
         rec.quantileUs.push_back(
-            result.aggregatedQuantile(tau, options.aggregation));
+            result.aggregatedQuantile(tau, AggregationKind::PerInstance));
 
     // Merge the per-instance reservoirs into one run-level uniform
-    // sample, weighting by each instance's measured stream length.
-    // The merge Rng derives from the run seed alone, so the record's
-    // bytes are a pure function of (params, seed).
+    // sample of the collector's capacity, weighting by each instance's
+    // measured stream length. The merge Rng derives from the run seed
+    // alone, so the record's bytes are a pure function of (params,
+    // seed).
     stats::ReservoirSampler merged = stats::ReservoirSampler::restored(
-        options.reservoirCapacity,
+        SampleCollector::kReservoirCapacity,
         Rng(params.seed).substream(kReservoirKey), {}, 0);
     for (const InstanceReport &instance : result.instances) {
         if (instance.rawSamples.empty())

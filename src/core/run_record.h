@@ -26,11 +26,9 @@ namespace core {
 
 /** Controls for the conversion. */
 struct RunRecordOptions {
-    /** Taus snapshotted into the quantile columns (ascending). */
+    /** Taus snapshotted into the quantile columns (ascending), each as
+     *  the per-instance aggregated quantile. */
     std::vector<double> quantiles{0.5, 0.95, 0.99};
-    /** Capacity of the merged run-level reservoir. */
-    std::size_t reservoirCapacity = 20000;
-    AggregationKind aggregation = AggregationKind::PerInstance;
 };
 
 /**

@@ -43,8 +43,8 @@ repeatRuns(const Repetitions &reps, const RunObserver &onRun)
             });
         // Strictly in run order; runs past the stop point are dropped.
         for (std::size_t i = 0; i < wave && !stopped; ++i) {
-            kept.push_back(
-                results[i].aggregatedQuantile(reps.tau, reps.aggregation));
+            kept.push_back(results[i].aggregatedQuantile(
+                reps.tau, core::AggregationKind::PerInstance));
             if (onRun)
                 onRun(first + i, params[i], results[i]);
             stopped = reps.stop && kept.size() >= reps.minRuns &&

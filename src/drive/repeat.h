@@ -36,10 +36,9 @@ struct Repetitions {
      *  simulated run, discarded ones too, so it must depend only on
      *  k. */
     std::function<core::ExperimentParams(std::size_t k)> paramsOf;
-    /** Each kept run yields aggregatedQuantile(tau, aggregation). */
+    /** Each kept run yields its per-instance aggregated
+     *  tau-quantile. */
     double tau = 0.99;
-    core::AggregationKind aggregation =
-        core::AggregationKind::PerInstance;
     /** The rule is first checked once this many runs are kept, and
      *  its first wave is this many runs. In [1, maxRuns]. */
     std::size_t minRuns = 1;

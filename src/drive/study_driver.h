@@ -1,22 +1,24 @@
 /**
  * @file
- * StudyDriver: the simulate -> persist -> fit pipeline.
+ * StudyDriver: a factorial study's plan -> archive -> fit.
  *
- * A factorial study has three stages per run: simulate it, persist it
- * to the run store, and (periodically) refit the factorial models on
- * everything measured so far. Running them strictly in sequence
- * leaves the analysis idle while simulations run and the simulator
- * idle while models fit. StudyDriver overlaps them: simulations fan
- * out on a background thread (exec::ParallelRunner, seed-isolated),
- * each completed run is archived immediately under its plan index, and
- * the caller's thread drains a completion queue performing incremental
- * refits while later runs are still simulating -- fitting run k
- * overlaps simulating run k+1.
+ * A factorial study is a plan of independent runs (paper S III-B,
+ * S V-A). StudyDriver fans the whole plan out once
+ * (exec::ParallelRunner: seed-isolated, each index claimed by the next
+ * free lane), reduces each run to its snapshotted per-instance
+ * quantiles, archives it under its plan index, and then fits the
+ * factorial models once, over every run. A fit takes well under a
+ * millisecond, so nothing is gained by overlapping it with simulation.
  *
- * Determinism: archives are seq-addressed and each run's bytes are a
- * pure function of its plan entry, and the final fit consumes
- * responses in plan order, so the archive and the final models are
- * bit-identical for every Parallelism setting and completion order.
+ * The study's one data set is its plan-order `levels` plus those
+ * snapshotted responses: the live fit reads it from the outcome, and
+ * analysis::refitFromStore reads the same doubles back from the
+ * archive, so a refit equals the live fit by construction.
+ *
+ * Determinism: archives are seq-addressed, each run's bytes are a pure
+ * function of its plan entry, and run i fills only slot i of the
+ * outcome, so the archive and the models are bit-identical for every
+ * Parallelism setting and completion order.
  *
  * StudyDriver is the only factorial sweep-and-fit engine: the paper's
  * 2^4 hardware study is a plan (hardwarePlan) run through it
@@ -49,26 +51,21 @@ struct StudyRun {
     std::vector<double> levels;
 };
 
-/** Controls for a pipelined factorial study. */
+/** Controls for a factorial study. */
 struct StudyDriverParams {
     /** Factor names; every StudyRun must carry one level per name. */
     std::vector<std::string> factors;
     /** Quantile-regression controls; `quantiles` also selects which
      *  taus each archived run snapshots. */
     analysis::FactorialFitParams fit;
-    core::AggregationKind aggregation =
-        core::AggregationKind::PerInstance;
-    /** Latency reservoir capacity persisted per run. */
-    std::size_t reservoirCapacity = 20000;
     /** Attach tail-provenance rows to each archived run (requires the
      *  plan entries to enable tracing; runs without spans are archived
      *  without provenance columns). When set, provenanceQuantiles must
      *  be nonempty and lie in (0, 1). */
     bool attachProvenance = false;
     std::vector<double> provenanceQuantiles{0.5, 0.99};
-    /** Refit the models after every this many newly completed runs
-     *  while simulation is still in flight; 0 disables incremental
-     *  refits (the final fit always happens). */
+    /** Has no effect: the study fits once, after its last run. Kept
+     *  only because perfbench/study_bench.cc still sets it. */
     unsigned refitEvery = 0;
     /** Worker knob for the simulation fan-out. */
     exec::Parallelism parallelism{};
@@ -79,16 +76,18 @@ struct StudyDriverParams {
 
 /** Outcome of one driven study. */
 struct StudyOutcome {
-    /** Final models, fitted over all runs in plan order. */
+    /** The models, fitted once over all runs in plan order. */
     std::vector<analysis::QuantileModel> models;
-    /** tau -> one response per run, plan order (what the fit saw). */
+    /** tau -> each run's snapshotted per-instance response, plan
+     *  order: the exact doubles the fit saw and the archive holds. */
     std::map<double, std::vector<double>> responses;
+    /** Each run's factor levels, plan order. */
     std::vector<std::vector<double>> levels;
     /** Each run's metrics-registry snapshot (the JSON the run record
      *  archives: counters, gauges, histograms), plan order. */
     std::vector<std::string> metrics;
-    /** Incremental refits that completed while at least one run was
-     *  still simulating -- the pipeline's overlap evidence. */
+    /** Always 0: no fit overlaps simulation. Kept only because
+     *  perfbench/study_bench.cc still reports it. */
     unsigned refitsOverlapped = 0;
     std::size_t runs = 0;
 };
@@ -101,9 +100,10 @@ class StudyDriver
     explicit StudyDriver(StudyDriverParams params);
 
     /**
-     * Execute @p plan. When @p archive is non-null, run i is persisted
-     * as seq i the moment it completes (the caller owns finish()).
-     * Every plan entry must carry factors().size() levels.
+     * Execute @p plan, then fit. When @p archive is non-null, run i is
+     * persisted as seq i the moment it completes (the caller owns
+     * finish()). Every plan entry must carry factors().size() levels.
+     * Every worker has stopped when this returns or throws.
      *
      * @throws ConfigError on a malformed plan; rethrows the first
      *         simulation/persistence failure after workers stop.
@@ -130,8 +130,8 @@ std::vector<StudyRun> hardwarePlan(const analysis::AttributionParams &params);
 
 /**
  * Run hardwarePlan(@p params) through a StudyDriver (no archive) and
- * package the outcome as an attribution result: one Observation per
- * run in plan order, and StudyDriver's final fit as the models.
+ * package the outcome as an attribution result: the plan-order levels
+ * and responses, and StudyDriver's fit as the models.
  *
  * @throws ConfigError when repsPerConfig is below 2: a cell with one
  *         run fits exactly, but its within-cell bootstrap resample

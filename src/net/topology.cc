@@ -51,16 +51,16 @@ Path::sendHop(std::uint32_t transit) const
     }
 }
 
-Cluster::Cluster(sim::Simulation &sim, double serverLinkGbps,
+Cluster::Cluster(sim::Simulation &sim,
                  const std::vector<ClientSpec> &clients)
 {
     if (clients.empty())
         throw ConfigError("cluster needs at least one client");
 
     serverIn = std::make_unique<Link>(sim, "server-ingress",
-                                      serverLinkGbps, microseconds(1));
+                                      kAccessLinkGbps, microseconds(1));
     serverOut = std::make_unique<Link>(sim, "server-egress",
-                                       serverLinkGbps, microseconds(1));
+                                       kAccessLinkGbps, microseconds(1));
 
     toServer.resize(clients.size());
     toClient.resize(clients.size());

@@ -30,7 +30,8 @@ constexpr SimDuration kSwitchHopLatency = nanoseconds(450);
  *  hops plus their queueing, which the paper's Fig 2 client suffered. */
 constexpr SimDuration kCrossRackExtraPropagation = microseconds(40);
 
-/** Bandwidth of every client and backend-fabric link. */
+/** Bandwidth of every link: client, server access and backend
+ *  fabric. */
 constexpr double kAccessLinkGbps = 10.0;
 
 /**
@@ -91,11 +92,9 @@ class Cluster
 
     /**
      * @param sim Owning simulation.
-     * @param serverLinkGbps Bandwidth of the (shared) server access link.
      * @param clients One spec per client machine.
      */
-    Cluster(sim::Simulation &sim, double serverLinkGbps,
-            const std::vector<ClientSpec> &clients);
+    Cluster(sim::Simulation &sim, const std::vector<ClientSpec> &clients);
 
     Cluster(const Cluster &) = delete;
     Cluster &operator=(const Cluster &) = delete;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "drive/study_driver.h"
 #include "util/error.h"
 
@@ -38,22 +41,23 @@ sharedResult()
 TEST(AttributionTest, CollectsRepsTimesSixteenObservations)
 {
     const auto &r = sharedResult();
-    EXPECT_EQ(r.observations.size(), 32u);
+    EXPECT_EQ(r.levels.size(), 32u);
+    for (const auto &[tau, y] : r.responses)
+        EXPECT_EQ(y.size(), 32u) << "tau " << tau;
     // Every factorial cell appears exactly repsPerConfig times.
-    std::vector<int> counts(16, 0);
-    for (const auto &obs : r.observations)
-        ++counts[obs.config.index()];
-    for (int c : counts)
-        EXPECT_EQ(c, 2);
+    for (const auto &rows : r.design.cellRows(r.levels))
+        EXPECT_EQ(rows.size(), 2u);
 }
 
 TEST(AttributionTest, ObservationOrderIsShuffled)
 {
     const auto &r = sharedResult();
-    // The first 16 observations should not be config 0..15 in order.
+    // The first 16 runs should not be cells 0..15 in order.
     bool inOrder = true;
-    for (unsigned i = 0; i < 16; ++i)
-        inOrder &= r.observations[i].config.index() == i;
+    for (unsigned i = 0; i < 16; ++i) {
+        const auto l = hw::HardwareConfig::fromIndex(i).levels();
+        inOrder &= r.levels[i] == std::vector<double>(l.begin(), l.end());
+    }
     EXPECT_FALSE(inOrder);
 }
 
@@ -137,13 +141,24 @@ TEST(AttributionTest, TailModelHasLargerUncertainty)
 
 TEST(AttributionTest, UtilizationVariesAcrossConfigs)
 {
-    // The fixed request rate means heavier configs run hotter.
-    const auto &r = sharedResult();
+    // The plan holds one request rate for every run, so heavier
+    // configs run hotter: one run of each cell, in plan order.
+    const std::vector<drive::StudyRun> plan =
+        drive::hardwarePlan(quickAttribution());
+    std::vector<bool> seen(16, false);
     double minUtil = 1.0;
     double maxUtil = 0.0;
-    for (const auto &obs : r.observations) {
-        minUtil = std::min(minUtil, obs.serverUtilization);
-        maxUtil = std::max(maxUtil, obs.serverUtilization);
+    for (const drive::StudyRun &run : plan) {
+        EXPECT_EQ(run.params.requestsPerSecond,
+                  plan.front().params.requestsPerSecond);
+        const unsigned cell = run.params.config.index();
+        if (seen[cell])
+            continue;
+        seen[cell] = true;
+        const double util =
+            core::runExperiment(run.params).serverUtilization;
+        minUtil = std::min(minUtil, util);
+        maxUtil = std::max(maxUtil, util);
     }
     EXPECT_GT(maxUtil - minUtil, 0.02);
 }
@@ -157,7 +172,9 @@ TEST(AttributionTest, RejectsZeroReps)
 
 TEST(AttributionTest, FitRejectsEmptyObservations)
 {
-    EXPECT_THROW(fitAttribution(quickAttribution(), {}),
+    const AttributionResult empty;
+    EXPECT_THROW(fitFactorialModels(empty.design, {}, {},
+                                    FactorialFitParams{}),
                  NumericalError);
 }
 

@@ -11,7 +11,7 @@ namespace analysis {
 namespace {
 
 /**
- * Build an AttributionResult from synthetic observations with a known
+ * Build an AttributionResult from a synthetic data set with a known
  * generative model (no simulation), so impact arithmetic can be
  * checked exactly:
  *   y = 100 + 30*turbo - 40*turbo*dvfs + 10*numa + noise(small)
@@ -19,26 +19,25 @@ namespace {
 AttributionResult
 syntheticAttribution()
 {
-    AttributionParams params;
-    params.quantiles = {0.5};
-    params.bootstrapReplicates = 20;
-    params.seed = 5;
-
-    std::vector<Observation> observations;
+    AttributionResult result;
     Rng rng(17);
     Normal noise(0.0, 0.1);
     for (int rep = 0; rep < 8; ++rep) {
         for (unsigned idx = 0; idx < 16; ++idx) {
-            Observation obs;
-            obs.config = hw::HardwareConfig::fromIndex(idx);
-            const auto l = obs.config.levels();
-            obs.quantileUs[0.5] = 100.0 + 30.0 * l[1] -
-                                  40.0 * l[1] * l[2] + 10.0 * l[0] +
-                                  noise.sample(rng);
-            observations.push_back(std::move(obs));
+            const auto l = hw::HardwareConfig::fromIndex(idx).levels();
+            result.levels.emplace_back(l.begin(), l.end());
+            result.responses[0.5].push_back(
+                100.0 + 30.0 * l[1] - 40.0 * l[1] * l[2] + 10.0 * l[0] +
+                noise.sample(rng));
         }
     }
-    return fitAttribution(params, std::move(observations));
+    FactorialFitParams fit;
+    fit.quantiles = {0.5};
+    fit.bootstrapReplicates = 20;
+    fit.seed = 5;
+    result.models = fitFactorialModels(result.design, result.levels,
+                                       result.responses, fit);
+    return result;
 }
 
 TEST(ConditionalImpactTest, RecoverGenerativeCoefficients)

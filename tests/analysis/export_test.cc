@@ -77,25 +77,25 @@ TEST(ExportTest, InstanceFieldsPresent)
 TEST(ExportTest, AttributionSerializes)
 {
     // Synthetic attribution (no simulation) keeps the test quick.
-    AttributionParams params;
-    params.quantiles = {0.5, 0.99};
-    params.bootstrapReplicates = 20;
-    std::vector<Observation> obs;
+    AttributionResult attribution;
     Rng rng(3);
     Normal noise(0.0, 1.0);
     for (int rep = 0; rep < 4; ++rep) {
         for (unsigned idx = 0; idx < 16; ++idx) {
-            Observation o;
-            o.config = hw::HardwareConfig::fromIndex(idx);
-            const auto l = o.config.levels();
+            const auto l = hw::HardwareConfig::fromIndex(idx).levels();
+            attribution.levels.emplace_back(l.begin(), l.end());
             const double base = 100.0 + 25.0 * l[0] +
                                 noise.sample(rng);
-            o.quantileUs[0.5] = base;
-            o.quantileUs[0.99] = base * 3.0;
-            obs.push_back(std::move(o));
+            attribution.responses[0.5].push_back(base);
+            attribution.responses[0.99].push_back(base * 3.0);
         }
     }
-    const auto attribution = fitAttribution(params, std::move(obs));
+    FactorialFitParams fit;
+    fit.quantiles = {0.5, 0.99};
+    fit.bootstrapReplicates = 20;
+    attribution.models =
+        fitFactorialModels(attribution.design, attribution.levels,
+                           attribution.responses, fit);
     const json::Value doc = toJson(attribution);
 
     EXPECT_EQ(doc.at("observations").asInt(), 64);

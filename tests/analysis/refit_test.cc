@@ -108,32 +108,63 @@ fitParams()
     return params;
 }
 
-TEST(RefitTest, LoadsObservationsInSequenceOrder)
+TEST(RefitTest, RefitReadsRunsInSequenceOrder)
 {
+    // Runs written in reverse sequence order are still fitted in
+    // sequence order: the refit equals the live fit on the plan-order
+    // data set, and differs from a fit on the reversed one.
     const SyntheticStudy study = makeStudy(2);
-    const std::string dir = writeStudy(study, "tmrefit_test_load");
+    const std::string dir =
+        (fs::temp_directory_path() / "tmrefit_test_order").string();
+    fs::remove_all(dir);
+    store::StudyMeta meta;
+    meta.name = "synthetic";
+    meta.factors = {"a", "b"};
+    meta.quantiles = {0.5, 0.99};
+    store::StudyWriter writer(dir, meta);
+    for (std::size_t i = study.records.size(); i-- > 0;)
+        writer.writeRun(i, study.records[i]);
+    writer.finish();
+
+    const regress::FactorialDesign design(
+        std::vector<std::string>{"a", "b"});
+    const std::vector<QuantileModel> live = fitFactorialModels(
+        design, study.levels, study.responses, fitParams());
+    std::vector<std::vector<double>> reversedLevels(
+        study.levels.rbegin(), study.levels.rend());
+    std::map<double, std::vector<double>> reversedResponses;
+    for (const auto &[tau, y] : study.responses)
+        reversedResponses[tau].assign(y.rbegin(), y.rend());
+    const std::vector<QuantileModel> reversed = fitFactorialModels(
+        design, reversedLevels, reversedResponses, fitParams());
+
     const store::StudyReader reader(dir);
-    const StoredObservations obs =
-        loadObservations(reader, {0.5, 0.99});
-    EXPECT_EQ(obs.levels, study.levels);
-    // Snapshotted taus come back as the exact archived doubles.
-    EXPECT_EQ(obs.responses.at(0.5), study.responses.at(0.5));
-    EXPECT_EQ(obs.responses.at(0.99), study.responses.at(0.99));
-    ASSERT_EQ(obs.seeds.size(), study.records.size());
-    EXPECT_EQ(obs.seeds.front(), 1000u);
+    const std::string refit =
+        toJson(refitFromStore(reader, fitParams())).dump();
+    EXPECT_EQ(refit, toJson(live).dump());
+    EXPECT_NE(refit, toJson(reversed).dump());
     fs::remove_all(dir);
 }
 
-TEST(RefitTest, UnsnapshottedTauFallsBackToTheReservoir)
+TEST(RefitTest, UnsnapshottedTauIsRefusedByName)
 {
+    // 0.25 was never snapshotted. The archived reservoirs could
+    // produce a number, but a quantile of the merged reservoir is not
+    // the per-instance quantity the live fit used (pitfall 2), so the
+    // refit refuses and names the tau and the snapshotted ones.
     const SyntheticStudy study = makeStudy(1);
     const std::string dir = writeStudy(study, "tmrefit_test_tau");
     const store::StudyReader reader(dir);
-    // 0.25 was never snapshotted; it must come from the reservoir.
-    const StoredObservations obs = loadObservations(reader, {0.25});
-    ASSERT_EQ(obs.responses.at(0.25).size(), study.records.size());
-    for (double v : obs.responses.at(0.25))
-        EXPECT_GT(v, 0.0);
+    FactorialFitParams params = fitParams();
+    params.quantiles = {0.5, 0.25};
+    try {
+        refitFromStore(reader, params);
+        ADD_FAILURE() << "refit accepted an unsnapshotted tau";
+    } catch (const ConfigError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("tau 0.25"), std::string::npos) << what;
+        EXPECT_NE(what.find("0.5, 0.99"), std::string::npos) << what;
+    }
     fs::remove_all(dir);
 }
 
@@ -192,15 +223,21 @@ TEST(RefitTest, ProvenanceRanksAggregateAcrossRuns)
 
 TEST(RefitTest, MissingTauIsConfigError)
 {
+    // One run snapshotted only P50: asking for P99, which every other
+    // run has, fails on that run instead of fitting a short column.
     SyntheticStudy study = makeStudy(1);
-    // Strip the reservoirs so an unsnapshotted tau has no fallback.
-    for (auto &rec : study.records) {
-        rec.reservoir.clear();
-        rec.reservoirSeen = 0;
-    }
+    study.records[2].quantileTaus = {0.5};
+    study.records[2].quantileUs.resize(1);
     const std::string dir = writeStudy(study, "tmrefit_test_missing");
     const store::StudyReader reader(dir);
-    EXPECT_THROW(loadObservations(reader, {0.75}), ConfigError);
+    try {
+        refitFromStore(reader, fitParams());
+        ADD_FAILURE() << "refit accepted a run without tau 0.99";
+    } catch (const ConfigError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("run 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("tau 0.99"), std::string::npos) << what;
+    }
     fs::remove_all(dir);
 }
 

@@ -77,21 +77,23 @@ TEST(CdfTest, RejectsDegenerateInputs)
 TEST(CoefficientTableTest, RendersSyntheticAttribution)
 {
     // Build a tiny synthetic attribution and render it end to end.
-    AttributionParams params;
-    params.quantiles = {0.5, 0.99};
-    params.bootstrapReplicates = 16;
-    std::vector<Observation> obs;
+    AttributionResult attribution;
     for (int rep = 0; rep < 4; ++rep) {
         for (unsigned idx = 0; idx < 16; ++idx) {
-            Observation o;
-            o.config = hw::HardwareConfig::fromIndex(idx);
-            const auto l = o.config.levels();
-            o.quantileUs[0.5] = 100.0 + 50.0 * l[0] + 0.01 * rep;
-            o.quantileUs[0.99] = 300.0 + 150.0 * l[0] + 0.01 * rep;
-            obs.push_back(std::move(o));
+            const auto l = hw::HardwareConfig::fromIndex(idx).levels();
+            attribution.levels.emplace_back(l.begin(), l.end());
+            attribution.responses[0.5].push_back(100.0 + 50.0 * l[0] +
+                                                 0.01 * rep);
+            attribution.responses[0.99].push_back(300.0 + 150.0 * l[0] +
+                                                  0.01 * rep);
         }
     }
-    const auto attribution = fitAttribution(params, std::move(obs));
+    FactorialFitParams fit;
+    fit.quantiles = {0.5, 0.99};
+    fit.bootstrapReplicates = 16;
+    attribution.models =
+        fitFactorialModels(attribution.design, attribution.levels,
+                           attribution.responses, fit);
     const std::string table = renderCoefficientTable(attribution);
 
     // All 16 term rows present; numa flagged significant.

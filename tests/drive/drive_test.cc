@@ -4,8 +4,8 @@
  * speculation bound, Parallelism-independent kept runs, validation),
  * adaptive capacity search (it must beat the fixed bisection's run
  * budget) and the fixed bisection as one of its settings, parameter
- * validation, and the pipelined StudyDriver's determinism, per-run
- * metrics and progress across parallelism settings.
+ * validation, and StudyDriver's determinism, per-run metrics,
+ * progress and failure propagation across parallelism settings.
  */
 
 #include "drive/capacity_controller.h"
@@ -338,7 +338,6 @@ quickDriver()
     params.fit.quantiles = {0.5, 0.9};
     params.fit.bootstrapReplicates = 20;
     params.fit.seed = 5;
-    params.reservoirCapacity = 2000;
     return params;
 }
 
@@ -372,11 +371,8 @@ TEST(StudyDriverTest, ValidatesParamsAndPlan)
     bad = quickDriver();
     bad.fit.quantiles = {1.5};
     EXPECT_THROW(StudyDriver{bad}, ConfigError);
-    bad = quickDriver();
-    bad.reservoirCapacity = 0;
-    EXPECT_THROW(StudyDriver{bad}, ConfigError);
     // More factors than a FactorialDesign takes fail up front, not
-    // once the simulation thread is running.
+    // once runs are simulating.
     bad = quickDriver();
     bad.factors.clear();
     for (int f = 0; f < 17; ++f)
@@ -493,20 +489,37 @@ TEST(StudyDriverTest, MetricsAndProgressFollowThePlan)
     }
 }
 
-TEST(StudyDriverTest, RefitsOverlapSimulation)
+TEST(StudyDriverTest, AFailingRunRethrowsItsConfigError)
 {
-    // With refitEvery = 1 the consumer refits after (nearly) every
-    // completion. Whatever the completion order, by the second-to-last
-    // completion both factor levels are present, so at least one
-    // incremental refit must succeed while runs are still in flight.
-    StudyDriverParams params = quickDriver();
-    params.refitEvery = 1;
-    params.parallelism.threads = 2;
-    const std::vector<StudyRun> plan = quickPlan(3);
-    const StudyOutcome out = StudyDriver(params).run(plan);
-    EXPECT_GE(out.refitsOverlapped, 1u);
-    EXPECT_EQ(out.runs, plan.size());
-    EXPECT_EQ(out.levels.size(), plan.size());
+    // A plan entry whose run cannot start (no client machines) fails
+    // the study with that run's ConfigError, raised on the caller once
+    // every worker has stopped, serially and across three lanes, with
+    // an archive attached.
+    std::vector<StudyRun> plan = quickPlan(2);
+    plan[2].params.tester.clientMachines = 0;
+    store::StudyMeta meta;
+    meta.name = "driver";
+    meta.factors = {"load"};
+    meta.quantiles = {0.5, 0.9};
+    for (unsigned threads : {1u, 3u}) {
+        const std::string dir =
+            (fs::temp_directory_path() /
+             strprintf("tmdrive_test_failing%u", threads))
+                .string();
+        fs::remove_all(dir);
+        store::StudyWriter archive(dir, meta);
+        StudyDriverParams params = quickDriver();
+        params.parallelism.threads = threads;
+        try {
+            StudyDriver(params).run(plan, &archive);
+            ADD_FAILURE() << "threads " << threads << ": no error";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("client"),
+                      std::string::npos)
+                << e.what();
+        }
+        fs::remove_all(dir);
+    }
 }
 
 } // namespace

@@ -7,9 +7,9 @@
  * every run derives all of its state (Simulation, Rng streams,
  * collectors) from its own seed, and results land in index-addressed
  * slots. These tests pin both: the same seeds must produce identical
- * ExperimentResult quantiles, identical hardware-study observations and
- * models, identical converged repetitions, and identical capacity
- * searches and archives under Parallelism 1, 2, and 8.
+ * ExperimentResult quantiles, identical hardware-study levels,
+ * responses and models, identical converged repetitions, and identical
+ * capacity searches and archives under Parallelism 1, 2, and 8.
  */
 
 #include <gtest/gtest.h>
@@ -202,16 +202,10 @@ TEST(DeterminismTest, HardwareStudyIdenticalSerialVsParallel)
     for (unsigned threads : {2u, 8u}) {
         params.parallelism = exec::Parallelism{threads};
         const auto parallel = drive::runAttribution(params);
-        ASSERT_EQ(parallel.observations.size(),
-                  serial.observations.size());
-        for (std::size_t i = 0; i < serial.observations.size(); ++i) {
-            const analysis::Observation &a = parallel.observations[i];
-            const analysis::Observation &b = serial.observations[i];
-            EXPECT_EQ(a.runSeed, b.runSeed);
-            EXPECT_EQ(a.config.index(), b.config.index());
-            EXPECT_EQ(a.quantileUs, b.quantileUs);
-            EXPECT_EQ(a.serverUtilization, b.serverUtilization);
-        }
+        EXPECT_EQ(parallel.levels, serial.levels)
+            << "threads " << threads;
+        EXPECT_EQ(parallel.responses, serial.responses)
+            << "threads " << threads;
         EXPECT_EQ(analysis::toJson(parallel.models).dump(),
                   analysis::toJson(serial.models).dump())
             << "threads " << threads;
@@ -257,21 +251,19 @@ TEST(DeterminismTest, ScreeningIdenticalSerialVsParallel)
     collect.seed = 9;
     collect.bootstrapReplicates = 10;
     collect.parallelism = exec::Parallelism{8};
-    const auto observations =
-        drive::runAttribution(collect).observations;
+    const analysis::AttributionResult study =
+        drive::runAttribution(collect);
 
     analysis::ScreeningParams params;
     params.tau = 0.99;
     params.permutations = 200;
 
     params.parallelism = exec::Parallelism::serial();
-    const auto serial =
-        analysis::screenFactors(observations, params);
+    const auto serial = analysis::screenFactors(study, params);
 
     for (unsigned threads : {2u, 8u}) {
         params.parallelism = exec::Parallelism{threads};
-        const auto parallel =
-            analysis::screenFactors(observations, params);
+        const auto parallel = analysis::screenFactors(study, params);
         ASSERT_EQ(parallel.size(), serial.size());
         for (std::size_t f = 0; f < serial.size(); ++f) {
             EXPECT_EQ(parallel[f].name, serial[f].name);

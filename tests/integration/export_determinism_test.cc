@@ -13,6 +13,7 @@
 #include "drive/repeat.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
+#include "util/strings.h"
 
 namespace treadmill {
 namespace core {
@@ -107,7 +108,11 @@ TEST(ExportDeterminismTest, ObservabilityDoesNotPerturbTheRun)
     const auto a = runExperiment(on);
     const auto b = runExperiment(off);
     EXPECT_EQ(a.groundTruthUs, b.groundTruthUs);
-    EXPECT_EQ(a.backendServed, b.backendServed);
+    for (std::uint32_t s = 0; s < 4; ++s) {
+        const std::string served = strprintf("backend%u.served", s);
+        EXPECT_EQ(a.metrics.at("counters").at(served),
+                  b.metrics.at("counters").at(served));
+    }
     EXPECT_EQ(a.aggregatedQuantile(0.99, AggregationKind::PerInstance),
               b.aggregatedQuantile(0.99, AggregationKind::PerInstance));
     EXPECT_TRUE(b.spans.empty());

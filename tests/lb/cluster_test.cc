@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "fault/plan.h"
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace treadmill {
 namespace core {
@@ -31,18 +34,37 @@ clusterParams(std::uint32_t backends)
     return p;
 }
 
+/** Counter @p name from the run's registry snapshot; -1 when the run
+ *  registered no such counter. */
+std::int64_t
+counter(const ExperimentResult &result, const std::string &name)
+{
+    const json::Value &counters = result.metrics.at("counters");
+    return counters.contains(name) ? counters.at(name).asInt() : -1;
+}
+
+/** Counter @p pattern ("backend%u.served") of each of 4 backends. */
+std::vector<std::int64_t>
+perBackend(const ExperimentResult &result, const char *pattern)
+{
+    std::vector<std::int64_t> out;
+    for (std::uint32_t b = 0; b < 4; ++b)
+        out.push_back(counter(result, strprintf(pattern, b)));
+    return out;
+}
+
 TEST(ClusterTest, RunsAndAccountsEveryBackend)
 {
     const auto result = runExperiment(clusterParams(4));
-    ASSERT_EQ(result.backendServed.size(), 4u);
-    ASSERT_EQ(result.backendDispatched.size(), 4u);
+    const auto served = perBackend(result, "backend%u.served");
+    const auto dispatched = perBackend(result, "lb.backend%u.dispatched");
     for (std::uint32_t b = 0; b < 4; ++b) {
-        EXPECT_GT(result.backendServed[b], 0u) << "backend " << b;
-        EXPECT_GT(result.backendDispatched[b], 0u) << "backend " << b;
+        EXPECT_GT(served[b], 0) << "backend " << b;
+        EXPECT_GT(dispatched[b], 0) << "backend " << b;
     }
     // Every dispatched request reached its shard (no faults armed).
-    EXPECT_EQ(result.lbUnroutable, 0u);
-    EXPECT_EQ(result.lbFailovers, 0u);
+    EXPECT_EQ(counter(result, "lb.unroutable"), 0);
+    EXPECT_EQ(counter(result, "lb.failovers"), 0);
     EXPECT_EQ(result.instancesAtTarget(), 8u);
 }
 
@@ -50,8 +72,7 @@ TEST(ClusterTest, DeterministicForSameSeed)
 {
     const auto a = runExperiment(clusterParams(4));
     const auto b = runExperiment(clusterParams(4));
-    EXPECT_EQ(a.backendServed, b.backendServed);
-    EXPECT_EQ(a.backendDispatched, b.backendDispatched);
+    EXPECT_EQ(a.metrics, b.metrics);
     EXPECT_EQ(a.groundTruthUs, b.groundTruthUs);
     EXPECT_EQ(a.aggregatedQuantile(0.99, AggregationKind::PerInstance),
               b.aggregatedQuantile(0.99, AggregationKind::PerInstance));
@@ -61,9 +82,9 @@ TEST(ClusterTest, ClassicPathHasNoClusterTier)
 {
     auto p = clusterParams(0);
     const auto result = runExperiment(p);
-    EXPECT_TRUE(result.backendServed.empty());
-    EXPECT_TRUE(result.backendDispatched.empty());
-    EXPECT_EQ(result.lbQueued, 0u);
+    EXPECT_EQ(counter(result, "backend0.served"), -1);
+    EXPECT_EQ(counter(result, "lb.backend0.dispatched"), -1);
+    EXPECT_EQ(counter(result, "lb.queued"), -1);
 }
 
 TEST(ClusterTest, PolicyChangesRoutingUnderReplication)
@@ -73,20 +94,18 @@ TEST(ClusterTest, PolicyChangesRoutingUnderReplication)
     auto p2c = fcfs;
     p2c.cluster.policy = lb::PolicyKind::PowerOfTwo;
 
-    const auto a = runExperiment(fcfs);
-    const auto b = runExperiment(p2c);
+    const auto a = perBackend(runExperiment(fcfs), "lb.backend%u.dispatched");
+    const auto b = perBackend(runExperiment(p2c), "lb.backend%u.dispatched");
     // Both serve the full load...
-    const auto total = [](const std::vector<std::uint64_t> &v) {
-        return std::accumulate(v.begin(), v.end(),
-                               std::uint64_t{0});
+    const auto total = [](const std::vector<std::int64_t> &v) {
+        return static_cast<double>(
+            std::accumulate(v.begin(), v.end(), std::int64_t{0}));
     };
-    EXPECT_GT(total(a.backendDispatched), 0u);
-    EXPECT_NEAR(static_cast<double>(total(b.backendDispatched)),
-                static_cast<double>(total(a.backendDispatched)),
-                0.05 * static_cast<double>(total(a.backendDispatched)));
+    EXPECT_GT(total(a), 0.0);
+    EXPECT_NEAR(total(b), total(a), 0.05 * total(a));
     // ...but p2c spreads replicated keys where FCFS pins them to the
     // primary, so the per-backend split differs.
-    EXPECT_NE(a.backendDispatched, b.backendDispatched);
+    EXPECT_NE(a, b);
 }
 
 TEST(ClusterTest, CrashedBackendFailsOverWithReplication)
@@ -102,12 +121,13 @@ TEST(ClusterTest, CrashedBackendFailsOverWithReplication)
     const auto result = runExperiment(p);
     // Backend 1 is dark for the whole run; its keys fail over to the
     // next replica instead of vanishing.
-    EXPECT_EQ(result.backendServed[1], 0u);
-    EXPECT_GT(result.lbFailovers, 0u);
-    EXPECT_EQ(result.lbUnroutable, 0u);
+    const auto served = perBackend(result, "backend%u.served");
+    EXPECT_EQ(served[1], 0);
+    EXPECT_GT(counter(result, "lb.failovers"), 0);
+    EXPECT_EQ(counter(result, "lb.unroutable"), 0);
     for (std::uint32_t b = 0; b < 4; ++b) {
         if (b != 1) {
-            EXPECT_GT(result.backendServed[b], 0u);
+            EXPECT_GT(served[b], 0);
         }
     }
 }

@@ -23,13 +23,13 @@ makePacket(std::uint64_t seq, std::uint32_t bytes)
 TEST(ClusterTest, RejectsEmptyClientList)
 {
     sim::Simulation s;
-    EXPECT_THROW(Cluster(s, 10.0, {}), ConfigError);
+    EXPECT_THROW(Cluster(s, {}), ConfigError);
 }
 
 TEST(ClusterTest, BuildsPathsPerClient)
 {
     sim::Simulation s;
-    Cluster cluster(s, 10.0, {{}, {}, {}});
+    Cluster cluster(s, {{}, {}, {}});
     EXPECT_EQ(cluster.clientCount(), 3u);
     EXPECT_EQ(cluster.clientToServer(0).hopCount(), 2u);
     EXPECT_EQ(cluster.serverToClient(0).hopCount(), 2u);
@@ -41,7 +41,7 @@ TEST(ClusterTest, RemoteRackFlagPropagates)
     Cluster::ClientSpec local;
     Cluster::ClientSpec remote;
     remote.remoteRack = true;
-    Cluster cluster(s, 10.0, {local, remote});
+    Cluster cluster(s, {local, remote});
     EXPECT_FALSE(cluster.isRemoteRack(0));
     EXPECT_TRUE(cluster.isRemoteRack(1));
 }
@@ -52,7 +52,7 @@ TEST(ClusterTest, RemoteRackPathIsSlower)
     Cluster::ClientSpec local;
     Cluster::ClientSpec remote;
     remote.remoteRack = true;
-    Cluster cluster(s, 10.0, {local, remote});
+    Cluster cluster(s, {local, remote});
 
     SimTime localDelivery = 0;
     SimTime remoteDelivery = 0;
@@ -71,7 +71,7 @@ TEST(ClusterTest, RemoteRackPathIsSlower)
 TEST(ClusterTest, SharedServerLinkCarriesAllClients)
 {
     sim::Simulation s;
-    Cluster cluster(s, 10.0, {{}, {}});
+    Cluster cluster(s, {{}, {}});
     int delivered = 0;
     cluster.clientToServer(0).send(s, makePacket(1, 100),
                                    [&](const Packet &) { ++delivered; });
@@ -85,7 +85,7 @@ TEST(ClusterTest, SharedServerLinkCarriesAllClients)
 TEST(ClusterTest, ForwardAndReverseAreIndependentLinks)
 {
     sim::Simulation s;
-    Cluster cluster(s, 10.0, {{}});
+    Cluster cluster(s, {{}});
     int delivered = 0;
     cluster.clientToServer(0).send(s, makePacket(1, 100),
                                    [&](const Packet &) { ++delivered; });
@@ -100,7 +100,7 @@ TEST(ClusterTest, ForwardAndReverseAreIndependentLinks)
 TEST(PathTest, RoundTripThroughClusterCompletes)
 {
     sim::Simulation s;
-    Cluster cluster(s, 10.0, {{}});
+    Cluster cluster(s, {{}});
     bool done = false;
     cluster.clientToServer(0).send(
         s, makePacket(1, 100), [&](const Packet &p) {

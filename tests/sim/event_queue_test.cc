@@ -147,8 +147,9 @@ TEST(EventQueueTest, CancelInterleavedWithPops)
     }
     for (std::size_t i = 0; i < ids.size(); ++i) {
         const bool wasCancelled = i % 3 == 0;
-        if (wasCancelled)
+        if (wasCancelled) {
             EXPECT_FALSE(q.cancel(ids[i])) << "id " << ids[i];
+        }
     }
     EXPECT_EQ(q.size(), ids.size() - cancelled - popped);
 

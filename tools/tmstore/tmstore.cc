@@ -14,7 +14,9 @@
  * reports every integrity problem (exit 1 when any); `refit` re-fits
  * the factorial quantile-regression models straight from disk -- zero
  * simulations -- and prints the Table IV-style coefficient table (or
- * the models JSON with --json).
+ * the models JSON with --json). `refit --quantiles` takes only taus
+ * every run snapshotted (default: the manifest's); any other tau is an
+ * archive error that names it.
  *
  * Exit codes: 0 clean, 1 verify findings, 2 usage or archive error.
  */
@@ -49,7 +51,9 @@ usage()
         "  verify <study-dir>        full-archive integrity sweep\n"
         "  refit  <study-dir> [--quantiles T1,T2,...] [--seed N]\n"
         "         [--bootstrap N] [--json]\n"
-        "                            re-fit models from the archive\n");
+        "                            re-fit models from the archive;\n"
+        "                            --quantiles takes snapshotted taus\n"
+        "                            only\n");
     return 2;
 }
 
