@@ -42,7 +42,9 @@ class ServerMetrics
     }
 
     /**
-     * Record one fully served request.
+     * Record one fully served request. Only a GET counts toward
+     * `<scope>.hits` or `<scope>.misses`, so hits + misses is the GETs
+     * served; a SET is acknowledged, not hit or missed.
      *
      * The stamps are passed explicitly rather than read off the
      * request because in a cluster the same Request object crosses
@@ -59,7 +61,8 @@ class ServerMetrics
         if (arrival != kNoTime)
             queueWaitUs.record(toMicros(start - arrival));
         serviceUs.record(toMicros(end - start));
-        (request.hit ? hits : misses).add();
+        if (request.op == OpType::Get)
+            (request.hit ? hits : misses).add();
         servedCounter.add();
     }
 

@@ -75,6 +75,32 @@ TEST_F(MemcachedTest, SetThenGetHits)
     EXPECT_EQ(server.served(), 2u);
 }
 
+TEST_F(MemcachedTest, HitsAndMissesCountGetsOnly)
+{
+    // A mixed stream: every third request SETs key k % 5 and the rest
+    // GET key k % 7, so GETs both hit and miss.
+    std::uint64_t gets = 0;
+    std::uint64_t getHits = 0;
+    for (std::uint64_t k = 0; k < 30; ++k) {
+        const bool set = k % 3 == 0;
+        server.receive(makeRequest(k + 1, set ? OpType::Set : OpType::Get,
+                                   set ? k % 5 : k % 7, 64, sim.now()));
+        sim.run();
+        if (!set) {
+            ++gets;
+            getHits += lastResponse()->hit ? 1 : 0;
+        }
+    }
+    const std::uint64_t hits = sim.metrics().counter("server.hits").value();
+    const std::uint64_t misses =
+        sim.metrics().counter("server.misses").value();
+    EXPECT_EQ(hits + misses, gets);
+    EXPECT_EQ(hits, getHits);
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+    EXPECT_EQ(server.served(), 30u);
+}
+
 TEST_F(MemcachedTest, EmptyValueIsAHit)
 {
     server.receive(makeRequest(1, OpType::Set, 7, 0, 0));
