@@ -20,11 +20,10 @@ refitFromStore(const store::StudyReader &study,
         const store::RunReader run = study.openRun(seq);
         levels.push_back(
             run.doubles(store::ColumnId::FactorLevels).toVector());
-        const std::vector<double> taus =
-            run.doubles(store::ColumnId::QuantileTaus).toVector();
+        const auto taus = run.doubles(store::ColumnId::QuantileTaus);
         const auto values = run.doubles(store::ColumnId::QuantileValues);
         for (double tau : params.quantiles) {
-            const auto it = std::find(taus.begin(), taus.end(), tau);
+            const double *it = std::find(taus.begin(), taus.end(), tau);
             if (it == taus.end()) {
                 std::vector<std::string> have;
                 for (double t : taus)
