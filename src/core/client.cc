@@ -76,18 +76,8 @@ LoadTesterInstance::LoadTesterInstance(sim::Simulation &sim_,
             throw ConfigError("resilience delays must be non-negative");
         if (res.jitterFraction < 0.0 || res.jitterFraction >= 1.0)
             throw ConfigError("jitterFraction must lie in [0, 1)");
-        if (res.hedge &&
-            (res.hedgeQuantile <= 0.0 || res.hedgeQuantile >= 1.0))
-            throw ConfigError("hedgeQuantile must lie in (0, 1)");
-        if (res.hedge && res.hedgeDelayUs == 0.0 &&
-            res.hedgeMinSamples == 0)
-            throw ConfigError(
-                "adaptive hedging needs a warm-up floor: with "
-                "hedgeDelayUs == 0 the delay comes from the running "
-                "latency quantile, and with hedgeMinSamples == 0 that "
-                "quantile is read from an empty collector -- the hedge "
-                "fires at send time and doubles offered load; set "
-                "hedgeDelayUs > 0 or hedgeMinSamples > 0");
+        if (res.hedge && res.hedgeDelayUs <= 0.0)
+            throw ConfigError("hedging needs hedgeDelayUs > 0");
     }
     // Two instances with one index would add into one set of counters.
     sim.metrics().claimScope(strprintf("client%zu", cfg.index));
@@ -211,17 +201,8 @@ LoadTesterInstance::armAttempt(const server::RequestPtr &request)
     }
 
     if (request->attempt == 0 && !request->hedged && res.hedge) {
-        double delayUs = res.hedgeDelayUs;
-        if (delayUs <= 0.0) {
-            // Derive the hedge delay from the running latency
-            // distribution once it is meaningful; before that, no
-            // hedge (mirrors production hedging warm-up behaviour).
-            if (samples.measured() < res.hedgeMinSamples)
-                return;
-            delayUs = samples.quantile(res.hedgeQuantile);
-        }
         state.hedgeEvent = sim.schedule(
-            static_cast<SimDuration>(microseconds(delayUs)),
+            static_cast<SimDuration>(microseconds(res.hedgeDelayUs)),
             [this, logicalId] { onHedgeTimer(logicalId); });
     }
 }

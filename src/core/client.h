@@ -66,17 +66,11 @@ struct ResiliencePolicy {
     /** @} */
 
     /** @name Hedging
-     * After hedgeDelayUs (or, when 0, the collector's running
-     * hedgeQuantile estimate once hedgeMinSamples measurements exist)
-     * without a response, send one backup copy; first answer wins.
-     * hedgeDelayUs == 0 together with hedgeMinSamples == 0 is
-     * rejected: the zero-sample quantile would fire the hedge at send
-     * time, silently doubling offered load.
+     * After hedgeDelayUs (required > 0 when hedging) without a
+     * response, send one backup copy; first answer wins.
      * @{ */
     bool hedge = false;
     double hedgeDelayUs = 0.0;
-    double hedgeQuantile = 0.95;
-    std::uint64_t hedgeMinSamples = 50;
     /** @} */
 };
 

@@ -184,15 +184,8 @@ wireClusterTier(Harness *h)
     if (params.kind != WorkloadKind::Mcrouter)
         throw ConfigError(
             "a backend cluster requires the mcrouter workload");
-    if (cl.racks == 0)
-        throw ConfigError("cluster needs at least one rack");
-    if (cl.racks > cl.backends)
-        throw ConfigError("cluster has more racks than backends");
 
-    std::vector<net::ShardFabric::BackendSpec> specs(cl.backends);
-    for (std::uint32_t b = 0; b < cl.backends; ++b)
-        specs[b].rack = cl.rackOf(b);
-    h->fabric = std::make_unique<net::ShardFabric>(h->sim, specs);
+    h->fabric = std::make_unique<net::ShardFabric>(h->sim, cl.backends);
 
     h->balancer =
         std::make_unique<lb::LoadBalancer>(h->sim, cl, params.seed);
@@ -300,10 +293,6 @@ runExperiment(const ExperimentParams &params)
             h->injector->attachBackendNic(
                 static_cast<std::uint32_t>(b),
                 h->backendMachines[b]->mutableNic());
-        if (h->fabric) {
-            for (std::uint32_t r = 0; r < params.cluster.racks; ++r)
-                h->injector->attachRackLinks(r, h->fabric->rackLinks(r));
-        }
         h->injector->arm();
     }
 
@@ -430,9 +419,6 @@ runExperiment(const ExperimentParams &params)
         }
         if (h->balancer) {
             lb::LoadBalancer *bal = h->balancer.get();
-            harness->sampler.addProbe("lb.queue_depth", [bal] {
-                return static_cast<double>(bal->queueDepth());
-            });
             for (std::uint32_t b = 0; b < params.cluster.backends;
                  ++b) {
                 harness->sampler.addProbe(

@@ -46,28 +46,13 @@ enum class WorkloadKind { Memcached, Mcrouter };
  * only): the router forwards each routed request through a
  * lb::LoadBalancer onto `backends` Memcached shards, each with its own
  * hw::Machine and fabric links, instead of the modelled lognormal
- * backend delay. The balancer's settings are the inherited
- * lb::BalancerConfig fields; the racks are the topology's.
+ * backend delay.
  *
  * backends == 0 (the default) builds none of it: no extra machines,
  * links, metric names, or Rng draws, so a single-backend-era config
  * produces byte-identical output.
  */
-struct ClusterParams : lb::BalancerConfig {
-    /** Racks the backends spread across (contiguous blocks; rack 0
-     *  also houses the router, others pay the cross-rack hop). */
-    std::uint32_t racks = 1;
-
-    /** Rack of backend @p b under the contiguous-block layout. */
-    std::uint32_t
-    rackOf(std::uint32_t b) const
-    {
-        return racks <= 1 ? 0
-                          : static_cast<std::uint32_t>(
-                                (static_cast<std::uint64_t>(b) * racks) /
-                                backends);
-    }
-};
+using ClusterParams = lb::BalancerConfig;
 
 /** Everything needed to run one load-test experiment. */
 struct ExperimentParams {
@@ -183,7 +168,7 @@ struct ExperimentResult {
 
     /** Snapshot of the simulation's metrics registry at run end: the
      *  one source of every count, the cluster tier's included
-     *  (`backend<i>.served`, `lb.backend<i>.dispatched`, `lb.queued`,
+     *  (`backend<i>.served`, `lb.backend<i>.dispatched`,
      *  `lb.unroutable`, `lb.failovers`). */
     json::Value metrics;
 

@@ -93,13 +93,7 @@ configDigest(const ExperimentParams &params)
     const ClusterParams &cl = params.cluster;
     field(canon, "backends", static_cast<std::uint64_t>(cl.backends));
     field(canon, "repl", static_cast<std::uint64_t>(cl.replication));
-    field(canon, "racks", static_cast<std::uint64_t>(cl.racks));
-    field(canon, "inflight",
-          static_cast<std::uint64_t>(cl.maxInflightPerBackend));
     field(canon, "policy", static_cast<std::uint64_t>(cl.policy));
-    field(canon, "edf", cl.edfSlackUs);
-    field(canon, "vnodes",
-          static_cast<std::uint64_t>(cl.vnodesPerBackend));
 
     const ResiliencePolicy &res = params.resilience;
     field(canon, "res",
@@ -114,8 +108,6 @@ configDigest(const ExperimentParams &params)
         field(canon, "hedge",
               static_cast<std::uint64_t>(res.hedge));
         field(canon, "hdelay", res.hedgeDelayUs);
-        field(canon, "hq", res.hedgeQuantile);
-        field(canon, "hmin", res.hedgeMinSamples);
     }
 
     field(canon, "faults",
@@ -128,7 +120,6 @@ configDigest(const ExperimentParams &params)
         field(canon, "fb",
               static_cast<std::uint64_t>(
                   static_cast<std::int64_t>(ev.backend)));
-        field(canon, "fr", static_cast<std::uint64_t>(ev.rack));
         field(canon, "fp", static_cast<std::uint64_t>(ev.period));
         field(canon, "fc",
               static_cast<std::uint64_t>(ev.repeatCount));

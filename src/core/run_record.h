@@ -35,8 +35,9 @@ struct RunRecordOptions {
  * Stable 64-bit digest of everything that determines a run's
  * distribution *except* its seed: workload kind and rates, hardware
  * factor levels, the tester's clients and control loop, collector
- * sizing and histogram bounds, client costs, cluster topology and
- * policy, resilience settings, and every field of every fault event.
+ * sizing and histogram bounds, client costs, the cluster's backends,
+ * replication and policy, resilience settings, and every field of
+ * every fault event.
  * Trace, telemetry and the collector's trajectory only observe a run
  * and are left out, as are TesterSpec's Table I traits the run never
  * reads. Two ExperimentParams with equal digests and equal seeds

@@ -67,13 +67,6 @@ FaultInjector::attachBackendNic(std::uint32_t backend, hw::Nic &nic_)
     backendNics[backend] = &nic_;
 }
 
-void
-FaultInjector::attachRackLinks(std::uint32_t rack,
-                               const std::vector<net::Link *> &links)
-{
-    rackLinkHooks[rack] = links;
-}
-
 std::vector<net::Link *>
 FaultInjector::matchLinks(const std::string &target) const
 {
@@ -95,8 +88,6 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         label += "(" + ev.target + ")";
     if (ev.backend >= 0)
         label += strprintf("[backend%d]", ev.backend);
-    if (ev.kind == FaultKind::TorOutage)
-        label += strprintf("[rack%u]", ev.rack);
     windows.push_back({label, start, end});
 
     // Server faults resolve their hook by backend id: -1 is the
@@ -207,37 +198,6 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         });
         sim.scheduleAt(end,
                        [target] { target->setIrqLoadFactor(1.0); });
-        break;
-      }
-      case FaultKind::TorOutage: {
-        const auto it = rackLinkHooks.find(ev.rack);
-        if (it == rackLinkHooks.end() || it->second.empty())
-            throw ConfigError(strprintf(
-                "tor_outage fault targets rack %u but no rack links "
-                "are attached",
-                ev.rack));
-        // One switch failing over degrades every link behind it in
-        // the same instant -- the correlated version of link_degrade
-        // plus link_loss.
-        const std::vector<net::Link *> links = it->second;
-        const double bw = ev.bandwidthFactor;
-        const SimDuration extra = ev.extraLatency;
-        const double p = ev.lossProbability;
-        sim.scheduleAt(start, [links, bw, extra, p, applied] {
-            for (net::Link *link : links) {
-                link->setBandwidthFactor(bw);
-                link->setExtraPropagation(extra);
-                link->setLossProbability(p);
-            }
-            applied();
-        });
-        sim.scheduleAt(end, [links] {
-            for (net::Link *link : links) {
-                link->setBandwidthFactor(1.0);
-                link->setExtraPropagation(0);
-                link->setLossProbability(0.0);
-            }
-        });
         break;
       }
     }

@@ -72,14 +72,6 @@ class FaultInjector
     /** Attach backend @p backend's machine NIC for per-backend
      *  nic_storm events. */
     void attachBackendNic(std::uint32_t backend, hw::Nic &nic);
-
-    /**
-     * Attach rack @p rack's link set: the TorOutage blast radius.
-     * The links must also appear in an attachLinks() call (that is
-     * where their loss streams are armed).
-     */
-    void attachRackLinks(std::uint32_t rack,
-                         const std::vector<net::Link *> &links);
     /** @} */
 
     /**
@@ -116,7 +108,6 @@ class FaultInjector
     hw::Nic *nic = nullptr;
     std::map<std::uint32_t, server::ServiceFaultShim *> backendShims;
     std::map<std::uint32_t, hw::Nic *> backendNics;
-    std::map<std::uint32_t, std::vector<net::Link *>> rackLinkHooks;
 
     std::vector<obs::TraceAnnotation> windows;
     obs::Counter &appliedCounter;

@@ -21,7 +21,6 @@ kindNames()
         {FaultKind::ServerStall, "server_stall"},
         {FaultKind::ServerCrash, "server_crash"},
         {FaultKind::NicInterruptStorm, "nic_storm"},
-        {FaultKind::TorOutage, "tor_outage"},
     };
     return names;
 }
@@ -79,7 +78,6 @@ FaultPlan::fromJson(const json::Value &doc)
         ev.duration = fromMs(entry.numberOr("duration_ms", 0.0));
         ev.target = entry.stringOr("target", "");
         ev.backend = static_cast<int>(entry.intOr("backend", -1));
-        ev.rack = static_cast<std::uint32_t>(entry.intOr("rack", 0));
         ev.period = fromMs(entry.numberOr("period_ms", 0.0));
         ev.repeatCount = static_cast<std::uint32_t>(
             entry.intOr("repeat", 1));
@@ -135,16 +133,6 @@ FaultPlan::toJson() const
           case FaultKind::NicInterruptStorm:
             entry["irq_cost_factor"] = json::Value(ev.irqCostFactor);
             break;
-          case FaultKind::TorOutage:
-            entry["rack"] =
-                json::Value(static_cast<std::int64_t>(ev.rack));
-            entry["bandwidth_factor"] = json::Value(ev.bandwidthFactor);
-            entry["extra_latency_us"] =
-                json::Value(toMicros(ev.extraLatency));
-            if (ev.lossProbability > 0.0)
-                entry["loss_probability"] =
-                    json::Value(ev.lossProbability);
-            break;
         }
         events_.push_back(json::Value(std::move(entry)));
     }
@@ -193,29 +181,19 @@ FaultPlan::validate() const
             if (!(ev.irqCostFactor >= 1.0))
                 throw ConfigError("irq_cost_factor must be >= 1");
             break;
-          case FaultKind::TorOutage:
-            if (!(ev.bandwidthFactor > 0.0))
-                throw ConfigError("bandwidth_factor must be positive");
-            if (ev.lossProbability < 0.0 || ev.lossProbability > 1.0)
-                throw ConfigError(
-                    "loss_probability must lie in [0, 1]");
-            break;
         }
     }
 
     // Overlapping windows of the same kind on the same target would
     // make the revert order ambiguous: reject them. The same kind on
-    // two different backends (or two different racks) never interferes,
-    // so the key includes the backend/rack dimension.
+    // two different backends never interferes, so the key includes
+    // the backend.
     std::map<std::tuple<int, std::string, int>,
              std::vector<std::pair<SimTime, SimTime>>>
         windows;
     for (const FaultEvent &ev : events) {
-        const int shard = ev.kind == FaultKind::TorOutage
-                              ? static_cast<int>(ev.rack)
-                              : ev.backend;
         auto &list =
-            windows[{static_cast<int>(ev.kind), ev.target, shard}];
+            windows[{static_cast<int>(ev.kind), ev.target, ev.backend}];
         for (std::uint32_t k = 0; k < ev.repeatCount; ++k) {
             const SimTime start = ev.start + k * ev.period;
             list.emplace_back(start, start + ev.duration);

@@ -39,10 +39,6 @@ enum class FaultKind {
     ServerCrash,
     /** NIC interrupt storm: interrupt handling cost multiplies. */
     NicInterruptStorm,
-    /** ToR-switch outage: every link of one rack degrades (and may
-     *  drop packets) for the window -- the correlated fault that makes
-     *  several backends slow at once. */
-    TorOutage,
 };
 
 /** Canonical JSON name of @p kind ("link_loss", "server_stall", ...). */
@@ -74,11 +70,6 @@ struct FaultEvent {
      * server, the classic single-server hook.
      */
     int backend = -1;
-
-    /** @name TorOutage
-     * The rack whose links degrade together. @{ */
-    std::uint32_t rack = 0;
-    /** @} */
 
     /** Recurrence: fire `repeatCount` windows, `period` apart. */
     SimDuration period = 0;
@@ -136,14 +127,11 @@ struct FaultPlan {
      *    {"kind": "nic_storm", "start_ms": 450, "duration_ms": 30,
      *     "irq_cost_factor": 25},
      *    {"kind": "server_stall", "backend": 2, "start_ms": 500,
-     *     "duration_ms": 5},
-     *    {"kind": "tor_outage", "rack": 1, "start_ms": 600,
-     *     "duration_ms": 40, "bandwidth_factor": 0.2,
-     *     "extra_latency_us": 200, "loss_probability": 0.05}
+     *     "duration_ms": 5}
      * ]}
      * Times are simulated milliseconds (fractions allowed). "backend"
      * (default -1 = the front server) aims server faults at one
-     * cluster shard; "rack" names a tor_outage's blast radius.
+     * cluster shard.
      *
      * @throws ConfigError on malformed or out-of-range values.
      */

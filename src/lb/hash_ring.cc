@@ -23,14 +23,13 @@ mix64(std::uint64_t x)
 
 } // namespace
 
-HashRing::HashRing(std::uint32_t backends,
-                   std::uint32_t vnodesPerBackend)
-    : totalBackends(backends), vnodes(vnodesPerBackend), live(backends),
+HashRing::HashRing(std::uint32_t backends, std::uint32_t pointsPerBackend)
+    : totalBackends(backends), vnodes(pointsPerBackend), live(backends),
       present(backends, true)
 {
     if (backends == 0)
         throw ConfigError("hash ring needs at least one backend");
-    if (vnodesPerBackend == 0)
+    if (pointsPerBackend == 0)
         throw ConfigError("hash ring needs at least one virtual node");
     rebuild();
 }

@@ -33,11 +33,10 @@ class HashRing
   public:
     /**
      * @param backends Number of backend shards (ids 0..backends-1).
-     * @param vnodesPerBackend Virtual points per backend; more points
+     * @param pointsPerBackend Virtual points per backend; more points
      *        tighten the balance bound at O(log) lookup cost.
      */
-    explicit HashRing(std::uint32_t backends,
-                      std::uint32_t vnodesPerBackend = 128);
+    HashRing(std::uint32_t backends, std::uint32_t pointsPerBackend);
 
     /** Stable 64-bit key hash (FNV-1a over the bytes). */
     static std::uint64_t hashKey(std::string_view key);

@@ -115,31 +115,21 @@ Cluster::serverToClient(std::size_t i) const
     return toClient[i];
 }
 
-ShardFabric::ShardFabric(sim::Simulation &sim,
-                         const std::vector<BackendSpec> &backends)
+ShardFabric::ShardFabric(sim::Simulation &sim, std::size_t backends)
 {
-    if (backends.empty())
+    if (backends == 0)
         throw ConfigError("shard fabric needs at least one backend");
 
-    forward.resize(backends.size());
-    reverse.resize(backends.size());
-    racks.resize(backends.size());
+    forward.resize(backends);
+    reverse.resize(backends);
 
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-        const BackendSpec &spec = backends[i];
-        racks[i] = spec.rack;
-        // The router tier sits on rack 0; backends elsewhere pay the
-        // aggregation-layer hop both ways.
-        const SimDuration extra = spec.rack != 0
-                                      ? kCrossRackExtraPropagation
-                                      : SimDuration{0};
-
+    for (std::size_t i = 0; i < backends; ++i) {
         auto up = std::make_unique<Link>(
-            sim, strprintf("rack%u-backend%zu-uplink", spec.rack, i),
-            kAccessLinkGbps, microseconds(1) + extra);
+            sim, strprintf("rack0-backend%zu-uplink", i),
+            kAccessLinkGbps, microseconds(1));
         auto down = std::make_unique<Link>(
-            sim, strprintf("rack%u-backend%zu-downlink", spec.rack, i),
-            kAccessLinkGbps, microseconds(1) + extra);
+            sim, strprintf("rack0-backend%zu-downlink", i),
+            kAccessLinkGbps, microseconds(1));
 
         forward[i].addLink(up.get());
         reverse[i].addLink(down.get());
@@ -163,13 +153,6 @@ ShardFabric::fromBackend(std::size_t i) const
     return reverse[i];
 }
 
-std::uint32_t
-ShardFabric::rackOf(std::size_t i) const
-{
-    TM_ASSERT(i < racks.size(), "backend index out of range");
-    return racks[i];
-}
-
 std::vector<Link *>
 ShardFabric::allLinks()
 {
@@ -178,26 +161,6 @@ ShardFabric::allLinks()
     for (auto &link : ownedLinks)
         links.push_back(link.get());
     return links;
-}
-
-std::vector<Link *>
-ShardFabric::rackLinks(std::uint32_t rack)
-{
-    std::vector<Link *> links;
-    for (std::size_t i = 0; i < racks.size(); ++i) {
-        if (racks[i] == rack) {
-            links.push_back(ownedLinks[2 * i].get());
-            links.push_back(ownedLinks[2 * i + 1].get());
-        }
-    }
-    return links;
-}
-
-std::vector<Link *>
-ShardFabric::backendLinks(std::size_t i)
-{
-    TM_ASSERT(i < racks.size(), "backend index out of range");
-    return {ownedLinks[2 * i].get(), ownedLinks[2 * i + 1].get()};
 }
 
 } // namespace net

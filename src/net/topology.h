@@ -133,24 +133,15 @@ class Cluster
 
 /**
  * The backend-side fabric of a sharded cluster: one uplink/downlink
- * pair per backend shard, grouped into racks behind the router tier.
- *
- * Racks matter to fault injection: a ToR-switch outage degrades every
- * link of one rack in the same window (tor_outage in fault::FaultPlan),
- * which is how correlated backend slowness enters the simulation.
- * Backends on a nonzero rack pay the cross-rack aggregation latency on
- * top of the base propagation, mirroring Cluster's client placement.
+ * pair per backend shard behind the router tier, all on the router's
+ * rack. The links keep their "rack0-backend<i>-{up,down}link" names:
+ * those are metric keys and link-fault targets in every cluster
+ * archive.
  */
 class ShardFabric
 {
   public:
-    /** Per-backend placement. */
-    struct BackendSpec {
-        std::uint32_t rack = 0; ///< ToR grouping; rack 0 holds the router.
-    };
-
-    ShardFabric(sim::Simulation &sim,
-                const std::vector<BackendSpec> &backends);
+    ShardFabric(sim::Simulation &sim, std::size_t backends);
 
     ShardFabric(const ShardFabric &) = delete;
     ShardFabric &operator=(const ShardFabric &) = delete;
@@ -163,23 +154,13 @@ class ShardFabric
     /** Path from backend @p i back to the router tier. */
     const Path &fromBackend(std::size_t i) const;
 
-    /** Rack housing backend @p i. */
-    std::uint32_t rackOf(std::size_t i) const;
-
     /** Every fabric link, for fault-injector name targeting. */
     std::vector<Link *> allLinks();
-
-    /** Both links of every backend on @p rack (a ToR blast radius). */
-    std::vector<Link *> rackLinks(std::uint32_t rack);
-
-    /** Both links of backend @p i (a per-backend NIC fault target). */
-    std::vector<Link *> backendLinks(std::size_t i);
 
   private:
     std::vector<std::unique_ptr<Link>> ownedLinks;
     std::vector<Path> forward;
     std::vector<Path> reverse;
-    std::vector<std::uint32_t> racks;
 };
 
 } // namespace net

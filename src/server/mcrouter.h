@@ -51,9 +51,6 @@ class McrouterServer : public Service
      */
     void setBackendPool(Service *pool);
 
-    /** Requests fully routed so far. */
-    std::uint64_t served() const { return metrics.served(); }
-
     /** Expected router CPU seconds per request at nominal frequency. */
     double expectedServiceSeconds(double meanValueBytes) const;
 

@@ -58,9 +58,6 @@ class MemcachedServer : public Service
     /** Key id -> stored value size (inspection). */
     const util::FlatU64Map<std::uint32_t> &store() const { return values; }
 
-    /** Requests fully served so far. */
-    std::uint64_t served() const { return metrics.served(); }
-
     /**
      * Expected worker service seconds per request at nominal frequency
      * (for utilization -> request-rate sizing).

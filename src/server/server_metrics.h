@@ -66,9 +66,6 @@ class ServerMetrics
         servedCounter.add();
     }
 
-    /** Requests recorded by onServed() so far. */
-    std::uint64_t served() const { return servedCounter.value(); }
-
   private:
     obs::Histogram &queueWaitUs; ///< NIC arrival to worker start.
     obs::Histogram &serviceUs;   ///< Worker start to worker end.

@@ -55,6 +55,12 @@ class InlineFunction<R(Args...), InlineBytes>
         if constexpr (sizeof(D) <= InlineBytes &&
                       alignof(D) <= alignof(std::max_align_t)) {
             ::new (static_cast<void *>(storage)) D(std::forward<F>(fn));
+            // A trivial closure moves as one fixed-size memcpy of the
+            // whole buffer: zero the tail it leaves unfilled, once, so
+            // that copy never reads uninitialized bytes.
+            if constexpr (InlineOps<D>::kTrivial && sizeof(D) < InlineBytes)
+                std::memset(storage + sizeof(D), 0,
+                            InlineBytes - sizeof(D));
             ops = &InlineOps<D>::kOps;
         } else {
             *reinterpret_cast<D **>(storage) =

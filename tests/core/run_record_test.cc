@@ -94,14 +94,8 @@ TEST(ConfigDigestTest, EveryFieldARunReadsChangesItAndNothingElseDoes)
         {"deadline", [](auto &p) { p.deadline = seconds(1); }},
         {"cluster.backends", [](auto &p) { p.cluster.backends = 4; }},
         {"cluster.replication", [](auto &p) { p.cluster.replication = 2; }},
-        {"cluster.racks", [](auto &p) { p.cluster.racks = 2; }},
-        {"cluster.maxInflightPerBackend",
-         [](auto &p) { p.cluster.maxInflightPerBackend = 4; }},
         {"cluster.policy",
-         [](auto &p) { p.cluster.policy = lb::PolicyKind::Edf; }},
-        {"cluster.edfSlackUs", [](auto &p) { p.cluster.edfSlackUs = 5.0; }},
-        {"cluster.vnodesPerBackend",
-         [](auto &p) { p.cluster.vnodesPerBackend = 128; }},
+         [](auto &p) { p.cluster.policy = lb::PolicyKind::PowerOfTwo; }},
         {"resilience.enabled",
          [](auto &p) { p.resilience.enabled = false; }},
         {"resilience.timeoutUs",
@@ -117,10 +111,6 @@ TEST(ConfigDigestTest, EveryFieldARunReadsChangesItAndNothingElseDoes)
         {"resilience.hedge", [](auto &p) { p.resilience.hedge = true; }},
         {"resilience.hedgeDelayUs",
          [](auto &p) { p.resilience.hedgeDelayUs = 1.0; }},
-        {"resilience.hedgeQuantile",
-         [](auto &p) { p.resilience.hedgeQuantile = 0.5; }},
-        {"resilience.hedgeMinSamples",
-         [](auto &p) { p.resilience.hedgeMinSamples = 1; }},
         {"faultPlan.events", [](auto &p) { p.faultPlan.events.clear(); }},
         {"fault.kind",
          [](auto &p) { event(p).kind = fault::FaultKind::LinkLoss; }},
@@ -128,7 +118,6 @@ TEST(ConfigDigestTest, EveryFieldARunReadsChangesItAndNothingElseDoes)
         {"fault.duration", [](auto &p) { event(p).duration = 1; }},
         {"fault.target", [](auto &p) { event(p).target = "client0"; }},
         {"fault.backend", [](auto &p) { event(p).backend = 0; }},
-        {"fault.rack", [](auto &p) { event(p).rack = 1; }},
         {"fault.period", [](auto &p) { event(p).period = 1; }},
         {"fault.repeatCount", [](auto &p) { event(p).repeatCount = 2; }},
         {"fault.lossProbability",

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.h"
 #include "util/json.h"
 
@@ -117,9 +119,18 @@ TEST(FaultPlanTest, KindNamesRoundTrip)
     for (FaultKind kind :
          {FaultKind::LinkLoss, FaultKind::LinkDegrade,
           FaultKind::ServerStall, FaultKind::ServerCrash,
-          FaultKind::NicInterruptStorm, FaultKind::TorOutage})
+          FaultKind::NicInterruptStorm})
         EXPECT_EQ(faultKindFromName(faultKindName(kind)), kind);
     EXPECT_THROW(faultKindFromName("cosmic_ray"), ConfigError);
+    // The rack fault is gone: a plan naming it is refused by name.
+    try {
+        faultKindFromName("tor_outage");
+        ADD_FAILURE() << "tor_outage was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("\"tor_outage\""),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 FaultEvent
@@ -139,30 +150,17 @@ TEST(FaultPlanTest, BackendTargetedFaultsParseAndRoundTrip)
             {"kind": "server_stall", "backend": 2, "start_ms": 10,
              "duration_ms": 3},
             {"kind": "server_crash", "start_ms": 50,
-             "duration_ms": 10},
-            {"kind": "tor_outage", "rack": 1, "start_ms": 100,
-             "duration_ms": 40, "bandwidth_factor": 0.2,
-             "extra_latency_us": 200, "loss_probability": 0.05}
+             "duration_ms": 10}
         ]})"));
-    ASSERT_EQ(plan.events.size(), 3u);
+    ASSERT_EQ(plan.events.size(), 2u);
     EXPECT_EQ(plan.events[0].backend, 2);
     EXPECT_EQ(plan.events[1].backend, -1); // default: the front server
-    const FaultEvent &tor = plan.events[2];
-    EXPECT_EQ(tor.kind, FaultKind::TorOutage);
-    EXPECT_EQ(tor.rack, 1u);
-    EXPECT_DOUBLE_EQ(tor.bandwidthFactor, 0.2);
-    EXPECT_EQ(tor.extraLatency, microseconds(200));
-    EXPECT_DOUBLE_EQ(tor.lossProbability, 0.05);
     EXPECT_NO_THROW(plan.validate());
 
     const auto back = FaultPlan::fromJson(plan.toJson());
-    ASSERT_EQ(back.events.size(), 3u);
+    ASSERT_EQ(back.events.size(), 2u);
     EXPECT_EQ(back.events[0].backend, 2);
     EXPECT_EQ(back.events[1].backend, -1);
-    EXPECT_EQ(back.events[2].rack, 1u);
-    EXPECT_DOUBLE_EQ(back.events[2].bandwidthFactor, 0.2);
-    EXPECT_EQ(back.events[2].extraLatency, microseconds(200));
-    EXPECT_DOUBLE_EQ(back.events[2].lossProbability, 0.05);
 }
 
 TEST(FaultPlanTest, ValidateRejectsBadBackendTargets)
@@ -179,22 +177,6 @@ TEST(FaultPlanTest, ValidateRejectsBadBackendTargets)
     EXPECT_THROW(plan.validate(), ConfigError);
 }
 
-TEST(FaultPlanTest, ValidateRejectsMalformedTorOutage)
-{
-    FaultPlan plan;
-    plan.events.push_back(stallEvent(0, milliseconds(1)));
-    plan.events[0].kind = FaultKind::TorOutage;
-    plan.events[0].bandwidthFactor = 0.0; // must be positive
-    EXPECT_THROW(plan.validate(), ConfigError);
-
-    plan.events[0].bandwidthFactor = 0.5;
-    plan.events[0].lossProbability = 1.5;
-    EXPECT_THROW(plan.validate(), ConfigError);
-
-    plan.events[0].lossProbability = 0.1;
-    EXPECT_NO_THROW(plan.validate());
-}
-
 TEST(FaultPlanTest, SameKindOnDistinctBackendsMayOverlap)
 {
     // The overlap rule is per (kind, target, backend): the same stall
@@ -208,19 +190,6 @@ TEST(FaultPlanTest, SameKindOnDistinctBackendsMayOverlap)
 
     plan.events[1].backend = 0;
     EXPECT_THROW(plan.validate(), ConfigError);
-
-    // Two tor outages: distinct racks overlap, one rack does not.
-    FaultPlan tor;
-    for (int i = 0; i < 2; ++i) {
-        tor.events.push_back(
-            stallEvent(milliseconds(10), milliseconds(5)));
-        tor.events[i].kind = FaultKind::TorOutage;
-        tor.events[i].bandwidthFactor = 0.5;
-        tor.events[i].rack = static_cast<std::uint32_t>(i);
-    }
-    EXPECT_NO_THROW(tor.validate());
-    tor.events[1].rack = 0;
-    EXPECT_THROW(tor.validate(), ConfigError);
 }
 
 TEST(FaultPlanTest, ValidateRejectsBadRanges)

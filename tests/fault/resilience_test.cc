@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -366,25 +367,20 @@ TEST(ResilienceTest, RejectsInconsistentPolicies)
                                     noopTransmit),
                  ConfigError);
 
-    params = slowSteadyParams();
-    params.resilience.enabled = true;
-    params.resilience.hedge = true;
-    params.resilience.hedgeQuantile = 1.0;
-    EXPECT_THROW(LoadTesterInstance(sim, params, WorkloadConfig{},
-                                    noopTransmit),
-                 ConfigError);
-
-    // Adaptive hedge delay with no warm-up floor: the quantile of an
-    // empty collector would fire the hedge at send time and double
-    // the offered load.
+    // Hedging needs a fixed, positive delay; a zero one would fire
+    // the hedge at send time and double the offered load.
     params = slowSteadyParams();
     params.resilience.enabled = true;
     params.resilience.hedge = true;
     params.resilience.hedgeDelayUs = 0.0;
-    params.resilience.hedgeMinSamples = 0;
-    EXPECT_THROW(LoadTesterInstance(sim, params, WorkloadConfig{},
-                                    noopTransmit),
-                 ConfigError);
+    try {
+        LoadTesterInstance(sim, params, WorkloadConfig{}, noopTransmit);
+        ADD_FAILURE() << "a zero hedge delay was accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("hedgeDelayUs"),
+                  std::string::npos)
+            << e.what();
+    }
 
     params = slowSteadyParams();
     params.resilience.enabled = true;

@@ -1,5 +1,5 @@
 /** @file Load-balancer tier tests with synthetic backends: routing
- *  consistency, failover, saturation queueing, EDF dispatch order,
+ *  consistency, failover, the FCFS and power-of-two-choices picks,
  *  config validation, and metric-scope uniqueness. */
 
 #include "lb/balancer.h"
@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "server/request.h"
@@ -50,9 +51,10 @@ struct Cluster {
     std::vector<std::unique_ptr<FakeBackend>> backends;
     std::unique_ptr<LoadBalancer> balancer;
 
-    explicit Cluster(BalancerConfig params, SimDuration delay = 0)
+    explicit Cluster(BalancerConfig params, SimDuration delay = 0,
+                     std::uint64_t seed = 1)
     {
-        balancer = std::make_unique<LoadBalancer>(sim, params, 1);
+        balancer = std::make_unique<LoadBalancer>(sim, params, seed);
         balancer->setSink([this](server::RequestPtr resp) {
             completedSeqIds.push_back(resp->seqId);
         });
@@ -84,6 +86,30 @@ struct Cluster {
     {
         balancer->receive(makeRequest(seq, keyId));
     }
+
+    /** Registry counter @p name: the one read path of every count. */
+    std::uint64_t
+    counter(const std::string &name)
+    {
+        return sim.metrics().counter(name).value();
+    }
+
+    /** Requests the balancer dispatched to backend @p b. */
+    std::uint64_t
+    dispatchedTo(std::uint32_t b)
+    {
+        return counter("lb.backend" + std::to_string(b) + ".dispatched");
+    }
+
+    /** The replica set of @p keyId, primary first. */
+    std::vector<std::uint32_t>
+    replicasOf(std::uint64_t keyId, std::uint32_t count) const
+    {
+        std::vector<std::uint32_t> out;
+        balancer->hashRing().replicas(HashRing::hashKeyId(keyId), count,
+                                      out);
+        return out;
+    }
 };
 
 /** The one key every request of the routing-consistency test uses. */
@@ -108,11 +134,6 @@ TEST(BalancerTest, ValidatesConfiguration)
 
     p = smallCluster(2);
     p.replication = 0;
-    EXPECT_THROW(p.validate(), ConfigError);
-
-    p = smallCluster(2);
-    p.policy = PolicyKind::Edf;
-    p.edfSlackUs = 0.0;
     EXPECT_THROW(p.validate(), ConfigError);
 }
 
@@ -151,9 +172,8 @@ TEST(BalancerTest, SameKeyAlwaysRoutesToTheSameBackend)
     EXPECT_EQ(nonEmpty, 1u);
     EXPECT_EQ(cluster.completedSeqIds.size(), 64u);
     // The stamp the trace exporter and attribution read.
-    EXPECT_EQ(cluster.balancer->dispatchedTo(
-                  cluster.balancer->hashRing().lookup(
-                      HashRing::hashKeyId(kHotKey))),
+    EXPECT_EQ(cluster.dispatchedTo(cluster.balancer->hashRing().lookup(
+                  HashRing::hashKeyId(kHotKey))),
               64u);
 }
 
@@ -164,7 +184,7 @@ TEST(BalancerTest, SpreadsDistinctKeysAcrossBackends)
         cluster.send(i, i);
     cluster.sim.run();
     for (std::uint32_t b = 0; b < 4; ++b)
-        EXPECT_GT(cluster.balancer->dispatchedTo(b), 0u);
+        EXPECT_GT(cluster.dispatchedTo(b), 0u);
 }
 
 TEST(BalancerTest, FailsOverPastADeadPrimary)
@@ -183,8 +203,8 @@ TEST(BalancerTest, FailsOverPastADeadPrimary)
 
     EXPECT_TRUE(cluster.backends[primary]->servedSeqIds.empty());
     EXPECT_EQ(cluster.completedSeqIds.size(), 16u);
-    EXPECT_EQ(cluster.balancer->failovers(), 16u);
-    EXPECT_EQ(cluster.balancer->unroutable(), 0u);
+    EXPECT_EQ(cluster.counter("lb.failovers"), 16u);
+    EXPECT_EQ(cluster.counter("lb.unroutable"), 0u);
 }
 
 TEST(BalancerTest, DropsWhenEveryReplicaIsDown)
@@ -203,51 +223,81 @@ TEST(BalancerTest, DropsWhenEveryReplicaIsDown)
 
     // No replica, no answer: the drop is counted, never responded.
     EXPECT_TRUE(cluster.completedSeqIds.empty());
-    EXPECT_EQ(cluster.balancer->unroutable(), 8u);
+    EXPECT_EQ(cluster.counter("lb.unroutable"), 8u);
 }
 
-TEST(BalancerTest, SaturatedBackendsQueueAndDrainInOrder)
+TEST(BalancerTest, FcfsAlwaysPicksThePrimary)
 {
-    auto params = smallCluster(1);
-    params.maxInflightPerBackend = 1;
-    Cluster cluster(params, microseconds(100));
-
-    cluster.send(0, 10);
-    cluster.send(1, 11);
-    cluster.send(2, 12);
-    EXPECT_EQ(cluster.balancer->queueDepth(), 2u);
-    EXPECT_EQ(cluster.balancer->queued(), 2u);
+    auto params = smallCluster(4);
+    params.replication = 3;
+    // Backends hold every request, so the primary is the busiest
+    // replica from the second request on; FCFS ignores load.
+    Cluster cluster(params, milliseconds(1));
+    const std::uint32_t primary = cluster.replicasOf(kHotKey, 3).front();
+    for (std::uint64_t i = 0; i < 32; ++i)
+        cluster.send(i, kHotKey);
     cluster.sim.run();
 
-    EXPECT_EQ(cluster.balancer->queueDepth(), 0u);
-    const std::vector<std::uint64_t> expected{0, 1, 2};
-    EXPECT_EQ(cluster.backends[0]->servedSeqIds, expected);
-    EXPECT_EQ(cluster.completedSeqIds, expected);
-    EXPECT_EQ(cluster.balancer->inflightOf(0), 0u);
+    for (std::uint32_t b = 0; b < 4; ++b)
+        EXPECT_EQ(cluster.dispatchedTo(b), b == primary ? 32u : 0u)
+            << "backend " << b;
+    EXPECT_EQ(cluster.completedSeqIds.size(), 32u);
 }
 
-TEST(BalancerTest, EdfDispatchesTheTightestDeadlineFirst)
+TEST(BalancerTest, PowerOfTwoSplitsAHeldBurstEvenly)
 {
-    auto params = smallCluster(1);
-    params.maxInflightPerBackend = 1;
-    params.policy = PolicyKind::Edf;
-    params.edfSlackUs = 1000.0;
-    Cluster cluster(params, microseconds(100));
-
-    auto sendWithIntended = [&](std::uint64_t seq, SimTime intended) {
-        auto req = cluster.makeRequest(seq, seq);
-        req->intendedSend = intended;
-        cluster.balancer->receive(std::move(req));
-    };
-
-    sendWithIntended(0, 0);                  // occupies the backend
-    sendWithIntended(1, milliseconds(50));   // loose deadline, queued
-    sendWithIntended(2, milliseconds(10));   // tight deadline, queued
+    auto params = smallCluster(2);
+    params.replication = 2;
+    params.policy = PolicyKind::PowerOfTwo;
+    // Nothing answers before the burst ends. With two candidates both
+    // are always sampled, so each pick goes to the emptier replica.
+    Cluster cluster(params, milliseconds(1));
+    for (std::uint64_t i = 0; i < 64; ++i)
+        cluster.send(i, kHotKey);
+    EXPECT_EQ(cluster.balancer->inflightOf(0), 32u);
+    EXPECT_EQ(cluster.balancer->inflightOf(1), 32u);
     cluster.sim.run();
 
-    // FCFS would serve 1 before 2; EDF reorders by deadline.
-    const std::vector<std::uint64_t> expected{0, 2, 1};
-    EXPECT_EQ(cluster.backends[0]->servedSeqIds, expected);
+    EXPECT_EQ(cluster.dispatchedTo(0), 32u);
+    EXPECT_EQ(cluster.dispatchedTo(1), 32u);
+    EXPECT_EQ(cluster.completedSeqIds.size(), 64u);
+}
+
+TEST(BalancerTest, PowerOfTwoWithOneHealthyReplicaRoutesLikeFcfs)
+{
+    auto params = smallCluster(3);
+    params.replication = 2;
+    params.policy = PolicyKind::PowerOfTwo;
+    Cluster cluster(params, milliseconds(1));
+    const std::vector<std::uint32_t> replicas = cluster.replicasOf(1, 2);
+    cluster.backends[replicas[1]]->alive = false;
+
+    for (std::uint64_t i = 0; i < 16; ++i)
+        cluster.send(i, 1);
+    cluster.sim.run();
+
+    // One candidate left: the primary takes everything, as under FCFS.
+    EXPECT_EQ(cluster.dispatchedTo(replicas[0]), 16u);
+    EXPECT_EQ(cluster.counter("lb.dispatched"), 16u);
+    EXPECT_EQ(cluster.counter("lb.failovers"), 0u);
+}
+
+TEST(BalancerTest, PowerOfTwoIsDeterministicPerSeed)
+{
+    auto params = smallCluster(4);
+    params.replication = 3;
+    params.policy = PolicyKind::PowerOfTwo;
+    Cluster a(params, microseconds(100), 123);
+    Cluster b(params, microseconds(100), 123);
+    for (std::uint64_t i = 0; i < 200; ++i) {
+        a.send(i, i % 10);
+        b.send(i, i % 10);
+    }
+    a.sim.run();
+    b.sim.run();
+    for (std::uint32_t k = 0; k < 4; ++k)
+        EXPECT_EQ(a.backends[k]->servedSeqIds, b.backends[k]->servedSeqIds)
+            << "backend " << k;
 }
 
 } // namespace

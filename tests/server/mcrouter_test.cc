@@ -72,7 +72,7 @@ TEST(McrouterTest, RoutesAndResponds)
     sim.run();
     ASSERT_NE(response, nullptr);
     EXPECT_TRUE(response->hit);
-    EXPECT_EQ(router.served(), 1u);
+    EXPECT_EQ(sim.metrics().counter("server.served").value(), 1u);
 }
 
 TEST(McrouterTest, LatencyIncludesBackendRoundTrip)
@@ -160,7 +160,7 @@ TEST(McrouterTest, BackendPoolAnswersIntoTheSerializeStage)
               response->workerStart + microseconds(300));
     EXPECT_LT(response->routerReturn, response->workerEnd);
     EXPECT_EQ(response->workerEnd, response->nicDeparture);
-    EXPECT_EQ(router.served(), 1u);
+    EXPECT_EQ(sim.metrics().counter("server.served").value(), 1u);
 }
 
 TEST(McrouterTest, ExpectedServiceSmallerThanMemcached)

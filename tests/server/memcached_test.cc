@@ -72,7 +72,7 @@ TEST_F(MemcachedTest, SetThenGetHits)
     EXPECT_TRUE(responses[0]->hit); // SET acknowledged
     EXPECT_TRUE(responses[1]->hit); // GET found it
     EXPECT_EQ(responses[1]->responseBytes, 48u + 100u);
-    EXPECT_EQ(server.served(), 2u);
+    EXPECT_EQ(sim.metrics().counter("server.served").value(), 2u);
 }
 
 TEST_F(MemcachedTest, HitsAndMissesCountGetsOnly)
@@ -98,7 +98,7 @@ TEST_F(MemcachedTest, HitsAndMissesCountGetsOnly)
     EXPECT_EQ(hits, getHits);
     EXPECT_GT(hits, 0u);
     EXPECT_GT(misses, 0u);
-    EXPECT_EQ(server.served(), 30u);
+    EXPECT_EQ(sim.metrics().counter("server.served").value(), 30u);
 }
 
 TEST_F(MemcachedTest, EmptyValueIsAHit)
