@@ -47,14 +47,13 @@ BM_ClientLoopAllocsPerRequest(benchmark::State &state)
     core::LoadTesterInstance *slot = nullptr;
     core::LoadTesterInstance inst(
         sim, params, core::WorkloadConfig{},
-        [&sim, &slot](server::RequestPtr req) {
-            sim.schedule(microseconds(20),
-                         [&sim, &slot, req = std::move(req)]() mutable {
-                             req->nicArrival = sim.now();
-                             req->nicDeparture = sim.now();
-                             req->clientNicArrival = sim.now();
-                             slot->onResponseDelivered(std::move(req));
-                         });
+        [&sim, &slot](server::Request *req) {
+            sim.schedule(microseconds(20), [&sim, &slot, req] {
+                req->nicArrival = sim.now();
+                req->nicDeparture = sim.now();
+                req->clientNicArrival = sim.now();
+                slot->onResponseDelivered(req);
+            });
         });
     slot = &inst;
     inst.start();

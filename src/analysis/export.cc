@@ -10,6 +10,15 @@ namespace {
 
 const double kExportQuantiles[] = {0.5, 0.9, 0.95, 0.99, 0.999};
 
+/** The JSON key of quantile @p q: "p" and q x 1000 ("p990"). */
+std::string
+quantileKey(double q)
+{
+    std::string key = "p";
+    key += std::to_string(static_cast<int>(q * 1000.0));
+    return key;
+}
+
 /** Quantile summary of a raw sample vector. */
 json::Value
 quantileSummary(const std::vector<double> &samples)
@@ -21,11 +30,9 @@ quantileSummary(const std::vector<double> &samples)
         std::vector<double> sorted = samples;
         std::sort(sorted.begin(), sorted.end());
         json::Object qs;
-        for (double q : kExportQuantiles) {
-            qs["p" + std::to_string(
-                         static_cast<int>(q * 1000.0))] =
+        for (double q : kExportQuantiles)
+            qs[quantileKey(q)] =
                 json::Value(stats::quantileSorted(sorted, q));
-        }
         obj["quantiles_us"] = json::Value(std::move(qs));
         obj["mean_us"] = json::Value(stats::mean(samples));
     }
@@ -48,9 +55,8 @@ toJson(const core::ExperimentResult &result)
 
     json::Object aggregated;
     for (double q : kExportQuantiles) {
-        aggregated["p" + std::to_string(static_cast<int>(q * 1000.0))] =
-            json::Value(result.aggregatedQuantile(
-                q, core::AggregationKind::PerInstance));
+        aggregated[quantileKey(q)] = json::Value(result.aggregatedQuantile(
+            q, core::AggregationKind::PerInstance));
     }
     doc["aggregated_quantiles_us"] = json::Value(std::move(aggregated));
 
@@ -90,8 +96,7 @@ toJson(const core::ExperimentResult &result)
         i["remote_rack"] = json::Value(inst.remoteRack);
         json::Object qs;
         for (const auto &[q, v] : inst.quantiles)
-            qs["p" + std::to_string(static_cast<int>(q * 1000.0))] =
-                json::Value(v);
+            qs[quantileKey(q)] = json::Value(v);
         i["quantiles_us"] = json::Value(std::move(qs));
         instances.push_back(json::Value(std::move(i)));
     }

@@ -120,7 +120,7 @@ LoadTesterInstance::stopLoad()
 void
 LoadTesterInstance::issueRequest(SimTime intendedSend)
 {
-    auto request = requestPool.make();
+    server::Request *request = requestPool.make();
     request->seqId =
         (static_cast<std::uint64_t>(cfg.index) << 40) | nextSeq++;
     request->logicalSeqId = request->seqId;
@@ -151,11 +151,11 @@ LoadTesterInstance::issueRequest(SimTime intendedSend)
         pending.insertOrAssign(request->logicalSeqId, std::move(state));
     }
 
-    transmitAttempt(std::move(request));
+    transmitAttempt(request);
 }
 
 void
-LoadTesterInstance::transmitAttempt(server::RequestPtr request)
+LoadTesterInstance::transmitAttempt(server::Request *request)
 {
     // Request construction occupies the client CPU; an overloaded
     // client delays the actual transmission (client-side queueing).
@@ -175,32 +175,34 @@ LoadTesterInstance::transmitAttempt(server::RequestPtr request)
             sendSlipHist.record(
                 toMicros(request->clientSend - request->intendedSend));
         }
+        // The response is consumed in a later event at the earliest,
+        // so the attempt is still live after transmit().
         transmit(request);
         if (cfg.resilience.enabled)
-            armAttempt(request);
+            armAttempt(*request);
     });
 }
 
 void
-LoadTesterInstance::armAttempt(const server::RequestPtr &request)
+LoadTesterInstance::armAttempt(const server::Request &request)
 {
-    PendingState *found = pending.find(request->logicalSeqId);
+    PendingState *found = pending.find(request.logicalSeqId);
     if (found == nullptr)
         return; // Answered while this attempt queued on the CPU.
     PendingState &state = *found;
     const ResiliencePolicy &res = cfg.resilience;
-    const std::uint64_t logicalId = request->logicalSeqId;
+    const std::uint64_t logicalId = request.logicalSeqId;
 
     // The per-attempt timeout runs from the actual send instant.
     // Hedges carry no timeout of their own; the primary attempt's
     // timeout (and retry budget) stays authoritative.
-    if (!request->hedged && res.timeoutUs > 0.0) {
+    if (!request.hedged && res.timeoutUs > 0.0) {
         state.timeoutEvent = sim.schedule(
             static_cast<SimDuration>(microseconds(res.timeoutUs)),
             [this, logicalId] { onTimeout(logicalId); });
     }
 
-    if (request->attempt == 0 && !request->hedged && res.hedge) {
+    if (request.attempt == 0 && !request.hedged && res.hedge) {
         state.hedgeEvent = sim.schedule(
             static_cast<SimDuration>(microseconds(res.hedgeDelayUs)),
             [this, logicalId] { onHedgeTimer(logicalId); });
@@ -307,10 +309,10 @@ LoadTesterInstance::onHedgeTimer(std::uint64_t logicalId)
     transmitAttempt(cloneAttempt(state, /*hedged=*/true));
 }
 
-server::RequestPtr
+server::Request *
 LoadTesterInstance::cloneAttempt(PendingState &state, bool hedged)
 {
-    auto request = requestPool.make(state.proto);
+    server::Request *request = requestPool.make(state.proto);
     request->seqId =
         (static_cast<std::uint64_t>(cfg.index) << 40) | nextSeq++;
     request->attempt = state.attemptsSent++;
@@ -335,14 +337,14 @@ LoadTesterInstance::cloneAttempt(PendingState &state, bool hedged)
 }
 
 void
-LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
+LoadTesterInstance::onResponseDelivered(server::Request *request)
 {
     // Kernel interrupt handling between NIC and user code: the fixed
     // offset the paper observes between tcpdump and tester curves.
     const auto kernel =
         static_cast<SimDuration>(microseconds(kKernelDelayUs));
     sim.countEvent(sim::EventTag::ClientKernel);
-    sim.schedule(kernel, [this, request = std::move(request)] {
+    sim.schedule(kernel, [this, request] {
         // Response callback executes on the client CPU (inline, as
         // with wangle, but it still queues if the CPU is busy).
         const SimTime startProcessing = std::max(sim.now(), cpuFreeAt);
@@ -361,6 +363,7 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
                     // The logical request already completed (another
                     // attempt won) or failed: this response is late.
                     lateCounter.add();
+                    requestPool.release(request);
                     return;
                 }
                 PendingState &state = *found;
@@ -373,10 +376,10 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
                 if (request->hedged)
                     hedgeWinsCounter.add();
                 if (cfg.recordSpans && spanSink)
-                    recordSpan(&state, request);
+                    recordSpan(&state, *request);
                 pending.erase(request->logicalSeqId);
             } else if (cfg.recordSpans && spanSink) {
-                recordSpan(nullptr, request);
+                recordSpan(nullptr, *request);
             }
 
             TM_ASSERT(outstandingCount > 0,
@@ -392,30 +395,31 @@ LoadTesterInstance::onResponseDelivered(server::RequestPtr request)
             samples.add(request->clientLatencyUs());
             controller->onResponse();
             if (completionHook)
-                completionHook(request);
+                completionHook(*request);
+            requestPool.release(request);
         });
     });
 }
 
 void
 LoadTesterInstance::recordSpan(const PendingState *state,
-                               const server::RequestPtr &winner)
+                               const server::Request &winner)
 {
     obs::SpanTrace &span = spanScratch;
-    span.logicalSeqId = winner->logicalSeqId;
-    span.clientIndex = winner->clientIndex;
-    span.isGet = winner->op == server::OpType::Get;
-    span.hit = winner->hit;
-    span.intendedSend = winner->intendedSend;
-    span.clientReceive = winner->clientReceive;
+    span.logicalSeqId = winner.logicalSeqId;
+    span.clientIndex = winner.clientIndex;
+    span.isGet = winner.op == server::OpType::Get;
+    span.hit = winner.hit;
+    span.intendedSend = winner.intendedSend;
+    span.clientReceive = winner.clientReceive;
 
     if (state == nullptr || state->heldCount == 0) {
         // Single wire attempt: the winner is the whole span.
-        span.connectionId = winner->connectionId;
+        span.connectionId = winner.connectionId;
         span.attemptCount = 1;
         span.stored = 1;
         span.winner = 0;
-        span.winning = *winner;
+        span.winning = winner;
         span.winning.won = true;
         spanSink(obs::SpanView{span, nullptr});
         return;
@@ -427,11 +431,11 @@ LoadTesterInstance::recordSpan(const PendingState *state,
     // Retention may have overflowed past the winning attempt: then it
     // evicts the last loser, so the span always carries the winner's
     // complete timeline (attemptCount still reports the true total).
-    const server::Request *won = winner.get();
+    const server::Request *won = &winner;
     std::uint32_t w = n - 1;
     for (std::uint32_t i = 0; i < n; ++i) {
-        if (state->held[i]->seqId == winner->seqId) {
-            won = state->held[i].get();
+        if (state->held[i]->seqId == winner.seqId) {
+            won = state->held[i];
             w = i;
             break;
         }

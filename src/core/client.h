@@ -108,7 +108,7 @@ class LoadTesterInstance
 {
   public:
     /** Hands a fully built request to the harness for transmission. */
-    using TransmitFn = std::function<void(server::RequestPtr)>;
+    using TransmitFn = std::function<void(server::Request *)>;
 
     /** Connections each instance multiplexes its requests over. */
     static constexpr unsigned kConnections = 16;
@@ -135,8 +135,9 @@ class LoadTesterInstance
     void stopLoad();
 
     /** The harness delivers a response packet arriving at this
-     *  client's NIC. */
-    void onResponseDelivered(server::RequestPtr request);
+     *  client's NIC. The client releases @p request once it has
+     *  consumed the response. */
+    void onResponseDelivered(server::Request *request);
 
     /** @name Observers
      * @{
@@ -172,16 +173,20 @@ class LoadTesterInstance
     {
         return requestPool.slabCount();
     }
+    /** Wire attempts whose arena slot is still held: queued on the
+     *  client CPU, in flight, or never answered. */
+    std::size_t attemptsHeld() const { return requestPool.inUse(); }
     const ClientParams &params() const { return cfg; }
     /** @} */
 
     /**
      * Install a hook invoked after each response has been fully
      * processed and sampled (used by the experiment harness for
-     * latency decomposition and stop conditions).
+     * latency decomposition and stop conditions). The request is
+     * released when the hook returns.
      */
     void setCompletionHook(
-        std::function<void(const server::RequestPtr &)> hook)
+        std::function<void(const server::Request &)> hook)
     {
         completionHook = std::move(hook);
     }
@@ -212,12 +217,13 @@ class LoadTesterInstance
         sim::EventId hedgeEvent = 0;
         sim::EventId retryEvent = 0; ///< Backoff-delayed retry send.
         /** @name Attempt retention (recordSpans only)
-         * Every wire attempt is held alive until the logical request
-         * completes so its stamps survive into the span (losing
-         * attempts keep partial timelines). The pool recycles them
-         * when the entry is erased. Empty when recordSpans is off.
+         * Every wire attempt is listed until the logical request
+         * completes so its stamps reach the span (losing attempts
+         * keep partial timelines). None of them can have been
+         * released meanwhile: the first response to arrive wins.
+         * Empty when recordSpans is off.
          * @{ */
-        std::array<server::RequestPtr, obs::kMaxSpanAttempts> held;
+        std::array<server::Request *, obs::kMaxSpanAttempts> held{};
         std::uint32_t heldCount = 0;
         /** Index (into held) of the newest non-hedged attempt -- the
          *  one whose timeout fires next. */
@@ -229,10 +235,10 @@ class LoadTesterInstance
     void issueRequest(SimTime intendedSend);
 
     /** Occupy the client CPU, then transmit @p request. */
-    void transmitAttempt(server::RequestPtr request);
+    void transmitAttempt(server::Request *request);
 
     /** Arm the timeout (and, for first attempts, the hedge timer). */
-    void armAttempt(const server::RequestPtr &request);
+    void armAttempt(const server::Request &request);
 
     /** An attempt of @p logicalId hit its timeout. */
     void onTimeout(std::uint64_t logicalId);
@@ -244,7 +250,7 @@ class LoadTesterInstance
     void onHedgeTimer(std::uint64_t logicalId);
 
     /** Clone the prototype of @p state into a new wire attempt. */
-    server::RequestPtr cloneAttempt(PendingState &state, bool hedged);
+    server::Request *cloneAttempt(PendingState &state, bool hedged);
 
     /**
      * Build the span of a completed logical request into spanScratch
@@ -253,13 +259,14 @@ class LoadTesterInstance
      * span).
      */
     void recordSpan(const PendingState *state,
-                    const server::RequestPtr &winner);
+                    const server::Request &winner);
 
     sim::Simulation &sim;
     ClientParams cfg;
     WorkloadGenerator workload;
-    /** Recycles Request blocks across the instance's lifetime; issue
-     *  and clone paths allocate nothing once the arena is warm. */
+    /** Every wire attempt's slot (see server::RequestPool for the
+     *  lifetime rule); issue and clone paths allocate nothing once
+     *  the arena is warm. */
     server::RequestPool requestPool;
     TransmitFn transmit;
     std::unique_ptr<LoadController> controller;
@@ -273,7 +280,7 @@ class LoadTesterInstance
     std::uint64_t nextConnection = 0;
     std::size_t outstandingCount = 0;
     std::vector<std::uint64_t> outstandingSamples;
-    std::function<void(const server::RequestPtr &)> completionHook;
+    std::function<void(const server::Request &)> completionHook;
     std::function<void(const obs::SpanView &)> spanSink;
     /** Reused span buffers: recordSpan fills them in place, so span
      *  emission allocates nothing on the hot path. */

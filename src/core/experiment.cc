@@ -134,7 +134,7 @@ struct Harness {
     template <typename Next>
     net::Packet
     hop(const net::Path &path, net::PacketKind kind,
-        server::RequestPtr request, SimTime server::Request::*arrival,
+        server::Request *request, SimTime server::Request::*arrival,
         Next next)
     {
         net::Packet pkt;
@@ -145,12 +145,11 @@ struct Harness {
                         : request->responseBytes;
         pkt.kind = kind;
         path.send(sim, pkt,
-                  [this, arrival, request = std::move(request),
-                   next = std::move(next)](
-                      const net::Packet &arrived) mutable {
+                  [this, arrival, request,
+                   next](const net::Packet &arrived) {
                       if (arrival != nullptr)
-                          (*request).*arrival = sim.now();
-                      next(std::move(request), arrived);
+                          request->*arrival = sim.now();
+                      next(request, arrived);
                   });
         return pkt;
     }
@@ -209,19 +208,19 @@ wireClusterTier(Harness *h)
             shard = h->backendShims.back().get();
         }
 
-        shard->setSink([h, b](server::RequestPtr response) {
+        shard->setSink([h, b](server::Request *response) {
             h->hop(h->fabric->fromBackend(b), net::PacketKind::Response,
-                   std::move(response), nullptr,
-                   [h, b](server::RequestPtr resp, const net::Packet &) {
-                       h->balancer->backendAnswered(b, std::move(resp));
+                   response, nullptr,
+                   [h, b](server::Request *resp, const net::Packet &) {
+                       h->balancer->backendAnswered(b, resp);
                    });
         });
         lb::LoadBalancer::Backend hook;
-        hook.forward = [h, b, shard](server::RequestPtr request) {
+        hook.forward = [h, b, shard](server::Request *request) {
             h->hop(h->fabric->toBackend(b), net::PacketKind::Request,
-                   std::move(request), &server::Request::backendNicArrival,
-                   [shard](server::RequestPtr req, const net::Packet &) {
-                       shard->receive(std::move(req));
+                   request, &server::Request::backendNicArrival,
+                   [shard](server::Request *req, const net::Packet &) {
+                       shard->receive(req);
                    });
         };
         if (withShims) {
@@ -298,17 +297,16 @@ runExperiment(const ExperimentParams &params)
 
     // Server NIC (captured) -> network -> the request's client.
     auto *harness = h.get();
-    h->front->setSink([harness](server::RequestPtr response) {
+    h->front->setSink([harness](server::Request *response) {
         const auto client =
             static_cast<std::size_t>(response->clientIndex);
         const net::Packet sent = harness->hop(
             harness->cluster->serverToClient(client),
-            net::PacketKind::Response, std::move(response),
+            net::PacketKind::Response, response,
             &server::Request::clientNicArrival,
-            [harness, client](server::RequestPtr resp,
+            [harness, client](server::Request *resp,
                               const net::Packet &) {
-                harness->instances[client]->onResponseDelivered(
-                    std::move(resp));
+                harness->instances[client]->onResponseDelivered(resp);
             });
         harness->capture.onResponse(sent, harness->sim.now());
     });
@@ -346,17 +344,17 @@ runExperiment(const ExperimentParams &params)
 
         auto instance = std::make_unique<LoadTesterInstance>(
             h->sim, cp, params.workload,
-            [harness, i](server::RequestPtr request) {
+            [harness, i](server::Request *request) {
                 // Client NIC -> network -> server NIC (captured).
                 harness->hop(
                     harness->cluster->clientToServer(i),
-                    net::PacketKind::Request, std::move(request),
+                    net::PacketKind::Request, request,
                     &server::Request::nicArrival,
-                    [harness](server::RequestPtr req,
+                    [harness](server::Request *req,
                               const net::Packet &arrived) {
                         harness->capture.onRequest(arrived,
                                                    harness->sim.now());
-                        harness->front->receive(std::move(req));
+                        harness->front->receive(req);
                     });
             });
         if (params.trace.enabled) {
@@ -380,7 +378,7 @@ runExperiment(const ExperimentParams &params)
     // simulation when every instance is done.
     for (auto &instance : h->instances) {
         instance->setCompletionHook(
-            [harness](const server::RequestPtr &) {
+            [harness](const server::Request &) {
                 ++harness->responsesCompleted;
                 bool allDone = true;
                 for (auto &inst : harness->instances) {

@@ -25,7 +25,7 @@ namespace hw {
 struct WorkItem {
     /** Completion callback. The 48 bytes of inline capacity that
      *  sim::EventFn also uses cover the largest server-side closure
-     *  (this + request handle + a flag), so submitting work never
+     *  (this + request pointer + a flag), so submitting work never
      *  allocates. Move-only, like the queue. */
     using DoneFn = util::InlineFunction<void(SimTime start, SimTime end), 48>;
 

@@ -73,7 +73,7 @@ LoadBalancer::backendHealthy(std::uint32_t b) const
 // once per routed request; stamping and selection must stay
 // alloc-free.
 void
-LoadBalancer::receive(server::RequestPtr request)
+LoadBalancer::receive(server::Request *request)
 {
     TM_ASSERT(hooks.size() == config.backends,
               "balancer used before all backends attached");
@@ -107,7 +107,7 @@ LoadBalancer::receive(server::RequestPtr request)
         }
         request->lbFailovers = hops;
     }
-    dispatch(scratchHealthy[pick()], std::move(request));
+    dispatch(scratchHealthy[pick()], request);
 }
 
 std::size_t
@@ -127,7 +127,7 @@ LoadBalancer::pick()
 }
 
 void
-LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request)
+LoadBalancer::dispatch(std::uint32_t b, server::Request *request)
 {
     ++inflight[b];
     dispatchedCounter.add();
@@ -135,17 +135,16 @@ LoadBalancer::dispatch(std::uint32_t b, server::RequestPtr request)
     backendInflight[b]->set(static_cast<double>(inflight[b]));
     request->backendId = static_cast<std::int32_t>(b);
     request->lbDispatch = sim.now();
-    hooks[b].forward(std::move(request));
+    hooks[b].forward(request);
 }
 
 void
-LoadBalancer::backendAnswered(std::uint32_t b,
-                              server::RequestPtr response)
+LoadBalancer::backendAnswered(std::uint32_t b, server::Request *response)
 {
     TM_ASSERT(inflight[b] > 0, "backend answered a request it never got");
     --inflight[b];
     backendInflight[b]->set(static_cast<double>(inflight[b]));
-    answer(std::move(response));
+    answer(response);
 }
 // tmlint:hot-path-end
 

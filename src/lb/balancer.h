@@ -69,7 +69,7 @@ class LoadBalancer : public server::Service
     struct Backend {
         /** Ship a request to the shard (wire + service path); its
          *  answer comes back through backendAnswered(). */
-        std::function<void(server::RequestPtr)> forward;
+        std::function<void(server::Request *)> forward;
         /** Liveness probe consulted at dispatch time; an empty
          *  function means always healthy. */
         std::function<bool()> healthy;
@@ -95,11 +95,11 @@ class LoadBalancer : public server::Service
      * policy pick; drop (and count) when all replicas are down -- the
      * client's timeout machinery owns unanswered requests.
      */
-    void receive(server::RequestPtr request) override;
+    void receive(server::Request *request) override;
 
     /** Backend @p b answered @p response: free its slot, then hand
      *  the answer to the sink. */
-    void backendAnswered(std::uint32_t b, server::RequestPtr response);
+    void backendAnswered(std::uint32_t b, server::Request *response);
 
     /** @name Observers
      * Counts live in the registry ("lb.*"); these are the state a
@@ -123,7 +123,7 @@ class LoadBalancer : public server::Service
     std::size_t pick();
 
     /** Hand @p request to backend @p b. */
-    void dispatch(std::uint32_t b, server::RequestPtr request);
+    void dispatch(std::uint32_t b, server::Request *request);
 
     sim::Simulation &sim;
     BalancerConfig config;

@@ -30,7 +30,7 @@ namespace net {
  *
  * Small-buffer optimized: the largest delivery closure on the hot
  * path, the experiment harness's hop (a pointer, the arrival field, a
- * request handle and a 16-byte next step), fits the 48 bytes, so
+ * request pointer and a 16-byte next step), fits the 48 bytes, so
  * handing a packet to a link allocates nothing.
  */
 using DeliveryFn = util::InlineFunction<void(const Packet &), 48>;

@@ -100,11 +100,15 @@ std::string
 FactorialDesign::cellName(std::size_t c) const
 {
     TM_ASSERT(c < termCount(), "cell index out of range");
-    std::vector<std::string> parts;
-    for (std::size_t f = 0; f < names.size(); ++f)
-        parts.push_back(strprintf("%s=%d", names[f].c_str(),
-                                  (c >> f) & 1 ? 1 : 0));
-    return "{" + join(parts, ", ") + "}";
+    std::string name = "{";
+    for (std::size_t f = 0; f < names.size(); ++f) {
+        if (f > 0)
+            name += ", ";
+        name += names[f];
+        name += (c >> f) & 1 ? "=1" : "=0";
+    }
+    name += '}';
+    return name;
 }
 
 } // namespace regress

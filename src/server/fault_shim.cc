@@ -1,6 +1,6 @@
 #include "server/fault_shim.h"
 
-#include <utility>
+#include <algorithm>
 
 namespace treadmill {
 namespace server {
@@ -16,8 +16,7 @@ ServiceFaultShim::ServiceFaultShim(sim::Simulation &sim_, Service &inner_,
           sim_.metrics().counter(scope + ".fault.warmed_up"))
 {
     sim_.metrics().claimScope(scope + ".fault");
-    inner.setSink(
-        [this](RequestPtr response) { answer(std::move(response)); });
+    inner.setSink([this](Request *response) { answer(response); });
 }
 
 bool
@@ -33,7 +32,7 @@ ServiceFaultShim::crashed() const
 }
 
 void
-ServiceFaultShim::receive(RequestPtr request)
+ServiceFaultShim::receive(Request *request)
 {
     const SimTime now = sim.now();
 
@@ -52,10 +51,7 @@ ServiceFaultShim::receive(RequestPtr request)
         // scheduling order.
         stalledCounter.add();
         sim.countEvent(sim::EventTag::FaultStallRelease);
-        sim.scheduleAt(stallUntil,
-                       [this, request = std::move(request)]() mutable {
-                           receive(std::move(request));
-                       });
+        sim.scheduleAt(stallUntil, [this, request] { receive(request); });
         return;
     }
 
@@ -70,13 +66,11 @@ ServiceFaultShim::receive(RequestPtr request)
         warmupCounter.add();
         sim.countEvent(sim::EventTag::FaultWarmupDelay);
         sim.schedule(penalty,
-                     [this, request = std::move(request)]() mutable {
-                         inner.receive(std::move(request));
-                     });
+                     [this, request] { inner.receive(request); });
         return;
     }
 
-    inner.receive(std::move(request));
+    inner.receive(request);
 }
 
 void

@@ -59,7 +59,7 @@ class ServiceFaultShim : public Service
      * crashed, and delay by the decaying warm-up penalty while warming
      * up.
      */
-    void receive(RequestPtr request) override;
+    void receive(Request *request) override;
 
     /** @name Injector hooks
      * @{

@@ -41,17 +41,17 @@ void
 McrouterServer::setBackendPool(Service *pool)
 {
     backendPool = pool;
-    pool->setSink([this](RequestPtr response) {
+    pool->setSink([this](Request *response) {
         // The instant the shard's response re-entered the router tier
         // (span traces split fabric time from router egress on this
         // stamp).
         response->routerReturn = machine.simulation().now();
-        serializeOnWorker(std::move(response));
+        serializeOnWorker(response);
     });
 }
 
 void
-McrouterServer::receive(RequestPtr request)
+McrouterServer::receive(Request *request)
 {
     TM_ASSERT(request->nicArrival != kNoTime,
               "request must be stamped with nicArrival");
@@ -68,15 +68,14 @@ McrouterServer::receive(RequestPtr request)
     // Interrupt-storm fault hook: 1.0 (exact identity) when healthy.
     irq.cycles = hw::kMachine.irqCycles * machine.nic().irqLoadFactor();
     irq.allowTurbo = true;
-    irq.done = [this, request = std::move(request),
-                crossSocket](SimTime, SimTime) mutable {
-        deserializeOnWorker(std::move(request), crossSocket);
+    irq.done = [this, request, crossSocket](SimTime, SimTime) {
+        deserializeOnWorker(request, crossSocket);
     };
     machine.submit(irqCore, std::move(irq));
 }
 
 void
-McrouterServer::deserializeOnWorker(RequestPtr request, bool crossSocket)
+McrouterServer::deserializeOnWorker(Request *request, bool crossSocket)
 {
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
@@ -97,8 +96,7 @@ McrouterServer::deserializeOnWorker(RequestPtr request, bool crossSocket)
     if (crossSocket)
         work.fixedStall += hw::kMachine.crossSocketTransfer;
     work.allowTurbo = true;
-    work.done = [this, request = std::move(request)](SimTime start,
-                                                     SimTime) mutable {
+    work.done = [this, request](SimTime start, SimTime) {
         request->workerStart = start;
         if (backendPool != nullptr) {
             // Real shard fabric: the pool owns the whole round trip
@@ -106,22 +104,20 @@ McrouterServer::deserializeOnWorker(RequestPtr request, bool crossSocket)
             // request, hit/responseBytes filled by the shard, to the
             // sink setBackendPool wired. No router core is occupied
             // meanwhile, same as the modelled path below.
-            backendPool->receive(std::move(request));
+            backendPool->receive(request);
             return;
         }
         // Asynchronous backend round trip: no core occupied.
         const double delayUs = backendDelay.sample(rng);
         machine.simulation().schedule(
             microseconds(delayUs),
-            [this, request = std::move(request)]() mutable {
-                serializeOnWorker(std::move(request));
-            });
+            [this, request] { serializeOnWorker(request); });
     };
     machine.submit(coreId, std::move(work));
 }
 
 void
-McrouterServer::serializeOnWorker(RequestPtr request)
+McrouterServer::serializeOnWorker(Request *request)
 {
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
@@ -130,8 +126,7 @@ McrouterServer::serializeOnWorker(RequestPtr request)
     hw::WorkItem work;
     work.cycles = kSerializeCycles * jitter.sample(rng);
     work.allowTurbo = true;
-    work.done = [this, request = std::move(request)](SimTime,
-                                                     SimTime end) mutable {
+    work.done = [this, request](SimTime, SimTime end) {
         request->workerEnd = end;
         if (backendPool == nullptr) {
             // Modelled backend: synthesize the outcome the real shard
@@ -143,7 +138,7 @@ McrouterServer::serializeOnWorker(RequestPtr request)
         request->nicDeparture = end;
         metrics.onServed(*request, request->nicArrival,
                          request->workerStart, end);
-        answer(std::move(request));
+        answer(request);
     };
     machine.submit(coreId, std::move(work));
 }

@@ -39,7 +39,7 @@ class McrouterServer : public Service
     McrouterServer(hw::Machine &machine, std::uint64_t seed,
                    const std::string &scope = "server");
 
-    void receive(RequestPtr request) override;
+    void receive(Request *request) override;
 
     /**
      * Route through @p pool (typically a lb::LoadBalancer fronting the
@@ -56,10 +56,10 @@ class McrouterServer : public Service
 
   private:
     /** Stage 2: parse + route on the proxy thread. */
-    void deserializeOnWorker(RequestPtr request, bool crossSocket);
+    void deserializeOnWorker(Request *request, bool crossSocket);
 
     /** Stage 3: the backend answered; serialize the reply. */
-    void serializeOnWorker(RequestPtr request);
+    void serializeOnWorker(Request *request);
 
     hw::Machine &machine;
     Rng rng;

@@ -40,7 +40,7 @@ MemcachedServer::MemcachedServer(hw::Machine &machine_,
 // tmlint:hot-path-begin -- receive and executeOnWorker run once per
 // served request, including the key-size map lookup or store.
 void
-MemcachedServer::receive(RequestPtr request)
+MemcachedServer::receive(Request *request)
 {
     TM_ASSERT(backendRole ? request->backendNicArrival != kNoTime
                           : request->nicArrival != kNoTime,
@@ -61,15 +61,14 @@ MemcachedServer::receive(RequestPtr request)
     irq.cycles = hw::kMachine.irqCycles * machine.nic().irqLoadFactor();
     irq.fixedStall = 0;
     irq.allowTurbo = true;
-    irq.done = [this, request = std::move(request),
-                crossSocket](SimTime, SimTime) mutable {
-        executeOnWorker(std::move(request), crossSocket);
+    irq.done = [this, request, crossSocket](SimTime, SimTime) {
+        executeOnWorker(request, crossSocket);
     };
     machine.submit(irqCore, std::move(irq));
 }
 
 void
-MemcachedServer::executeOnWorker(RequestPtr request, bool crossSocket)
+MemcachedServer::executeOnWorker(Request *request, bool crossSocket)
 {
     const unsigned workerIdx =
         machine.workerOfConnection(request->connectionId);
@@ -88,8 +87,7 @@ MemcachedServer::executeOnWorker(RequestPtr request, bool crossSocket)
     if (crossSocket)
         work.fixedStall += hw::kMachine.crossSocketTransfer;
     work.allowTurbo = true;
-    work.done = [this, request = std::move(request)](SimTime start,
-                                                     SimTime end) mutable {
+    work.done = [this, request](SimTime start, SimTime end) {
         // A backend shard keeps its window in the backend* stamps so
         // the router's workerStart/End on the same Request survive.
         if (backendRole) {
@@ -121,7 +119,7 @@ MemcachedServer::executeOnWorker(RequestPtr request, bool crossSocket)
             request->nicDeparture = end;
             metrics.onServed(*request, request->nicArrival, start, end);
         }
-        answer(std::move(request));
+        answer(request);
     };
     machine.submit(coreId, std::move(work));
 }

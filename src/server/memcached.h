@@ -53,7 +53,7 @@ class MemcachedServer : public Service
                     const std::string &scope = "server",
                     bool backendRole = false);
 
-    void receive(RequestPtr request) override;
+    void receive(Request *request) override;
 
     /** Key id -> stored value size (inspection). */
     const util::FlatU64Map<std::uint32_t> &store() const { return values; }
@@ -68,7 +68,7 @@ class MemcachedServer : public Service
 
   private:
     /** Worker-thread portion of request handling. */
-    void executeOnWorker(RequestPtr request, bool crossSocket);
+    void executeOnWorker(Request *request, bool crossSocket);
 
     hw::Machine &machine;
     util::FlatU64Map<std::uint32_t> values;

@@ -14,7 +14,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -90,14 +89,16 @@ wireKey(std::uint64_t keyId, char (&buf)[kWireKeyCapacity])
     return std::string_view(buf, static_cast<std::size_t>(end.ptr - buf));
 }
 
-using RequestPtr = std::shared_ptr<Request>;
-
 /**
- * Free-list arena for Request objects. make() replaces make_shared on
- * the issue path: the shared_ptr control block and the Request land in
- * one recycled block, so a warmed-up client issues requests without
- * heap allocation. Outstanding RequestPtr handles keep the arena
- * alive, so pool and simulation teardown order does not matter.
+ * Arena of wire attempts, one per load-tester instance. The lifetime
+ * rule: a Request * is valid from the make() that built the attempt
+ * until its issuing client consumes the attempt's response, and the
+ * client releases it exactly then, once. An attempt whose response
+ * never comes back (lost on a link, refused by the balancer, dropped
+ * by a crashed server, or in flight when the run ends) keeps its slot
+ * until the arena goes. Every component between make() and the
+ * response passes the plain pointer along; code that needs an attempt
+ * after its response was consumed copies the Request.
  */
 using RequestPool = util::Pool<Request>;
 
@@ -111,7 +112,7 @@ class Service
 {
   public:
     /** Takes each answered request. */
-    using Sink = util::InlineFunction<void(RequestPtr)>;
+    using Sink = util::InlineFunction<void(Request *)>;
 
     virtual ~Service() = default;
 
@@ -123,15 +124,15 @@ class Service
      * hands it to its sink once the answer is ready to leave its NIC
      * (nicDeparture stamped).
      */
-    virtual void receive(RequestPtr request) = 0;
+    virtual void receive(Request *request) = 0;
 
   protected:
     /** Hand the answered @p request to the wired sink. */
     void
-    answer(RequestPtr request)
+    answer(Request *request)
     {
         TM_ASSERT(sink, "service answered before its sink was wired");
-        sink(std::move(request));
+        sink(request);
     }
 
   private:

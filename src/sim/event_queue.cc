@@ -10,7 +10,7 @@ namespace treadmill {
 namespace sim {
 
 std::uint32_t
-EventQueue::acquireSlot(EventFn fn)
+EventQueue::acquireSlot(EventFn &&fn)
 {
     std::uint32_t idx;
     if (freeHead != kNil) {
@@ -38,7 +38,7 @@ EventQueue::retireSlot(std::uint32_t slot)
 }
 
 EventId
-EventQueue::push(SimTime when, EventFn fn)
+EventQueue::push(SimTime when, EventFn &&fn)
 {
     const std::uint32_t slot = acquireSlot(std::move(fn));
     const HeapEntry entry{when, nextSeq++, slot, slots[slot].gen};
@@ -140,15 +140,32 @@ EventQueue::cancel(EventId id)
     Slot &s = slots[slot];
     if (s.next != kInUse || s.gen != gen)
         return false;
-    // Destroy the callback now: a cancelled timeout must not keep its
-    // captured request alive until the stale heap entry drains.
+    // Destroy the callback now: whatever it captured must not live on
+    // until the stale heap entry drains.
     s.fn = EventFn();
     retireSlot(slot);
     --liveCount;
     // The heap entry stays behind and is dropped lazily when it
-    // reaches the top -- same cost model as the old hash-set scheme,
-    // without the two hash operations per push/pop.
+    // reaches the top, unless the dead entries now outnumber the
+    // live ones by the slack.
+    if (heap.size() - liveCount > liveCount + kCompactSlack)
+        compact();
     return true;
+}
+
+void
+EventQueue::compact()
+{
+    heap.erase(std::remove_if(heap.begin(), heap.end(),
+                              [this](const HeapEntry &e) {
+                                  return !slotLive(e);
+                              }),
+               heap.end());
+    // Floyd's heapify: sift down every parent, last one first.
+    if (heap.size() > 1) {
+        for (std::size_t i = (heap.size() - 2) / 4 + 1; i-- > 0;)
+            siftDown(i, heap[i]);
+    }
 }
 
 void

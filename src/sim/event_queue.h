@@ -21,10 +21,10 @@ namespace sim {
  * Callback executed when an event fires.
  *
  * A small-buffer-optimized move-only callable: captures up to 48
- * bytes (a `this` pointer plus a pooled request handle or a couple of
- * ids -- every closure on the steady-state request path) are stored
- * inline, so scheduling an event performs no heap allocation. Larger
- * captures transparently fall back to the heap.
+ * bytes (a `this` pointer plus a request pointer or a couple of ids --
+ * every closure on the steady-state request path) are stored inline,
+ * so scheduling an event performs no heap allocation. Larger captures
+ * transparently fall back to the heap.
  */
 using InlineEvent = util::InlineFunction<void(), 48>;
 using EventFn = InlineEvent;
@@ -48,9 +48,13 @@ using EventId = std::uint64_t;
  * EventId encodes (generation << 32 | slot); cancel() is a bounds
  * check plus a generation compare -- no hash lookups -- and bumps the
  * slot generation so the heap entry is recognized as dead when it
- * reaches the top. The callback is destroyed eagerly on cancel, so
- * captured state (e.g. a pooled request held by a timeout closure)
- * is released immediately rather than when the stale entry drains.
+ * reaches the top. The callback is destroyed eagerly on cancel.
+ *
+ * Cancelled timeouts mostly lie far beyond the heap's top, so their
+ * entries would otherwise pile up and deepen every sift. Once the dead
+ * entries outnumber the live ones by kCompactSlack, cancel() rebuilds
+ * the heap from its live entries alone. Every (when, seq) key is
+ * unique, so pop order, ids and size() are unaffected.
  */
 class EventQueue
 {
@@ -61,13 +65,17 @@ class EventQueue
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Insert an event firing at @p when; returns its (nonzero) id. */
-    EventId push(SimTime when, EventFn fn);
+    EventId push(SimTime when, EventFn &&fn);
 
     /** True when no live events remain. */
     bool empty() const { return liveCount == 0; }
 
     /** Number of live (non-cancelled) events. */
     std::size_t size() const { return liveCount; }
+
+    /** Heap entries, live and cancelled: a cancelled entry stays until
+     *  it surfaces or the heap is compacted. */
+    std::size_t heapEntries() const { return heap.size(); }
 
     /** Timestamp of the earliest live event. Queue must be non-empty. */
     SimTime nextTime();
@@ -111,6 +119,9 @@ class EventQueue
 
     static constexpr std::uint32_t kNil = 0xffffffffu;
     static constexpr std::uint32_t kInUse = 0xfffffffeu;
+    /** Dead entries tolerated beyond the live count before cancel()
+     *  compacts the heap. */
+    static constexpr std::size_t kCompactSlack = 64;
 
     /** (when, seq) lexicographic order as one 128-bit compare: the
      *  composed key makes best-child selection branchless (cmov), and
@@ -134,13 +145,15 @@ class EventQueue
         return s.next == kInUse && s.gen == e.gen;
     }
 
-    std::uint32_t acquireSlot(EventFn fn);
+    std::uint32_t acquireSlot(EventFn &&fn);
     void retireSlot(std::uint32_t slot);
     void siftUp(std::size_t hole, HeapEntry entry);
     void siftDown(std::size_t hole, HeapEntry entry);
     void removeTop();
     /** Drop cancelled entries off the top of the heap. */
     void dropDeadTop();
+    /** Rebuild the heap from its live entries. */
+    void compact();
 
     std::vector<HeapEntry> heap;
     std::vector<Slot> slots;

@@ -21,14 +21,14 @@ Simulation::~Simulation()
 }
 
 EventId
-Simulation::schedule(SimDuration delay, EventFn fn)
+Simulation::schedule(SimDuration delay, EventFn &&fn)
 {
     scheduledCounter->add();
     return events.push(currentTime + delay, std::move(fn));
 }
 
 EventId
-Simulation::scheduleAt(SimTime when, EventFn fn)
+Simulation::scheduleAt(SimTime when, EventFn &&fn)
 {
     TM_ASSERT(when >= currentTime, "cannot schedule an event in the past");
     scheduledCounter->add();

@@ -66,10 +66,10 @@ class Simulation
     SimTime now() const { return currentTime; }
 
     /** Schedule @p fn to run @p delay after the current time. */
-    EventId schedule(SimDuration delay, EventFn fn);
+    EventId schedule(SimDuration delay, EventFn &&fn);
 
     /** Schedule @p fn at the absolute virtual time @p when (>= now). */
-    EventId scheduleAt(SimTime when, EventFn fn);
+    EventId scheduleAt(SimTime when, EventFn &&fn);
 
     /** Cancel a previously scheduled event. */
     bool cancel(EventId id);

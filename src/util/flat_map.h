@@ -13,8 +13,8 @@
  *
  * Deliberately minimal: no iteration and no rehash-on-erase. Values
  * are moved on rehash and on backward shift, and an erased or cleared
- * slot's value is reset to V{}, so a value that owns resources (a
- * pooled request handle) releases them at erase time. A pointer from
+ * slot's value is reset to V{}, so a value that owns resources
+ * releases them at erase time. A pointer from
  * find() is invalidated by any insert or erase. Sequential ids hash
  * through a multiplicative mix so bursts of consecutive keys spread
  * across the table.

@@ -8,11 +8,12 @@
  * (16 bytes on libstdc++). InlineFunction stores captures up to a
  * configurable inline capacity directly inside the object -- the
  * common timeout/arrival/departure closures (a `this` pointer, a
- * pooled request handle, an id) never touch the heap -- and falls
- * back to a heap-allocated callable only for oversized captures.
+ * request pointer, an id) never touch the heap -- and falls back to a
+ * heap-allocated callable only for oversized captures.
  *
- * Unlike std::function it is move-only, so captured shared_ptr and
- * pool handles are relocated, never refcount-churned by copies.
+ * Unlike std::function it is move-only, so a capture that owns state
+ * is relocated, never copied. Trivially copyable captures (every
+ * closure on the request path) relocate by one memcpy.
  */
 
 #ifndef TREADMILL_UTIL_INLINE_FUNCTION_H_

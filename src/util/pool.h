@@ -4,14 +4,13 @@
  *
  * Two flavors:
  *
- *  - Pool<T>: a factory for shared_ptr<T> built on std::allocate_shared
- *    with a slab-backed free-list allocator. The control block and the
- *    object land in a single pooled block, so once the free list is
- *    warm a make() performs zero heap allocations. The allocator holds
- *    a shared_ptr to the pool core, so outstanding shared_ptr<T>
- *    handles keep the arena alive even if the Pool object itself is
- *    destroyed first -- destruction order between pools and the
- *    simulation is a non-issue.
+ *  - Pool<T>: an arena that hands out plain T pointers. make()
+ *    constructs a T in a free block and release() returns the block;
+ *    the free list lives in the released blocks themselves, so the
+ *    arena allocates nothing but whole slabs, and once warm nothing at
+ *    all. T must be trivially destructible: a block still live when
+ *    the arena goes is abandoned with its slab, so whatever still
+ *    points into it needs no teardown order.
  *
  *  - RawPool<T>: an index-addressed slab pool for objects whose
  *    lifetime is managed explicitly (acquire/release). Slabs are
@@ -27,6 +26,7 @@
 #include <cstdint>
 #include <memory>
 #include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,159 +35,79 @@
 namespace treadmill {
 namespace util {
 
-namespace detail {
-
 /**
- * Slab-backed free list of fixed-size blocks. The block size is fixed
- * by the first allocation (for Pool<T> that is the size of the
- * shared_ptr control block + T), and all subsequent allocations of
- * that size recycle freed blocks.
- */
-class PoolCore
-{
-  public:
-    void *
-    allocate(std::size_t bytes)
-    {
-        const std::size_t need = roundUp(bytes);
-        if (blockSize == 0) {
-            blockSize = need;
-        }
-        if (need > blockSize) {
-            // A rebind asked for something bigger than our block; let
-            // the global heap serve it rather than fragment the arena.
-            return ::operator new(bytes);
-        }
-        if (freeHead != nullptr) {
-            void *block = freeHead;
-            freeHead = *static_cast<void **>(block);
-            ++reuseCount;
-            return block;
-        }
-        if (slabCursor == kBlocksPerSlab) {
-            slabs.push_back(std::make_unique<unsigned char[]>(
-                blockSize * kBlocksPerSlab));
-            slabCursor = 0;
-        }
-        void *block = slabs.back().get() + blockSize * slabCursor;
-        ++slabCursor;
-        ++freshCount;
-        return block;
-    }
-
-    void
-    deallocate(void *block, std::size_t bytes)
-    {
-        if (roundUp(bytes) > blockSize) {
-            ::operator delete(block);
-            return;
-        }
-        *static_cast<void **>(block) = freeHead;
-        freeHead = block;
-    }
-
-    std::size_t slabCount() const { return slabs.size(); }
-    std::uint64_t freshAllocations() const { return freshCount; }
-    std::uint64_t reusedAllocations() const { return reuseCount; }
-
-  private:
-    static constexpr std::size_t kBlocksPerSlab = 64;
-
-    static std::size_t
-    roundUp(std::size_t bytes)
-    {
-        const std::size_t a = alignof(std::max_align_t);
-        const std::size_t min = bytes < sizeof(void *) ? sizeof(void *)
-                                                       : bytes;
-        return (min + a - 1) / a * a;
-    }
-
-    std::vector<std::unique_ptr<unsigned char[]>> slabs;
-    std::size_t slabCursor = kBlocksPerSlab;
-    std::size_t blockSize = 0;
-    void *freeHead = nullptr;
-    std::uint64_t freshCount = 0;
-    std::uint64_t reuseCount = 0;
-};
-
-template <typename U>
-struct PoolAllocator {
-    using value_type = U;
-
-    explicit PoolAllocator(std::shared_ptr<PoolCore> core_)
-        : core(std::move(core_))
-    {
-    }
-
-    template <typename V>
-    PoolAllocator(const PoolAllocator<V> &other) : core(other.core)
-    {
-    }
-
-    U *
-    allocate(std::size_t n)
-    {
-        if (n != 1) {
-            return static_cast<U *>(::operator new(n * sizeof(U)));
-        }
-        return static_cast<U *>(core->allocate(sizeof(U)));
-    }
-
-    void
-    deallocate(U *p, std::size_t n)
-    {
-        if (n != 1) {
-            ::operator delete(p);
-            return;
-        }
-        core->deallocate(p, sizeof(U));
-    }
-
-    template <typename V>
-    bool
-    operator==(const PoolAllocator<V> &other) const
-    {
-        return core == other.core;
-    }
-
-    std::shared_ptr<PoolCore> core;
-};
-
-} // namespace detail
-
-/**
- * shared_ptr factory with a recycling arena. make() replaces
- * make_shared on hot paths: the first ~N calls carve blocks out of
- * slabs; after objects are released the free list serves every call
- * without touching the global heap.
+ * Slab arena of T blocks with an intrusive free list. make() replaces
+ * new on hot paths: the first calls carve blocks out of 64-block
+ * slabs; released blocks serve every later call without touching the
+ * global heap. Each block is released exactly once: releasing a block
+ * that is not live in this arena panics in every build.
  */
 template <typename T>
 class Pool
 {
-  public:
-    Pool() : core(std::make_shared<detail::PoolCore>()) {}
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "a Pool abandons live blocks with their slab");
 
+  public:
+    Pool() = default;
+    Pool(const Pool &) = delete;
+    Pool &operator=(const Pool &) = delete;
+
+    /** Construct a T from @p args in a free block. */
     template <typename... Args>
-    std::shared_ptr<T>
+    T *
     make(Args &&...args)
     {
-        return std::allocate_shared<T>(detail::PoolAllocator<T>(core),
-                                       std::forward<Args>(args)...);
+        Block *block = freeHead;
+        if (block != nullptr) {
+            freeHead = block->next;
+        } else {
+            if (slabCursor == kBlocksPerSlab) {
+                slabs.push_back(std::make_unique<Block[]>(kBlocksPerSlab));
+                slabCursor = 0;
+            }
+            block = &slabs.back()[slabCursor++];
+        }
+        block->next = liveMark();
+        ++liveCount;
+        return ::new (static_cast<void *>(block->bytes))
+            T(std::forward<Args>(args)...);
     }
 
-    /** Number of slabs carved so far (growth indicator for tests). */
-    std::size_t slabCount() const { return core->slabCount(); }
-    std::uint64_t freshAllocations() const
+    /** Return @p object's block to the free list. */
+    void
+    release(T *object)
     {
-        return core->freshAllocations();
+        Block *block = reinterpret_cast<Block *>(object);
+        TM_ASSERT(block->next == liveMark(),
+                  "Pool::release on a block that is not live");
+        block->next = freeHead;
+        freeHead = block;
+        --liveCount;
     }
-    std::uint64_t reusedAllocations() const
-    {
-        return core->reusedAllocations();
-    }
+
+    /** Number of slabs carved so far (growth indicator). */
+    std::size_t slabCount() const { return slabs.size(); }
+    /** Blocks made and not yet released. */
+    std::size_t inUse() const { return liveCount; }
 
   private:
-    std::shared_ptr<detail::PoolCore> core;
+    static constexpr std::size_t kBlocksPerSlab = 64;
+
+    /** The object's bytes come first, so a T * is its block's
+     *  address. */
+    struct Block {
+        alignas(T) unsigned char bytes[sizeof(T)];
+        /** The next free block; a live block points at its arena. */
+        Block *next;
+    };
+
+    Block *liveMark() { return reinterpret_cast<Block *>(this); }
+
+    std::vector<std::unique_ptr<Block[]>> slabs;
+    std::size_t slabCursor = kBlocksPerSlab;
+    Block *freeHead = nullptr;
+    std::size_t liveCount = 0;
 };
 
 /**

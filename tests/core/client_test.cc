@@ -35,8 +35,8 @@ class EchoHarness
     LoadTesterInstance::TransmitFn
     transmitTo(LoadTesterInstance *&slot)
     {
-        return [this, &slot](server::RequestPtr req) {
-            sent.push_back(req);
+        return [this, &slot](server::Request *req) {
+            sent.push_back(*req);
             sim.schedule(delay, [this, req, &slot] {
                 req->nicArrival = sim.now();
                 req->nicDeparture = sim.now();
@@ -46,7 +46,8 @@ class EchoHarness
         };
     }
 
-    std::vector<server::RequestPtr> sent;
+    /** A copy of each attempt as it left the client. */
+    std::vector<server::Request> sent;
 
   private:
     sim::Simulation &sim;
@@ -139,7 +140,7 @@ TEST(ClientTest, CpuSaturationDelaysTransmission)
     sim.runUntil(milliseconds(5));
     ASSERT_GT(echo.sent.size(), 100u);
     const auto &last = echo.sent.back();
-    EXPECT_GT(last->clientSend, last->intendedSend + microseconds(100));
+    EXPECT_GT(last.clientSend, last.intendedSend + microseconds(100));
     EXPECT_GT(inst.cpuUtilization(), 0.9);
 }
 
@@ -156,10 +157,10 @@ TEST(ClientTest, ConnectionsRotateRoundRobin)
     constexpr std::size_t n = LoadTesterInstance::kConnections;
     ASSERT_GE(echo.sent.size(), 2 * n);
     for (std::size_t i = 1; i < n; ++i)
-        EXPECT_NE(echo.sent[i]->connectionId, echo.sent[0]->connectionId);
+        EXPECT_NE(echo.sent[i].connectionId, echo.sent[0].connectionId);
     for (std::size_t i = n; i < 2 * n; ++i)
-        EXPECT_EQ(echo.sent[i]->connectionId,
-                  echo.sent[i - n]->connectionId);
+        EXPECT_EQ(echo.sent[i].connectionId,
+                  echo.sent[i - n].connectionId);
 }
 
 TEST(ClientTest, SequenceIdsEncodeInstance)
@@ -175,8 +176,8 @@ TEST(ClientTest, SequenceIdsEncodeInstance)
     inst.start();
     sim.runUntil(milliseconds(1));
     ASSERT_FALSE(echo.sent.empty());
-    EXPECT_EQ(echo.sent.front()->seqId >> 40, 3u);
-    EXPECT_EQ(echo.sent.front()->clientIndex, 3u);
+    EXPECT_EQ(echo.sent.front().seqId >> 40, 3u);
+    EXPECT_EQ(echo.sent.front().clientIndex, 3u);
 }
 
 TEST(ClientTest, CompletionHookFires)
@@ -189,7 +190,7 @@ TEST(ClientTest, CompletionHookFires)
     slot = &inst;
     std::uint64_t hooks = 0;
     inst.setCompletionHook(
-        [&](const server::RequestPtr &) { ++hooks; });
+        [&](const server::Request &) { ++hooks; });
     inst.start();
     sim.runUntil(milliseconds(10));
     EXPECT_EQ(hooks, inst.received());
@@ -232,11 +233,11 @@ TEST(ClientTest, CountersAreTheObserversAndOneInstanceOwnsItsScope)
     // A second instance with the same index would add into the same
     // counters: its construction fails instead.
     EXPECT_THROW(LoadTesterInstance(sim, params, WorkloadConfig{},
-                                    [](server::RequestPtr) {}),
+                                    [](server::Request *) {}),
                  ConfigError);
     params.index = 4;
     EXPECT_NO_THROW(LoadTesterInstance(sim, params, WorkloadConfig{},
-                                       [](server::RequestPtr) {}));
+                                       [](server::Request *) {}));
 }
 
 } // namespace

@@ -39,13 +39,12 @@ LoadTesterInstance::TransmitFn
 echoTransmit(sim::Simulation &sim, LoadTesterInstance *&slot,
              SimDuration delay)
 {
-    return [&sim, &slot, delay](server::RequestPtr req) {
-        sim.schedule(delay, [&sim, &slot,
-                             req = std::move(req)]() mutable {
+    return [&sim, &slot, delay](server::Request *req) {
+        sim.schedule(delay, [&sim, &slot, req] {
             req->nicArrival = sim.now();
             req->nicDeparture = sim.now();
             req->clientNicArrival = sim.now();
-            slot->onResponseDelivered(std::move(req));
+            slot->onResponseDelivered(req);
         });
     };
 }
@@ -92,14 +91,17 @@ TEST(ZeroAllocTest, WarmClientLoopRunsWithoutHeapAllocations)
 
 /** Open-loop request source for a Memcached server: one pooled
  *  request every 20 us, half of them SETs, over a fixed key set with
- *  1 B - 2 KiB values. */
+ *  1 B - 2 KiB values. The sink releases each answered request. */
 struct ServerLoad {
     static constexpr std::uint64_t kKeys = 512;
 
     ServerLoad(sim::Simulation &sim_, server::MemcachedServer &server_)
         : sim(sim_), server(server_)
     {
-        server.setSink([this](server::RequestPtr) { ++answered; });
+        server.setSink([this](server::Request *answer) {
+            ++answered;
+            pool.release(answer);
+        });
     }
 
     sim::Simulation &sim;
@@ -113,7 +115,7 @@ struct ServerLoad {
     void
     issue()
     {
-        auto req = pool.make();
+        server::Request *req = pool.make();
         req->seqId = issued++;
         req->connectionId = req->seqId % 16;
         const bool isSet = rng.nextDouble() < 0.5;
@@ -123,7 +125,7 @@ struct ServerLoad {
         req->valueBytes =
             isSet ? 1 + static_cast<std::uint32_t>(rng.nextBelow(2048)) : 0;
         req->nicArrival = sim.now();
-        server.receive(std::move(req));
+        server.receive(req);
         sim.schedule(microseconds(20), [this] { issue(); });
     }
 };
@@ -261,18 +263,20 @@ TEST(ZeroAllocTest, RequestPoolRecyclesInsteadOfAllocating)
 
     server::RequestPool pool;
     // Warm with a working set larger than any steady-state window.
-    {
-        std::vector<server::RequestPtr> warm;
-        for (int i = 0; i < 256; ++i)
-            warm.push_back(pool.make());
-    }
+    std::vector<server::Request *> warm;
+    for (int i = 0; i < 256; ++i)
+        warm.push_back(pool.make());
+    for (server::Request *r : warm)
+        pool.release(r);
 
     const std::uint64_t before = util::allocCount();
     for (int round = 0; round < 1000; ++round) {
-        auto a = pool.make();
-        auto b = pool.make();
+        server::Request *a = pool.make();
+        server::Request *b = pool.make();
         a->seqId = static_cast<std::uint64_t>(round);
         b->seqId = a->seqId + 1;
+        pool.release(a);
+        pool.release(b);
     }
     EXPECT_EQ(util::allocCount() - before, 0u);
 }

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "core/experiment.h"
@@ -25,10 +24,10 @@ class RecordingService : public server::Service
   public:
     explicit RecordingService(sim::Simulation &sim) : sim(sim) {}
 
-    void receive(server::RequestPtr request) override
+    void receive(server::Request *request) override
     {
         deliveredAt.push_back(sim.now());
-        answer(std::move(request));
+        answer(request);
     }
 
     std::vector<SimTime> deliveredAt;
@@ -37,24 +36,19 @@ class RecordingService : public server::Service
     sim::Simulation &sim;
 };
 
-server::RequestPtr
-makeRequest()
-{
-    return std::make_shared<server::Request>();
-}
-
 TEST(FaultShimTest, StallDefersIntakeUntilTheWindowEnds)
 {
     sim::Simulation sim;
     RecordingService inner(sim);
     server::ServiceFaultShim shim(sim, inner);
+    server::RequestPool pool;
 
     shim.beginStall(microseconds(100));
     std::uint64_t responses = 0;
-    shim.setSink([&](server::RequestPtr) { ++responses; });
+    shim.setSink([&](server::Request *) { ++responses; });
     sim.schedule(microseconds(10), [&] {
         EXPECT_TRUE(shim.stalled());
-        shim.receive(makeRequest());
+        shim.receive(pool.make());
     });
     sim.runUntil(milliseconds(1));
 
@@ -70,12 +64,13 @@ TEST(FaultShimTest, CrashDropsRequestsUntilRestart)
     sim::Simulation sim;
     RecordingService inner(sim);
     server::ServiceFaultShim shim(sim, inner);
+    server::RequestPool pool;
 
     shim.beginCrash(microseconds(100), 0, 0);
     std::uint64_t responses = 0;
-    shim.setSink([&](server::RequestPtr) { ++responses; });
-    sim.schedule(microseconds(50), [&] { shim.receive(makeRequest()); });
-    sim.schedule(microseconds(150), [&] { shim.receive(makeRequest()); });
+    shim.setSink([&](server::Request *) { ++responses; });
+    sim.schedule(microseconds(50), [&] { shim.receive(pool.make()); });
+    sim.schedule(microseconds(150), [&] { shim.receive(pool.make()); });
     sim.runUntil(milliseconds(1));
 
     // The mid-crash request is silently dropped, never answered.
@@ -90,14 +85,15 @@ TEST(FaultShimTest, WarmupPenaltyDecaysLinearly)
     sim::Simulation sim;
     RecordingService inner(sim);
     server::ServiceFaultShim shim(sim, inner);
+    server::RequestPool pool;
 
     // Restart at 100 us; 80 us penalty decaying over a 100 us window.
     shim.beginCrash(microseconds(100), microseconds(100),
                     microseconds(80));
-    shim.setSink([](server::RequestPtr) {});
-    sim.schedule(microseconds(100), [&] { shim.receive(makeRequest()); });
-    sim.schedule(microseconds(150), [&] { shim.receive(makeRequest()); });
-    sim.schedule(microseconds(250), [&] { shim.receive(makeRequest()); });
+    shim.setSink([](server::Request *) {});
+    sim.schedule(microseconds(100), [&] { shim.receive(pool.make()); });
+    sim.schedule(microseconds(150), [&] { shim.receive(pool.make()); });
+    sim.schedule(microseconds(250), [&] { shim.receive(pool.make()); });
     sim.runUntil(milliseconds(1));
 
     ASSERT_EQ(inner.deliveredAt.size(), 3u);

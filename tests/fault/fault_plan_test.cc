@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "core/experiment.h"
 #include "util/error.h"
 #include "util/json.h"
 
@@ -59,6 +60,26 @@ TEST(FaultPlanTest, FromJsonParsesEveryKind)
     const FaultEvent &storm = plan.events[4];
     EXPECT_EQ(storm.kind, FaultKind::NicInterruptStorm);
     EXPECT_DOUBLE_EQ(storm.irqCostFactor, 25.0);
+}
+
+TEST(FaultPlanTest, ExamplePlanParsesRoundTripsAndArms)
+{
+    // The schema example shipped with the workloads must stay a plan a
+    // run accepts.
+    const FaultPlan plan =
+        FaultPlan::fromJson(json::parseFile(TM_EXAMPLE_FAULT_PLAN));
+    ASSERT_EQ(plan.events.size(), 5u);
+    EXPECT_NO_THROW(plan.validate());
+    EXPECT_EQ(FaultPlan::fromJson(plan.toJson()).toJson(), plan.toJson());
+
+    // Arming resolves every target: its link_loss "client0" must still
+    // name a link of the classic topology.
+    core::ExperimentParams params;
+    params.collector.warmUpSamples = 50;
+    params.collector.calibrationSamples = 50;
+    params.collector.measurementSamples = 200;
+    params.faultPlan = plan;
+    EXPECT_NO_THROW(core::runExperiment(params));
 }
 
 TEST(FaultPlanTest, EmptyDocumentIsTheEmptyPlan)

@@ -36,7 +36,7 @@ class SelectiveEcho
 {
   public:
     using Policy =
-        std::function<bool(const server::RequestPtr &, SimDuration &)>;
+        std::function<bool(const server::Request &, SimDuration &)>;
 
     SelectiveEcho(sim::Simulation &sim, Policy policy)
         : sim(sim), policy(std::move(policy))
@@ -46,21 +46,25 @@ class SelectiveEcho
     LoadTesterInstance::TransmitFn
     transmitTo(LoadTesterInstance *&slot)
     {
-        return [this, &slot](server::RequestPtr req) {
-            sent.push_back(req);
+        return [this, &slot](server::Request *req) {
+            sent.push_back(*req);
             SimDuration delay = 0;
-            if (!policy(req, delay))
+            if (!policy(*req, delay))
                 return; // dropped on the (virtual) wire
             sim.schedule(delay, [this, req, &slot] {
                 req->nicArrival = sim.now();
                 req->nicDeparture = sim.now();
                 req->clientNicArrival = sim.now();
+                ++delivered;
                 slot->onResponseDelivered(req);
             });
         };
     }
 
-    std::vector<server::RequestPtr> sent;
+    /** A copy of each attempt as it left the client. */
+    std::vector<server::Request> sent;
+    /** Responses handed back to the client. */
+    std::uint64_t delivered = 0;
 
   private:
     sim::Simulation &sim;
@@ -72,10 +76,10 @@ TEST(ResilienceTest, RetryMeasuresFromOriginalIntendedSend)
     sim::Simulation sim;
     // Drop every first attempt; answer retries after 20 us.
     SelectiveEcho echo(sim,
-                       [](const server::RequestPtr &req,
+                       [](const server::Request &req,
                           SimDuration &delay) {
                            delay = microseconds(20);
-                           return req->attempt > 0;
+                           return req.attempt > 0;
                        });
     auto params = slowSteadyParams();
     params.resilience.enabled = true;
@@ -105,11 +109,11 @@ TEST(ResilienceTest, RetryMeasuresFromOriginalIntendedSend)
     // Wire attempts: retries share the logical id, get a new seq id.
     bool sawRetry = false;
     for (const auto &req : echo.sent) {
-        if (req->attempt == 0)
+        if (req.attempt == 0)
             continue;
         sawRetry = true;
-        EXPECT_NE(req->seqId, req->logicalSeqId);
-        EXPECT_FALSE(req->hedged);
+        EXPECT_NE(req.seqId, req.logicalSeqId);
+        EXPECT_FALSE(req.hedged);
     }
     EXPECT_TRUE(sawRetry);
 }
@@ -119,9 +123,9 @@ TEST(ResilienceTest, HedgeWinsCutTheTailAndCountLateOriginals)
     sim::Simulation sim;
     // Originals are pathologically slow; hedges answer fast.
     SelectiveEcho echo(sim,
-                       [](const server::RequestPtr &req,
+                       [](const server::Request &req,
                           SimDuration &delay) {
-                           delay = req->hedged ? microseconds(20)
+                           delay = req.hedged ? microseconds(20)
                                                : milliseconds(5);
                            return true;
                        });
@@ -154,7 +158,7 @@ TEST(ResilienceTest, ExhaustedRetriesBecomeFailuresNotSamples)
 {
     sim::Simulation sim;
     // A black hole: nothing is ever answered.
-    SelectiveEcho echo(sim, [](const server::RequestPtr &,
+    SelectiveEcho echo(sim, [](const server::Request &,
                                SimDuration &) { return false; });
     auto params = slowSteadyParams();
     params.resilience.enabled = true;
@@ -187,7 +191,7 @@ TEST(ResilienceTest, LateResponsesAfterMeasurementWindowCounted)
 {
     sim::Simulation sim;
     // Plain echo with enough in-flight at completion time.
-    SelectiveEcho echo(sim, [](const server::RequestPtr &,
+    SelectiveEcho echo(sim, [](const server::Request &,
                                SimDuration &delay) {
         delay = microseconds(500);
         return true;
@@ -213,7 +217,7 @@ TEST(ResilienceTest, LateResponsesAfterMeasurementWindowCounted)
 TEST(ResilienceTest, DisabledPolicyKeepsCountersAtZero)
 {
     sim::Simulation sim;
-    SelectiveEcho echo(sim, [](const server::RequestPtr &,
+    SelectiveEcho echo(sim, [](const server::Request &,
                                SimDuration &delay) {
         delay = microseconds(20);
         return true;
@@ -243,10 +247,10 @@ TEST(ResilienceTest, CompletedRequestCancelsPendingBackoffRetry)
     // response lands while the retry is still waiting out its delay --
     // the regression is a zombie retry transmitted after completion.
     SelectiveEcho echo(sim,
-                       [](const server::RequestPtr &req,
+                       [](const server::Request &req,
                           SimDuration &delay) {
                            delay = microseconds(300);
-                           return req->hedged;
+                           return req.hedged;
                        });
     auto params = slowSteadyParams();
     params.resilience.enabled = true;
@@ -276,7 +280,7 @@ TEST(ResilienceTest, CompletedRequestCancelsPendingBackoffRetry)
     // the primary and the hedge. A third is the zombie.
     std::unordered_map<std::uint64_t, unsigned> attempts;
     for (const auto &req : echo.sent)
-        ++attempts[req->logicalSeqId];
+        ++attempts[req.logicalSeqId];
     for (const auto &entry : attempts)
         EXPECT_EQ(entry.second, 2u) << "logical " << entry.first;
 }
@@ -287,10 +291,10 @@ TEST(ResilienceTest, HedgeInFlightOutlivesExhaustedRetries)
     // No retries at all; the hedge is the only second chance, and it
     // answers after the primary's timeout has already fired.
     SelectiveEcho echo(sim,
-                       [](const server::RequestPtr &req,
+                       [](const server::Request &req,
                           SimDuration &delay) {
                            delay = microseconds(400);
-                           return req->hedged;
+                           return req.hedged;
                        });
     auto params = slowSteadyParams();
     params.resilience.enabled = true;
@@ -320,7 +324,7 @@ TEST(ResilienceTest, HedgeGraceWindowStillFailsBlackHoles)
     sim::Simulation sim;
     // Nothing answers, hedges included: the grace window for an
     // in-flight hedge must expire into a failure, not wait forever.
-    SelectiveEcho echo(sim, [](const server::RequestPtr &,
+    SelectiveEcho echo(sim, [](const server::Request &,
                                SimDuration &) { return false; });
     auto params = slowSteadyParams();
     params.resilience.enabled = true;
@@ -346,10 +350,55 @@ TEST(ResilienceTest, HedgeGraceWindowStillFailsBlackHoles)
     EXPECT_EQ(inst.timeouts(), 2 * inst.failed());
 }
 
+TEST(ResilienceTest, ArenaHoldsExactlyTheUnansweredAttempts)
+{
+    sim::Simulation sim;
+    // A quarter of the attempts vanish; a third of the primaries are
+    // slow enough that their hedge wins and they arrive late.
+    SelectiveEcho echo(sim,
+                       [](const server::Request &req,
+                          SimDuration &delay) {
+                           delay = req.hedged || req.seqId % 3 != 0
+                                       ? microseconds(40)
+                                       : milliseconds(2);
+                           return req.seqId % 4 != 0;
+                       });
+    auto params = slowSteadyParams();
+    params.requestsPerSecond = 20000.0;
+    params.collector.measurementSamples = 400;
+    params.recordSpans = true;
+    params.resilience.enabled = true;
+    params.resilience.timeoutUs = 1000.0;
+    params.resilience.maxRetries = 2;
+    params.resilience.hedge = true;
+    params.resilience.hedgeDelayUs = 300.0;
+
+    LoadTesterInstance *slot = nullptr;
+    LoadTesterInstance inst(sim, params, WorkloadConfig{},
+                            echo.transmitTo(slot));
+    slot = &inst;
+    std::uint64_t spans = 0;
+    inst.setSpanSink([&](const obs::SpanView &) { ++spans; });
+    inst.start();
+    sim.runUntil(milliseconds(40));
+    inst.stopLoad();
+    sim.runUntil(milliseconds(100));
+
+    ASSERT_EQ(sim.pendingEvents(), 0u);
+    EXPECT_GT(inst.retries(), 0u);
+    EXPECT_GT(inst.hedges(), 0u);
+    EXPECT_GT(inst.lateResponses(), 0u);
+    EXPECT_EQ(spans, inst.received());
+    // Every delivered response released its attempt; every dropped
+    // attempt still holds its slot.
+    ASSERT_GT(echo.sent.size(), echo.delivered);
+    EXPECT_EQ(inst.attemptsHeld(), echo.sent.size() - echo.delivered);
+}
+
 TEST(ResilienceTest, RejectsInconsistentPolicies)
 {
     sim::Simulation sim;
-    const auto noopTransmit = [](server::RequestPtr) {};
+    const auto noopTransmit = [](server::Request *) {};
 
     auto params = slowSteadyParams();
     params.resilience.enabled = true;

@@ -33,13 +33,11 @@ struct FakeBackend {
     hook()
     {
         return LoadBalancer::Backend{
-            [this](server::RequestPtr req) {
+            [this](server::Request *req) {
                 servedSeqIds.push_back(req->seqId);
-                sim->schedule(serviceTime,
-                              [this, req = std::move(req)]() mutable {
-                                  balancer->backendAnswered(
-                                      id, std::move(req));
-                              });
+                sim->schedule(serviceTime, [this, req] {
+                    balancer->backendAnswered(id, req);
+                });
             },
             [this] { return alive; }};
     }
@@ -55,7 +53,7 @@ struct Cluster {
                      std::uint64_t seed = 1)
     {
         balancer = std::make_unique<LoadBalancer>(sim, params, seed);
-        balancer->setSink([this](server::RequestPtr resp) {
+        balancer->setSink([this](server::Request *resp) {
             completedSeqIds.push_back(resp->seqId);
         });
         for (std::uint32_t b = 0; b < params.backends; ++b) {
@@ -69,10 +67,10 @@ struct Cluster {
         }
     }
 
-    server::RequestPtr
+    server::Request *
     makeRequest(std::uint64_t seq, std::uint64_t keyId)
     {
-        auto req = pool.make();
+        server::Request *req = pool.make();
         req->seqId = seq;
         req->keyId = keyId;
         return req;
@@ -141,8 +139,8 @@ TEST(BalancerTest, RejectsOverAttachingBackends)
 {
     sim::Simulation sim;
     LoadBalancer balancer(sim, smallCluster(1), 1);
-    balancer.addBackend({[](server::RequestPtr) {}, nullptr});
-    EXPECT_THROW(balancer.addBackend({[](server::RequestPtr) {}, nullptr}),
+    balancer.addBackend({[](server::Request *) {}, nullptr});
+    EXPECT_THROW(balancer.addBackend({[](server::Request *) {}, nullptr}),
                  ConfigError);
 }
 

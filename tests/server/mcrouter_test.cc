@@ -22,10 +22,10 @@ perfConfig()
     return cfg;
 }
 
-RequestPtr
-makeRequest(std::uint64_t seq, SimTime nicArrival)
+Request *
+makeRequest(RequestPool &pool, std::uint64_t seq, SimTime nicArrival)
 {
-    auto req = std::make_shared<Request>();
+    Request *req = pool.make();
     req->seqId = seq;
     req->connectionId = seq % 8;
     req->op = OpType::Get;
@@ -46,12 +46,12 @@ class FixedDelayPool : public Service
     }
 
     void
-    receive(RequestPtr request) override
+    receive(Request *request) override
     {
-        sim.schedule(delay, [this, request = std::move(request)]() mutable {
+        sim.schedule(delay, [this, request] {
             request->hit = false;
             request->responseBytes = 48;
-            answer(std::move(request));
+            answer(request);
         });
     }
 
@@ -66,9 +66,10 @@ TEST(McrouterTest, RoutesAndResponds)
     hw::Machine machine(sim, perfConfig(), 1);
     McrouterServer router(machine, 1);
 
-    RequestPtr response;
-    router.setSink([&](RequestPtr r) { response = std::move(r); });
-    router.receive(makeRequest(1, 0));
+    RequestPool pool;
+    Request *response = nullptr;
+    router.setSink([&](Request *r) { response = r; });
+    router.receive(makeRequest(pool, 1, 0));
     sim.run();
     ASSERT_NE(response, nullptr);
     EXPECT_TRUE(response->hit);
@@ -81,9 +82,10 @@ TEST(McrouterTest, LatencyIncludesBackendRoundTrip)
     hw::Machine machine(sim, perfConfig(), 1);
     McrouterServer router(machine, 1);
 
-    RequestPtr response;
-    router.setSink([&](RequestPtr r) { response = std::move(r); });
-    router.receive(makeRequest(1, 0));
+    RequestPool pool;
+    Request *response = nullptr;
+    router.setSink([&](Request *r) { response = r; });
+    router.receive(makeRequest(pool, 1, 0));
     sim.run();
     ASSERT_NE(response, nullptr);
     // Router CPU alone is ~12 us; with the backend wait we must be
@@ -100,12 +102,13 @@ TEST(McrouterTest, BackendWaitDoesNotOccupyCore)
 
     // Two requests on the same connection: the second's deserialize
     // should start while the first waits on its backend.
-    std::vector<RequestPtr> responses;
-    router.setSink([&](RequestPtr r) { responses.push_back(std::move(r)); });
+    RequestPool pool;
+    std::vector<Request *> responses;
+    router.setSink([&](Request *r) { responses.push_back(r); });
     for (std::uint64_t i = 0; i < 2; ++i) {
-        auto req = makeRequest(i, 0);
+        Request *req = makeRequest(pool, i, 0);
         req->connectionId = 3;
-        router.receive(std::move(req));
+        router.receive(req);
     }
     sim.run();
     ASSERT_EQ(responses.size(), 2u);
@@ -125,10 +128,11 @@ TEST(McrouterTest, TimestampsOrdered)
     hw::Machine machine(sim, perfConfig(), 4);
     McrouterServer router(machine, 4);
 
-    RequestPtr response;
-    router.setSink([&](RequestPtr r) { response = std::move(r); });
+    RequestPool pool;
+    Request *response = nullptr;
+    router.setSink([&](Request *r) { response = r; });
     sim.schedule(microseconds(3),
-                 [&] { router.receive(makeRequest(9, sim.now())); });
+                 [&] { router.receive(makeRequest(pool, 9, sim.now())); });
     sim.run();
     ASSERT_NE(response, nullptr);
     EXPECT_LE(response->nicArrival, response->workerStart);
@@ -141,12 +145,13 @@ TEST(McrouterTest, BackendPoolAnswersIntoTheSerializeStage)
     sim::Simulation sim;
     hw::Machine machine(sim, perfConfig(), 1);
     McrouterServer router(machine, 1);
-    FixedDelayPool pool(sim, microseconds(300));
-    router.setBackendPool(&pool);
+    FixedDelayPool backends(sim, microseconds(300));
+    router.setBackendPool(&backends);
 
-    RequestPtr response;
-    router.setSink([&](RequestPtr r) { response = std::move(r); });
-    router.receive(makeRequest(1, 0));
+    RequestPool pool;
+    Request *response = nullptr;
+    router.setSink([&](Request *r) { response = r; });
+    router.receive(makeRequest(pool, 1, 0));
     sim.run();
 
     // The pool's outcome is relayed (no modelled hit), its answer

@@ -21,11 +21,12 @@ perfConfig()
     return cfg;
 }
 
-RequestPtr
-makeRequest(std::uint64_t seq, OpType op, std::uint64_t keyId,
-            std::uint32_t valueBytes, SimTime nicArrival)
+Request *
+makeRequest(RequestPool &pool, std::uint64_t seq, OpType op,
+            std::uint64_t keyId, std::uint32_t valueBytes,
+            SimTime nicArrival)
 {
-    auto req = std::make_shared<Request>();
+    Request *req = pool.make();
     req->seqId = seq;
     req->connectionId = seq % 16;
     req->op = op;
@@ -45,11 +46,11 @@ class MemcachedTest : public ::testing::Test
           server(machine, 1)
     {
         server.setSink(
-            [this](RequestPtr r) { responses.push_back(std::move(r)); });
+            [this](Request *r) { responses.push_back(r); });
     }
 
     /** The latest answer, null before the first. */
-    RequestPtr
+    const Request *
     lastResponse() const
     {
         return responses.empty() ? nullptr : responses.back();
@@ -58,14 +59,15 @@ class MemcachedTest : public ::testing::Test
     sim::Simulation sim;
     hw::Machine machine;
     MemcachedServer server;
-    std::vector<RequestPtr> responses;
+    RequestPool pool;
+    std::vector<Request *> responses;
 };
 
 TEST_F(MemcachedTest, SetThenGetHits)
 {
-    server.receive(makeRequest(1, OpType::Set, 1, 100, 0));
+    server.receive(makeRequest(pool, 1, OpType::Set, 1, 100, 0));
     sim.run();
-    server.receive(makeRequest(2, OpType::Get, 1, 0, sim.now()));
+    server.receive(makeRequest(pool, 2, OpType::Get, 1, 0, sim.now()));
     sim.run();
 
     ASSERT_EQ(responses.size(), 2u);
@@ -83,7 +85,8 @@ TEST_F(MemcachedTest, HitsAndMissesCountGetsOnly)
     std::uint64_t getHits = 0;
     for (std::uint64_t k = 0; k < 30; ++k) {
         const bool set = k % 3 == 0;
-        server.receive(makeRequest(k + 1, set ? OpType::Set : OpType::Get,
+        server.receive(makeRequest(pool, k + 1,
+                                   set ? OpType::Set : OpType::Get,
                                    set ? k % 5 : k % 7, 64, sim.now()));
         sim.run();
         if (!set) {
@@ -103,9 +106,9 @@ TEST_F(MemcachedTest, HitsAndMissesCountGetsOnly)
 
 TEST_F(MemcachedTest, EmptyValueIsAHit)
 {
-    server.receive(makeRequest(1, OpType::Set, 7, 0, 0));
+    server.receive(makeRequest(pool, 1, OpType::Set, 7, 0, 0));
     sim.run();
-    server.receive(makeRequest(2, OpType::Get, 7, 0, sim.now()));
+    server.receive(makeRequest(pool, 2, OpType::Get, 7, 0, sim.now()));
     sim.run();
 
     ASSERT_EQ(responses.size(), 2u);
@@ -115,9 +118,9 @@ TEST_F(MemcachedTest, EmptyValueIsAHit)
 
 TEST_F(MemcachedTest, GetMissOnUnknownKey)
 {
-    server.receive(makeRequest(1, OpType::Get, 999, 0, 0));
+    server.receive(makeRequest(pool, 1, OpType::Get, 999, 0, 0));
     sim.run();
-    const RequestPtr response = lastResponse();
+    const Request *response = lastResponse();
     ASSERT_NE(response, nullptr);
     EXPECT_FALSE(response->hit);
     EXPECT_EQ(response->responseBytes, 48u);
@@ -125,9 +128,9 @@ TEST_F(MemcachedTest, GetMissOnUnknownKey)
 
 TEST_F(MemcachedTest, TimestampsAreOrdered)
 {
-    server.receive(makeRequest(1, OpType::Get, 7, 0, 0));
+    server.receive(makeRequest(pool, 1, OpType::Get, 7, 0, 0));
     sim.run();
-    const RequestPtr response = lastResponse();
+    const Request *response = lastResponse();
     ASSERT_NE(response, nullptr);
     EXPECT_LE(response->nicArrival, response->workerStart);
     EXPECT_LT(response->workerStart, response->workerEnd);
@@ -136,9 +139,9 @@ TEST_F(MemcachedTest, TimestampsAreOrdered)
 
 TEST_F(MemcachedTest, ServerLatencyIsPositiveAndPlausible)
 {
-    server.receive(makeRequest(1, OpType::Get, 7, 0, 0));
+    server.receive(makeRequest(pool, 1, OpType::Get, 7, 0, 0));
     sim.run();
-    const RequestPtr response = lastResponse();
+    const Request *response = lastResponse();
     ASSERT_NE(response, nullptr);
     const double us = response->serverLatencyUs();
     // irq (~1.4us) + worker (~8us) + memory stalls + work jitter:
@@ -152,9 +155,9 @@ TEST_F(MemcachedTest, ConcurrentRequestsOnOneConnectionQueue)
     // Same connection -> same worker; back-to-back requests must not
     // overlap on the worker core.
     for (std::uint64_t i = 0; i < 4; ++i) {
-        auto req = makeRequest(100 + i, OpType::Get, 7, 0, 0);
+        Request *req = makeRequest(pool, 100 + i, OpType::Get, 7, 0, 0);
         req->connectionId = 7;
-        server.receive(std::move(req));
+        server.receive(req);
     }
     sim.run();
     ASSERT_EQ(responses.size(), 4u);
@@ -177,7 +180,8 @@ TEST(MemcachedStandaloneTest, StoreStateSurvivesAcrossRequests)
     MemcachedServer server(machine, 2);
     int hits = 0;
     std::uint64_t getBytes = 0;
-    server.setSink([&](RequestPtr r) {
+    RequestPool pool;
+    server.setSink([&](Request *r) {
         if (r->op == OpType::Get) {
             hits += r->hit;
             getBytes += r->responseBytes;
@@ -186,10 +190,12 @@ TEST(MemcachedStandaloneTest, StoreStateSurvivesAcrossRequests)
 
     // Populate 100 keys, then read them all back.
     for (std::uint64_t i = 0; i < 100; ++i)
-        server.receive(makeRequest(i, OpType::Set, i, 64, sim.now()));
+        server.receive(
+            makeRequest(pool, i, OpType::Set, i, 64, sim.now()));
     sim.run();
     for (std::uint64_t i = 0; i < 100; ++i)
-        server.receive(makeRequest(1000 + i, OpType::Get, i, 0, sim.now()));
+        server.receive(
+            makeRequest(pool, 1000 + i, OpType::Get, i, 0, sim.now()));
     sim.run();
     EXPECT_EQ(hits, 100);
     EXPECT_EQ(server.store().size(), 100u);

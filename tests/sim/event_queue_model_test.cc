@@ -7,7 +7,7 @@
  * randomized mix of push / cancel / pop operations as the real queue.
  * The queue must fire exactly the same payloads in exactly the same
  * order, including after slot recycling has wrapped generations many
- * times over.
+ * times over and after cancelled entries have been compacted away.
  */
 
 #include "sim/event_queue.h"
@@ -126,6 +126,93 @@ TEST(EventQueueModelTest, MatchesReferenceOverMixedOps)
     // After a full drain every recorded dead handle is refusable.
     for (std::size_t i = 0; i < dead.size(); i += 97)
         EXPECT_FALSE(q.cancel(dead[i]));
+}
+
+TEST(EventQueueModelTest, CompactionKeepsOrderUnderTimeoutChurn)
+{
+    // Timeout-shaped load: short-lived events plus timeouts about 3 ms
+    // out, most of which are cancelled long before they surface. The
+    // cancelled entries pile up far below the heap's top, so the queue
+    // compacts many times; it must still match the reference exactly.
+    EventQueue q;
+    Rng rng(0x7133e075ull);
+    std::multimap<SimTime, std::uint64_t> model;
+    using ModelIt = std::multimap<SimTime, std::uint64_t>::iterator;
+    struct Live {
+        EventId id;
+        ModelIt it;
+    };
+    std::vector<Live> timeouts; // cancelable, live timeouts
+    std::vector<EventId> dead;  // cancelled timeout ids
+    std::uint64_t nextPayload = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t compactions = 0;
+    SimTime now = 0;
+
+    for (std::uint64_t op = 0; op < 400000; ++op) {
+        const double r = rng.nextDouble();
+        if (r < 0.3 || q.empty()) {
+            const SimTime when = now + rng.next() % 20000;
+            const std::uint64_t payload = nextPayload++;
+            q.push(when, [payload, &fired] { fired = payload; });
+            model.emplace(when, payload);
+        } else if (r < 0.5) {
+            const SimTime when = now + 3000000 + rng.next() % 1000;
+            const std::uint64_t payload = nextPayload++;
+            const EventId id =
+                q.push(when, [payload, &fired] { fired = payload; });
+            timeouts.push_back({id, model.emplace(when, payload)});
+        } else if (r < 0.69) {
+            if (timeouts.empty())
+                continue;
+            const std::size_t pick =
+                static_cast<std::size_t>(rng.next() % timeouts.size());
+            const std::size_t entriesBefore = q.heapEntries();
+            ASSERT_TRUE(q.cancel(timeouts[pick].id));
+            model.erase(timeouts[pick].it);
+            dead.push_back(timeouts[pick].id);
+            timeouts[pick] = timeouts.back();
+            timeouts.pop_back();
+            // Dead entries never outnumber live ones by more than the
+            // slack once a cancel returns.
+            ASSERT_LE(q.heapEntries() - q.size(), q.size() + 64);
+            if (q.heapEntries() < entriesBefore) {
+                ++compactions;
+                const std::size_t stale =
+                    static_cast<std::size_t>(rng.next() % dead.size());
+                EXPECT_FALSE(q.cancel(dead[stale]));
+                EXPECT_FALSE(q.cancel(dead.back()));
+            }
+        } else {
+            const auto first = model.begin();
+            SimTime when = 0;
+            q.pop(when)();
+            ASSERT_EQ(when, first->first);
+            ASSERT_EQ(fired, first->second);
+            now = when;
+            for (std::size_t i = 0; i < timeouts.size(); ++i) {
+                if (timeouts[i].it == first) {
+                    timeouts[i] = timeouts.back();
+                    timeouts.pop_back();
+                    break;
+                }
+            }
+            model.erase(first);
+        }
+        ASSERT_EQ(q.size(), model.size());
+    }
+    EXPECT_GT(compactions, 100u);
+
+    while (!model.empty()) {
+        const auto first = model.begin();
+        SimTime when = 0;
+        q.pop(when)();
+        ASSERT_EQ(when, first->first);
+        ASSERT_EQ(fired, first->second);
+        model.erase(first);
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.heapEntries(), 0u);
 }
 
 TEST(EventQueueModelTest, CancelReleasesCapturedStateEagerly)

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,66 +23,57 @@ struct Tracked {
 
 int Tracked::liveInstances = 0;
 
+/** A Pool holds only trivially destructible objects. */
+struct Plain {
+    int value = 0;
+};
+
 TEST(PoolTest, MakeConstructsAndRecycles)
 {
-    Pool<Tracked> pool;
-    {
-        auto a = pool.make(7);
-        EXPECT_EQ(a->value, 7);
-        EXPECT_EQ(pool.freshAllocations(), 1u);
-    }
-    // The freed block must be recycled, not freshly carved.
-    auto b = pool.make(9);
+    Pool<Plain> pool;
+    Plain *a = pool.make(Plain{7});
+    EXPECT_EQ(a->value, 7);
+    EXPECT_EQ(pool.inUse(), 1u);
+    pool.release(a);
+    EXPECT_EQ(pool.inUse(), 0u);
+    // The released block must be recycled, not freshly carved.
+    Plain *b = pool.make(Plain{9});
+    EXPECT_EQ(b, a);
     EXPECT_EQ(b->value, 9);
-    EXPECT_EQ(pool.freshAllocations(), 1u);
-    EXPECT_EQ(pool.reusedAllocations(), 1u);
+    EXPECT_EQ(pool.slabCount(), 1u);
 }
 
 TEST(PoolTest, SteadyStateServesFromFreeList)
 {
-    Pool<Tracked> pool;
+    Pool<Plain> pool;
     // Warm: hold a working set, then release it.
-    {
-        std::vector<std::shared_ptr<Tracked>> warm;
-        for (int i = 0; i < 200; ++i)
-            warm.push_back(pool.make(i));
-    }
-    const auto freshAfterWarm = pool.freshAllocations();
+    std::vector<Plain *> held;
+    for (int i = 0; i < 200; ++i)
+        held.push_back(pool.make(Plain{i}));
+    for (Plain *p : held)
+        pool.release(p);
+    const std::size_t slabsAfterWarm = pool.slabCount();
     // Steady state: the same working set size must be served entirely
     // from the free list.
-    std::vector<std::shared_ptr<Tracked>> steady;
+    held.clear();
     for (int i = 0; i < 200; ++i)
-        steady.push_back(pool.make(i));
-    EXPECT_EQ(pool.freshAllocations(), freshAfterWarm);
-    EXPECT_GE(pool.reusedAllocations(), 200u);
+        held.push_back(pool.make(Plain{i}));
+    EXPECT_EQ(pool.slabCount(), slabsAfterWarm);
+    EXPECT_EQ(pool.inUse(), 200u);
+    for (int i = 0; i < 200; ++i)
+        EXPECT_EQ(held[static_cast<std::size_t>(i)]->value, i);
 }
 
-TEST(PoolTest, OutstandingHandlesOutliveThePool)
+TEST(PoolTest, ReleasingTwicePanics)
 {
-    std::shared_ptr<Tracked> survivor;
-    {
-        Pool<Tracked> pool;
-        survivor = pool.make(123);
-    }
-    // The allocator inside the shared_ptr keeps the arena alive; the
-    // object must still be intact after the Pool object is gone.
-    ASSERT_TRUE(survivor != nullptr);
-    EXPECT_EQ(survivor->value, 123);
-    survivor.reset();
-    EXPECT_EQ(Tracked::liveInstances, 0);
-}
-
-TEST(PoolTest, DestructorsRunExactlyOnce)
-{
-    Tracked::liveInstances = 0;
-    Pool<Tracked> pool;
-    {
-        std::vector<std::shared_ptr<Tracked>> held;
-        for (int i = 0; i < 50; ++i)
-            held.push_back(pool.make(i));
-        EXPECT_EQ(Tracked::liveInstances, 50);
-    }
-    EXPECT_EQ(Tracked::liveInstances, 0);
+    Pool<Plain> pool;
+    Plain *a = pool.make();
+    pool.release(a);
+    EXPECT_DEATH(pool.release(a), "not live");
+    // A block of another arena is not live in this one either.
+    Pool<Plain> other;
+    Plain *b = other.make();
+    EXPECT_DEATH(pool.release(b), "not live");
 }
 
 TEST(RawPoolTest, AcquireGetRelease)
