@@ -18,7 +18,7 @@
 
 #include "core/experiment.h"
 #include "drive/study_driver.h"
-#include "exec/parallel_runner.h"
+#include "exec/progress.h"
 
 namespace treadmill {
 namespace bench {

@@ -113,7 +113,7 @@ BENCHMARK(BM_FullExperiment)->Unit(benchmark::kMillisecond)
  * The parallel experiment fan-out: a fixed count of 8 seed-isolated
  * experiments run through drive::repeatRuns with state.range(0) worker
  * threads. Comparing the timings across thread counts gives the
- * wall-clock speedup of the loop's ParallelRunner on this machine (the
+ * wall-clock speedup of the loop's parallelFor on this machine (the
  * results themselves are bit-exact at every thread count; the
  * determinism suite pins that).
  */
@@ -148,7 +148,7 @@ BM_ExperimentBatchParallel(benchmark::State &state)
 }
 BENCHMARK(BM_ExperimentBatchParallel)
     ->Unit(benchmark::kMillisecond)
-    // Work happens on pool threads; rate counters must divide by
+    // Work happens on the fan-out's threads; rate counters must divide by
     // wall time, not the (near-idle) main thread's CPU time.
     ->UseRealTime()
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8);

@@ -24,7 +24,8 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "exec/parallel_runner.h"
+#include "exec/parallel_for.h"
+#include "exec/progress.h"
 #include "hw/hardware_config.h"
 #include "regress/design.h"
 #include "regress/factorial.h"

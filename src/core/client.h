@@ -145,21 +145,6 @@ class LoadTesterInstance
     const SampleCollector &collector() const { return samples; }
     bool done() const { return samples.done(); }
     std::size_t outstanding() const { return outstandingCount; }
-    std::uint64_t issued() const { return issuedCounter.value(); }
-    std::uint64_t received() const { return receivedCounter.value(); }
-    /** Attempts that hit their timeout. */
-    std::uint64_t timeouts() const { return timeoutsCounter.value(); }
-    /** Extra wire attempts sent by the retry policy. */
-    std::uint64_t retries() const { return retriesCounter.value(); }
-    /** Backup requests sent by the hedging policy. */
-    std::uint64_t hedges() const { return hedgesCounter.value(); }
-    /** Logical requests whose hedge answered first. */
-    std::uint64_t hedgeWins() const { return hedgeWinsCounter.value(); }
-    /** Logical requests abandoned after exhausting retries. */
-    std::uint64_t failed() const { return failedCounter.value(); }
-    /** Responses that arrived after their logical request completed,
-     *  failed, or the measurement window closed. */
-    std::uint64_t lateResponses() const { return lateCounter.value(); }
     /** Outstanding-request count observed at each send instant
      *  (the Fig 1 distribution). */
     const std::vector<std::uint64_t> &outstandingAtSend() const

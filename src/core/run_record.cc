@@ -124,8 +124,6 @@ configDigest(const ExperimentParams &params)
         field(canon, "fc",
               static_cast<std::uint64_t>(ev.repeatCount));
         field(canon, "fl", ev.lossProbability);
-        field(canon, "fbw", ev.bandwidthFactor);
-        field(canon, "fxl", static_cast<std::uint64_t>(ev.extraLatency));
         field(canon, "fwu", static_cast<std::uint64_t>(ev.warmup));
         field(canon, "fwp", static_cast<std::uint64_t>(ev.warmupPenalty));
         field(canon, "firq", ev.irqCostFactor);

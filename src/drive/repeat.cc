@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/parallel_runner.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -21,7 +20,6 @@ repeatRuns(const Repetitions &reps, const RunObserver &onRun)
             "repeatRuns: minRuns (%zu) must lie in [1, maxRuns = %zu]",
             reps.minRuns, reps.maxRuns));
 
-    exec::ParallelRunner runner(reps.parallelism);
     const std::size_t lanes = reps.parallelism.resolve();
     std::vector<double> kept;
     bool stopped = false;
@@ -37,10 +35,10 @@ repeatRuns(const Repetitions &reps, const RunObserver &onRun)
         params.reserve(wave);
         for (std::size_t i = 0; i < wave; ++i)
             params.push_back(reps.paramsOf(first + i));
-        const std::vector<core::ExperimentResult> results =
-            runner.run(wave, [&params](std::size_t i) {
-                return core::runExperiment(params[i]);
-            });
+        std::vector<core::ExperimentResult> results(wave);
+        exec::parallelFor(reps.parallelism, wave, [&](std::size_t i) {
+            results[i] = core::runExperiment(params[i]);
+        });
         // Strictly in run order; runs past the stop point are dropped.
         for (std::size_t i = 0; i < wave && !stopped; ++i) {
             kept.push_back(results[i].aggregatedQuantile(

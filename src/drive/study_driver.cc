@@ -5,7 +5,7 @@
 
 #include "analysis/provenance.h"
 #include "drive/repeat.h"
-#include "exec/parallel_runner.h"
+#include "exec/progress.h"
 #include "hw/hardware_config.h"
 #include "stats/summary.h"
 #include "util/error.h"
@@ -66,38 +66,32 @@ StudyDriver::run(const std::vector<StudyRun> &plan,
     out.metrics.resize(plan.size());
 
     // One fan-out over the whole plan. Run i fills only slot i of the
-    // outcome (responses.at never inserts), and the runner rethrows the
-    // first failure here once every worker has stopped.
-    exec::ParallelRunner runner(controls.parallelism);
-    runner.onProgress(controls.progress);
-    runner.run(
-        plan.size(),
-        [&](std::size_t i) {
-            const core::ExperimentResult result =
-                core::runExperiment(plan[i].params);
-            store::RunRecord rec = core::toRunRecord(
-                plan[i].params, result, plan[i].levels, record);
-            if (controls.attachProvenance && !result.spans.empty()) {
-                const analysis::ProvenanceReport report =
-                    analysis::tailProvenance(result.spans,
-                                             controls.provenanceQuantiles);
-                for (const analysis::QuantileProvenance &qp :
-                     report.quantiles)
-                    for (const analysis::SegmentContribution &seg :
-                         qp.segments)
-                        rec.provenance.push_back(
-                            {qp.tau, static_cast<std::uint64_t>(seg.kind),
-                             seg.meanUs, seg.share});
-            }
-            if (archive != nullptr)
-                archive->writeRun(i, rec);
-            for (std::size_t t = 0; t < rec.quantileTaus.size(); ++t)
-                out.responses.at(rec.quantileTaus[t])[i] =
-                    rec.quantileUs[t];
-            out.metrics[i] = std::move(rec.metricsJson);
-            return toSeconds(result.simulatedTime);
-        },
-        [](double simSeconds) { return simSeconds; });
+    // outcome (responses.at never inserts), and parallelFor rethrows
+    // the first failure here once every lane has joined.
+    exec::ProgressMeter meter(plan.size(), controls.progress);
+    exec::parallelFor(controls.parallelism, plan.size(), [&](std::size_t i) {
+        const core::ExperimentResult result =
+            core::runExperiment(plan[i].params);
+        store::RunRecord rec = core::toRunRecord(
+            plan[i].params, result, plan[i].levels, record);
+        if (controls.attachProvenance && !result.spans.empty()) {
+            const analysis::ProvenanceReport report =
+                analysis::tailProvenance(result.spans,
+                                         controls.provenanceQuantiles);
+            for (const analysis::QuantileProvenance &qp : report.quantiles)
+                for (const analysis::SegmentContribution &seg :
+                     qp.segments)
+                    rec.provenance.push_back(
+                        {qp.tau, static_cast<std::uint64_t>(seg.kind),
+                         seg.meanUs, seg.share});
+        }
+        if (archive != nullptr)
+            archive->writeRun(i, rec);
+        for (std::size_t t = 0; t < rec.quantileTaus.size(); ++t)
+            out.responses.at(rec.quantileTaus[t])[i] = rec.quantileUs[t];
+        out.metrics[i] = std::move(rec.metricsJson);
+        meter.done(toSeconds(result.simulatedTime));
+    });
 
     // Bit-identical to analysis::refitFromStore on the archive this
     // call wrote: both fit the same snapshotted doubles in plan order.

@@ -4,7 +4,7 @@
  *
  * A factorial study is a plan of independent runs (paper S III-B,
  * S V-A). StudyDriver fans the whole plan out once
- * (exec::ParallelRunner: seed-isolated, each index claimed by the next
+ * (exec::parallelFor: seed-isolated, each index claimed by the next
  * free lane), reduces each run to its snapshotted per-instance
  * quantiles, archives it under its plan index, and then fits the
  * factorial models once, over every run. A fit takes well under a
@@ -70,7 +70,7 @@ struct StudyDriverParams {
     /** Worker knob for the simulation fan-out. */
     exec::Parallelism parallelism{};
     /** Optional observer, called once per completed run with the
-     *  run's simulated seconds as work units (exec::ParallelRunner). */
+     *  run's simulated seconds as work units (exec::ProgressMeter). */
     exec::ProgressFn progress{};
 };
 
@@ -103,10 +103,10 @@ class StudyDriver
      * Execute @p plan, then fit. When @p archive is non-null, run i is
      * persisted as seq i the moment it completes (the caller owns
      * finish()). Every plan entry must carry factors().size() levels.
-     * Every worker has stopped when this returns or throws.
+     * Every lane has joined when this returns or throws.
      *
      * @throws ConfigError on a malformed plan; rethrows the first
-     *         simulation/persistence failure after workers stop.
+     *         simulation/persistence failure after the lanes join.
      */
     StudyOutcome run(const std::vector<StudyRun> &plan,
                      store::StudyWriter *archive = nullptr);

@@ -131,29 +131,6 @@ FaultInjector::scheduleWindow(const FaultEvent &ev, SimTime start)
         });
         break;
       }
-      case FaultKind::LinkDegrade: {
-        auto links = matchLinks(ev.target);
-        if (links.empty())
-            throw ConfigError(strprintf(
-                "link_degrade target \"%s\" matches no link",
-                ev.target.c_str()));
-        const double bw = ev.bandwidthFactor;
-        const SimDuration extra = ev.extraLatency;
-        sim.scheduleAt(start, [links, bw, extra, applied] {
-            for (net::Link *link : links) {
-                link->setBandwidthFactor(bw);
-                link->setExtraPropagation(extra);
-            }
-            applied();
-        });
-        sim.scheduleAt(end, [links] {
-            for (net::Link *link : links) {
-                link->setBandwidthFactor(1.0);
-                link->setExtraPropagation(0);
-            }
-        });
-        break;
-      }
       case FaultKind::ServerStall: {
         server::ServiceFaultShim *target = shimFor();
         if (target == nullptr)

@@ -55,7 +55,7 @@ class FaultInjector
     /** @name Hook-point attachment (before arm())
      * @{
      */
-    /** Attach the cluster's links for LinkLoss/LinkDegrade targeting. */
+    /** Attach the cluster's links for LinkLoss targeting. */
     void attachLinks(const std::vector<net::Link *> &links);
 
     /** Attach the server shim for ServerStall/ServerCrash events. */
@@ -88,9 +88,6 @@ class FaultInjector
     {
         return windows;
     }
-
-    /** Windows whose apply instant has fired so far. */
-    std::uint64_t windowsApplied() const { return appliedCounter.value(); }
 
   private:
     /** Links whose name contains @p target (all links when empty). */

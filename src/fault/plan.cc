@@ -17,7 +17,6 @@ kindNames()
 {
     static const std::vector<std::pair<FaultKind, std::string>> names{
         {FaultKind::LinkLoss, "link_loss"},
-        {FaultKind::LinkDegrade, "link_degrade"},
         {FaultKind::ServerStall, "server_stall"},
         {FaultKind::ServerCrash, "server_crash"},
         {FaultKind::NicInterruptStorm, "nic_storm"},
@@ -82,9 +81,6 @@ FaultPlan::fromJson(const json::Value &doc)
         ev.repeatCount = static_cast<std::uint32_t>(
             entry.intOr("repeat", 1));
         ev.lossProbability = entry.numberOr("loss_probability", 0.0);
-        ev.bandwidthFactor = entry.numberOr("bandwidth_factor", 1.0);
-        ev.extraLatency = static_cast<SimDuration>(
-            microseconds(entry.numberOr("extra_latency_us", 0.0)));
         ev.warmup = fromMs(entry.numberOr("warmup_ms", 0.0));
         ev.warmupPenalty = static_cast<SimDuration>(
             microseconds(entry.numberOr("warmup_penalty_us", 0.0)));
@@ -117,11 +113,6 @@ FaultPlan::toJson() const
         switch (ev.kind) {
           case FaultKind::LinkLoss:
             entry["loss_probability"] = json::Value(ev.lossProbability);
-            break;
-          case FaultKind::LinkDegrade:
-            entry["bandwidth_factor"] = json::Value(ev.bandwidthFactor);
-            entry["extra_latency_us"] =
-                json::Value(toMicros(ev.extraLatency));
             break;
           case FaultKind::ServerStall:
             break;
@@ -165,10 +156,6 @@ FaultPlan::validate() const
             if (ev.lossProbability < 0.0 || ev.lossProbability > 1.0)
                 throw ConfigError(
                     "loss_probability must lie in [0, 1]");
-            break;
-          case FaultKind::LinkDegrade:
-            if (!(ev.bandwidthFactor > 0.0))
-                throw ConfigError("bandwidth_factor must be positive");
             break;
           case FaultKind::ServerStall:
             break;

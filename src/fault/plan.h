@@ -3,7 +3,7 @@
  * Declarative fault plans: timed, schedule-driven fault windows.
  *
  * Real production tails are dominated by failure modes a healthy
- * simulated cluster never produces: lossy or degraded links, service
+ * simulated cluster never produces: lossy links, service
  * freezes (GC, compaction), crash-and-restart cycles, and interrupt
  * storms. A FaultPlan describes such events declaratively -- the same
  * JSON-config style as WorkloadConfig -- so a load test can replay an
@@ -30,8 +30,6 @@ namespace fault {
 enum class FaultKind {
     /** Drop packets on matching links with a fixed probability. */
     LinkLoss,
-    /** Scale matching links' bandwidth and/or add propagation delay. */
-    LinkDegrade,
     /** Freeze the server's request intake (GC/compaction pause). */
     ServerStall,
     /** Crash the server: arriving requests are dropped until restart,
@@ -80,12 +78,6 @@ struct FaultEvent {
     double lossProbability = 0.0;
     /** @} */
 
-    /** @name LinkDegrade
-     * @{ */
-    double bandwidthFactor = 1.0; ///< Multiplies link bandwidth (< 1 = slower).
-    SimDuration extraLatency = 0; ///< Added one-way propagation.
-    /** @} */
-
     /** @name ServerCrash
      * @{ */
     SimDuration warmup = 0;        ///< Degraded window after restart.
@@ -120,8 +112,6 @@ struct FaultPlan {
      *     "period_ms": 100, "repeat": 20},
      *    {"kind": "link_loss", "target": "client0",
      *     "start_ms": 100, "duration_ms": 40, "loss_probability": 0.2},
-     *    {"kind": "link_degrade", "start_ms": 200, "duration_ms": 50,
-     *     "bandwidth_factor": 0.25, "extra_latency_us": 150},
      *    {"kind": "server_crash", "start_ms": 300, "duration_ms": 80,
      *     "warmup_ms": 40, "warmup_penalty_us": 400},
      *    {"kind": "nic_storm", "start_ms": 450, "duration_ms": 30,

@@ -107,7 +107,6 @@ class LoadBalancer : public server::Service
      * @{
      */
     const HashRing &hashRing() const { return ring; }
-    std::uint32_t backendCount() const { return config.backends; }
     std::uint64_t inflightOf(std::uint32_t b) const
     {
         return inflight[b];

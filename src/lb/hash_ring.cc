@@ -4,7 +4,6 @@
 
 #include "server/request.h"
 #include "util/error.h"
-#include "util/logging.h"
 
 namespace treadmill {
 namespace lb {
@@ -24,14 +23,25 @@ mix64(std::uint64_t x)
 } // namespace
 
 HashRing::HashRing(std::uint32_t backends, std::uint32_t pointsPerBackend)
-    : totalBackends(backends), vnodes(pointsPerBackend), live(backends),
-      present(backends, true)
+    : totalBackends(backends)
 {
     if (backends == 0)
         throw ConfigError("hash ring needs at least one backend");
     if (pointsPerBackend == 0)
         throw ConfigError("hash ring needs at least one virtual node");
-    rebuild();
+    points.reserve(static_cast<std::size_t>(backends) * pointsPerBackend);
+    for (std::uint32_t b = 0; b < backends; ++b)
+        for (std::uint32_t v = 0; v < pointsPerBackend; ++v)
+            points.push_back({pointPosition(b, v), b});
+    std::sort(points.begin(), points.end(),
+              [](const Point &a, const Point &b) {
+                  // Position collisions across 64 bits are vanishingly
+                  // rare, but break ties by backend id so the ring
+                  // order never depends on sort stability.
+                  return a.position != b.position
+                             ? a.position < b.position
+                             : a.backend < b.backend;
+              });
 }
 
 std::uint64_t
@@ -60,32 +70,9 @@ HashRing::pointPosition(std::uint32_t backend, std::uint32_t vnode)
     return mix64((static_cast<std::uint64_t>(backend) << 32) | vnode);
 }
 
-void
-HashRing::rebuild()
-{
-    points.clear();
-    points.reserve(static_cast<std::size_t>(live) * vnodes);
-    for (std::uint32_t b = 0; b < totalBackends; ++b) {
-        if (!present[b])
-            continue;
-        for (std::uint32_t v = 0; v < vnodes; ++v)
-            points.push_back({pointPosition(b, v), b});
-    }
-    std::sort(points.begin(), points.end(),
-              [](const Point &a, const Point &b) {
-                  // Position collisions across 64 bits are vanishingly
-                  // rare, but break ties by backend id so the ring
-                  // order never depends on sort stability.
-                  return a.position != b.position
-                             ? a.position < b.position
-                             : a.backend < b.backend;
-              });
-}
-
 std::uint32_t
 HashRing::lookup(std::uint64_t keyHash) const
 {
-    TM_ASSERT(!points.empty(), "lookup on an empty ring");
     const auto it = std::lower_bound(
         points.begin(), points.end(), keyHash,
         [](const Point &p, std::uint64_t h) { return p.position < h; });
@@ -97,16 +84,16 @@ HashRing::replicas(std::uint64_t keyHash, std::uint32_t count,
                    std::vector<std::uint32_t> &out) const
 {
     out.clear();
-    if (points.empty() || count == 0)
+    if (count == 0)
         return;
-    const std::uint32_t want = std::min(count, live);
+    const std::uint32_t want = std::min(count, totalBackends);
     auto it = std::lower_bound(
         points.begin(), points.end(), keyHash,
         [](const Point &p, std::uint64_t h) { return p.position < h; });
     if (it == points.end())
         it = points.begin();
     // Walk clockwise collecting distinct backends; at most one full
-    // revolution (every live backend has a point on the ring).
+    // revolution (every backend has a point on the ring).
     for (std::size_t steps = 0;
          steps < points.size() && out.size() < want; ++steps) {
         const std::uint32_t b = it->backend;
@@ -116,30 +103,6 @@ HashRing::replicas(std::uint64_t keyHash, std::uint32_t count,
         if (it == points.end())
             it = points.begin();
     }
-}
-
-void
-HashRing::removeBackend(std::uint32_t id)
-{
-    TM_ASSERT(id < totalBackends, "backend id out of range");
-    if (!present[id])
-        return;
-    if (live == 1)
-        throw ConfigError("cannot remove the last ring backend");
-    present[id] = false;
-    --live;
-    rebuild();
-}
-
-void
-HashRing::addBackend(std::uint32_t id)
-{
-    TM_ASSERT(id < totalBackends, "backend id out of range");
-    if (present[id])
-        return;
-    present[id] = true;
-    ++live;
-    rebuild();
 }
 
 } // namespace lb

@@ -6,11 +6,11 @@
  * backend (and, with replication, into an ordered replica set): each
  * backend owns many virtual points on a 64-bit circle, a key hashes to
  * a point, and the owner is the first backend point at or after it.
- * The classical guarantees hold and are property-tested: with enough
- * virtual nodes the key space splits near-evenly across N backends,
- * and removing one backend remaps only the keys that backend owned
- * (about 1/N of them) -- every other key keeps its owner, so a
- * failover never reshuffles the whole cluster's working set.
+ * With enough virtual nodes the key space splits near-evenly across N
+ * backends (property-tested). The ring is built once and never edited:
+ * the balancer fails over by skipping unhealthy replicas in the walk,
+ * so a crashed backend's keys keep their replica order and every other
+ * key keeps its owner.
  *
  * Determinism: points come from SplitMix64 over (backend, vnode), so a
  * ring built from the same shape is bit-identical across runs and
@@ -51,27 +51,14 @@ class HashRing
     /**
      * The first @p count distinct backends clockwise from @p keyHash
      * (the primary first), appended to @p out. Fewer are produced when
-     * the ring has fewer live backends than @p count. @p out is
-     * cleared first; reuse one vector across calls to avoid
-     * allocation on the dispatch path.
+     * the ring has fewer backends than @p count. @p out is cleared
+     * first; reuse one vector across calls to avoid allocation on the
+     * dispatch path.
      */
     void replicas(std::uint64_t keyHash, std::uint32_t count,
                   std::vector<std::uint32_t> &out) const;
 
-    /**
-     * Remove every point of backend @p id (a crashed or drained
-     * shard); its keys fall to their clockwise successors.
-     */
-    void removeBackend(std::uint32_t id);
-
-    /** Re-insert a backend previously removed; restores the exact
-     *  point set the constructor gave it. */
-    void addBackend(std::uint32_t id);
-
-    /** Number of backends currently on the ring. */
-    std::uint32_t liveBackends() const { return live; }
-
-    /** Total virtual points currently on the ring. */
+    /** Total virtual points on the ring. */
     std::size_t pointCount() const { return points.size(); }
 
   private:
@@ -84,12 +71,7 @@ class HashRing
     static std::uint64_t pointPosition(std::uint32_t backend,
                                        std::uint32_t vnode);
 
-    void rebuild();
-
     std::uint32_t totalBackends;
-    std::uint32_t vnodes;
-    std::uint32_t live;
-    std::vector<bool> present;
     std::vector<Point> points; ///< Sorted by position.
 };
 

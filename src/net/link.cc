@@ -34,11 +34,8 @@ Link::Link(sim::Simulation &sim_, std::string name, double gbps,
 SimDuration
 Link::transmitTime(std::uint32_t bytes) const
 {
-    // Degraded bandwidth stretches serialization proportionally.
-    const double effectiveBytesPerNs =
-        faults ? bytesPerNs * faults->bandwidthFactor : bytesPerNs;
-    return static_cast<SimDuration>(std::max(
-        1.0, static_cast<double>(bytes) / effectiveBytesPerNs));
+    return static_cast<SimDuration>(
+        std::max(1.0, static_cast<double>(bytes) / bytesPerNs));
 }
 
 bool
@@ -48,13 +45,10 @@ Link::send(const Packet &packet, DeliveryFn onDelivered)
         faults->lossRng.nextDouble() < faults->lossProbability) {
         // The packet vanishes on the wire: it never occupies the
         // transmitter and its delivery callback is simply destroyed.
-        ++faults->dropped;
         droppedCounter.add();
         return false;
     }
 
-    ++totalPackets;
-    totalBytes += packet.bytes;
     packetsCounter.add();
     bytesCounter.add(packet.bytes);
 
@@ -71,9 +65,7 @@ Link::send(const Packet &packet, DeliveryFn onDelivered)
     inFlightGauge.set(static_cast<double>(inFlightCount));
     utilizationGauge.set(utilization());
 
-    const SimDuration effectivePropagation =
-        faults ? propagation + faults->extraPropagation : propagation;
-    const SimTime deliverAt = transmitterFreeAt + effectivePropagation;
+    const SimTime deliverAt = transmitterFreeAt + propagation;
     sim.countEvent(sim::EventTag::NetDelivery);
     // Park the packet and its callback in the pool; the event then
     // captures 16 bytes and scheduling allocates nothing.
@@ -106,26 +98,6 @@ Link::setLossProbability(double p)
 {
     TM_ASSERT(faults != nullptr, "fault hooks not armed");
     faults->lossProbability = p;
-}
-
-void
-Link::setBandwidthFactor(double factor)
-{
-    TM_ASSERT(faults != nullptr, "fault hooks not armed");
-    faults->bandwidthFactor = factor;
-}
-
-void
-Link::setExtraPropagation(SimDuration extra)
-{
-    TM_ASSERT(faults != nullptr, "fault hooks not armed");
-    faults->extraPropagation = extra;
-}
-
-std::uint64_t
-Link::packetsDropped() const
-{
-    return faults ? faults->dropped : 0;
 }
 
 double

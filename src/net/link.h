@@ -64,12 +64,6 @@ class Link
      */
     bool send(const Packet &packet, DeliveryFn onDelivered);
 
-    /** Total bytes accepted so far. */
-    std::uint64_t bytesSent() const { return totalBytes; }
-
-    /** Total packets accepted so far. */
-    std::uint64_t packetsSent() const { return totalPackets; }
-
     /** Fraction of elapsed time the transmitter has been busy. */
     double utilization() const;
 
@@ -93,15 +87,6 @@ class Link
 
     /** Drop each subsequent packet with probability @p p (armed only). */
     void setLossProbability(double p);
-
-    /** Scale bandwidth by @p factor (< 1 = degraded; armed only). */
-    void setBandwidthFactor(double factor);
-
-    /** Add @p extra one-way propagation delay (armed only). */
-    void setExtraPropagation(SimDuration extra);
-
-    /** Packets dropped by injected loss so far. */
-    std::uint64_t packetsDropped() const;
     /** @} */
 
   private:
@@ -120,9 +105,6 @@ class Link
     struct FaultState {
         Rng lossRng{1};
         double lossProbability = 0.0;
-        double bandwidthFactor = 1.0;
-        SimDuration extraPropagation = 0;
-        std::uint64_t dropped = 0;
     };
 
     sim::Simulation &sim;
@@ -131,8 +113,6 @@ class Link
     SimDuration propagation;
     SimTime transmitterFreeAt = 0;
     SimDuration busyTime = 0;
-    std::uint64_t totalBytes = 0;
-    std::uint64_t totalPackets = 0;
     std::size_t inFlightCount = 0;
     util::RawPool<PendingDelivery> pendingPool;
     std::unique_ptr<FaultState> faults;

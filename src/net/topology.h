@@ -146,8 +146,6 @@ class ShardFabric
     ShardFabric(const ShardFabric &) = delete;
     ShardFabric &operator=(const ShardFabric &) = delete;
 
-    std::size_t backendCount() const { return forward.size(); }
-
     /** Path from the router tier to backend @p i. */
     const Path &toBackend(std::size_t i) const;
 

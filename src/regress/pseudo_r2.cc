@@ -1,18 +1,10 @@
 #include "regress/pseudo_r2.h"
 
-#include <cmath>
-
 #include "regress/factorial.h"
 #include "util/error.h"
 
 namespace treadmill {
 namespace regress {
-
-double
-quantileErrorWeight(double tau, double err)
-{
-    return err < 0.0 ? (1.0 - tau) : tau;
-}
 
 double
 pseudoR2(const Vec &observed, const Vec &predicted, double tau)
@@ -29,15 +21,13 @@ pseudoR2(const Vec &observed, const Vec &predicted, double tau)
     // an integer, and otherwise overstates the constant model's error.
     const double constant = lowerQuantile(observed, tau);
 
+    // Equation 4's weighted absolute error is the pinball loss: weight
+    // (1 - tau) on overestimates (err < 0), tau on underestimates.
     double modelError = 0.0;
     double constError = 0.0;
     for (std::size_t i = 0; i < observed.size(); ++i) {
-        const double errModel = observed[i] - predicted[i];
-        const double errConst = observed[i] - constant;
-        modelError +=
-            quantileErrorWeight(tau, errModel) * std::fabs(errModel);
-        constError +=
-            quantileErrorWeight(tau, errConst) * std::fabs(errConst);
+        modelError += pinballLoss(tau, observed[i] - predicted[i]);
+        constError += pinballLoss(tau, observed[i] - constant);
     }
     if (constError == 0.0)
         return modelError == 0.0 ? 1.0 : 0.0;

@@ -17,10 +17,6 @@
 namespace treadmill {
 namespace regress {
 
-/** The error weight of Equation 4: (1 - tau) for overestimation
- *  (err < 0), tau for underestimation (err >= 0). */
-double quantileErrorWeight(double tau, double err);
-
 /**
  * Pseudo-R^2 of predictions against observations at quantile tau
  * (Equation 2). @p predicted and @p observed must be the same size.

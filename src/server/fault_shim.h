@@ -79,9 +79,6 @@ class ServiceFaultShim : public Service
     /** @name Diagnostics
      * @{
      */
-    std::uint64_t stalledRequests() const { return stalledCounter.value(); }
-    std::uint64_t droppedRequests() const { return droppedCounter.value(); }
-    std::uint64_t warmupRequests() const { return warmupCounter.value(); }
     bool stalled() const;
     bool crashed() const;
     /** @} */

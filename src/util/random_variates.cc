@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "util/error.h"
-#include "util/logging.h"
 
 namespace treadmill {
 
@@ -21,18 +20,6 @@ double
 Exponential::sample(Rng &rng) const
 {
     return -std::log(rng.nextDoublePositive()) / lambda;
-}
-
-Uniform::Uniform(double lo_, double hi_) : lo(lo_), hi(hi_)
-{
-    if (!(hi_ >= lo_))
-        throw ConfigError("Uniform requires hi >= lo");
-}
-
-double
-Uniform::sample(Rng &rng) const
-{
-    return lo + (hi - lo) * rng.nextDouble();
 }
 
 Normal::Normal(double mean, double stddev) : mu(mean), sigma(stddev)
@@ -80,26 +67,6 @@ LogNormal::fromMoments(double mean, double stddev)
     return LogNormal(logMean, std::sqrt(logVar));
 }
 
-BoundedPareto::BoundedPareto(double alpha_, double lo_, double hi_)
-    : alpha(alpha_), lo(lo_), hi(hi_)
-{
-    if (!(alpha_ > 0.0))
-        throw ConfigError("BoundedPareto shape must be positive");
-    if (!(hi_ > lo_) || !(lo_ > 0.0))
-        throw ConfigError("BoundedPareto requires 0 < lo < hi");
-}
-
-double
-BoundedPareto::sample(Rng &rng) const
-{
-    // Inverse-CDF sampling for the bounded Pareto.
-    const double u = rng.nextDouble();
-    const double la = std::pow(lo, alpha);
-    const double ha = std::pow(hi, alpha);
-    const double x = -(u * ha - u * la - ha) / (ha * la);
-    return std::pow(1.0 / x, 1.0 / alpha);
-}
-
 Bernoulli::Bernoulli(double p_) : p(p_)
 {
     if (p_ < 0.0 || p_ > 1.0)
@@ -119,8 +86,8 @@ namespace {
  * constructions: the O(n) pow-per-term sum dominates generator setup
  * when every load-tester instance builds the same popularity model.
  * The summation order is fixed, so the cached value is bit-identical
- * to a fresh computation; the mutex only guards construction (the
- * parallel runner builds workloads on worker threads), never sampling.
+ * to a fresh computation; the mutex only guards construction (a
+ * fan-out builds workloads on several threads), never sampling.
  */
 double
 zeta(std::uint64_t n, double s)
@@ -172,39 +139,6 @@ Zipf::sample(Rng &rng) const
     const auto rank = static_cast<std::uint64_t>(
         static_cast<double>(n) * std::pow(eta * u - eta + 1.0, alpha));
     return std::min(rank, n - 1);
-}
-
-Discrete::Discrete(std::vector<double> weights) : total(0.0)
-{
-    if (weights.empty())
-        throw ConfigError("Discrete requires at least one weight");
-    cumulative.reserve(weights.size());
-    for (double w : weights) {
-        if (w < 0.0)
-            throw ConfigError("Discrete weights must be non-negative");
-        total += w;
-        cumulative.push_back(total);
-    }
-    if (!(total > 0.0))
-        throw ConfigError("Discrete weights must not all be zero");
-}
-
-std::size_t
-Discrete::sample(Rng &rng) const
-{
-    const double u = rng.nextDouble() * total;
-    const auto it =
-        std::upper_bound(cumulative.begin(), cumulative.end(), u);
-    const auto idx = static_cast<std::size_t>(it - cumulative.begin());
-    return std::min(idx, cumulative.size() - 1);
-}
-
-double
-Discrete::probability(std::size_t i) const
-{
-    TM_ASSERT(i < cumulative.size(), "Discrete outcome out of range");
-    const double prev = i == 0 ? 0.0 : cumulative[i - 1];
-    return (cumulative[i] - prev) / total;
 }
 
 } // namespace treadmill

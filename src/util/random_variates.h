@@ -14,7 +14,6 @@
 #define TREADMILL_UTIL_RANDOM_VARIATES_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "util/rng.h"
 
@@ -34,22 +33,6 @@ class Exponential
 
   private:
     double lambda;
-};
-
-/** Continuous uniform distribution on [lo, hi). */
-class Uniform
-{
-  public:
-    Uniform(double lo, double hi);
-
-    double sample(Rng &rng) const;
-
-    double low() const { return lo; }
-    double high() const { return hi; }
-
-  private:
-    double lo;
-    double hi;
 };
 
 /** Normal distribution (Box-Muller; one cached spare variate). */
@@ -83,27 +66,6 @@ class LogNormal
 
   private:
     Normal normal;
-};
-
-/**
- * Bounded Pareto distribution on [lo, hi] with shape alpha.
- *
- * Heavy-tailed service demands are the canonical source of latency tails;
- * the bounded form keeps simulated runs finite.
- */
-class BoundedPareto
-{
-  public:
-    BoundedPareto(double alpha, double lo, double hi);
-
-    double sample(Rng &rng) const;
-
-    double shape() const { return alpha; }
-
-  private:
-    double alpha;
-    double lo;
-    double hi;
 };
 
 /** Bernoulli trial with success probability p. */
@@ -145,29 +107,6 @@ class Zipf
     double zeta2;
     double alpha;
     double eta;
-};
-
-/**
- * Discrete distribution over caller-supplied weights.
- *
- * Sampling is O(log n) by binary search over the cumulative weights;
- * used for request-mix selection (e.g., 95% GET / 5% SET).
- */
-class Discrete
-{
-  public:
-    explicit Discrete(std::vector<double> weights);
-
-    std::size_t sample(Rng &rng) const;
-
-    std::size_t size() const { return cumulative.size(); }
-
-    /** Probability of outcome i. */
-    double probability(std::size_t i) const;
-
-  private:
-    std::vector<double> cumulative;
-    double total;
 };
 
 } // namespace treadmill

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -11,6 +12,13 @@
 namespace treadmill {
 namespace core {
 namespace {
+
+/** Client 0's registry counter "client0.<name>" in @p sim. */
+std::uint64_t
+clientCount(sim::Simulation &sim, const std::string &name)
+{
+    return sim.metrics().counter("client0." + name).value();
+}
 
 ClientParams
 fastParams()
@@ -65,7 +73,7 @@ TEST(ClientTest, IssuesAndMeasures)
     inst.start();
     sim.runUntil(milliseconds(50));
     EXPECT_TRUE(inst.done());
-    EXPECT_GE(inst.received(), 250u);
+    EXPECT_GE(clientCount(sim, "received"), 250u);
     EXPECT_EQ(inst.collector().measured(), 200u);
 }
 
@@ -193,7 +201,7 @@ TEST(ClientTest, CompletionHookFires)
         [&](const server::Request &) { ++hooks; });
     inst.start();
     sim.runUntil(milliseconds(10));
-    EXPECT_EQ(hooks, inst.received());
+    EXPECT_EQ(hooks, clientCount(sim, "received"));
     EXPECT_GT(hooks, 0u);
 }
 
@@ -208,9 +216,9 @@ TEST(ClientTest, StopLoadHaltsIssuing)
     inst.start();
     sim.runUntil(milliseconds(2));
     inst.stopLoad();
-    const auto issuedAtStop = inst.issued();
+    const auto issuedAtStop = clientCount(sim, "issued");
     sim.runUntil(milliseconds(10));
-    EXPECT_EQ(inst.issued(), issuedAtStop);
+    EXPECT_EQ(clientCount(sim, "issued"), issuedAtStop);
 }
 
 TEST(ClientTest, CountersAreTheObserversAndOneInstanceOwnsItsScope)
@@ -225,10 +233,13 @@ TEST(ClientTest, CountersAreTheObserversAndOneInstanceOwnsItsScope)
     slot = &inst;
     inst.start();
     sim.runUntil(milliseconds(5));
-    EXPECT_GT(inst.issued(), 0u);
-    EXPECT_EQ(inst.issued(), sim.metrics().counter("client3.issued").value());
-    EXPECT_EQ(inst.received(),
-              sim.metrics().counter("client3.received").value());
+    // Instance 3 counts under "client3.", the only place its counts
+    // are read from.
+    const std::uint64_t issued =
+        sim.metrics().counter("client3.issued").value();
+    EXPECT_GT(issued, 0u);
+    EXPECT_GT(sim.metrics().counter("client3.received").value(), 0u);
+    EXPECT_LE(sim.metrics().counter("client3.received").value(), issued);
 
     // A second instance with the same index would add into the same
     // counters: its construction fails instead.

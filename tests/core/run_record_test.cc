@@ -122,9 +122,6 @@ TEST(ConfigDigestTest, EveryFieldARunReadsChangesItAndNothingElseDoes)
         {"fault.repeatCount", [](auto &p) { event(p).repeatCount = 2; }},
         {"fault.lossProbability",
          [](auto &p) { event(p).lossProbability = 0.5; }},
-        {"fault.bandwidthFactor",
-         [](auto &p) { event(p).bandwidthFactor = 0.5; }},
-        {"fault.extraLatency", [](auto &p) { event(p).extraLatency = 1; }},
         {"fault.warmup", [](auto &p) { event(p).warmup = 1; }},
         {"fault.warmupPenalty", [](auto &p) { event(p).warmupPenalty = 1; }},
         {"fault.irqCostFactor",

@@ -493,7 +493,7 @@ TEST(StudyDriverTest, AFailingRunRethrowsItsConfigError)
 {
     // A plan entry whose run cannot start (no client machines) fails
     // the study with that run's ConfigError, raised on the caller once
-    // every worker has stopped, serially and across three lanes, with
+    // every lane has joined, serially and across three lanes, with
     // an archive attached.
     std::vector<StudyRun> plan = quickPlan(2);
     plan[2].params.tester.clientMachines = 0;

@@ -1,23 +1,35 @@
-/** @file Unit tests for parallelFor and ParallelRunner. */
+/** @file Unit tests for parallelFor and ProgressMeter. */
 
 #include "exec/parallel_for.h"
-#include "exec/parallel_runner.h"
+#include "exec/progress.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace treadmill {
 namespace exec {
 namespace {
 
+/** Long enough for lanes to overlap, short enough to stay quick. */
+void
+briefWork()
+{
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+}
+
 TEST(ParallelismTest, ResolvesDefaultsToHardware)
 {
     const Parallelism par;
-    EXPECT_EQ(par.resolve(), ThreadPool::hardwareThreads());
+    EXPECT_EQ(par.resolve(),
+              std::max(1u, std::thread::hardware_concurrency()));
+    EXPECT_GE(par.resolve(), 1u);
     EXPECT_EQ(Parallelism::serial().resolve(), 1u);
     EXPECT_EQ(Parallelism{6}.resolve(), 6u);
 }
@@ -48,14 +60,90 @@ TEST(ParallelForTest, MoreTasksThanThreads)
     EXPECT_EQ(sum.load(), 999u * 1000 / 2);
 }
 
+TEST(ParallelForTest, FillsIndexAddressedSlots)
+{
+    for (unsigned threads : {1u, 2u, 8u}) {
+        std::vector<int> out(100);
+        parallelFor(Parallelism{threads}, out.size(), [&](std::size_t i) {
+            out[i] = static_cast<int>(i * i);
+        });
+        for (std::size_t i = 0; i < out.size(); ++i)
+            EXPECT_EQ(out[i], static_cast<int>(i * i));
+    }
+}
+
 TEST(ParallelForTest, SerialPathRunsInOrderOnCallingThread)
 {
+    const auto caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    parallelFor(Parallelism::serial(), 10,
-                [&](std::size_t i) { order.push_back(i); });
+    bool offCaller = false;
+    parallelFor(Parallelism::serial(), 10, [&](std::size_t i) {
+        order.push_back(i);
+        offCaller = offCaller || std::this_thread::get_id() != caller;
+    });
     std::vector<std::size_t> expected(10);
     std::iota(expected.begin(), expected.end(), 0u);
     EXPECT_EQ(order, expected);
+    EXPECT_FALSE(offCaller);
+}
+
+TEST(ParallelForTest, NoIndexRunsOnTheCallingThread)
+{
+    // With more than one lane the caller only joins: every index runs
+    // on a thread parallelFor started.
+    const auto caller = std::this_thread::get_id();
+    for (unsigned threads : {2u, 4u}) {
+        std::atomic<int> onCaller{0};
+        std::atomic<int> ran{0};
+        parallelFor(Parallelism{threads}, 64, [&](std::size_t) {
+            if (std::this_thread::get_id() == caller)
+                ++onCaller;
+            ++ran;
+        });
+        EXPECT_EQ(onCaller.load(), 0);
+        EXPECT_EQ(ran.load(), 64);
+    }
+}
+
+TEST(ParallelForTest, AtMostResolveLanesRunAtOnce)
+{
+    const auto peakLanes = [](unsigned threads, std::size_t n) {
+        std::atomic<unsigned> running{0};
+        std::atomic<unsigned> peak{0};
+        parallelFor(Parallelism{threads}, n, [&](std::size_t) {
+            const unsigned now = ++running;
+            unsigned seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+            briefWork();
+            --running;
+        });
+        return peak.load();
+    };
+    for (unsigned threads : {2u, 3u}) {
+        const unsigned peak = peakLanes(threads, 48);
+        EXPECT_GE(peak, 1u);
+        EXPECT_LE(peak, threads);
+    }
+    // A range shorter than the knob starts one lane per index.
+    EXPECT_LE(peakLanes(8, 2), 2u);
+}
+
+TEST(ParallelForTest, NothingRunsAfterReturn)
+{
+    std::atomic<int> running{0};
+    std::atomic<int> finished{0};
+    parallelFor(Parallelism{4}, 32, [&](std::size_t) {
+        ++running;
+        briefWork();
+        --running;
+        ++finished;
+    });
+    EXPECT_EQ(running.load(), 0);
+    EXPECT_EQ(finished.load(), 32);
+    // No lane is left to pick up work after the join.
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_EQ(finished.load(), 32);
 }
 
 TEST(ParallelForTest, PropagatesExceptionSerial)
@@ -73,9 +161,13 @@ TEST(ParallelForTest, PropagatesExceptionParallel)
 {
     for (unsigned threads : {2u, 8u}) {
         std::atomic<int> started{0};
+        std::atomic<int> running{0};
         try {
             parallelFor(Parallelism{threads}, 64, [&](std::size_t i) {
                 ++started;
+                ++running;
+                briefWork();
+                --running;
                 if (i == 7)
                     throw std::runtime_error("boom");
             });
@@ -85,50 +177,50 @@ TEST(ParallelForTest, PropagatesExceptionParallel)
         }
         // At least the throwing index ran; abandoned indices are fine.
         EXPECT_GE(started.load(), 1);
+        // The rethrow waits for every lane: none is mid-task, and none
+        // starts another index afterwards.
+        EXPECT_EQ(running.load(), 0);
+        const int startedAtThrow = started.load();
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        EXPECT_EQ(started.load(), startedAtThrow);
     }
 }
 
-TEST(ParallelRunnerTest, ResultsAreIndexAddressed)
+TEST(ProgressMeterTest, CountsEveryTaskAndWorkOneCallAtATime)
 {
-    for (unsigned threads : {1u, 2u, 8u}) {
-        ParallelRunner runner{Parallelism{threads}};
-        const auto out = runner.run(100, [](std::size_t i) {
-            return static_cast<int>(i * i);
-        });
-        ASSERT_EQ(out.size(), 100u);
-        for (std::size_t i = 0; i < out.size(); ++i)
-            EXPECT_EQ(out[i], static_cast<int>(i * i));
-    }
-}
-
-TEST(ParallelRunnerTest, ProgressCountsEveryTaskAndWork)
-{
-    ParallelRunner runner{Parallelism{4}};
+    std::atomic<int> inCall{0};
+    std::atomic<int> overlaps{0};
     std::size_t calls = 0;
     std::size_t lastCompleted = 0;
+    double lastWall = 0.0;
     double lastWork = 0.0;
-    runner.onProgress([&](const Progress &p) {
-        // Serialized by the runner: completed increases monotonically.
+    ProgressMeter meter(32, [&](const Progress &p) {
+        if (++inCall != 1)
+            ++overlaps;
         ++calls;
         EXPECT_EQ(p.total, 32u);
-        EXPECT_GT(p.completed, lastCompleted);
+        EXPECT_EQ(p.completed, lastCompleted + 1);
+        EXPECT_GE(p.wallSeconds, lastWall);
         lastCompleted = p.completed;
+        lastWall = p.wallSeconds;
         lastWork = p.workUnits;
+        // A slow observer: lanes finishing meanwhile must wait.
+        briefWork();
+        --inCall;
     });
-    runner.run(
-        32, [](std::size_t) { return 1.5; },
-        [](const double &v) { return v; });
+    parallelFor(Parallelism{4}, 32,
+                [&](std::size_t) { meter.done(1.5); });
+    EXPECT_EQ(overlaps.load(), 0);
     EXPECT_EQ(calls, 32u);
     EXPECT_EQ(lastCompleted, 32u);
     EXPECT_DOUBLE_EQ(lastWork, 32 * 1.5);
 }
 
-TEST(ParallelRunnerTest, EmptyRunReturnsEmpty)
+TEST(ProgressMeterTest, WithoutObserverDoneIsANoOp)
 {
-    ParallelRunner runner;
-    const auto out =
-        runner.run(0, [](std::size_t) { return 1; });
-    EXPECT_TRUE(out.empty());
+    ProgressMeter meter(4, {});
+    parallelFor(Parallelism{2}, 4, [&](std::size_t) { meter.done(1.0); });
+    SUCCEED();
 }
 
 } // namespace

@@ -24,16 +24,13 @@ TEST(FaultPlanTest, FromJsonParsesEveryKind)
             {"kind": "link_loss", "target": "client0",
              "start_ms": 100, "duration_ms": 40,
              "loss_probability": 0.2},
-            {"kind": "link_degrade", "start_ms": 200,
-             "duration_ms": 50, "bandwidth_factor": 0.25,
-             "extra_latency_us": 150},
             {"kind": "server_crash", "start_ms": 300,
              "duration_ms": 80, "warmup_ms": 40,
              "warmup_penalty_us": 400},
             {"kind": "nic_storm", "start_ms": 450, "duration_ms": 30,
              "irq_cost_factor": 25}
         ]})"));
-    ASSERT_EQ(plan.events.size(), 5u);
+    ASSERT_EQ(plan.events.size(), 4u);
 
     const FaultEvent &stall = plan.events[0];
     EXPECT_EQ(stall.kind, FaultKind::ServerStall);
@@ -47,17 +44,12 @@ TEST(FaultPlanTest, FromJsonParsesEveryKind)
     EXPECT_EQ(loss.target, "client0");
     EXPECT_DOUBLE_EQ(loss.lossProbability, 0.2);
 
-    const FaultEvent &degrade = plan.events[2];
-    EXPECT_EQ(degrade.kind, FaultKind::LinkDegrade);
-    EXPECT_DOUBLE_EQ(degrade.bandwidthFactor, 0.25);
-    EXPECT_EQ(degrade.extraLatency, microseconds(150));
-
-    const FaultEvent &crash = plan.events[3];
+    const FaultEvent &crash = plan.events[2];
     EXPECT_EQ(crash.kind, FaultKind::ServerCrash);
     EXPECT_EQ(crash.warmup, milliseconds(40));
     EXPECT_EQ(crash.warmupPenalty, microseconds(400));
 
-    const FaultEvent &storm = plan.events[4];
+    const FaultEvent &storm = plan.events[3];
     EXPECT_EQ(storm.kind, FaultKind::NicInterruptStorm);
     EXPECT_DOUBLE_EQ(storm.irqCostFactor, 25.0);
 }
@@ -68,7 +60,7 @@ TEST(FaultPlanTest, ExamplePlanParsesRoundTripsAndArms)
     // run accepts.
     const FaultPlan plan =
         FaultPlan::fromJson(json::parseFile(TM_EXAMPLE_FAULT_PLAN));
-    ASSERT_EQ(plan.events.size(), 5u);
+    ASSERT_EQ(plan.events.size(), 4u);
     EXPECT_NO_THROW(plan.validate());
     EXPECT_EQ(FaultPlan::fromJson(plan.toJson()).toJson(), plan.toJson());
 
@@ -107,8 +99,6 @@ TEST(FaultPlanTest, JsonRoundTrips)
             {"kind": "link_loss", "target": "server-ingress",
              "start_ms": 60, "duration_ms": 5,
              "loss_probability": 0.75},
-            {"kind": "link_degrade", "start_ms": 80, "duration_ms": 5,
-             "bandwidth_factor": 0.5, "extra_latency_us": 20},
             {"kind": "server_crash", "start_ms": 100,
              "duration_ms": 10, "warmup_ms": 5,
              "warmup_penalty_us": 100},
@@ -127,8 +117,6 @@ TEST(FaultPlanTest, JsonRoundTrips)
         EXPECT_EQ(b.period, a.period);
         EXPECT_EQ(b.repeatCount, a.repeatCount);
         EXPECT_DOUBLE_EQ(b.lossProbability, a.lossProbability);
-        EXPECT_DOUBLE_EQ(b.bandwidthFactor, a.bandwidthFactor);
-        EXPECT_EQ(b.extraLatency, a.extraLatency);
         EXPECT_EQ(b.warmup, a.warmup);
         EXPECT_EQ(b.warmupPenalty, a.warmupPenalty);
         EXPECT_DOUBLE_EQ(b.irqCostFactor, a.irqCostFactor);
@@ -138,19 +126,21 @@ TEST(FaultPlanTest, JsonRoundTrips)
 TEST(FaultPlanTest, KindNamesRoundTrip)
 {
     for (FaultKind kind :
-         {FaultKind::LinkLoss, FaultKind::LinkDegrade,
-          FaultKind::ServerStall, FaultKind::ServerCrash,
-          FaultKind::NicInterruptStorm})
+         {FaultKind::LinkLoss, FaultKind::ServerStall,
+          FaultKind::ServerCrash, FaultKind::NicInterruptStorm})
         EXPECT_EQ(faultKindFromName(faultKindName(kind)), kind);
     EXPECT_THROW(faultKindFromName("cosmic_ray"), ConfigError);
-    // The rack fault is gone: a plan naming it is refused by name.
-    try {
-        faultKindFromName("tor_outage");
-        ADD_FAILURE() << "tor_outage was accepted";
-    } catch (const ConfigError &e) {
-        EXPECT_NE(std::string(e.what()).find("\"tor_outage\""),
-                  std::string::npos)
-            << e.what();
+    // The rack fault and link degradation are gone: a plan naming
+    // either is refused by name.
+    for (const std::string gone : {"tor_outage", "link_degrade"}) {
+        try {
+            faultKindFromName(gone);
+            ADD_FAILURE() << gone << " was accepted";
+        } catch (const ConfigError &e) {
+            EXPECT_NE(std::string(e.what()).find("\"" + gone + "\""),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -234,13 +224,8 @@ TEST(FaultPlanTest, ValidateRejectsBadRanges)
     plan.events[0].lossProbability = 1.5;
     EXPECT_THROW(plan.validate(), ConfigError);
 
-    plan.events[0].kind = FaultKind::LinkDegrade;
-    plan.events[0].lossProbability = 0.0;
-    plan.events[0].bandwidthFactor = 0.0;
-    EXPECT_THROW(plan.validate(), ConfigError);
-
     plan.events[0].kind = FaultKind::NicInterruptStorm;
-    plan.events[0].bandwidthFactor = 1.0;
+    plan.events[0].lossProbability = 0.0;
     plan.events[0].irqCostFactor = 0.5;
     EXPECT_THROW(plan.validate(), ConfigError);
 

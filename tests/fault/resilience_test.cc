@@ -17,6 +17,13 @@ namespace treadmill {
 namespace core {
 namespace {
 
+/** Client 0's registry counter "client0.<name>" in @p sim. */
+std::uint64_t
+clientCount(sim::Simulation &sim, const std::string &name)
+{
+    return sim.metrics().counter("client0." + name).value();
+}
+
 ClientParams
 slowSteadyParams()
 {
@@ -95,10 +102,10 @@ TEST(ResilienceTest, RetryMeasuresFromOriginalIntendedSend)
     inst.start();
     sim.runUntil(milliseconds(200));
 
-    EXPECT_GT(inst.timeouts(), 0u);
-    EXPECT_GT(inst.retries(), 0u);
-    EXPECT_GT(inst.received(), 0u);
-    EXPECT_EQ(inst.failed(), 0u);
+    EXPECT_GT(clientCount(sim, "timeouts"), 0u);
+    EXPECT_GT(clientCount(sim, "retries"), 0u);
+    EXPECT_GT(clientCount(sim, "received"), 0u);
+    EXPECT_EQ(clientCount(sim, "failed"), 0u);
 
     // The recorded latency must span the dropped first attempt: the
     // timeout (1000 us) plus backoff (100 us) plus the echo path. A
@@ -142,12 +149,12 @@ TEST(ResilienceTest, HedgeWinsCutTheTailAndCountLateOriginals)
     inst.start();
     sim.runUntil(milliseconds(200));
 
-    EXPECT_GT(inst.hedges(), 0u);
-    EXPECT_GT(inst.hedgeWins(), 0u);
+    EXPECT_GT(clientCount(sim, "hedges"), 0u);
+    EXPECT_GT(clientCount(sim, "hedge_wins"), 0u);
     // The slow originals eventually arrive and must be counted as
     // late duplicates, not recorded twice.
-    EXPECT_GT(inst.lateResponses(), 0u);
-    EXPECT_EQ(inst.timeouts(), 0u);
+    EXPECT_GT(clientCount(sim, "late_responses"), 0u);
+    EXPECT_EQ(clientCount(sim, "timeouts"), 0u);
 
     // Hedge at 300 us + fast echo ~52 us beats the 5 ms original.
     EXPECT_GT(inst.collector().quantile(0.5), 300.0);
@@ -175,12 +182,12 @@ TEST(ResilienceTest, ExhaustedRetriesBecomeFailuresNotSamples)
     inst.stopLoad();
     sim.runUntil(milliseconds(40));
 
-    EXPECT_GT(inst.failed(), 0u);
-    EXPECT_EQ(inst.failed(), inst.issued());
-    EXPECT_EQ(inst.received(), 0u);
+    EXPECT_GT(clientCount(sim, "failed"), 0u);
+    EXPECT_EQ(clientCount(sim, "failed"), clientCount(sim, "issued"));
+    EXPECT_EQ(clientCount(sim, "received"), 0u);
     // Two attempts per logical request, both timed out.
-    EXPECT_EQ(inst.timeouts(), 2 * inst.failed());
-    EXPECT_EQ(inst.retries(), inst.failed());
+    EXPECT_EQ(clientCount(sim, "timeouts"), 2 * clientCount(sim, "failed"));
+    EXPECT_EQ(clientCount(sim, "retries"), clientCount(sim, "failed"));
     // Abandoned requests release their outstanding slot...
     EXPECT_EQ(inst.outstanding(), 0u);
     // ...and contribute no fabricated latency sample.
@@ -210,7 +217,7 @@ TEST(ResilienceTest, LateResponsesAfterMeasurementWindowCounted)
     ASSERT_TRUE(inst.done());
     // Responses that arrived after the collector closed are visible
     // as late, not silently swallowed.
-    EXPECT_GT(inst.lateResponses(), 0u);
+    EXPECT_GT(clientCount(sim, "late_responses"), 0u);
     EXPECT_EQ(inst.collector().measured(), 200u);
 }
 
@@ -232,12 +239,12 @@ TEST(ResilienceTest, DisabledPolicyKeepsCountersAtZero)
     inst.start();
     sim.runUntil(milliseconds(50));
 
-    EXPECT_GT(inst.received(), 0u);
-    EXPECT_EQ(inst.timeouts(), 0u);
-    EXPECT_EQ(inst.retries(), 0u);
-    EXPECT_EQ(inst.hedges(), 0u);
-    EXPECT_EQ(inst.hedgeWins(), 0u);
-    EXPECT_EQ(inst.failed(), 0u);
+    EXPECT_GT(clientCount(sim, "received"), 0u);
+    EXPECT_EQ(clientCount(sim, "timeouts"), 0u);
+    EXPECT_EQ(clientCount(sim, "retries"), 0u);
+    EXPECT_EQ(clientCount(sim, "hedges"), 0u);
+    EXPECT_EQ(clientCount(sim, "hedge_wins"), 0u);
+    EXPECT_EQ(clientCount(sim, "failed"), 0u);
 }
 
 TEST(ResilienceTest, CompletedRequestCancelsPendingBackoffRetry)
@@ -270,12 +277,12 @@ TEST(ResilienceTest, CompletedRequestCancelsPendingBackoffRetry)
     inst.stopLoad();
     sim.runUntil(milliseconds(300));
 
-    EXPECT_GT(inst.hedgeWins(), 0u);
-    EXPECT_EQ(inst.failed(), 0u);
-    EXPECT_EQ(inst.received(), inst.issued());
+    EXPECT_GT(clientCount(sim, "hedge_wins"), 0u);
+    EXPECT_EQ(clientCount(sim, "failed"), 0u);
+    EXPECT_EQ(clientCount(sim, "received"), clientCount(sim, "issued"));
     // Every logical request completes via its hedge before the retry
     // backoff elapses, so no retry may ever reach the wire...
-    EXPECT_EQ(inst.retries(), 0u);
+    EXPECT_EQ(clientCount(sim, "retries"), 0u);
     // ...and each logical id puts exactly two attempts on the wire:
     // the primary and the hedge. A third is the zombie.
     std::unordered_map<std::uint64_t, unsigned> attempts;
@@ -314,9 +321,9 @@ TEST(ResilienceTest, HedgeInFlightOutlivesExhaustedRetries)
 
     // The hedge answer (in flight when retries ran out) completes the
     // request; declaring failure there loses a delivered response.
-    EXPECT_EQ(inst.failed(), 0u);
-    EXPECT_EQ(inst.received(), inst.issued());
-    EXPECT_GT(inst.hedgeWins(), 0u);
+    EXPECT_EQ(clientCount(sim, "failed"), 0u);
+    EXPECT_EQ(clientCount(sim, "received"), clientCount(sim, "issued"));
+    EXPECT_GT(clientCount(sim, "hedge_wins"), 0u);
 }
 
 TEST(ResilienceTest, HedgeGraceWindowStillFailsBlackHoles)
@@ -342,12 +349,12 @@ TEST(ResilienceTest, HedgeGraceWindowStillFailsBlackHoles)
     inst.stopLoad();
     sim.runUntil(milliseconds(60));
 
-    EXPECT_GT(inst.failed(), 0u);
-    EXPECT_EQ(inst.failed(), inst.issued());
-    EXPECT_EQ(inst.received(), 0u);
+    EXPECT_GT(clientCount(sim, "failed"), 0u);
+    EXPECT_EQ(clientCount(sim, "failed"), clientCount(sim, "issued"));
+    EXPECT_EQ(clientCount(sim, "received"), 0u);
     EXPECT_EQ(inst.outstanding(), 0u);
     // One ordinary timeout plus one grace-window expiry per request.
-    EXPECT_EQ(inst.timeouts(), 2 * inst.failed());
+    EXPECT_EQ(clientCount(sim, "timeouts"), 2 * clientCount(sim, "failed"));
 }
 
 TEST(ResilienceTest, ArenaHoldsExactlyTheUnansweredAttempts)
@@ -385,10 +392,10 @@ TEST(ResilienceTest, ArenaHoldsExactlyTheUnansweredAttempts)
     sim.runUntil(milliseconds(100));
 
     ASSERT_EQ(sim.pendingEvents(), 0u);
-    EXPECT_GT(inst.retries(), 0u);
-    EXPECT_GT(inst.hedges(), 0u);
-    EXPECT_GT(inst.lateResponses(), 0u);
-    EXPECT_EQ(spans, inst.received());
+    EXPECT_GT(clientCount(sim, "retries"), 0u);
+    EXPECT_GT(clientCount(sim, "hedges"), 0u);
+    EXPECT_GT(clientCount(sim, "late_responses"), 0u);
+    EXPECT_EQ(spans, clientCount(sim, "received"));
     // Every delivered response released its attempt; every dropped
     // attempt still holds its slot.
     ASSERT_GT(echo.sent.size(), echo.delivered);

@@ -79,8 +79,8 @@ TEST(LinkTest, CountsTraffic)
     link.send(makePacket(1, 100), [](const Packet &) {});
     link.send(makePacket(2, 200), [](const Packet &) {});
     s.run();
-    EXPECT_EQ(link.packetsSent(), 2u);
-    EXPECT_EQ(link.bytesSent(), 300u);
+    EXPECT_EQ(s.metrics().counter("net.l.packets").value(), 2u);
+    EXPECT_EQ(s.metrics().counter("net.l.bytes").value(), 300u);
 }
 
 TEST(LinkTest, UtilizationReflectsLoad)

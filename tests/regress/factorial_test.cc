@@ -101,7 +101,6 @@ TEST(FactorialFitTest, BruteForceLossIsTheMinimum)
     // global minimum. The closed form, predicted through designRow
     // (so the Möbius inversion is checked too), must attain it.
     Rng rng(2024);
-    Uniform continuous(0.0, 100.0);
     const double taus[] = {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0 / 3.0};
     for (int trial = 0; trial < 36; ++trial) {
         const std::size_t k = 1 + static_cast<std::size_t>(trial % 3);
@@ -117,7 +116,7 @@ TEST(FactorialFitTest, BruteForceLossIsTheMinimum)
             for (std::uint64_t i = 0; i < runs; ++i) {
                 const double v =
                     ties ? static_cast<double>(rng.nextBelow(5))
-                         : continuous.sample(rng);
+                         : 100.0 * rng.nextDouble();
                 levels.push_back(levelsOf(c, k));
                 y.push_back(v);
                 cellValues[c].push_back(v);

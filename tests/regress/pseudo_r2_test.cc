@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "regress/factorial.h"
 #include "stats/summary.h"
 #include "util/error.h"
@@ -14,12 +16,22 @@ namespace treadmill {
 namespace regress {
 namespace {
 
-TEST(ErrorWeightTest, MatchesEquationFour)
+TEST(ErrorWeightTest, PinballLossIsEquationFourBitForBit)
 {
-    EXPECT_NEAR(quantileErrorWeight(0.99, -1.0), 0.01, 1e-12);
-    EXPECT_DOUBLE_EQ(quantileErrorWeight(0.99, 1.0), 0.99);
-    EXPECT_DOUBLE_EQ(quantileErrorWeight(0.99, 0.0), 0.99);
-    EXPECT_DOUBLE_EQ(quantileErrorWeight(0.5, -2.0), 0.5);
+    // Equation 4 weighs |err| by (1 - tau) for overestimates (err < 0)
+    // and tau otherwise; pseudoR2 sums pinballLoss, which must equal
+    // that product exactly, or pseudo-R^2 values would move.
+    Rng rng(4);
+    for (int i = 0; i < 20000; ++i) {
+        const double tau = rng.nextDouble();
+        const double err = 2000.0 * rng.nextDouble() - 1000.0;
+        const double weight = err < 0.0 ? 1.0 - tau : tau;
+        EXPECT_EQ(pinballLoss(tau, err), weight * std::fabs(err))
+            << "tau " << tau << " err " << err;
+    }
+    EXPECT_NEAR(pinballLoss(0.99, -1.0), 0.01, 1e-12);
+    EXPECT_DOUBLE_EQ(pinballLoss(0.99, 1.0), 0.99);
+    EXPECT_DOUBLE_EQ(pinballLoss(0.5, -2.0), 1.0);
 }
 
 TEST(PseudoR2Test, PerfectPredictionIsOne)

@@ -15,6 +15,18 @@ namespace treadmill {
 namespace stats {
 namespace {
 
+/** Inverse-CDF draw from the bounded Pareto on [lo, hi], shape alpha:
+ *  a heavy tail that stays finite. */
+double
+boundedPareto(Rng &rng, double alpha, double lo, double hi)
+{
+    const double u = rng.nextDouble();
+    const double la = std::pow(lo, alpha);
+    const double ha = std::pow(hi, alpha);
+    const double x = -(u * ha - u * la - ha) / (ha * la);
+    return std::pow(1.0 / x, 1.0 / alpha);
+}
+
 struct StreamCase {
     const char *name;
     std::function<double(Rng &)> draw;
@@ -32,15 +44,15 @@ class AdaptiveHistogramProperty
         xs.reserve(n);
         Exponential exp(0.01);
         LogNormal logn(4.0, 1.0);
-        BoundedPareto pareto(1.3, 10.0, 50000.0);
-        Uniform uni(5.0, 500.0);
         Normal norm(300.0, 40.0);
         for (std::size_t i = 0; i < n; ++i) {
             switch (kind) {
               case 0: xs.push_back(exp.sample(rng)); break;
               case 1: xs.push_back(logn.sample(rng)); break;
-              case 2: xs.push_back(pareto.sample(rng)); break;
-              case 3: xs.push_back(uni.sample(rng)); break;
+              case 2:
+                xs.push_back(boundedPareto(rng, 1.3, 10.0, 50000.0));
+                break;
+              case 3: xs.push_back(5.0 + 495.0 * rng.nextDouble()); break;
               case 4: xs.push_back(std::fabs(norm.sample(rng))); break;
               // Regime shift: light then 30x heavier.
               default:

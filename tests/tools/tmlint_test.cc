@@ -118,20 +118,21 @@ TEST(TmlintAllowlist, WallclockAllowedOnlyInExemptPaths)
     EXPECT_EQ(countRule(lintOne("src/sim/event_queue.cc", src),
                         "no-wallclock"),
               1);
-    // parallel_runner.h is NOT path-exempt: the real file carries an
-    // inline tmlint:allow-file justification instead.
-    EXPECT_EQ(countRule(lintOne("src/exec/parallel_runner.h", src),
+    // progress.cc is NOT path-exempt: the real file carries an inline
+    // tmlint:allow-file justification instead.
+    EXPECT_EQ(countRule(lintOne("src/exec/progress.cc", src),
                         "no-wallclock"),
               1);
     const std::string annotated =
         "// tmlint:allow-file(no-wallclock): operator-facing ETA only\n" +
         src;
-    EXPECT_EQ(countRule(lintOne("src/exec/parallel_runner.h", annotated),
+    EXPECT_EQ(countRule(lintOne("src/exec/progress.cc", annotated),
                         "no-wallclock"),
               0);
-    EXPECT_EQ(countRule(lintOne("src/exec/thread_pool.cc", src),
+    // Nothing else in src/exec is exempt either.
+    EXPECT_EQ(countRule(lintOne("src/exec/parallel_for.h", src),
                         "no-wallclock"),
-              0);
+              1);
     EXPECT_EQ(
         countRule(lintOne("bench/bench_perf_sim.cc", src), "no-wallclock"),
         0);
@@ -485,9 +486,9 @@ TEST(TmlintLayering, DriveSitsAboveAnalysisButIsNotIncludable)
 TEST(TmlintLayering, CoreRunsOneExperimentAndUsesNoThreads)
 {
     // Every multi-run loop lives in drive/; core/ may not reach the
-    // thread pool or the parallel runner.
+    // fan-out or its progress meter.
     const auto findings = lintOne("src/core/experiment.h",
-                                  "#include \"exec/parallel_runner.h\"\n");
+                                  "#include \"exec/parallel_for.h\"\n");
     EXPECT_EQ(countRule(findings, "layering"), 1) << describe(findings);
 }
 

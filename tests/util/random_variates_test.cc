@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -68,29 +67,6 @@ TEST(ExponentialTest, AllSamplesPositive)
         EXPECT_GT(exp.sample(rng), 0.0);
 }
 
-TEST(UniformTest, StaysInRange)
-{
-    Rng rng(4);
-    Uniform u(3.0, 9.0);
-    for (int i = 0; i < 10000; ++i) {
-        const double x = u.sample(rng);
-        EXPECT_GE(x, 3.0);
-        EXPECT_LT(x, 9.0);
-    }
-}
-
-TEST(UniformTest, RejectsInvertedRange)
-{
-    EXPECT_THROW(Uniform(2.0, 1.0), ConfigError);
-}
-
-TEST(UniformTest, DegenerateRangeYieldsConstant)
-{
-    Rng rng(4);
-    Uniform u(5.0, 5.0);
-    EXPECT_DOUBLE_EQ(u.sample(rng), 5.0);
-}
-
 TEST(NormalTest, MomentsMatch)
 {
     Rng rng(5);
@@ -133,38 +109,6 @@ TEST(LogNormalTest, AllSamplesPositive)
 TEST(LogNormalTest, FromMomentsRejectsNonPositiveMean)
 {
     EXPECT_THROW(LogNormal::fromMoments(0.0, 1.0), ConfigError);
-}
-
-TEST(BoundedParetoTest, StaysWithinBounds)
-{
-    Rng rng(8);
-    BoundedPareto bp(1.2, 1.0, 1000.0);
-    for (int i = 0; i < 20000; ++i) {
-        const double x = bp.sample(rng);
-        EXPECT_GE(x, 1.0);
-        EXPECT_LE(x, 1000.0);
-    }
-}
-
-TEST(BoundedParetoTest, HeavyTailHasHighVariance)
-{
-    Rng rng(9);
-    BoundedPareto bp(1.1, 1.0, 10000.0);
-    std::vector<double> xs;
-    for (int i = 0; i < 100000; ++i)
-        xs.push_back(bp.sample(rng));
-    std::sort(xs.begin(), xs.end());
-    const double p50 = xs[xs.size() / 2];
-    const double p999 = xs[static_cast<std::size_t>(0.999 * xs.size())];
-    // Heavy tail: P99.9 is far above the median.
-    EXPECT_GT(p999 / p50, 20.0);
-}
-
-TEST(BoundedParetoTest, RejectsBadParameters)
-{
-    EXPECT_THROW(BoundedPareto(0.0, 1.0, 2.0), ConfigError);
-    EXPECT_THROW(BoundedPareto(1.0, 2.0, 1.0), ConfigError);
-    EXPECT_THROW(BoundedPareto(1.0, 0.0, 2.0), ConfigError);
 }
 
 TEST(BernoulliTest, FrequencyMatchesProbability)
@@ -220,42 +164,6 @@ TEST(ZipfTest, RejectsDegenerateParameters)
     EXPECT_THROW(Zipf(0, 0.9), ConfigError);
     EXPECT_THROW(Zipf(10, 1.0), ConfigError);
     EXPECT_THROW(Zipf(10, 0.0), ConfigError);
-}
-
-TEST(DiscreteTest, FrequenciesMatchWeights)
-{
-    Rng rng(13);
-    Discrete d({1.0, 3.0, 6.0});
-    std::vector<int> counts(3, 0);
-    const int n = 100000;
-    for (int i = 0; i < n; ++i)
-        ++counts[d.sample(rng)];
-    EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-    EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-    EXPECT_NEAR(counts[2] / static_cast<double>(n), 0.6, 0.01);
-}
-
-TEST(DiscreteTest, ZeroWeightOutcomeNeverDrawn)
-{
-    Rng rng(14);
-    Discrete d({1.0, 0.0, 1.0});
-    for (int i = 0; i < 10000; ++i)
-        EXPECT_NE(d.sample(rng), 1u);
-}
-
-TEST(DiscreteTest, ProbabilityAccessor)
-{
-    Discrete d({2.0, 2.0, 6.0});
-    EXPECT_DOUBLE_EQ(d.probability(0), 0.2);
-    EXPECT_DOUBLE_EQ(d.probability(1), 0.2);
-    EXPECT_DOUBLE_EQ(d.probability(2), 0.6);
-}
-
-TEST(DiscreteTest, RejectsBadWeights)
-{
-    EXPECT_THROW(Discrete({}), ConfigError);
-    EXPECT_THROW(Discrete({-1.0, 2.0}), ConfigError);
-    EXPECT_THROW(Discrete({0.0, 0.0}), ConfigError);
 }
 
 } // namespace
