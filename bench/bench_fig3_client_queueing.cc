@@ -41,16 +41,17 @@ runSetup(const char *name, unsigned clients)
         // critical path (tracing cannot perturb the run).
         params.trace.enabled = true;
         const auto result = core::runExperiment(params);
-        const analysis::Fig3Samples fig3 =
-            analysis::fig3Samples(result.spans);
+        // Columns: server, network, client.
+        const analysis::ColumnSamples fig3 =
+            analysis::columnSamples(result.spans, obs::Grouping::Fig3);
 
         double maxCpu = 0.0;
         for (const auto &inst : result.instances)
             maxCpu = std::max(maxCpu, inst.cpuUtilization);
         std::printf("  %.2f   %10.1f  %11.1f  %10.1f      %.2f\n",
-                    util, stats::mean(fig3.serverUs),
-                    stats::mean(fig3.networkUs),
-                    stats::mean(fig3.clientUs), maxCpu);
+                    util, stats::mean(fig3.columnsUs[0]),
+                    stats::mean(fig3.columnsUs[1]),
+                    stats::mean(fig3.columnsUs[2]), maxCpu);
     }
     std::printf("\n");
 }

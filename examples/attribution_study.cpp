@@ -139,7 +139,8 @@ main()
     const auto tracedRun = core::runExperiment(traced);
     std::printf("%s\n",
                 analysis::renderDecompositionTable(
-                    analysis::decomposeRows(tracedRun.spans))
+                    analysis::decompose(tracedRun.spans,
+                                        obs::Grouping::Row))
                     .c_str());
     return 0;
 }

@@ -288,7 +288,7 @@ main(int argc, char **argv)
         };
     const auto &provP99 = provenance.at(0.99);
     const auto &provP50 = provenance.at(0.5);
-    const auto &names = obs::segmentKindNames();
+    const auto &names = obs::columnNames(obs::Grouping::Segment);
     if (!isWait(provP99.dominant().kind)) {
         std::fprintf(stderr,
                      "P99 band is not wait-dominated (top segment: "
@@ -333,7 +333,8 @@ main(int argc, char **argv)
 
     std::printf("\n%s\n",
                 analysis::renderDecompositionTable(
-                    analysis::decomposeSpans(provRun.spans))
+                    analysis::decompose(provRun.spans,
+                                        obs::Grouping::Segment))
                     .c_str());
 
     if (!writeFile(dir + "/treadmill_cluster_spans.json",

@@ -88,7 +88,8 @@ main(int argc, char **argv)
             return 1;
         }
         double sumUs = 0.0;
-        for (SimDuration ns : obs::pathRowsNs(path, span.trace.winner))
+        for (SimDuration ns :
+             obs::columnsNs(path, span.trace.winner, obs::Grouping::Row))
             sumUs += toMicros(ns);
         worstUs = std::max(worstUs,
                            std::fabs(sumUs - span.trace.endToEndUs()));
@@ -116,7 +117,7 @@ main(int argc, char **argv)
                 metricsPath.c_str());
 
     // The measured attribution: which component owns the tail.
-    const auto report = analysis::decomposeRows(result.spans);
+    const auto report = analysis::decompose(result.spans, obs::Grouping::Row);
     std::printf("%s\n",
                 analysis::renderDecompositionTable(report).c_str());
 

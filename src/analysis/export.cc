@@ -73,11 +73,12 @@ toJson(const core::ExperimentResult &result)
 
     // Measured per-component decomposition samples (Fig 3), grouped
     // from the critical path of every retained span.
-    const Fig3Samples fig3 = fig3Samples(result.spans);
+    const ColumnSamples fig3 =
+        columnSamples(result.spans, obs::Grouping::Fig3);
+    const auto &names = obs::columnNames(obs::Grouping::Fig3);
     json::Object components;
-    components["server"] = quantileSummary(fig3.serverUs);
-    components["network"] = quantileSummary(fig3.networkUs);
-    components["client"] = quantileSummary(fig3.clientUs);
+    for (std::size_t c = 0; c < names.size(); ++c)
+        components[names[c]] = quantileSummary(fig3.columnsUs[c]);
     doc["components"] = json::Value(std::move(components));
 
     // The run's full metrics-registry snapshot (counters, gauges,

@@ -42,27 +42,18 @@ struct RankKey {
     std::size_t span = 0;
 };
 
-/**
- * Extract every span's critical path once and return the decomposable
- * spans' keys in rank order. When @p decomps is given it receives each
- * decomposable span's per-kind sums, indexed by position in the log.
- */
+/** Extract every span's critical path once and return the
+ *  decomposable spans' keys in rank order. */
 std::vector<RankKey>
-rankSpans(const obs::SpanLog &spans,
-          std::vector<obs::ClusterDecomposition> *decomps = nullptr)
+rankSpans(const obs::SpanLog &spans)
 {
     std::vector<RankKey> keys;
     keys.reserve(spans.size());
-    if (decomps != nullptr)
-        decomps->assign(spans.size(), obs::ClusterDecomposition{});
     obs::CriticalPath path;
     for (std::size_t i = 0; i < spans.size(); ++i) {
         const obs::SpanView span = spans[i];
-        if (!obs::extractCriticalPath(span, path))
-            continue;
-        keys.push_back({span.trace.endToEndUs(), i});
-        if (decomps != nullptr)
-            (*decomps)[i] = obs::ClusterDecomposition::of(span, path);
+        if (obs::extractCriticalPath(span, path))
+            keys.push_back({span.trace.endToEndUs(), i});
     }
     if (keys.empty())
         throw NumericalError(
@@ -178,116 +169,63 @@ tailProvenance(const obs::SpanLog &spans,
     return report;
 }
 
-namespace {
-
-/** The report over per-component samples and end-to-end samples, each
- *  in the order the means sum them. */
-DecompositionReport
-buildReport(const std::vector<std::string> &names,
-            const std::vector<std::vector<double>> &perComponent,
-            const std::vector<double> &endToEnd,
-            const std::vector<double> &quantiles)
+ColumnSamples
+columnSamples(const obs::SpanLog &spans, obs::Grouping grouping)
 {
+    ColumnSamples out;
+    out.columnsUs.resize(obs::columnNames(grouping).size());
+    obs::CriticalPath path;
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+        const obs::SpanView span = spans[i];
+        if (!obs::extractCriticalPath(span, path))
+            continue;
+        const obs::Columns columns =
+            obs::columnsNs(path, span.trace.winner, grouping);
+        for (std::size_t c = 0; c < columns.count; ++c)
+            out.columnsUs[c].push_back(toMicros(columns.ns[c]));
+        out.endToEndUs.push_back(span.trace.endToEndUs());
+    }
+    return out;
+}
+
+DecompositionReport
+decompose(const obs::SpanLog &spans, obs::Grouping grouping,
+          const std::vector<double> &quantiles)
+{
+    if (quantiles.empty())
+        throw ConfigError("decomposition needs at least one quantile");
+    const ColumnSamples samples = columnSamples(spans, grouping);
+    if (samples.endToEndUs.empty())
+        throw NumericalError(
+            "no span yielded a complete critical path");
+    const std::vector<std::string> &names = obs::columnNames(grouping);
     DecompositionReport report;
     report.quantiles = quantiles;
-    report.requestCount = endToEnd.size();
-    report.endToEndMeanUs = stats::mean(endToEnd);
+    report.requestCount = samples.endToEndUs.size();
+    report.endToEndMeanUs = stats::mean(samples.endToEndUs);
     for (double tau : quantiles)
         report.endToEndQuantileUs.push_back(
-            stats::quantile(endToEnd, tau));
+            stats::quantile(samples.endToEndUs, tau));
     for (std::size_t c = 0; c < names.size(); ++c) {
         DecompositionReport::Component component;
         component.name = names[c];
-        component.meanUs = stats::mean(perComponent[c]);
+        component.meanUs = stats::mean(samples.columnsUs[c]);
         component.meanShare =
             report.endToEndMeanUs > 0.0
                 ? component.meanUs / report.endToEndMeanUs
                 : 0.0;
         for (double tau : quantiles)
             component.quantileUs.push_back(
-                stats::quantile(perComponent[c], tau));
+                stats::quantile(samples.columnsUs[c], tau));
         report.components.push_back(std::move(component));
     }
     return report;
 }
 
-/** Call @p visit(span, rows) with the eight rows of every span of
- *  @p spans that has a critical path, in completion order. */
-template <typename Visit>
-void
-forEachRows(const obs::SpanLog &spans, Visit &&visit)
-{
-    obs::CriticalPath path;
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-        const obs::SpanView span = spans[i];
-        if (obs::extractCriticalPath(span, path))
-            visit(span.trace, obs::pathRowsNs(path, span.trace.winner));
-    }
-}
-
-} // namespace
-
-DecompositionReport
-decomposeRows(const obs::SpanLog &spans,
-              const std::vector<double> &quantiles)
-{
-    if (quantiles.empty())
-        throw ConfigError("decomposition needs at least one quantile");
-    std::vector<std::vector<double>> perRow(obs::kPathRowCount);
-    std::vector<double> endToEnd;
-    forEachRows(spans, [&](const obs::SpanTrace &span,
-                           const auto &rows) {
-        for (std::size_t r = 0; r < rows.size(); ++r)
-            perRow[r].push_back(toMicros(rows[r]));
-        endToEnd.push_back(span.endToEndUs());
-    });
-    if (endToEnd.empty())
-        throw NumericalError(
-            "no span yielded a complete critical path");
-    return buildReport(obs::pathRowNames(), perRow, endToEnd, quantiles);
-}
-
-DecompositionReport
-decomposeSpans(const obs::SpanLog &spans,
-               const std::vector<double> &quantiles)
-{
-    if (quantiles.empty())
-        throw ConfigError("decomposition needs at least one quantile");
-    std::vector<obs::ClusterDecomposition> decomps;
-    const std::vector<RankKey> ranked = rankSpans(spans, &decomps);
-
-    // Samples go in rank order: the means are summed in that order.
-    std::vector<std::vector<double>> perKind(obs::kSegmentKindCount);
-    std::vector<double> endToEnd;
-    endToEnd.reserve(ranked.size());
-    for (auto &samples : perKind)
-        samples.reserve(ranked.size());
-    for (const RankKey &key : ranked) {
-        const obs::ClusterDecomposition &d = decomps[key.span];
-        for (std::size_t k = 0; k < obs::kSegmentKindCount; ++k)
-            perKind[k].push_back(d.us(static_cast<obs::SegmentKind>(k)));
-        endToEnd.push_back(key.endToEndUs);
-    }
-    return buildReport(obs::segmentKindNames(), perKind, endToEnd,
-                       quantiles);
-}
-
-Fig3Samples
-fig3Samples(const obs::SpanLog &spans)
-{
-    Fig3Samples out;
-    forEachRows(spans, [&out](const obs::SpanTrace &, const auto &r) {
-        out.serverUs.push_back(toMicros(r[3] + r[4] + r[5]));
-        out.networkUs.push_back(toMicros(r[2] + r[6]));
-        out.clientUs.push_back(toMicros(r[0] + r[1] + r[7]));
-    });
-    return out;
-}
-
 std::string
 renderProvenanceTable(const ProvenanceReport &report)
 {
-    const auto &names = obs::segmentKindNames();
+    const auto &names = obs::columnNames(obs::Grouping::Segment);
     std::string out = strprintf(
         "tail provenance: %zu spans, %zu decomposed\n",
         report.totalSpans, report.decomposed);
@@ -321,7 +259,7 @@ renderProvenanceTable(const ProvenanceReport &report)
 json::Value
 provenanceToJson(const ProvenanceReport &report)
 {
-    const auto &names = obs::segmentKindNames();
+    const auto &names = obs::columnNames(obs::Grouping::Segment);
     json::Object doc;
     doc["schema"] = json::Value("provenance/1");
     doc["total_spans"] =

@@ -3,8 +3,8 @@
  * Tail provenance: which critical-path segment owns each latency
  * quantile.
  *
- * decomposeRows() answers "where does the time go on average and at
- * the quantiles, component by component" over the eight rows of every
+ * decompose() answers "where does the time go on average and at the
+ * quantiles, component by component" over one obs::Grouping of every
  * span's critical path. This module also asks the sharper question the
  * span model makes answerable: for the requests that *are* the P99,
  * which segment of their critical path -- balancer queueing, a
@@ -96,43 +96,32 @@ tailProvenance(const obs::SpanLog &spans,
                const std::vector<double> &quantiles = {0.5, 0.99});
 
 /**
- * The eight-row decomposition of @p spans: one component per
- * obs::pathRowNames() row over every span with a critical path, in
- * completion order, with per-quantile component values (defaults to
- * P50/P99/P99.9). Throws ConfigError when @p quantiles is empty and
- * NumericalError when no span decomposes.
+ * One grouping of every span of a log that has a critical path, in
+ * completion order, microseconds: columnsUs[c][k] is column c
+ * (obs::columnNames(grouping)[c]) of the k-th such span, and
+ * endToEndUs[k] is its end-to-end latency. Each column is an integer
+ * number of nanoseconds, grouped before the conversion.
  */
-DecompositionReport
-decomposeRows(const obs::SpanLog &spans,
-              const std::vector<double> &quantiles = {0.5, 0.99,
-                                                      0.999});
-
-/**
- * The cluster-aware analogue of decomposeRows(): one component per
- * obs::SegmentKind over *all* decomposable spans, in rank order, with
- * per-quantile component values. Because each span's segments
- * telescope exactly, the component means sum to the end-to-end mean.
- */
-DecompositionReport
-decomposeSpans(const obs::SpanLog &spans,
-               const std::vector<double> &quantiles = {0.5, 0.99,
-                                                       0.999});
-
-/**
- * Fig 3's server / network / client latency split: one sample per
- * span with a critical path, in completion order, microseconds. Each
- * groups the eight rows in integer ns: server = server queue + service
- * + server nic, network = net request + net response, client =
- * pre-win wait + client queue + client deliver.
- */
-struct Fig3Samples {
-    std::vector<double> serverUs;
-    std::vector<double> networkUs;
-    std::vector<double> clientUs;
+struct ColumnSamples {
+    std::vector<std::vector<double>> columnsUs;
+    std::vector<double> endToEndUs;
 };
 
-/** The Fig 3 split of every decomposable span of @p spans. */
-Fig3Samples fig3Samples(const obs::SpanLog &spans);
+/** The @p grouping columns of every decomposable span of @p spans. */
+ColumnSamples columnSamples(const obs::SpanLog &spans,
+                            obs::Grouping grouping);
+
+/**
+ * The decomposition of @p spans under @p grouping: one component per
+ * column over columnSamples(), with per-quantile component values
+ * (defaults to P50/P99/P99.9). Means are summed in completion order.
+ * Because each span's columns telescope exactly, the component means
+ * sum to the end-to-end mean. Throws ConfigError when @p quantiles is
+ * empty and NumericalError when no span decomposes.
+ */
+DecompositionReport
+decompose(const obs::SpanLog &spans, obs::Grouping grouping,
+          const std::vector<double> &quantiles = {0.5, 0.99, 0.999});
 
 /** Render a ProvenanceReport as aligned text tables (one block per
  *  quantile: ranked segments, then backend attribution). */

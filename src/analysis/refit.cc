@@ -62,7 +62,8 @@ provenanceRankFromStore(const store::StudyReader &study)
         }
     }
 
-    const std::vector<std::string> &names = obs::segmentKindNames();
+    const std::vector<std::string> &names =
+        obs::columnNames(obs::Grouping::Segment);
     std::map<double, std::vector<StoredProvenanceRank>> out;
     for (auto &[tau, kinds] : acc) {
         std::vector<StoredProvenanceRank> ranked;

@@ -148,7 +148,7 @@ LoadTesterInstance::issueRequest(SimTime intendedSend)
             state.heldCount = 1;
             state.lastPrimaryHeld = 0;
         }
-        pending.insertOrAssign(request->logicalSeqId, std::move(state));
+        pending.insertOrAssign(request->logicalSeqId, state);
     }
 
     transmitAttempt(request);

@@ -58,9 +58,6 @@ class HashRing
     void replicas(std::uint64_t keyHash, std::uint32_t count,
                   std::vector<std::uint32_t> &out) const;
 
-    /** Total virtual points on the ring. */
-    std::size_t pointCount() const { return points.size(); }
-
   private:
     struct Point {
         std::uint64_t position;

@@ -67,9 +67,6 @@ class Link
     /** Fraction of elapsed time the transmitter has been busy. */
     double utilization() const;
 
-    /** Packets accepted but not yet delivered to the far end. */
-    std::size_t inFlight() const { return inFlightCount; }
-
     const std::string &name() const { return linkName; }
 
     /** @name Fault-injection hooks

@@ -143,9 +143,9 @@ stamped(const AttemptSpan &a, Hops hops)
 /** Per-kind facts, indexed by SegmentKind. */
 struct KindInfo {
     const char *name;
-    /** pathRowsNs() row of a winning-attempt segment of this kind
-     *  (0 = pre-win wait). */
-    std::size_t winnerRow;
+    /** Grouping::Row row of a winning-attempt segment of this kind (a
+     *  losing attempt's segments are all row 0, pre-win wait). */
+    std::size_t row;
 };
 
 constexpr KindInfo kKinds[] = {
@@ -160,10 +160,30 @@ constexpr KindInfo kKinds[] = {
 static_assert(std::size(kKinds) == kSegmentKindCount,
               "one kKinds row per SegmentKind");
 
-const KindInfo &
-infoOf(SegmentKind kind)
+/** Per-row facts, indexed by Grouping::Row row. */
+struct RowInfo {
+    const char *name;
+    /** The row's Grouping::Fig3 column (an index into kFig3Names). */
+    std::size_t fig3;
+};
+
+constexpr RowInfo kRows[] = {
+    {"pre-win wait", 2}, {"client queue", 2}, {"net request", 1},
+    {"server queue", 0}, {"service", 0},      {"server nic", 0},
+    {"net response", 1}, {"client deliver", 2},
+};
+
+constexpr const char *kFig3Names[] = {"server", "network", "client"};
+
+/** The name column of a facts table. */
+template <typename Info, std::size_t N>
+std::vector<std::string>
+namesOf(const Info (&infos)[N])
 {
-    return kKinds[static_cast<std::size_t>(kind)];
+    std::vector<std::string> out;
+    for (const Info &info : infos)
+        out.emplace_back(info.name);
+    return out;
 }
 
 } // namespace
@@ -215,18 +235,6 @@ spanComplete(const SpanView &view)
         return false;
     return w.triggerAt >= span.intendedSend &&
            w.clientReceive == span.clientReceive;
-}
-
-const std::vector<std::string> &
-segmentKindNames()
-{
-    static const std::vector<std::string> names = [] {
-        std::vector<std::string> out;
-        for (const KindInfo &kind : kKinds)
-            out.emplace_back(kind.name);
-        return out;
-    }();
-    return names;
 }
 
 SimDuration
@@ -396,70 +404,33 @@ extractCriticalPath(const SpanView &view, CriticalPath &out)
     return true;
 }
 
-SimDuration
-ClusterDecomposition::totalNs() const
-{
-    SimDuration sum = 0;
-    for (SimDuration n : ns)
-        sum += n;
-    return sum;
-}
-
-ClusterDecomposition
-ClusterDecomposition::of(const SpanView &span)
-{
-    CriticalPath path;
-    extractCriticalPath(span, path);
-    return of(span, path);
-}
-
-ClusterDecomposition
-ClusterDecomposition::of(const SpanView &view, const CriticalPath &path)
-{
-    ClusterDecomposition d;
-    if (path.count == 0)
-        return d;
-    const SpanTrace &span = view.trace;
-    for (std::size_t i = 0; i < path.count; ++i) {
-        const PathSegment &seg = path.segments[i];
-        d.ns[static_cast<std::size_t>(seg.kind)] += seg.ns();
-    }
-    d.endToEndNs = span.clientReceive - span.intendedSend;
-    // Hedge-overlap diagnostic: both the primary and its hedge were in
-    // flight from the hedge's send to the first response. Off the
-    // critical path by definition -- overlap is what hedging buys.
-    for (std::uint32_t i = 0; i < span.stored; ++i) {
-        const AttemptSpan &a = view.attempt(i);
-        if (a.hedged && a.clientSend != kNoTime &&
-            a.clientSend < span.clientReceive) {
-            d.hedgeOverlapNs = span.clientReceive - a.clientSend;
-            break;
-        }
-    }
-    d.valid = true;
-    return d;
-}
-
 const std::vector<std::string> &
-pathRowNames()
+columnNames(Grouping grouping)
 {
-    static const std::vector<std::string> names = {
-        "pre-win wait",  "client queue", "net request",
-        "server queue",  "service",      "server nic",
-        "net response",  "client deliver"};
-    return names;
+    static const std::vector<std::string> names[] = {
+        namesOf(kKinds), namesOf(kRows),
+        {std::begin(kFig3Names), std::end(kFig3Names)}};
+    return names[static_cast<std::size_t>(grouping)];
 }
 
-std::array<SimDuration, kPathRowCount>
-pathRowsNs(const CriticalPath &path, std::int32_t winner)
+Columns
+columnsNs(const CriticalPath &path, std::int32_t winner,
+          Grouping grouping)
 {
-    std::array<SimDuration, kPathRowCount> rows{};
+    Columns out;
+    out.count = columnNames(grouping).size();
     for (std::size_t i = 0; i < path.count; ++i) {
         const PathSegment &seg = path.segments[i];
-        rows[seg.attempt == winner ? infoOf(seg.kind).winnerRow : 0] +=
-            seg.ns();
+        const auto kind = static_cast<std::size_t>(seg.kind);
+        const std::size_t row =
+            seg.attempt == winner ? kKinds[kind].row : 0;
+        const std::size_t column =
+            grouping == Grouping::Segment ? kind
+            : grouping == Grouping::Row   ? row
+                                          : kRows[row].fig3;
+        out.ns[column] += seg.ns();
     }
-    return rows;
+    return out;
 }
 
 SpanRecorder::SpanRecorder(const TraceConfig &config) : cfg(config)
@@ -595,8 +566,9 @@ appendAttemptLane(json::Array &events, const SpanTrace &s,
         const SimTime end = a.*hop.end;
         if (begin == kNoTime || end == kNoTime || end < begin)
             continue;
-        events.push_back(
-            attemptHopEvent(s, a, infoOf(hop.kind).name, begin, end));
+        events.push_back(attemptHopEvent(
+            s, a, kKinds[static_cast<std::size_t>(hop.kind)].name, begin,
+            end));
     }
 }
 
@@ -708,7 +680,7 @@ decompositionCsv(const SpanLog &spans)
             static_cast<unsigned long long>(s.clientIndex),
             s.isGet ? "get" : "set", s.hit ? 1 : 0);
         double sumUs = 0.0;
-        for (SimDuration ns : pathRowsNs(path, s.winner)) {
+        for (SimDuration ns : columnsNs(path, s.winner, Grouping::Row)) {
             sumUs += toMicros(ns);
             out += strprintf(",%.3f", toMicros(ns));
         }

@@ -21,10 +21,11 @@
  * segment chain that determined clientReceive: timeout waits, retry
  * backoffs, and hedge waits on the losing side, then the winning
  * attempt's wire path hop by hop. Segments share endpoints, so the
- * integer-nanosecond sum telescopes *exactly* to end-to-end latency;
- * ClusterDecomposition aggregates the chain per segment kind, and
- * pathRowsNs() groups it into the eight rows of the paper-level
- * decomposition (pre-win wait ... client deliver).
+ * integer-nanosecond sum telescopes *exactly* to end-to-end latency.
+ * Every latency breakdown is one grouping of that chain (columnsNs()):
+ * per segment kind, the eight rows of the paper-level decomposition
+ * (pre-win wait ... client deliver), or Fig 3's server / network /
+ * client split.
  *
  * Everything here is plain data over util only (obs sits at the bottom
  * of the layering DAG). The stamps and the per-tier hop chain are each
@@ -293,9 +294,6 @@ enum class SegmentKind : std::uint8_t {
 constexpr std::size_t kSegmentKindCount =
     static_cast<std::size_t>(SegmentKind::ClientDeliver) + 1;
 
-/** Display names indexed by SegmentKind, in declaration order. */
-const std::vector<std::string> &segmentKindNames();
-
 /** One hop (or wait) of a critical path. */
 struct PathSegment {
     SegmentKind kind = SegmentKind::ClientQueue;
@@ -337,61 +335,50 @@ struct CriticalPath {
 bool extractCriticalPath(const SpanView &span, CriticalPath &out);
 
 /**
- * Per-kind aggregation of one span's critical path: the cluster-aware
- * decomposition. Integer-nanosecond sums per SegmentKind, telescoping
- * exactly to end-to-end; plus the hedge-overlap diagnostic (time the
- * primary and its hedge were in flight simultaneously -- *not* a
- * critical-path segment, the overlap is the point of hedging).
+ * The latency breakdowns, each a fixed grouping of critical-path
+ * segments into columns. Row and Fig3 nest: every Fig 3 column is a
+ * sum of rows.
  */
-struct ClusterDecomposition {
-    std::array<SimDuration, kSegmentKindCount> ns{};
-    SimDuration endToEndNs = 0;
-    SimDuration hedgeOverlapNs = 0;
-    bool valid = false; ///< False when the span was incomplete.
-
-    SimDuration totalNs() const;
-
-    double
-    us(SegmentKind kind) const
-    {
-        return toMicros(ns[static_cast<std::size_t>(kind)]);
-    }
-
-    double
-    endToEndUs() const
-    {
-        return toMicros(endToEndNs);
-    }
-
-    static ClusterDecomposition of(const SpanView &span);
-
-    /** The decomposition of @p span from its already extracted
-     *  critical @p path (valid == false when the path is empty). */
-    static ClusterDecomposition of(const SpanView &span,
-                                   const CriticalPath &path);
+enum class Grouping : std::uint8_t {
+    /** One column per SegmentKind, in declaration order. */
+    Segment,
+    /** The eight rows: "pre-win wait", "client queue", "net request",
+     *  "server queue", "service", "server nic", "net response",
+     *  "client deliver". */
+    Row,
+    /** Fig 3's split: "server" (server queue + service + server nic),
+     *  "network" (net request + net response) and "client" (pre-win
+     *  wait + client queue + client deliver). */
+    Fig3,
 };
 
-/** Rows of the eight-row path decomposition. */
-constexpr std::size_t kPathRowCount = 8;
+/** Display names of @p grouping's columns, in column order. */
+const std::vector<std::string> &columnNames(Grouping grouping);
 
-/** Row display names in path order: "pre-win wait", "client queue",
- *  "net request", "server queue", "service", "server nic",
- *  "net response", "client deliver". */
-const std::vector<std::string> &pathRowNames();
+/** Integer nanoseconds per column of one grouping; the first `count`
+ *  entries are the columns. */
+struct Columns {
+    std::array<SimDuration, kSegmentKindCount> ns{};
+    std::size_t count = 0;
+
+    const SimDuration *begin() const { return ns.data(); }
+    const SimDuration *end() const { return ns.data() + count; }
+};
 
 /**
- * The eight-row decomposition of a critical path: a fixed grouping of
- * its segments, integer nanoseconds per row. A segment of any attempt
+ * The columns of @p path under @p grouping. A segment of any attempt
  * but @p winner is pre-win wait (retry/hedge policy delay, not client
- * queueing); the winner's segments map by kind, the router queue into
- * server queue and the router service, balancer, fabric and backend
- * hops -- the cluster split of the worker interval -- into service.
- * The rows sum to path.totalNs() exactly, and each equals the winning
- * attempt's stamp difference (pre-win = triggerAt - intendedSend, ...,
- * client deliver = clientReceive - clientNicArrival).
+ * queueing) in the rows, though the Segment grouping keeps its kind;
+ * the winner's segments map by kind, the router queue into server
+ * queue and the router service, balancer, fabric and backend hops --
+ * the cluster split of the worker interval -- into service. Every
+ * grouping's columns sum to path.totalNs() exactly, and each row
+ * equals the winning attempt's stamp difference (pre-win = triggerAt
+ * - intendedSend, ..., client deliver = clientReceive -
+ * clientNicArrival).
  */
-std::array<SimDuration, kPathRowCount>
-pathRowsNs(const CriticalPath &path, std::int32_t winner);
+Columns columnsNs(const CriticalPath &path, std::int32_t winner,
+                  Grouping grouping);
 
 /**
  * Collects sampled spans during a run. Sampling is by completion
@@ -465,8 +452,8 @@ std::string chromeSpanJson(
 /**
  * Render spans as a per-request decomposition CSV: one row per span
  * with a critical path, in log (completion) order, carrying the
- * winning attempt's seq id, the eight pathRowsNs() rows, their sum,
- * and the end-to-end latency (all microseconds).
+ * winning attempt's seq id, its eight Grouping::Row columns, their
+ * sum, and the end-to-end latency (all microseconds).
  */
 std::string decompositionCsv(const SpanLog &spans);
 

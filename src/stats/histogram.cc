@@ -238,13 +238,6 @@ AdaptiveHistogram::merge(const AdaptiveHistogram &other)
     }
 }
 
-double
-AdaptiveHistogram::binLowerEdge(std::size_t i) const
-{
-    TM_ASSERT(i < bins.size(), "bin index out of range");
-    return lo + static_cast<double>(i) * width;
-}
-
 StaticHistogram::StaticHistogram(double lo_, double hi_,
                                  std::size_t binCount)
     : lo(lo_), hi(hi_)

@@ -106,9 +106,6 @@ class AdaptiveHistogram
     /** Bin count currently configured. */
     std::size_t binCount() const { return bins.size(); }
 
-    /** Lower edge of bin @p i. */
-    double binLowerEdge(std::size_t i) const;
-
     /** Capacity of the parked-overflow buffer (regression hook: it is
      *  pre-reserved to overflowTrigger and must never grow past it). */
     std::size_t overflowCapacity() const

@@ -273,13 +273,6 @@ StudyWriter::append(const RunRecord &record)
     return seq;
 }
 
-std::uint64_t
-StudyWriter::runsWritten() const
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    return written.size();
-}
-
 void
 StudyWriter::finish()
 {

@@ -77,9 +77,6 @@ class StudyWriter
     /** Study directory this writer owns. */
     const std::string &directory() const { return dir; }
 
-    /** Runs written so far. */
-    std::uint64_t runsWritten() const;
-
     /** The (mutable run count aside) metadata being written. */
     const StudyMeta &meta() const { return studyMeta; }
 
@@ -88,7 +85,7 @@ class StudyWriter
 
     std::string dir;
     StudyMeta studyMeta;
-    mutable std::mutex mutex;
+    std::mutex mutex;
     std::set<std::uint64_t> written; // tm:guarded_by(mutex)
 };
 

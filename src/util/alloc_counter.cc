@@ -9,7 +9,6 @@ namespace {
 
 std::atomic<std::uint64_t> gAllocCount{0};
 std::atomic<std::uint64_t> gFreeCount{0};
-std::atomic<std::uint64_t> gAllocBytes{0};
 std::atomic<bool> gActive{false};
 
 } // namespace
@@ -26,12 +25,6 @@ freeCount()
     return gFreeCount.load(std::memory_order_relaxed);
 }
 
-std::uint64_t
-allocBytes()
-{
-    return gAllocBytes.load(std::memory_order_relaxed);
-}
-
 bool
 allocCountingActive()
 {
@@ -41,10 +34,9 @@ allocCountingActive()
 namespace detail {
 
 void
-noteAllocation(std::uint64_t bytes)
+noteAllocation()
 {
     gAllocCount.fetch_add(1, std::memory_order_relaxed);
-    gAllocBytes.fetch_add(bytes, std::memory_order_relaxed);
 }
 
 void

@@ -27,9 +27,6 @@ std::uint64_t allocCount();
 /** Total operator-delete calls observed. */
 std::uint64_t freeCount();
 
-/** Total bytes requested through operator new. */
-std::uint64_t allocBytes();
-
 /** True when the interposing hook is linked into this binary. */
 bool allocCountingActive();
 
@@ -42,7 +39,7 @@ void forceLinkAllocHook();
 
 namespace detail {
 /** Called by the hook's registrar; not for general use. */
-void noteAllocation(std::uint64_t bytes);
+void noteAllocation();
 void noteFree();
 void markCountingActive();
 } // namespace detail

@@ -24,7 +24,7 @@ namespace {
 void *
 countedAlloc(std::size_t size)
 {
-    detail::noteAllocation(size);
+    detail::noteAllocation();
     // malloc(0) may return nullptr; operator new must not.
     void *p = std::malloc(size == 0 ? 1 : size);
     if (p == nullptr) {
@@ -65,14 +65,14 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    treadmill::util::detail::noteAllocation(size);
+    treadmill::util::detail::noteAllocation();
     return std::malloc(size == 0 ? 1 : size);
 }
 
 void *
 operator new[](std::size_t size, const std::nothrow_t &) noexcept
 {
-    treadmill::util::detail::noteAllocation(size);
+    treadmill::util::detail::noteAllocation();
     return std::malloc(size == 0 ? 1 : size);
 }
 

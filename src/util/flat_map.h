@@ -12,12 +12,11 @@
  * no storage.
  *
  * Deliberately minimal: no iteration and no rehash-on-erase. Values
- * are moved on rehash and on backward shift, and an erased or cleared
- * slot's value is reset to V{}, so a value that owns resources
- * releases them at erase time. A pointer from
- * find() is invalidated by any insert or erase. Sequential ids hash
- * through a multiplicative mix so bursts of consecutive keys spread
- * across the table.
+ * must be trivially copyable: they are copied in on insert, copied on
+ * rehash and on backward shift, and an erased or cleared slot is only
+ * marked free. A pointer from find() is invalidated by any insert or
+ * erase. Sequential ids hash through a multiplicative mix so bursts of
+ * consecutive keys spread across the table.
  */
 
 #ifndef TREADMILL_UTIL_FLAT_MAP_H_
@@ -26,6 +25,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,24 +38,27 @@ namespace util {
 template <typename V>
 class FlatU64Map
 {
+    static_assert(std::is_trivially_copyable_v<V>,
+                  "slots are copied and freed without destruction");
+
   public:
     /** Insert @p key or overwrite its existing value. */
     void
-    insertOrAssign(std::uint64_t key, V value)
+    insertOrAssign(std::uint64_t key, const V &value)
     {
         if ((count + 1) * 4 >= capacity() * 3)
             rehash(std::max(kInitialCapacity, capacity() * 2));
         std::size_t i = indexOf(key);
         while (used[i]) {
             if (keys[i] == key) {
-                vals[i] = std::move(value);
+                vals[i] = value;
                 return;
             }
             i = (i + 1) & mask;
         }
         used[i] = 1;
         keys[i] = key;
-        vals[i] = std::move(value);
+        vals[i] = value;
         ++count;
     }
 
@@ -95,13 +98,12 @@ class FlatU64Map
             // move it before its ideal slot in cyclic probe order.
             if (((j - ideal) & mask) >= ((j - hole) & mask)) {
                 keys[hole] = keys[j];
-                vals[hole] = std::move(vals[j]);
+                vals[hole] = vals[j];
                 hole = j;
             }
             j = (j + 1) & mask;
         }
         used[hole] = 0;
-        vals[hole] = V{};
         --count;
         return true;
     }
@@ -115,10 +117,6 @@ class FlatU64Map
     void
     clear()
     {
-        for (std::size_t i = 0; i < used.size(); ++i) {
-            if (used[i])
-                vals[i] = V{};
-        }
         std::fill(used.begin(), used.end(), std::uint8_t{0});
         count = 0;
     }
@@ -187,7 +185,7 @@ class FlatU64Map
                 j = (j + 1) & mask;
             used[j] = 1;
             keys[j] = oldKeys[i];
-            vals[j] = std::move(oldVals[i]);
+            vals[j] = oldVals[i];
             ++count;
         }
     }

@@ -113,8 +113,6 @@ class InlineFunction<R(Args...), InlineBytes>
         return ops == nullptr || ops->inlineStored;
     }
 
-    static constexpr std::size_t inlineCapacity() { return InlineBytes; }
-
   private:
     struct Ops {
         R (*invoke)(void *, Args &&...);

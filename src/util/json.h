@@ -60,9 +60,7 @@ class Value
     Value &operator=(const Value &) = default;
     Value &operator=(Value &&) noexcept = default;
 
-    Type type() const { return tag; }
     bool isNull() const { return tag == Type::Null; }
-    bool isString() const { return tag == Type::String; }
     bool isArray() const { return tag == Type::Array; }
     bool isObject() const { return tag == Type::Object; }
 

@@ -54,9 +54,10 @@ TEST(ExportTest, ComponentsSummarizeTheSpans)
     ASSERT_GT(spans, 0);
     for (const char *part : {"server", "network", "client"})
         EXPECT_EQ(components.at(part).at("count").asInt(), spans) << part;
-    const Fig3Samples fig3 = fig3Samples(traced.spans);
+    const ColumnSamples fig3 =
+        columnSamples(traced.spans, obs::Grouping::Fig3);
     EXPECT_DOUBLE_EQ(components.at("server").at("mean_us").asNumber(),
-                     stats::mean(fig3.serverUs));
+                     stats::mean(fig3.columnsUs[0]));
 
     const json::Value untraced = toJson(runSmall());
     EXPECT_EQ(untraced.at("components").at("server").at("count").asInt(),

@@ -1,16 +1,19 @@
 /**
  * @file
  * Differential test of tail provenance against its reference: the
- * full-record algorithm (extract every critical path, decompose each
- * span again from scratch, stable_sort whole records by end-to-end
+ * full-record algorithm (extract every critical path, sum each span's
+ * segments per kind by hand, stable_sort whole records by end-to-end
  * latency, then sum each band). The key-ranked implementation must
- * reproduce its ProvenanceReport and DecompositionReport bit for bit
- * on seeded random span sets.
+ * reproduce its ProvenanceReport bit for bit on seeded random span
+ * sets, and the Segment decomposition must reproduce the reference's
+ * per-kind DecompositionReport, summed in completion order, bit for
+ * bit too.
  */
 
 #include "analysis/provenance.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -29,10 +32,14 @@ namespace {
 
 struct ReferenceSpan {
     obs::CriticalPath path;
-    obs::ClusterDecomposition decomp;
+    /** The path's segments summed per kind, here rather than through
+     *  obs::columnsNs, so the reference stays independent of it. */
+    std::array<SimDuration, obs::kSegmentKindCount> kindNs{};
+    SimDuration endToEndNs = 0;
     double endToEndUs = 0.0;
 };
 
+/** Every span with a critical path, in completion order. */
 std::vector<ReferenceSpan>
 referenceDecomposeAll(const obs::SpanLog &spans)
 {
@@ -41,15 +48,27 @@ referenceDecomposeAll(const obs::SpanLog &spans)
         ReferenceSpan d;
         if (!obs::extractCriticalPath(spans[i], d.path))
             continue;
-        d.decomp = obs::ClusterDecomposition::of(spans[i]);
-        d.endToEndUs = d.decomp.endToEndUs();
+        for (std::size_t s = 0; s < d.path.count; ++s) {
+            const obs::PathSegment &seg = d.path.segments[s];
+            d.kindNs[static_cast<std::size_t>(seg.kind)] += seg.ns();
+        }
+        d.endToEndNs =
+            spans[i].trace.clientReceive - spans[i].trace.intendedSend;
+        d.endToEndUs = toMicros(d.endToEndNs);
         out.push_back(d);
     }
-    std::stable_sort(out.begin(), out.end(),
+    return out;
+}
+
+/** @p spans stable-sorted by end-to-end latency. */
+std::vector<ReferenceSpan>
+referenceRank(std::vector<ReferenceSpan> spans)
+{
+    std::stable_sort(spans.begin(), spans.end(),
                      [](const ReferenceSpan &a, const ReferenceSpan &b) {
                          return a.endToEndUs < b.endToEndUs;
                      });
-    return out;
+    return spans;
 }
 
 QuantileProvenance
@@ -77,8 +96,8 @@ referenceBand(const std::vector<ReferenceSpan> &ranked, double tau)
     for (std::size_t i = iLo; i <= iHi; ++i) {
         const ReferenceSpan &d = ranked[i];
         for (std::size_t k = 0; k < obs::kSegmentKindCount; ++k)
-            kindNs[k] += d.decomp.ns[k];
-        totalNs += d.decomp.endToEndNs;
+            kindNs[k] += d.kindNs[k];
+        totalNs += d.endToEndNs;
         for (std::size_t s = 0; s < d.path.count; ++s)
             backendNs[d.path.segments[s].backendId] +=
                 d.path.segments[s].ns();
@@ -124,35 +143,35 @@ referenceTailProvenance(const obs::SpanLog &spans,
 {
     ProvenanceReport report;
     report.totalSpans = spans.size();
-    const auto ranked = referenceDecomposeAll(spans);
+    const auto ranked = referenceRank(referenceDecomposeAll(spans));
     report.decomposed = ranked.size();
     for (double tau : taus)
         report.quantiles.push_back(referenceBand(ranked, tau));
     return report;
 }
 
+/** The per-kind decomposition, its means summed in completion order. */
 DecompositionReport
-referenceDecomposeSpans(const obs::SpanLog &spans,
-                        const std::vector<double> &taus)
+referenceDecomposeSegments(const obs::SpanLog &spans,
+                           const std::vector<double> &taus)
 {
-    const auto ranked = referenceDecomposeAll(spans);
+    const auto decomposed = referenceDecomposeAll(spans);
     std::vector<std::vector<double>> perKind(obs::kSegmentKindCount);
     std::vector<double> endToEnd;
-    for (const ReferenceSpan &d : ranked) {
+    for (const ReferenceSpan &d : decomposed) {
         for (std::size_t k = 0; k < obs::kSegmentKindCount; ++k)
-            perKind[k].push_back(
-                d.decomp.us(static_cast<obs::SegmentKind>(k)));
+            perKind[k].push_back(toMicros(d.kindNs[k]));
         endToEnd.push_back(d.endToEndUs);
     }
     DecompositionReport report;
     report.quantiles = taus;
-    report.requestCount = ranked.size();
+    report.requestCount = decomposed.size();
     report.endToEndMeanUs = stats::mean(endToEnd);
     for (double tau : taus)
         report.endToEndQuantileUs.push_back(stats::quantile(endToEnd, tau));
     for (std::size_t k = 0; k < obs::kSegmentKindCount; ++k) {
         DecompositionReport::Component c;
-        c.name = obs::segmentKindNames()[k];
+        c.name = obs::columnNames(obs::Grouping::Segment)[k];
         c.meanUs = stats::mean(perKind[k]);
         c.meanShare = report.endToEndMeanUs > 0.0
                           ? c.meanUs / report.endToEndMeanUs
@@ -391,8 +410,9 @@ TEST(ProvenanceReferenceTest, RandomSpanSetsMatchBitForBit)
             const ProvenanceReport got = tailProvenance(spans, kTaus);
             incomplete += got.totalSpans - got.decomposed;
             expectSameReport(got, referenceTailProvenance(spans, kTaus));
-            expectSameReport(decomposeSpans(spans, kTaus),
-                             referenceDecomposeSpans(spans, kTaus));
+            expectSameReport(
+                decompose(spans, obs::Grouping::Segment, kTaus),
+                referenceDecomposeSegments(spans, kTaus));
         }
     }
     // The generator really exercised losers and incomplete spans.
@@ -436,8 +456,8 @@ TEST(ProvenanceReferenceTest, EqualLatenciesKeepCompletionOrder)
     }
     expectSameReport(tailProvenance(spans, kTaus),
                      referenceTailProvenance(spans, kTaus));
-    expectSameReport(decomposeSpans(spans, kTaus),
-                     referenceDecomposeSpans(spans, kTaus));
+    expectSameReport(decompose(spans, obs::Grouping::Segment, kTaus),
+                     referenceDecomposeSegments(spans, kTaus));
 }
 
 } // namespace

@@ -127,9 +127,10 @@ TEST(ProvenanceTest, AtThrowsForUnknownQuantile)
     EXPECT_THROW(report.at(0.99), NumericalError);
 }
 
-TEST(ProvenanceTest, DecomposeSpansMeansSumToEndToEnd)
+TEST(ProvenanceTest, DecomposeSegmentMeansSumToEndToEnd)
 {
-    const auto report = decomposeSpans(bimodalSpans(), {0.5, 0.99});
+    const auto report =
+        decompose(bimodalSpans(), obs::Grouping::Segment, {0.5, 0.99});
     ASSERT_EQ(report.components.size(), obs::kSegmentKindCount);
     EXPECT_EQ(report.requestCount, 100u);
     double meanSum = 0.0;

@@ -50,11 +50,14 @@ TEST(DecompositionTest, PerOpSamplesCoverAllResponses)
 {
     const auto result = runExperiment(mixedParams());
     const PerOp ops = perOp(result);
-    const analysis::Fig3Samples fig3 = analysis::fig3Samples(result.spans);
+    const analysis::ColumnSamples fig3 =
+        analysis::columnSamples(result.spans, obs::Grouping::Fig3);
     // Every completion is traced and every span decomposes.
-    EXPECT_EQ(ops.getUs.size() + ops.setUs.size(), fig3.serverUs.size());
-    EXPECT_EQ(fig3.serverUs.size(), fig3.networkUs.size());
-    EXPECT_EQ(fig3.serverUs.size(), fig3.clientUs.size());
+    EXPECT_EQ(ops.getUs.size() + ops.setUs.size(),
+              fig3.endToEndUs.size());
+    ASSERT_EQ(fig3.columnsUs.size(), 3u);
+    for (const std::vector<double> &column : fig3.columnsUs)
+        EXPECT_EQ(column.size(), fig3.endToEndUs.size());
     EXPECT_FALSE(ops.getUs.empty());
     EXPECT_FALSE(ops.setUs.empty());
 }
@@ -79,13 +82,14 @@ TEST(DecompositionTest, ComponentsSumToEndToEnd)
 {
     // server + network + client group the eight rows of each span's
     // critical path, so per span they add up to its end-to-end
-    // latency.
+    // latency (exactly in integer ns: span_sweep_test).
     const auto result = runExperiment(mixedParams());
-    const analysis::Fig3Samples fig3 = analysis::fig3Samples(result.spans);
-    ASSERT_EQ(fig3.serverUs.size(), result.spans.size());
+    const analysis::ColumnSamples fig3 =
+        analysis::columnSamples(result.spans, obs::Grouping::Fig3);
+    ASSERT_EQ(fig3.endToEndUs.size(), result.spans.size());
     for (std::size_t k = 0; k < result.spans.size(); ++k) {
-        EXPECT_NEAR(fig3.serverUs[k] + fig3.networkUs[k] +
-                        fig3.clientUs[k],
+        EXPECT_NEAR(fig3.columnsUs[0][k] + fig3.columnsUs[1][k] +
+                        fig3.columnsUs[2][k],
                     result.spans[k].trace.endToEndUs(), 1e-9);
     }
 }

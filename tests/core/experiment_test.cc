@@ -153,9 +153,12 @@ TEST(ExperimentTest, SingleClientSuffersClientSideQueueing)
 
     // And the single client's measured latency is inflated: Fig 3's
     // client component of every span's critical path.
-    EXPECT_GT(
-        stats::mean(analysis::fig3Samples(singleR.spans).clientUs),
-        stats::mean(analysis::fig3Samples(multiR.spans).clientUs) * 2.0);
+    const auto clientUs = [](const ExperimentResult &r) {
+        return stats::mean(
+            analysis::columnSamples(r.spans, obs::Grouping::Fig3)
+                .columnsUs[2]);
+    };
+    EXPECT_GT(clientUs(singleR), clientUs(multiR) * 2.0);
 }
 
 TEST(ExperimentTest, RemoteRackClientDominatesMergedTail)
@@ -236,13 +239,15 @@ TEST(ExperimentTest, LatencyDecompositionIsConsistent)
     p.config.dvfs = hw::DvfsGovernor::Performance;
     p.trace.enabled = true;
     const auto result = runExperiment(p);
-    const analysis::Fig3Samples fig3 = analysis::fig3Samples(result.spans);
-    ASSERT_FALSE(fig3.serverUs.empty());
-    // Components are non-negative and the server is the largest chunk
-    // beyond the fixed kernel delay at moderate load.
-    EXPECT_GT(stats::mean(fig3.serverUs), 0.0);
-    EXPECT_GT(stats::mean(fig3.networkUs), 0.0);
-    EXPECT_GE(stats::mean(fig3.clientUs), 0.0);
+    const analysis::ColumnSamples fig3 =
+        analysis::columnSamples(result.spans, obs::Grouping::Fig3);
+    ASSERT_FALSE(fig3.endToEndUs.empty());
+    // Components (server, network, client) are non-negative and the
+    // server is the largest chunk beyond the fixed kernel delay at
+    // moderate load.
+    EXPECT_GT(stats::mean(fig3.columnsUs[0]), 0.0);
+    EXPECT_GT(stats::mean(fig3.columnsUs[1]), 0.0);
+    EXPECT_GE(stats::mean(fig3.columnsUs[2]), 0.0);
 }
 
 } // namespace

@@ -53,7 +53,8 @@ TEST(TimelineTest, DecompositionSumsMatchEndToEnd)
         const obs::SpanView span = result.spans[k];
         ASSERT_TRUE(obs::extractCriticalPath(span, path));
         SimDuration sum = 0;
-        for (SimDuration ns : obs::pathRowsNs(path, span.trace.winner))
+        for (SimDuration ns :
+             obs::columnsNs(path, span.trace.winner, obs::Grouping::Row))
             sum += ns;
         EXPECT_EQ(sum, span.trace.clientReceive - span.trace.intendedSend);
     }
@@ -62,8 +63,8 @@ TEST(TimelineTest, DecompositionSumsMatchEndToEnd)
 TEST(TimelineTest, DecompositionReportCoversFullPath)
 {
     const auto result = runExperiment(tracedParams());
-    const auto report = analysis::decomposeRows(result.spans);
-    ASSERT_EQ(report.components.size(), obs::kPathRowCount);
+    const auto report = analysis::decompose(result.spans, obs::Grouping::Row);
+    ASSERT_EQ(report.components.size(), 8u);
     EXPECT_EQ(report.requestCount, result.spans.size());
     double meanSum = 0.0;
     for (const auto &component : report.components)

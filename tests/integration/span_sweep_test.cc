@@ -1,12 +1,14 @@
 /** @file Property sweep over fault plans x resilience policies x
  *  balancer policies, plus a classic-path cell: every exported span
- *  must be structurally complete and monotone, its critical path must
- *  telescope to the end-to-end latency at integer-nanosecond
- *  exactness, and its eight grouped rows must equal the winning
- *  attempt's stamp differences. */
+ *  must be structurally complete and monotone, its critical path and
+ *  each grouping of it must telescope to the end-to-end latency at
+ *  integer-nanosecond exactness, its eight rows must equal the winning
+ *  attempt's stamp differences, and its Fig 3 columns must be sums of
+ *  those rows. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -134,14 +136,24 @@ checkSpans(const ExperimentResult &result, const std::string &label)
         EXPECT_EQ(path.totalNs(),
                   span.trace.clientReceive - span.trace.intendedSend)
             << label;
-        const auto d = obs::ClusterDecomposition::of(span);
-        ASSERT_TRUE(d.valid) << label;
-        EXPECT_EQ(d.totalNs(), d.endToEndNs) << label;
+        // Every grouping's columns telescope to the same total.
+        for (obs::Grouping grouping :
+             {obs::Grouping::Segment, obs::Grouping::Row,
+              obs::Grouping::Fig3}) {
+            SimDuration sum = 0;
+            for (SimDuration ns :
+                 obs::columnsNs(path, span.trace.winner, grouping))
+                sum += ns;
+            EXPECT_EQ(sum,
+                      span.trace.clientReceive - span.trace.intendedSend)
+                << label << " grouping "
+                << static_cast<int>(grouping);
+        }
 
         // The eight rows are the winning attempt's stamp differences,
         // so a mis-grouped SegmentKind moves time between rows.
         const obs::AttemptSpan &w = span.trace.winning;
-        const std::array<SimDuration, obs::kPathRowCount> want = {
+        const std::array<SimDuration, 8> want = {
             w.triggerAt - span.trace.intendedSend,
             w.clientSend - w.triggerAt,
             w.nicArrival - w.clientSend,
@@ -150,8 +162,22 @@ checkSpans(const ExperimentResult &result, const std::string &label)
             w.nicDeparture - w.workerEnd,
             w.clientNicArrival - w.nicDeparture,
             w.clientReceive - w.clientNicArrival};
-        EXPECT_EQ(obs::pathRowsNs(path, span.trace.winner), want)
+        const obs::Columns rows =
+            obs::columnsNs(path, span.trace.winner, obs::Grouping::Row);
+        ASSERT_EQ(rows.count, want.size()) << label;
+        EXPECT_TRUE(std::equal(want.begin(), want.end(), rows.begin()))
             << label << " logical " << span.trace.logicalSeqId;
+
+        // Fig 3 nests in the rows: server = server queue + service +
+        // server nic, network = net request + net response, client =
+        // pre-win wait + client queue + client deliver.
+        const obs::Columns fig3 =
+            obs::columnsNs(path, span.trace.winner, obs::Grouping::Fig3);
+        const auto &r = rows.ns;
+        ASSERT_EQ(fig3.count, 3u) << label;
+        EXPECT_EQ(fig3.ns[0], r[3] + r[4] + r[5]) << label;
+        EXPECT_EQ(fig3.ns[1], r[2] + r[6]) << label;
+        EXPECT_EQ(fig3.ns[2], r[0] + r[1] + r[7]) << label;
     }
 }
 

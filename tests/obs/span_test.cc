@@ -1,12 +1,11 @@
 /** @file Unit tests for attempt spans, their lean storage layout,
- *  critical-path extraction, the cluster-aware decomposition, the
- *  eight-row grouping, and the exports. */
+ *  critical-path extraction, the groupings of a critical path into
+ *  segment kinds, rows and Fig 3 columns, and the exports. */
 
 #include "obs/span.h"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -312,6 +311,9 @@ TEST(SpanTest, RetentionOverflowCollapsesToCatchAll)
     EXPECT_EQ(path.totalNs(), s.trace.clientReceive - s.trace.intendedSend);
 }
 
+constexpr Grouping kGroupings[] = {Grouping::Segment, Grouping::Row,
+                                   Grouping::Fig3};
+
 TEST(SpanTest, DecompositionTelescopesToIntegerNanoseconds)
 {
     const SpanLog log =
@@ -320,38 +322,39 @@ TEST(SpanTest, DecompositionTelescopesToIntegerNanoseconds)
                hedgeSpan()});
     for (std::size_t i = 0; i < log.size(); ++i) {
         const SpanTrace &s = log[i].trace;
-        const ClusterDecomposition d = ClusterDecomposition::of(log[i]);
-        ASSERT_TRUE(d.valid);
-        EXPECT_EQ(d.totalNs(), d.endToEndNs); // Exact, not approximate.
-        EXPECT_EQ(d.endToEndNs, s.clientReceive - s.intendedSend);
-    }
-}
-
-TEST(SpanTest, DecompositionFromAnExtractedPathMatches)
-{
-    const SpanLog log = logOf({retrySpan(), hedgeSpan()});
-    for (std::size_t i = 0; i < log.size(); ++i) {
         CriticalPath path;
         ASSERT_TRUE(extractCriticalPath(log[i], path));
-        const ClusterDecomposition a = ClusterDecomposition::of(log[i]);
-        const ClusterDecomposition b =
-            ClusterDecomposition::of(log[i], path);
-        EXPECT_EQ(a.ns, b.ns);
-        EXPECT_EQ(a.endToEndNs, b.endToEndNs);
-        EXPECT_EQ(a.hedgeOverlapNs, b.hedgeOverlapNs);
-        EXPECT_TRUE(b.valid);
+        for (Grouping grouping : kGroupings) {
+            const Columns columns = columnsNs(path, s.winner, grouping);
+            EXPECT_EQ(columns.count, columnNames(grouping).size());
+            SimDuration sum = 0;
+            for (SimDuration ns : columns)
+                sum += ns;
+            // Exact, not approximate.
+            EXPECT_EQ(sum, s.clientReceive - s.intendedSend);
+        }
     }
 }
 
-TEST(SpanTest, DecompositionRecordsHedgeOverlap)
+TEST(SpanTest, SegmentColumnsKeepLosingAttemptsKinds)
 {
+    // The hedge's primary queued 300 ns before it was sent: the
+    // Segment grouping keeps that time as client queue, beside the
+    // hedge's own 500 ns, while the rows count it as pre-win wait.
     const HeldSpan s = hedgeSpan();
-    const ClusterDecomposition d =
-        ClusterDecomposition::of(logOf({s})[0]);
-    ASSERT_TRUE(d.valid);
-    // Overlap runs from the hedge's send to the first response.
-    EXPECT_EQ(d.hedgeOverlapNs,
-              s.trace.clientReceive - s.attempts[1].clientSend);
+    const SpanLog log = logOf({s});
+    CriticalPath path;
+    ASSERT_TRUE(extractCriticalPath(log[0], path));
+    const Columns kinds =
+        columnsNs(path, s.trace.winner, Grouping::Segment);
+    const Columns rows = columnsNs(path, s.trace.winner, Grouping::Row);
+    const auto at = [&kinds](SegmentKind kind) {
+        return kinds.ns[static_cast<std::size_t>(kind)];
+    };
+    EXPECT_EQ(at(SegmentKind::ClientQueue), 800u);
+    EXPECT_EQ(at(SegmentKind::HedgeWait), 2'700u);
+    EXPECT_EQ(rows.ns[0], 3'000u);
+    EXPECT_EQ(rows.ns[1], 500u);
 }
 
 TEST(SpanTest, IncompleteSpanYieldsInvalidDecomposition)
@@ -359,16 +362,16 @@ TEST(SpanTest, IncompleteSpanYieldsInvalidDecomposition)
     HeldSpan s = singleAttemptSpan(classicAttempt());
     s.attempts[0].won = false;
     const SpanLog log = logOf({s});
-    const ClusterDecomposition d = ClusterDecomposition::of(log[0]);
-    EXPECT_FALSE(d.valid);
     CriticalPath path;
     EXPECT_FALSE(extractCriticalPath(log[0], path));
     EXPECT_EQ(path.count, 0u);
+    for (SimDuration ns : columnsNs(path, 0, Grouping::Row))
+        EXPECT_EQ(ns, 0u);
 }
 
 TEST(SpanTest, SegmentNamesAlignWithKinds)
 {
-    const auto &names = segmentKindNames();
+    const auto &names = columnNames(Grouping::Segment);
     ASSERT_EQ(names.size(), kSegmentKindCount);
     EXPECT_EQ(names.front(), "client queue");
     EXPECT_EQ(names[static_cast<std::size_t>(
@@ -378,18 +381,19 @@ TEST(SpanTest, SegmentNamesAlignWithKinds)
 }
 
 /** The eight rows of @p span's critical path. */
-std::array<SimDuration, kPathRowCount>
+std::vector<SimDuration>
 rowsOf(const SpanView &span)
 {
     CriticalPath path;
     EXPECT_TRUE(extractCriticalPath(span, path));
-    return pathRowsNs(path, span.trace.winner);
+    const Columns rows = columnsNs(path, span.trace.winner, Grouping::Row);
+    return {rows.begin(), rows.end()};
 }
 
 TEST(PathRowsTest, ClassicRowsAreTheWinnerStampGaps)
 {
     const SpanLog log = logOf({singleAttemptSpan(classicAttempt())});
-    const std::array<SimDuration, kPathRowCount> want = {
+    const std::vector<SimDuration> want = {
         0, 500, 2'000, 700, 5'000, 300, 2'000, 250};
     const auto rows = rowsOf(log[0]);
     EXPECT_EQ(rows, want);
@@ -404,7 +408,7 @@ TEST(PathRowsTest, ClusterHopsFoldIntoServerQueueAndService)
     // The router queue is the server queue; router service, balancer,
     // fabric and backend hops tile the worker interval, i.e. service.
     const SpanLog log = logOf({singleAttemptSpan(clusterAttempt())});
-    const std::array<SimDuration, kPathRowCount> want = {
+    const std::vector<SimDuration> want = {
         0, 500, 2'000, 700, 5'000, 300, 2'000, 250};
     EXPECT_EQ(rowsOf(log[0]), want);
 }
@@ -429,14 +433,38 @@ TEST(PathRowsTest, LosingAttemptsArePreWinWait)
     }
 }
 
+TEST(PathRowsTest, Fig3ColumnsGroupTheRows)
+{
+    // server = server queue + service + server nic, network = net
+    // request + net response, client = pre-win wait + client queue +
+    // client deliver. Simulated runs leave server nic at 0 ns, so
+    // these spans are what pins its column.
+    const SpanLog log = logOf({singleAttemptSpan(classicAttempt()),
+                               singleAttemptSpan(clusterAttempt()),
+                               retrySpan(), hedgeSpan()});
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        CriticalPath path;
+        ASSERT_TRUE(extractCriticalPath(log[i], path));
+        const std::vector<SimDuration> r = rowsOf(log[i]);
+        const Columns fig3 =
+            columnsNs(path, log[i].trace.winner, Grouping::Fig3);
+        const std::vector<SimDuration> want = {
+            r[3] + r[4] + r[5], r[2] + r[6], r[0] + r[1] + r[7]};
+        EXPECT_EQ(std::vector<SimDuration>(fig3.begin(), fig3.end()),
+                  want);
+    }
+}
+
 TEST(PathRowsTest, RowNamesAlign)
 {
-    const auto &names = pathRowNames();
-    ASSERT_EQ(names.size(), kPathRowCount);
+    const auto &names = columnNames(Grouping::Row);
+    ASSERT_EQ(names.size(), 8u);
     EXPECT_EQ(names.front(), "pre-win wait");
     EXPECT_EQ(names[1], "client queue");
     EXPECT_EQ(names[4], "service");
     EXPECT_EQ(names.back(), "client deliver");
+    EXPECT_EQ(columnNames(Grouping::Fig3),
+              (std::vector<std::string>{"server", "network", "client"}));
 }
 
 TEST(SpanTest, DecompositionCsvShape)
@@ -659,8 +687,8 @@ TEST(SpanTest, WinnerLaneIsItsCriticalPathOnBothTiers)
         for (std::size_t i = 0; i < wire.size(); ++i) {
             const PathSegment &seg = wire[i];
             EXPECT_EQ(lane[i].at("name").asString(),
-                      segmentKindNames()[static_cast<std::size_t>(
-                          seg.kind)]);
+                      columnNames(Grouping::Segment)
+                          [static_cast<std::size_t>(seg.kind)]);
             EXPECT_DOUBLE_EQ(lane[i].at("ts").asNumber(),
                              toMicros(seg.begin));
             EXPECT_DOUBLE_EQ(lane[i].at("dur").asNumber(),

@@ -4,10 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
-#include <vector>
 
 #include "util/rng.h"
 
@@ -75,42 +74,39 @@ TEST(FlatMapTest, SteadyStateWindowDoesNotGrow)
     EXPECT_EQ(m.size(), 512u);
 }
 
-TEST(FlatMapTest, OwningValuesMoveAndReleaseAtErase)
+TEST(FlatMapTest, RecordValuesSurviveRehashAndBackwardShift)
 {
-    // Values that own resources (the client's pending table holds
-    // pooled request handles) move on rehash and backward shift, are
-    // mutable through find(), and are released when erased or cleared.
-    FlatU64Map<std::shared_ptr<int>> m;
-    std::vector<std::weak_ptr<int>> owned;
+    // Values may be whole records (the client's pending table holds a
+    // request prototype per entry): they copy on rehash and backward
+    // shift and are mutable through find().
+    struct Record {
+        std::uint64_t id = 0;
+        std::array<std::uint32_t, 16> words{};
+    };
+    FlatU64Map<Record> m;
     for (std::uint64_t i = 0; i < 200; ++i) { // several rehashes
-        auto value = std::make_shared<int>(static_cast<int>(i));
-        owned.push_back(value);
-        m.insertOrAssign(i, std::move(value));
-    }
-    for (std::uint64_t i = 0; i < 200; ++i) {
-        ASSERT_NE(m.find(i), nullptr);
-        EXPECT_EQ(owned[i].use_count(), 1) << "key " << i;
+        Record r;
+        r.id = i;
+        r.words.fill(static_cast<std::uint32_t>(i));
+        m.insertOrAssign(i, r);
     }
 
-    **m.find(7) = 70;
-    EXPECT_EQ(*owned[7].lock(), 70);
+    m.find(7)->words[3] = 70;
 
     // Erasing every other key shifts later chain members back into
-    // the holes; each erased value is released at once, and every
-    // survivor keeps exactly one owner.
-    for (std::uint64_t i = 0; i < 200; i += 2) {
+    // the holes; every survivor keeps its whole record.
+    for (std::uint64_t i = 0; i < 200; i += 2)
         ASSERT_TRUE(m.erase(i));
-        EXPECT_TRUE(owned[i].expired()) << "kept alive after erase: " << i;
-    }
     for (std::uint64_t i = 1; i < 200; i += 2) {
-        ASSERT_NE(m.find(i), nullptr);
-        EXPECT_EQ(**m.find(i), i == 7 ? 70 : static_cast<int>(i));
-        EXPECT_EQ(owned[i].use_count(), 1);
+        const Record *r = m.find(i);
+        ASSERT_NE(r, nullptr);
+        EXPECT_EQ(r->id, i);
+        const auto v = static_cast<std::uint32_t>(i);
+        EXPECT_EQ(r->words[0], v);
+        EXPECT_EQ(r->words[3], i == 7 ? 70u : v);
+        EXPECT_EQ(r->words[15], v);
     }
-
-    m.clear();
-    for (const auto &weak : owned)
-        EXPECT_TRUE(weak.expired());
+    EXPECT_EQ(m.size(), 100u);
 }
 
 TEST(FlatMapTest, MatchesReferenceOverRandomOps)
